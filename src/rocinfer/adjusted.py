@@ -221,24 +221,6 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
 
 # -- Bayesian: healthy mixture posterior + exchangeable diseased weights --------
 
-def _ddp_placements(draws, zd_rows, y_d) -> np.ndarray:
-    """(S, n_d) healthy conditional survival at the diseased points."""
-    beta, s2, w = draws.beta, draws.sigma2, draws.weights
-    S, L, _ = beta.shape
-    n = y_d.size
-    out = np.empty((S, n))
-    chunk = max(1, int(4_000_000 / max(1, n * L)))
-    for start in range(0, S, chunk):
-        stop = min(S, start + chunk)
-        mu = np.einsum("slq,nq->snl", beta[start:stop], zd_rows)
-        sd = np.sqrt(s2[start:stop])[:, None, :]
-        f = np.einsum(
-            "snl,sl->sn", ndtr((y_d[None, :, None] - mu) / sd), w[start:stop]
-        )
-        out[start:stop] = 1.0 - f
-    return out
-
-
 def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
              mcmc: McmcControl | None = None, p=None,
              pauc: PaucControl | None = None, rng=None,
@@ -263,7 +245,7 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
 
     draws = fit_ddp(split_std.healthy, Zh, prior=prior, mcmc=mcmc,
                     rng=stream.stream(_CHAIN_H))
-    U = _ddp_placements(draws, zd_rows, split_std.diseased)
+    U = 1.0 - draws.cdf_at(split_std.diseased, zd_rows)  # (S, n_d) placements
     S, n_d = U.shape
     q = dirichlet(np.ones(n_d), stream.stream(_WEIGHTS_STREAM).generator, size=S)
 
@@ -290,7 +272,7 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
             else:
                 j = int(np.searchsorted(cum[s], ctrl.value - 1e-12, side="left"))
                 c = float(u_sorted[s, min(j, n_d - 1)])
-                raw = float(q[s] @ (1.0 - np.maximum(c, U[s])) - (1.0 - c) * ctrl.value)
+                raw = float(q[s] @ (1.0 - np.maximum(c, U[s]) - (1.0 - c) * ctrl.value))
             pauc_d[s] = pauc_normalise(raw, ctrl.focus, ctrl.value)
     curves[:, grid == 0.0] = 0.0
     curves[:, grid == 1.0] = 1.0

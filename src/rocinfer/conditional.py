@@ -11,6 +11,13 @@ empirical residual CDFs, the kernel engine fits local mean/variance
 functions of one continuous covariate, and the Bayesian engine puts a
 shared-weights normal-mixture posterior over regression surfaces. All
 three report curves, AUC and optional partial areas per prediction row.
+
+Each fit keeps one function from a prediction frame to pairs of
+healthy/diseased CDF stacks (see `pooled`) whose members end in a
+prediction-row axis: location-scale stacks over a normal or
+residual-step error law for the induced models (all rows in one pair),
+conditional mixtures for the Bayesian one (one pair per row). Curves,
+areas, reverse curves and thresholds are all read off those stacks.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .design import build_design, parse_formula, spec_is_linear
 from .diagnostics import FitCriteria, criteria_from_draws
@@ -34,37 +40,31 @@ from .errors import (
     TooFewPointsError,
     ZeroVarianceError,
 )
-from .mixtures import McmcControl, fit_ddp, loglik_at_posterior_mean, mixture_cdf, mixture_pdf
+from .mixtures import McmcControl, fit_ddp, loglik_at_posterior_mean
 from .pooled import (
     _BOOT_STREAM_BASE,
     _CHAIN_D,
     _CHAIN_H,
+    ChunkedStack,
     DensityControl,
+    LocScaleStack,
+    NormalStack,
     PaucControl,
+    StepStack,
+    _check_criterion,
     _grid_of,
-    _mixture_roc_draws,
-    _mixture_tnf_draws,
     _pauc_summary,
     _stream_of,
-    _threshold_from_cdf_rows,
+    mixture_stack,
+    roc_rows,
+    simpson_area,
+    threshold_result,
+    tnf_rows,
 )
 from .sample import Column, DiagnosticSample, PredictionFrame, column_from_values, split_groups, standardise
 from .smoothing import fit_location_scale, silverman_bandwidth
 from .streams import parallel_map
-from .summaries import (
-    ThresholdResult,
-    band,
-    ecdf_eval,
-    ecdf_quantile,
-    interval_from,
-    odd_grid,
-    pauc_normalise,
-    simpson,
-    youden_grid,
-)
-
-_AREA_GRID = odd_grid(0.0, 1.0, 201)
-
+from .summaries import ThresholdResult, band, interval_from, youden_grid
 
 @dataclass
 class CRocResult:
@@ -118,61 +118,6 @@ def _ols_fit(Z, y):
     return beta, sigma, np.sort(resid / sigma)
 
 
-def _induced_roc(a, b, eps_h, eps_d, p, est_cdf: str) -> np.ndarray:
-    """Rowwise 1 - F_D{a + b Q_H(1-p)}; a, b broadcast over rows."""
-    p = np.asarray(p, dtype=float)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
-    out = np.empty((a.size, p.size))
-    interior = (p > 0.0) & (p < 1.0)
-    if np.any(interior):
-        if est_cdf == "normal":
-            qh = ndtri(1.0 - p[interior])
-            out[:, interior] = 1.0 - ndtr(a[:, None] + b[:, None] * qh[None, :])
-        else:
-            qh = ecdf_quantile(eps_h, 1.0 - p[interior])
-            out[:, interior] = 1.0 - ecdf_eval(eps_d, a[:, None] + b[:, None] * qh[None, :])
-    out[:, p == 0.0] = 0.0
-    out[:, p == 1.0] = 1.0
-    return out
-
-
-def _induced_tnf(a, b, eps_h, eps_d, p, est_cdf: str) -> np.ndarray:
-    """Reverse orientation: F_H{a* + b* Q_D(1-p)} with a*=-a/b, b*=1/b."""
-    p = np.asarray(p, dtype=float)
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
-    a_star, b_star = -a / b, 1.0 / b
-    out = np.empty((a.size, p.size))
-    interior = (p > 0.0) & (p < 1.0)
-    if np.any(interior):
-        if est_cdf == "normal":
-            qd = ndtri(1.0 - p[interior])
-            out[:, interior] = ndtr(a_star[:, None] + b_star[:, None] * qd[None, :])
-        else:
-            qd = ecdf_quantile(eps_d, 1.0 - p[interior])
-            out[:, interior] = ecdf_eval(eps_h, a_star[:, None] + b_star[:, None] * qd[None, :])
-    out[:, p == 0.0] = 1.0
-    out[:, p == 1.0] = 0.0
-    return out
-
-
-def _area_rows(a, b, eps_h, eps_d, est_cdf) -> np.ndarray:
-    vals = _induced_roc(a, b, eps_h, eps_d, _AREA_GRID, est_cdf)
-    return np.atleast_1d(simpson(vals, _AREA_GRID[1] - _AREA_GRID[0]))
-
-
-def _pauc_rows(a, b, eps_h, eps_d, est_cdf, ctrl: PaucControl) -> np.ndarray:
-    if ctrl.focus == "fpf":
-        g = odd_grid(0.0, ctrl.value, 201)
-        vals = _induced_roc(a, b, eps_h, eps_d, g, est_cdf)
-    else:
-        g = odd_grid(ctrl.value, 1.0, 201)
-        vals = _induced_tnf(a, b, eps_h, eps_d, g, est_cdf)
-    raw = np.atleast_1d(simpson(vals, g[1] - g[0]))
-    return np.array([pauc_normalise(float(r), ctrl.focus, ctrl.value) for r in raw])
-
-
 def _coef_table(labels, point, draws) -> dict:
     values = [
         interval_from(float(point[j]), draws[:, j] if draws is not None else None)
@@ -181,15 +126,73 @@ def _coef_table(labels, point, draws) -> dict:
     return {"labels": list(labels), "values": values}
 
 
-def _row_intervals(point_rows, stack, ctrl: PaucControl | None = None) -> list:
-    out = []
-    for r in range(point_rows.size):
-        draws = stack[:, r] if stack is not None else None
-        if ctrl is None:
-            out.append(interval_from(float(point_rows[r]), draws))
-        else:
-            out.append(_pauc_summary(float(point_rows[r]), draws, ctrl))
-    return out
+_MEMBER_CHUNK = 64  # bootstrap replicates per ChunkedStack part
+
+
+def _induced_pairs(plugin, ensemble, base) -> list:
+    """Stack pairs of an induced location-scale model, all prediction rows at once.
+
+    plugin and ensemble hold (loc, scale, residuals) per group, and
+    base(residuals) gives the error-law stack. loc has one column per
+    prediction row, after a leading replicate axis for the ensemble;
+    scale broadcasts against loc.
+    """
+    def pair(parts, members=slice(None)):
+        return tuple(
+            LocScaleStack(loc[members], np.broadcast_to(scale, loc.shape)[members],
+                          base(resid[members]))
+            for loc, scale, resid in parts
+        )
+
+    if not ensemble:
+        return [(pair(plugin), None)]
+    chunks = [pair(ensemble, slice(b, b + _MEMBER_CHUNK))
+              for b in range(0, len(ensemble[0][0]), _MEMBER_CHUNK)]
+    return [(pair(plugin), tuple(ChunkedStack([c[g] for c in chunks]) for g in (0, 1)))]
+
+
+def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl) -> list:
+    """(curve, lo, hi, AUC interval, pAUC summary or None) per prediction row.
+
+    The rows are the stacks' last member axis. The plug-in pair gives
+    the point estimates, else they are ensemble means; bands and
+    intervals come from the ensemble when there is one.
+    """
+    def areas(pair):
+        return simpson_area(*pair), simpson_area(*pair, ctrl) if ctrl.compute else None
+
+    curves = roc_rows(*ensemble, grid) if ensemble else None
+    aucs, paucs = areas(ensemble) if ensemble else (None, None)
+    if plugin:
+        est = roc_rows(*plugin, grid)
+        auc0, pauc0 = areas(plugin)
+    else:
+        est, auc0 = curves.mean(axis=0), aucs.mean(axis=0)
+        pauc0 = paucs.mean(axis=0) if ctrl.compute else None
+    lo, hi = band(curves) if ensemble else (est.copy(), est.copy())
+
+    def draws(values, r):
+        return None if values is None else values[:, r]
+
+    return [(est[r], lo[r], hi[r], interval_from(float(auc0[r]), draws(aucs, r)),
+             _pauc_summary(float(pauc0[r]), draws(paucs, r), ctrl) if ctrl.compute else None)
+            for r in range(est.shape[0])]
+
+
+def _result_rows(rows, grid, ctrl: PaucControl) -> dict:
+    """CRocResult curve and area fields from per-row summaries."""
+    curves = np.array([r[:3] for r in rows]).reshape(len(rows), 3, grid.size)
+    return {
+        "roc_est": curves[:, 0], "roc_lo": curves[:, 1], "roc_hi": curves[:, 2],
+        "auc": [r[3] for r in rows],
+        "pauc": [r[4] for r in rows] if ctrl.compute else None,
+    }
+
+
+def _fit_pairs(result, frame) -> list:
+    if not result.internals:
+        raise MissingDrawsError("result carries no fitted internals")
+    return result.internals["stacks"](frame)
 
 
 # -- linear induced model ------------------------------------------------------
@@ -219,23 +222,12 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     split = split_groups(sample)
     Zh, labels_h, fitted_h = build_design(split.healthy_cov, spec_h)
     Zd, labels_d, fitted_d = build_design(split.diseased_cov, spec_d)
-    zh_rows, _, _ = build_design(newdata, spec_h, fitted_h)
-    zd_rows, _, _ = build_design(newdata, spec_d, fitted_d)
 
-    fit0 = _ols_fit(Zh, split.healthy) + _ols_fit(Zd, split.diseased)
-    bh, sh, eh, bd, sd_, ed = fit0
+    def design_rows(frame):
+        return build_design(frame, spec_h, fitted_h)[0], build_design(frame, spec_d, fitted_d)[0]
 
-    def eval_fit(f):
-        bh_, sh_, eh_, bd_, sd2_, ed_ = f
-        a = (zh_rows @ bh_ - zd_rows @ bd_) / sd2_
-        b = sh_ / sd2_
-        curves = _induced_roc(a, b, eh_, ed_, grid, est_cdf)
-        aucs = _area_rows(a, b, eh_, ed_, est_cdf)
-        paucs = _pauc_rows(a, b, eh_, ed_, est_cdf, ctrl) if ctrl.compute else None
-        return a, b, curves, aucs, paucs
-
-    a0, b0, curves0, auc0, pauc0 = eval_fit(fit0)
-
+    design_rows(newdata)  # reject unusable prediction rows before fitting
+    bh, sh, eh, bd, sd_, ed = _ols_fit(Zh, split.healthy) + _ols_fit(Zd, split.diseased)
     mu_h_hat, mu_d_hat = Zh @ bh, Zd @ bd
 
     def one_rep(k):
@@ -245,19 +237,6 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
         return _ols_fit(Zh, yh) + _ols_fit(Zd, yd)
 
     boot = parallel_map(one_rep, range(B), workers=workers) if B > 0 else []
-    if boot:
-        reps = [eval_fit(f) for f in boot]
-        curve_stack = np.stack([r[2] for r in reps])
-        auc_stack = np.stack([r[3] for r in reps])
-        pauc_stack = np.stack([r[4] for r in reps]) if ctrl.compute else None
-        lo, hi = band(curve_stack)
-    else:
-        lo, hi = curves0.copy(), curves0.copy()
-        auc_stack = pauc_stack = None
-
-    auc_ivs = _row_intervals(auc0, auc_stack)
-    pauc_ivs = _row_intervals(pauc0, pauc_stack, ctrl) if ctrl.compute else None
-
     bh_st = np.stack([f[0] for f in boot]) if boot else None
     sh_st = np.array([f[1] for f in boot]) if boot else None
     bd_st = np.stack([f[3] for f in boot]) if boot else None
@@ -287,21 +266,26 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
             "b": interval_from(1.0 / brat, 1.0 / brat_st if boot else None),
         }
 
+    def base(resid):
+        return NormalStack() if est_cdf == "normal" else StepStack(resid)
+
+    def stacks(frame):
+        zh, zd = design_rows(frame)
+        plugin = ((zh @ bh, sh, eh), (zd @ bd, sd_, ed))
+        ensemble = (
+            (bh_st @ zh.T, sh_st[:, None], np.array([f[2] for f in boot])),
+            (bd_st @ zd.T, sd_st[:, None], np.array([f[5] for f in boot])),
+        ) if boot else None
+        return _induced_pairs(plugin, ensemble, base)
+
+    (pair,) = stacks(newdata)
     return CRocResult(
         method="sp-" + est_cdf,
         p=grid, newdata=newdata,
-        roc_est=curves0, roc_lo=lo, roc_hi=hi,
-        auc=auc_ivs, pauc=pauc_ivs,
+        **_result_rows(_summarise_rows(*pair, grid, ctrl), grid, ctrl),
         coefficients=coefficients,
         sample_sizes=(split.n_h, split.n_d),
-        internals={
-            "kind": "sp", "est_cdf": est_cdf,
-            "zh_rows": zh_rows, "zd_rows": zd_rows,
-            "fit0": fit0, "boot": boot,
-            "spec_h": spec_h, "spec_d": spec_d,
-            "fitted_h": fitted_h, "fitted_d": fitted_d,
-            "y_h": split.healthy, "y_d": split.diseased,
-        },
+        internals={"stacks": stacks, "y": np.concatenate([split.healthy, split.diseased])},
     )
 
 
@@ -331,20 +315,24 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
         raise MissingColumnError("covariate %r not in the sample" % covariate)
     if sample.covariates[covariate].is_categorical:
         raise ConfigError("the kernel estimator needs one continuous covariate")
-    if covariate not in newdata.columns:
-        raise MissingColumnError("newdata lacks column %r" % covariate)
-
     split = split_groups(sample)
     x_h = np.asarray(split.healthy_cov[covariate].values, dtype=float)
     x_d = np.asarray(split.diseased_cov[covariate].values, dtype=float)
-    x0 = np.asarray(newdata.columns[covariate].values, dtype=float)
-    for xg, name in ((x_h, "healthy"), (x_d, "diseased")):
-        if x0.size and (x0.min() < xg.min() or x0.max() > xg.max()):
-            raise NoLocalDataError(
-                "prediction points leave the %s covariate range [%g, %g]"
-                % (name, xg.min(), xg.max())
-            )
 
+    def points(frame):
+        """Covariate values of the prediction rows, inside both groups' ranges."""
+        if covariate not in frame.columns:
+            raise MissingColumnError("newdata lacks column %r" % covariate)
+        x0 = np.asarray(frame.columns[covariate].values, dtype=float)
+        for xg, name in ((x_h, "healthy"), (x_d, "diseased")):
+            if x0.size and (x0.min() < xg.min() or x0.max() > xg.max()):
+                raise NoLocalDataError(
+                    "prediction points leave the %s covariate range [%g, %g]"
+                    % (name, xg.min(), xg.max())
+                )
+        return x0
+
+    points(newdata)  # reject unusable prediction rows before fitting
     if bw == "srt":
         h_h, h_d = silverman_bandwidth(x_h), silverman_bandwidth(x_d)
         fit_h = fit_location_scale(x_h, split.healthy, bw_mean=h_h, bw_var=h_h)
@@ -352,21 +340,6 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     else:
         fit_h = fit_location_scale(x_h, split.healthy)
         fit_d = fit_location_scale(x_d, split.diseased)
-
-    def eval_fits(fh, fd):
-        mu_h = np.atleast_1d(np.asarray(fh.mu(x0), dtype=float))
-        mu_d = np.atleast_1d(np.asarray(fd.mu(x0), dtype=float))
-        s2_h = np.atleast_1d(np.asarray(fh.sigma2(x0), dtype=float))
-        s2_d = np.atleast_1d(np.asarray(fd.sigma2(x0), dtype=float))
-        a = (mu_h - mu_d) / np.sqrt(s2_d)
-        b = np.sqrt(s2_h / s2_d)
-        curves = _induced_roc(a, b, fh.residuals, fd.residuals, grid, "empirical")
-        aucs = _area_rows(a, b, fh.residuals, fd.residuals, "empirical")
-        paucs = (_pauc_rows(a, b, fh.residuals, fd.residuals, "empirical", ctrl)
-                 if ctrl.compute else None)
-        return a, b, curves, aucs, paucs
-
-    a0, b0, curves0, auc0, pauc0 = eval_fits(fit_h, fit_d)
 
     mu_h_hat = np.asarray(fit_h.mu(x_h), dtype=float)
     mu_d_hat = np.asarray(fit_d.mu(x_d), dtype=float)
@@ -383,29 +356,25 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
         return fh, fd
 
     boot = parallel_map(one_rep, range(B), workers=workers) if B > 0 else []
-    if boot:
-        reps = [eval_fits(fh, fd) for fh, fd in boot]
-        curve_stack = np.stack([r[2] for r in reps])
-        auc_stack = np.stack([r[3] for r in reps])
-        pauc_stack = np.stack([r[4] for r in reps]) if ctrl.compute else None
-        lo, hi = band(curve_stack)
-    else:
-        lo, hi = curves0.copy(), curves0.copy()
-        auc_stack = pauc_stack = None
 
+    def stacks(frame):
+        x0 = points(frame)
+        plugin = tuple((f.mu(x0), np.sqrt(f.sigma2(x0)), f.residuals) for f in (fit_h, fit_d))
+        ensemble = tuple(
+            (np.array([b[g].mu(x0) for b in boot]), np.sqrt(np.array([b[g].sigma2(x0) for b in boot])),
+             np.array([b[g].residuals for b in boot]))
+            for g in (0, 1)
+        ) if boot else None
+        return _induced_pairs(plugin, ensemble, StepStack)
+
+    (pair,) = stacks(newdata)
     return CRocResult(
         method="kernel",
         p=grid, newdata=newdata,
-        roc_est=curves0, roc_lo=lo, roc_hi=hi,
-        auc=_row_intervals(auc0, auc_stack),
-        pauc=_row_intervals(pauc0, pauc_stack, ctrl) if ctrl.compute else None,
+        **_result_rows(_summarise_rows(*pair, grid, ctrl), grid, ctrl),
         coefficients=None,
         sample_sizes=(split.n_h, split.n_d),
-        internals={
-            "kind": "kernel", "covariate": covariate, "x0": x0,
-            "fit_h": fit_h, "fit_d": fit_d, "boot": boot,
-            "y_h": split.healthy, "y_d": split.diseased,
-        },
+        internals={"stacks": stacks, "y": np.concatenate([split.healthy, split.diseased])},
     )
 
 
@@ -511,9 +480,12 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     split_raw = split_groups(sample)
     Zh, labels_h, fitted_h = build_design(split_std.healthy_cov, spec_h)
     Zd, labels_d, fitted_d = build_design(split_std.diseased_cov, spec_d)
-    nd_std = _standardised_frame(newdata, std)
-    zh_rows, _, _ = build_design(nd_std, spec_h, fitted_h)
-    zd_rows, _, _ = build_design(nd_std, spec_d, fitted_d)
+
+    def design_rows(frame):
+        nd = _standardised_frame(frame, std)
+        return build_design(nd, spec_h, fitted_h)[0], build_design(nd, spec_d, fitted_d)[0]
+
+    design_rows(newdata)  # reject unusable prediction rows before fitting
 
     def fit_group(args):
         y, Z, prior, sid = args
@@ -526,77 +498,34 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
         workers=min(workers, 2),
     )
 
-    if density.compute:
-        dens_grid_raw = np.linspace(
-            float(sample.marker.min()), float(sample.marker.max()), density.grid_length
-        )
-        dens_grid = std.marker_to_std(dens_grid_raw) if std.enabled else dens_grid_raw
-    else:
-        dens_grid_raw = dens_grid = None
+    def stacks(frame):
+        """One pair per prediction row, which bounds the (draws, grid) arrays."""
+        zh, zd = design_rows(frame)
+        return [(None, tuple(
+            mixture_stack(d.weights, d.conditional_means(z[r])[:, None, :], d.sigma2, std)
+            for d, z in ((draws_h, zh), (draws_d, zd))
+        )) for r in range(len(zh))]
 
-    spacing = _AREA_GRID[1] - _AREA_GRID[0]
-    if ctrl.compute and ctrl.focus == "fpf":
-        sub = odd_grid(0.0, ctrl.value, 201)
-    elif ctrl.compute:
-        sub = odd_grid(ctrl.value, 1.0, 201)
-    else:
-        sub = None
+    pairs = stacks(newdata)
+    dens_grid = np.linspace(
+        float(sample.marker.min()), float(sample.marker.max()), density.grid_length
+    )
 
-    def one_row(r):
-        mu_h = draws_h.conditional_means(zh_rows[r])
-        mu_d = draws_d.conditional_means(zd_rows[r])
-        wh, wd = draws_h.weights, draws_d.weights
-        s2h, s2d = draws_h.sigma2, draws_d.sigma2
-        curves = _mixture_roc_draws(wh, mu_h, s2h, wd, mu_d, s2d, grid)
-        areas = np.atleast_1d(
-            simpson(_mixture_roc_draws(wh, mu_h, s2h, wd, mu_d, s2d, _AREA_GRID), spacing)
-        )
-        paucs = None
-        if ctrl.compute:
-            if ctrl.focus == "fpf":
-                vals = _mixture_roc_draws(wh, mu_h, s2h, wd, mu_d, s2d, sub)
-            else:
-                vals = _mixture_tnf_draws(wh, mu_h, s2h, wd, mu_d, s2d, sub)
-            raw = np.atleast_1d(simpson(vals, sub[1] - sub[0]))
-            paucs = np.array(
-                [pauc_normalise(float(v), ctrl.focus, ctrl.value) for v in raw]
-            )
+    def one_row(pair):
         dens = None
         if density.compute:
-            fh = mixture_pdf(wh, mu_h, s2h, dens_grid)
-            fd = mixture_pdf(wd, mu_d, s2d, dens_grid)
-            if std.enabled:
-                fh, fd = std.density_to_raw(fh), std.density_to_raw(fd)
+            fh, fd = (s.pdf(dens_grid)[:, 0] for s in pair[1])
             dens = (fh.mean(axis=0), *band(fh), fd.mean(axis=0), *band(fd))
-        lo, hi = band(curves)
-        return curves.mean(axis=0), lo, hi, areas, paucs, dens
+        return _summarise_rows(*pair, grid, ctrl)[0] + (dens,)
 
-    rows = parallel_map(one_row, range(newdata.n), workers=workers)
-
-    roc_est = np.stack([r[0] for r in rows])
-    roc_lo = np.stack([r[1] for r in rows])
-    roc_hi = np.stack([r[2] for r in rows])
-    auc_ivs = [interval_from(float(r[3].mean()), r[3]) for r in rows]
-    pauc_ivs = (
-        [_pauc_summary(float(r[4].mean()), r[4], ctrl) for r in rows]
-        if ctrl.compute else None
-    )
+    rows = parallel_map(one_row, pairs, workers=workers)
 
     densities = None
     if density.compute:
-        densities = {
-            "grid": dens_grid_raw,
-            "healthy": {
-                "est": np.stack([r[5][0] for r in rows]),
-                "lo": np.stack([r[5][1] for r in rows]),
-                "hi": np.stack([r[5][2] for r in rows]),
-            },
-            "diseased": {
-                "est": np.stack([r[5][3] for r in rows]),
-                "lo": np.stack([r[5][4] for r in rows]),
-                "hi": np.stack([r[5][5] for r in rows]),
-            },
-        }
+        densities = {"grid": dens_grid}
+        for g, name in enumerate(("healthy", "diseased")):
+            densities[name] = {key: np.stack([r[5][3 * g + i] for r in rows])
+                               for i, key in enumerate(("est", "lo", "hi"))}
 
     log_s = math.log(std.marker_sd) if std.enabled else 0.0
     crit = FitCriteria(
@@ -621,63 +550,28 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     return CRocResult(
         method="bnp",
         p=grid, newdata=newdata,
-        roc_est=roc_est, roc_lo=roc_lo, roc_hi=roc_hi,
-        auc=auc_ivs, pauc=pauc_ivs,
+        **_result_rows(rows, grid, ctrl),
         coefficients=coefficients,
         sample_sizes=(split_std.n_h, split_std.n_d),
         fit=crit,
         densities=densities,
-        internals={
-            "kind": "bnp", "draws_h": draws_h, "draws_d": draws_d, "std": std,
-            "zh_rows": zh_rows, "zd_rows": zd_rows,
-            "spec_h": spec_h, "spec_d": spec_d,
-            "fitted_h": fitted_h, "fitted_d": fitted_d,
-            "y_h": split_raw.healthy, "y_d": split_raw.diseased,
-        },
+        internals={"stacks": stacks,
+                   "y": np.concatenate([split_raw.healthy, split_raw.diseased])},
     )
 
 
 # -- reverse-orientation curves and thresholds ----------------------------------
 
 def croc_tnf(result: CRocResult, p=None) -> np.ndarray:
-    """Point estimate of the reverse-orientation curve per prediction row."""
+    """Point estimate of the reverse-orientation curve per prediction row.
+
+    Plug-in fits give it directly; the Bayesian fit averages the draws.
+    """
     grid = _grid_of(p) if p is not None else result.p
-    ints = result.internals
-    kind = ints.get("kind")
-    if kind == "sp":
-        bh, sh, eh, bd, sd_, ed = ints["fit0"]
-        a = (ints["zh_rows"] @ bh - ints["zd_rows"] @ bd) / sd_
-        return _induced_tnf(a, sh / sd_, eh, ed, grid, ints["est_cdf"])
-    if kind == "kernel":
-        fh, fd = ints["fit_h"], ints["fit_d"]
-        x0 = ints["x0"]
-        mu_h = np.atleast_1d(np.asarray(fh.mu(x0), dtype=float))
-        mu_d = np.atleast_1d(np.asarray(fd.mu(x0), dtype=float))
-        s2_h = np.atleast_1d(np.asarray(fh.sigma2(x0), dtype=float))
-        s2_d = np.atleast_1d(np.asarray(fd.sigma2(x0), dtype=float))
-        a = (mu_h - mu_d) / np.sqrt(s2_d)
-        return _induced_tnf(a, np.sqrt(s2_h / s2_d), fh.residuals, fd.residuals,
-                            grid, "empirical")
-    if kind == "bnp":
-        dh, dd = ints["draws_h"], ints["draws_d"]
-        out = np.empty((len(ints["zh_rows"]), grid.size))
-        for r in range(out.shape[0]):
-            mu_h = dh.conditional_means(ints["zh_rows"][r])
-            mu_d = dd.conditional_means(ints["zd_rows"][r])
-            out[r] = _mixture_tnf_draws(
-                dh.weights, mu_h, dh.sigma2, dd.weights, mu_d, dd.sigma2, grid
-            ).mean(axis=0)
-        return out
-    raise MissingDrawsError("result carries no fitted internals")
-
-
-def _sp_cdf_pair(z_h, z_d, f, grid, est_cdf):
-    bh_, sh_, eh_, bd_, sd2_, ed_ = f
-    th = (grid - float(z_h @ bh_)) / sh_
-    td = (grid - float(z_d @ bd_)) / sd2_
-    if est_cdf == "normal":
-        return ndtr(th), ndtr(td)
-    return ecdf_eval(eh_, th), ecdf_eval(ed_, td)
+    return np.concatenate([
+        tnf_rows(*plugin, grid) if plugin else tnf_rows(*ensemble, grid).mean(axis=0)
+        for plugin, ensemble in _fit_pairs(result, result.newdata)
+    ])
 
 
 def croc_threshold(result: CRocResult, criterion: str = "yi",
@@ -690,104 +584,8 @@ def croc_threshold(result: CRocResult, criterion: str = "yi",
     Intervals reuse whatever ensemble the fit carries (bootstrap
     replicates or posterior draws).
     """
-    criterion = criterion.lower()
-    if criterion not in ("yi", "fpf"):
-        raise ConfigError("criterion must be 'yi' or 'fpf'")
-    if criterion == "fpf" and (target_fpf is None or not 0.0 < target_fpf < 1.0):
-        raise ConfigError("target_fpf in (0,1) required for the fpf criterion")
-    ints = result.internals
-    if not ints:
-        raise MissingDrawsError("result carries no fitted internals")
-    kind = ints["kind"]
-    grid = youden_grid(np.concatenate([ints["y_h"], ints["y_d"]]))
-
-    if kind in ("sp", "bnp"):
-        if newdata is None:
-            zh_rows, zd_rows = ints["zh_rows"], ints["zd_rows"]
-        else:
-            frame = _frame_of(newdata)
-            if kind == "bnp":
-                frame = _standardised_frame(frame, ints["std"])
-            zh_rows, _, _ = build_design(frame, ints["spec_h"], ints["fitted_h"])
-            zd_rows, _, _ = build_design(frame, ints["spec_d"], ints["fitted_d"])
-        n_rows = len(zh_rows)
-    else:
-        if newdata is None:
-            x0 = ints["x0"]
-        else:
-            frame = _frame_of(newdata)
-            name = ints["covariate"]
-            if name not in frame.columns:
-                raise MissingColumnError("newdata lacks column %r" % name)
-            x0 = np.asarray(frame.columns[name].values, dtype=float)
-            for fit, gname in ((ints["fit_h"], "healthy"), (ints["fit_d"], "diseased")):
-                if x0.size and (x0.min() < fit.x.min() or x0.max() > fit.x.max()):
-                    raise NoLocalDataError(
-                        "prediction points leave the %s covariate range" % gname
-                    )
-        n_rows = x0.size
-
-    parts = []
-    for r in range(n_rows):
-        if kind == "sp":
-            fh0, fd0 = _sp_cdf_pair(
-                zh_rows[r], zd_rows[r], ints["fit0"], grid, ints["est_cdf"]
-            )
-            rows = [
-                _sp_cdf_pair(zh_rows[r], zd_rows[r], f, grid, ints["est_cdf"])
-                for f in ints["boot"]
-            ]
-        elif kind == "kernel":
-            fit_h, fit_d = ints["fit_h"], ints["fit_d"]
-
-            def pair(fh, fd, xr=float(x0[r])):
-                th = (grid - float(fh.mu(xr))) / math.sqrt(float(fh.sigma2(xr)))
-                td = (grid - float(fd.mu(xr))) / math.sqrt(float(fd.sigma2(xr)))
-                return ecdf_eval(fh.residuals, th), ecdf_eval(fd.residuals, td)
-
-            fh0, fd0 = pair(fit_h, fit_d)
-            rows = [pair(fh, fd) for fh, fd in ints["boot"]]
-        else:
-            dh, dd, std = ints["draws_h"], ints["draws_d"], ints["std"]
-            g_std = std.marker_to_std(grid) if std.enabled else grid
-            fh_rows = mixture_cdf(dh.weights, dh.conditional_means(zh_rows[r]),
-                                  dh.sigma2, g_std)
-            fd_rows = mixture_cdf(dd.weights, dd.conditional_means(zd_rows[r]),
-                                  dd.sigma2, g_std)
-            parts.append(_threshold_from_cdf_rows(
-                np.atleast_2d(fh_rows), np.atleast_2d(fd_rows), grid,
-                criterion, target_fpf, None,
-            ))
-            continue
-
-        if criterion == "yi":
-            diff = fh0 - fd0
-            k = int(np.argmax(np.abs(diff)))
-            point_row = (
-                float(abs(diff[k])), float(grid[k]),
-                float(1.0 - fh0[k]), float(1.0 - fd0[k]),
-                int(np.sign(diff[k])) if diff[k] != 0 else 0,
-            )
-        else:
-            q = 1.0 - target_fpf
-            k = min(int(np.searchsorted(fh0, q, side="left")), grid.size - 1)
-            point_row = (float(grid[k]), float(1.0 - fh0[k]), float(1.0 - fd0[k]))
-        if rows:
-            fh_rows = np.array([rr[0] for rr in rows])
-            fd_rows = np.array([rr[1] for rr in rows])
-        else:
-            fh_rows, fd_rows = fh0[None, :], fd0[None, :]
-        parts.append(_threshold_from_cdf_rows(
-            fh_rows, fd_rows, grid, criterion, target_fpf, point_row
-        ))
-
-    merged = ThresholdResult(
-        criterion=criterion,
-        threshold=[pt.threshold[0] for pt in parts],
-        fpf=[pt.fpf[0] for pt in parts],
-        tpf=[pt.tpf[0] for pt in parts],
-        yi=[pt.yi[0] for pt in parts] if criterion == "yi" else None,
-        sign=[pt.sign[0] for pt in parts] if criterion == "yi" else None,
-        target_fpf=target_fpf,
-    )
-    return merged
+    criterion = _check_criterion(criterion, target_fpf)
+    frame = result.newdata if newdata is None else _frame_of(newdata)
+    pairs = _fit_pairs(result, frame)
+    grid = youden_grid(result.internals["y"])
+    return threshold_result(grid, criterion, target_fpf, pairs)

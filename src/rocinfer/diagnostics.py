@@ -225,19 +225,7 @@ def _cdf_matrix(draws, y) -> np.ndarray:
     if isinstance(draws, DpmDraws):
         return draws.cdf(y)
     if isinstance(draws, DdpDraws):
-        from scipy.special import ndtr
-
-        S = draws.nsave
-        n = y.size
-        out = np.empty((S, n))
-        sd = np.sqrt(draws.sigma2)
-        chunk = max(1, int(2_000_000 / max(1, n * draws.weights.shape[1])))
-        for start in range(0, S, chunk):
-            stop = min(S, start + chunk)
-            means = np.einsum("slq,nq->snl", draws.beta[start:stop], draws.Z)
-            zs = (y[None, :, None] - means) / sd[start:stop, None, :]
-            out[start:stop] = np.einsum("snl,sl->sn", ndtr(zs), draws.weights[start:stop])
-        return out
+        return draws.cdf_at(y, draws.Z)
     return np.asarray(draws, dtype=float)
 
 

@@ -185,11 +185,22 @@ class DdpDraws:
         z = np.asarray(zrow, dtype=float)
         return self.beta @ z
 
-    def conditional_cdf(self, zrow, y0) -> np.ndarray:
-        return mixture_cdf(self.weights, self.conditional_means(zrow), self.sigma2, y0)
+    def cdf_at(self, y, Z) -> np.ndarray:
+        """(S, n) matrix of F^(s)(y_i | z_i), each point under its own design row.
 
-    def conditional_pdf(self, zrow, y0) -> np.ndarray:
-        return mixture_pdf(self.weights, self.conditional_means(zrow), self.sigma2, y0)
+        Evaluated in chunks of draws so the (draws, points, components)
+        intermediate stays near 4e6 elements.
+        """
+        S, L, _ = self.beta.shape
+        out = np.empty((S, y.size))
+        sd = np.sqrt(self.sigma2)
+        chunk = max(1, int(4_000_000 / max(1, y.size * L)))
+        for start in range(0, S, chunk):
+            stop = min(S, start + chunk)
+            means = np.einsum("slq,nq->snl", self.beta[start:stop], Z)
+            zs = (y[None, :, None] - means) / sd[start:stop, None, :]
+            out[start:stop] = np.einsum("snl,sl->sn", ndtr(zs), self.weights[start:stop])
+        return out
 
 
 def _as_sl(arr) -> np.ndarray:
@@ -203,15 +214,17 @@ def mixture_cdf(weights, means, sigma2, y0) -> np.ndarray:
     """F(y0) of a normal mixture, evaluated per draw.
 
     weights/means/sigma2 are (S, L) (a single (L,) draw is promoted);
-    y0 may be scalar or a vector. Returns (S, m), or (m,) for a single
-    draw, or a scalar for a single draw and scalar y0.
+    y0 may be scalar, a vector shared by all draws, or an (S, m) matrix
+    with one row of points per draw. Returns (S, m), or (m,) for a
+    single draw, or a scalar for a single draw and scalar y0.
     """
     w, mu, s2 = _as_sl(weights), _as_sl(means), _as_sl(sigma2)
     scalar_draw = np.asarray(weights).ndim == 1
     y = np.atleast_1d(np.asarray(y0, dtype=float))
+    rows = y if y.ndim == 2 else y[None, :]
     sd = np.sqrt(s2)
     out = np.einsum(
-        "sml,sl->sm", ndtr((y[None, :, None] - mu[:, None, :]) / sd[:, None, :]), w
+        "sml,sl->sm", ndtr((rows[:, :, None] - mu[:, None, :]) / sd[:, None, :]), w
     )
     if scalar_draw:
         out = out[0]
@@ -235,16 +248,6 @@ def mixture_pdf(weights, means, sigma2, y0) -> np.ndarray:
     return out
 
 
-def ddp_conditional_cdf(weights, beta, sigma2, zrow, y0) -> np.ndarray:
-    """mixture_cdf with component means z'beta_l per draw."""
-    b = np.asarray(beta, dtype=float)
-    z = np.asarray(zrow, dtype=float)
-    means = b @ z if b.ndim == 3 else (b @ z)[None, :]
-    if b.ndim == 2:
-        return mixture_cdf(np.asarray(weights), means[0], sigma2, y0)
-    return mixture_cdf(weights, means, sigma2, y0)
-
-
 def mixture_mean_variance(weights, means, sigma2):
     """Mean and variance of the mixture, per draw (law of total variance)."""
     w, mu, s2 = _as_sl(weights), _as_sl(means), _as_sl(sigma2)
@@ -256,24 +259,17 @@ def mixture_mean_variance(weights, means, sigma2):
     return m, v
 
 
-def occupied_components_prior(alpha: float, n: int):
-    """Prior mean and variance of the number of occupied clusters."""
-    alpha = float(alpha)
-    if alpha <= 0 or n < 1:
-        raise ConfigError("need alpha > 0 and n >= 1")
-    mean = alpha * math.log((alpha + n) / alpha)
-    return mean, mean - alpha
+def _component_logdens(y, weights, means, sigma2) -> np.ndarray:
+    """(n, L) matrix of log w_l + log N(y_i; mean_il, sigma2_l).
 
-
-def _mixture_loglik_rows(y, weights, means, sigma2) -> np.ndarray:
-    """log f(y_i) under one draw; y (n,), parameters (L,). Returns (n,)."""
-    logw = np.log(np.maximum(weights, 1e-300))
-    lp = (
-        logw[None, :]
+    means is (L,) for the location mixture or (n, L) for the regression
+    mixture (one row of z_i'beta_l per observation).
+    """
+    return (
+        np.log(np.maximum(weights, 1e-300))[None, :]
         - 0.5 * (_LOG_2PI + np.log(sigma2))[None, :]
-        - 0.5 * (y[:, None] - means[None, :]) ** 2 / sigma2[None, :]
+        - 0.5 * (y[:, None] - means) ** 2 / sigma2[None, :]
     )
-    return logsumexp(lp, axis=1)
 
 
 def loglik_at_posterior_mean(draws, y=None, Z=None) -> np.ndarray:
@@ -282,22 +278,14 @@ def loglik_at_posterior_mean(draws, y=None, Z=None) -> np.ndarray:
     Plug-in used by the deviance criterion: average weights, atoms, and
     variances over draws, then evaluate the mixture once.
     """
-    wbar = draws.weights.mean(axis=0)
-    s2bar = draws.sigma2.mean(axis=0)
+    yy = draws.y if y is None else np.asarray(y, dtype=float)
     if isinstance(draws, DdpDraws):
         zmat = draws.Z if Z is None else np.asarray(Z, dtype=float)
-        yy = draws.y if y is None else np.asarray(y, dtype=float)
-        betabar = draws.beta.mean(axis=0)
-        means = zmat @ betabar.T  # (n, L)
-        logw = np.log(np.maximum(wbar, 1e-300))
-        lp = (
-            logw[None, :]
-            - 0.5 * (_LOG_2PI + np.log(s2bar))[None, :]
-            - 0.5 * (yy[:, None] - means) ** 2 / s2bar[None, :]
-        )
-        return logsumexp(lp, axis=1)
-    yy = draws.y if y is None else np.asarray(y, dtype=float)
-    return _mixture_loglik_rows(yy, wbar, draws.means.mean(axis=0), s2bar)
+        means = zmat @ draws.beta.mean(axis=0).T  # (n, L)
+    else:
+        means = draws.means.mean(axis=0)
+    lp = _component_logdens(yy, draws.weights.mean(axis=0), means, draws.sigma2.mean(axis=0))
+    return logsumexp(lp, axis=1)
 
 
 def sample_atoms_prior(prior: DpmPrior, size: int, rng):
@@ -367,12 +355,7 @@ def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
     saved = 0
     for sweep in range(total):
         # (i) allocations
-        logw = np.log(np.maximum(w, 1e-300))
-        lp = (
-            logw[None, :]
-            - 0.5 * (_LOG_2PI + np.log(sigma2))[None, :]
-            - 0.5 * (y[:, None] - mu[None, :]) ** 2 / sigma2[None, :]
-        )
+        lp = _component_logdens(y, w, mu, sigma2)
         lp -= lp.max(axis=1, keepdims=True)
         z = categorical_rows(np.exp(lp), gen)
         counts = np.bincount(z, minlength=L)
@@ -406,7 +389,7 @@ def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
             out_mu[saved] = mu
             out_s2[saved] = sigma2
             out_alpha[saved] = alpha
-            out_ll[saved] = _mixture_loglik_rows(y, w, mu, sigma2)
+            out_ll[saved] = logsumexp(_component_logdens(y, w, mu, sigma2), axis=1)
             saved += 1
 
     return DpmDraws(
@@ -462,13 +445,7 @@ def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None
     total = mcmc.nburn + mcmc.nsave * mcmc.nskip
     saved = 0
     for sweep in range(total):
-        means = Z @ beta.T  # (n, L)
-        logw = np.log(np.maximum(w, 1e-300))
-        lp = (
-            logw[None, :]
-            - 0.5 * (_LOG_2PI + np.log(sigma2))[None, :]
-            - 0.5 * (y[:, None] - means) ** 2 / sigma2[None, :]
-        )
+        lp = _component_logdens(y, w, Z @ beta.T, sigma2)
         lp -= lp.max(axis=1, keepdims=True)
         z = categorical_rows(np.exp(lp), gen)
         counts = np.bincount(z, minlength=L)
@@ -526,13 +503,7 @@ def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None
             out_beta[saved] = beta
             out_s2[saved] = sigma2
             out_alpha[saved] = alpha
-            mm = Z @ beta.T
-            lp = (
-                np.log(np.maximum(w, 1e-300))[None, :]
-                - 0.5 * (_LOG_2PI + np.log(sigma2))[None, :]
-                - 0.5 * (y[:, None] - mm) ** 2 / sigma2[None, :]
-            )
-            out_ll[saved] = logsumexp(lp, axis=1)
+            out_ll[saved] = logsumexp(_component_logdens(y, w, Z @ beta.T, sigma2), axis=1)
             saved += 1
 
     return DdpDraws(

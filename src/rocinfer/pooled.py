@@ -1,10 +1,22 @@
-"""Pooled (no-covariate) ROC estimation.
+"""Pooled (no-covariate) ROC estimation, and the CDF stacks behind every curve.
 
-Four estimators share one result shape: empirical step curves with a
-within-group bootstrap, kernel-smoothed CDF plug-ins, the Dirichlet-weight
-resampling scheme with closed-form areas, and normal-mixture posteriors.
-Point estimates are plug-ins for the frequentist methods and ensemble
-means for the Bayesian ones; bands are 2.5/97.5 percentiles.
+Every estimator in the package ends in a pair of healthy and diseased CDF
+stacks: one CDF per plug-in fit, bootstrap replicate or posterior draw.
+A stack has a member `shape` and two methods, `cdf(x)` and
+`quantile(q)`, each returning one row of values per member (a plain
+vector for a single plug-in CDF); `x` is shared by all members (1-d) or
+holds one row per member. The ROC curve ROC(p) = 1 - F_D(F_H^{-1}(1-p)),
+its reverse orientation, Simpson areas and optimal thresholds are
+written once against that interface (`roc_rows`, `tnf_rows`,
+`simpson_area`, `threshold_result`) and reused by the conditional and
+adjusted estimators.
+
+The four pooled estimators share one result shape: empirical step curves
+with a within-group bootstrap, kernel-smoothed CDF plug-ins, the
+Dirichlet-weight resampling scheme with closed-form areas, and
+normal-mixture posteriors. Point estimates are plug-ins for the
+frequentist methods and ensemble means for the Bayesian ones; bands are
+2.5/97.5 percentiles.
 """
 
 from __future__ import annotations
@@ -13,16 +25,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .diagnostics import FitCriteria, criteria_from_draws
 from .errors import ConfigError, MissingDrawsError
 from .mixtures import (
-    DpmDraws,
     DpmPrior,
     McmcControl,
     fit_dpm,
     loglik_at_posterior_mean,
+    mixture_cdf,
+    mixture_pdf,
     mixture_quantile,
 )
 from .sample import DiagnosticSample, FpfGrid, split_groups, standardise
@@ -35,16 +48,16 @@ from .summaries import (
     ecdf_eval,
     ecdf_quantile,
     interval_from,
+    invert_cdf,
     mixture_auc_closed,
     mw_auc,
     odd_grid,
     pauc_from_placements,
     pauc_normalise,
     placements_half,
-    roc_curve,
     simpson,
-    tnf_curve,
     weighted_ecdf_eval,
+    weighted_ecdf_quantile,
     youden_grid,
     youden_rows,
 )
@@ -130,18 +143,256 @@ def _pauc_summary(point, draws, ctrl: PaucControl) -> PaucSummary:
     return PaucSummary(iv.est, iv.lo, iv.hi, ctrl.focus, ctrl.value)
 
 
-# -- empirical ---------------------------------------------------------------
+# -- CDF stacks ----------------------------------------------------------------
 
-def _empirical_roc(h_sorted, d_sorted, p) -> np.ndarray:
-    out = np.empty_like(p)
+def _per_member(fn, count: int, x) -> np.ndarray:
+    """Stack fn(b, x_b) over members; x is shared (1-d) or one row per member."""
+    x = np.asarray(x, dtype=float)
+    return np.array([fn(b, x if x.ndim == 1 else x[b]) for b in range(count)])
+
+
+class StepStack:
+    """Right-continuous step CDFs with the inf-type inverse.
+
+    values is one ascending sample (n,) or one per member (M, n). With
+    cumw, each member is a Dirichlet-weighted step CDF over the shared
+    ascending values, cumw (M, n) holding its cumulative weights;
+    without, every value weighs 1/n.
+    """
+
+    def __init__(self, values, cumw=None):
+        self.values, self.cumw = values, cumw
+        self.shape = (values if cumw is None else cumw).shape[:-1]
+
+    def cdf(self, x):
+        if self.cumw is not None:
+            return weighted_ecdf_eval(self.values, self.cumw, x)
+        if not self.shape:
+            return ecdf_eval(self.values, x)
+        return _per_member(lambda b, xb: ecdf_eval(self.values[b], xb), self.shape[0], x)
+
+    def quantile(self, q):
+        if self.cumw is None:
+            return ecdf_quantile(self.values, q)
+        return _per_member(
+            lambda b, qb: weighted_ecdf_quantile(self.values, self.cumw[b], qb), self.shape[0], q
+        )
+
+
+class KernelStack:
+    """Gaussian-kernel CDFs with one bandwidth, quantiles by bisection.
+
+    data is one sample (n,) or one resample per member (M, n); lo and hi
+    bracket every quantile (scalars, or one per member).
+    """
+
+    def __init__(self, data, h, lo, hi):
+        self.data, self.h, self.lo, self.hi = data, h, lo, hi
+        self.shape = data.shape[:-1]
+
+    def cdf(self, x):
+        if not self.shape:
+            return kernel_cdf(x, self.data, self.h)
+        return _per_member(lambda b, xb: kernel_cdf(xb, self.data[b], self.h), self.shape[0], x)
+
+    def quantile(self, q):
+        def invert(data, lo, hi):
+            return invert_cdf(lambda c: kernel_cdf(c, data, self.h), q, lo, hi)
+
+        if not self.shape:
+            return invert(self.data, self.lo, self.hi)
+        return np.array([invert(self.data[b], self.lo[b], self.hi[b]) for b in range(self.shape[0])])
+
+
+class MixtureStack:
+    """Normal-mixture CDFs, one per draw: weights and variances (S, L).
+
+    means is (S, L), or (S, R, L) for mixtures conditional on R design
+    rows; the members are then (S, R) and each row is evaluated apart.
+    """
+
+    def __init__(self, weights, means, sigma2):
+        self.weights, self.means, self.sigma2 = weights, means, sigma2
+        self.shape = means.shape[:-1]
+
+    def _by_row(self, fn, x):
+        if self.means.ndim == 2:
+            return fn(self.weights, self.means, self.sigma2, x)
+        x = np.asarray(x, dtype=float)
+        return np.stack([fn(self.weights, self.means[:, r], self.sigma2,
+                            x if x.ndim == 1 else x[:, r]) for r in range(self.shape[1])], axis=1)
+
+    def cdf(self, x):
+        return self._by_row(mixture_cdf, x)
+
+    def pdf(self, x):
+        return self._by_row(mixture_pdf, x)
+
+    def quantile(self, q):
+        return self._by_row(mixture_quantile, q)
+
+
+class NormalStack:
+    """The standard normal CDF: the error law of the normal induced model."""
+
+    shape = ()
+
+    def cdf(self, x):
+        return ndtr(x)
+
+    def quantile(self, q):
+        return ndtri(q)
+
+
+class LocScaleStack:
+    """F(x) = G((x - loc) / scale) over a base stack G.
+
+    This is the induced models' conditional CDF and the map from a fit
+    on the standardised marker back to the raw scale. loc and scale are
+    scalars, or arrays whose leading axes follow the base's members and
+    whose extra trailing axes (prediction rows) share each member's base.
+    """
+
+    def __init__(self, loc, scale, base):
+        self.loc, self.scale, self.base = np.asarray(loc), np.asarray(scale), base
+        lead = np.broadcast_shapes(self.loc.shape, self.scale.shape)
+        self._row_axes = len(lead) - len(base.shape)
+        self.shape = lead if self._row_axes > 0 else base.shape
+
+    def _std(self, x):
+        return (np.asarray(x, dtype=float) - self.loc[..., None]) / self.scale[..., None]
+
+    def cdf(self, x):
+        return self.base.cdf(self._std(x))
+
+    def pdf(self, x):
+        return self.base.pdf(self._std(x)) / self.scale[..., None]
+
+    def quantile(self, q):
+        bq = self.base.quantile(q)
+        if self._row_axes > 0:
+            bq = bq.reshape(self.base.shape + (1,) * self._row_axes + bq.shape[-1:])
+        return self.loc[..., None] + self.scale[..., None] * bq
+
+
+class ChunkedStack:
+    """One stack held as chunks along its leading member axis.
+
+    roc_rows walks the chunks of a chunked pair together, which keeps
+    the (members, rows, points) intermediates of a large bootstrap
+    ensemble cache-sized; cdf takes points shared by all members.
+    """
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.shape = (sum(part.shape[0] for part in parts),) + parts[0].shape[1:]
+
+    def cdf(self, x):
+        return np.concatenate([part.cdf(x) for part in self.parts])
+
+
+def mixture_stack(weights, means, sigma2, std) -> MixtureStack | LocScaleStack:
+    """Raw-marker-scale stack of mixtures fit on the (possibly) standardised marker."""
+    stack = MixtureStack(weights, means, sigma2)
+    return LocScaleStack(std.marker_mean, std.marker_sd, stack) if std.enabled else stack
+
+
+# -- curves, areas and thresholds over stacks ------------------------------------
+
+def roc_rows(H, D, p) -> np.ndarray:
+    """ROC(p) = 1 - F_D(F_H^{-1}(1-p)) per member, exact 0/1 endpoints."""
+    if isinstance(H, ChunkedStack):
+        return np.concatenate([roc_rows(h, d, p) for h, d in zip(H.parts, D.parts)])
+    p = np.asarray(p, dtype=float)
+    out = np.empty(H.shape + p.shape)
     interior = (p > 0.0) & (p < 1.0)
     if np.any(interior):
-        c = ecdf_quantile(h_sorted, 1.0 - p[interior])
-        out[interior] = 1.0 - ecdf_eval(d_sorted, c)
-    out[p == 0.0] = 0.0
-    out[p == 1.0] = 1.0
+        out[..., interior] = 1.0 - D.cdf(H.quantile(1.0 - p[interior]))
+    out[..., p == 0.0] = 0.0
+    out[..., p == 1.0] = 1.0
     return out
 
+
+def tnf_rows(H, D, p) -> np.ndarray:
+    """Reverse orientation F_H(F_D^{-1}(1-p)): the ROC curve with the groups swapped.
+
+    Evaluates 1 at p=0 and 0 at p=1; its integral over p equals the AUC.
+    """
+    return 1.0 - roc_rows(D, H, p)
+
+
+def simpson_area(H, D, pauc: PaucControl | None = None):
+    """Simpson AUC per member on 201 points, or the normalised partial area.
+
+    FPF focus integrates the curve over [0, value], TPF focus the reverse
+    curve over [value, 1]. An empty range has area 0.
+    """
+    if pauc is None or pauc.focus == "fpf":
+        g, curve = odd_grid(0.0, 1.0 if pauc is None else pauc.value, 201), roc_rows
+    else:
+        g, curve = odd_grid(pauc.value, 1.0, 201), tnf_rows
+    raw = simpson(curve(H, D, g), g[1] - g[0]) if g[-1] > g[0] else np.zeros(H.shape)
+    return raw if pauc is None else pauc_normalise(raw, pauc.focus, pauc.value)
+
+
+def _check_criterion(criterion: str, target_fpf) -> str:
+    criterion = criterion.lower()
+    if criterion not in ("yi", "fpf"):
+        raise ConfigError("criterion must be 'yi' or 'fpf'")
+    if criterion == "fpf" and (target_fpf is None or not 0.0 < target_fpf < 1.0):
+        raise ConfigError("target_fpf in (0,1) required for the fpf criterion")
+    return criterion
+
+
+def _criterion_rows(fh, fd, grid, criterion, target_fpf) -> tuple:
+    """Per-member (yi, threshold, fpf, tpf, sign), or (threshold, fpf, tpf) at a fixed FPF.
+
+    fh and fd hold F_H and F_D on the grid, one row per member.
+    """
+    if criterion == "yi":
+        return youden_rows(fh, fd, grid)
+    # c = F_H^{-1}(1 - target) on the grid, per member
+    k = [min(int(np.searchsorted(row, 1.0 - target_fpf, side="left")), grid.size - 1)
+         for row in fh]
+    rows = np.arange(fh.shape[0])
+    return grid[k], 1.0 - fh[rows, k], 1.0 - fd[rows, k]
+
+
+def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult:
+    """Optimal thresholds on a grid from (plug-in, ensemble) stack pairs.
+
+    Stacks whose members end in a prediction-row axis give one entry
+    per row, others one entry. 'yi' maximises |F_H - F_D| (smallest
+    threshold on ties, sign reported); 'fpf' takes F_H^{-1}(1 -
+    target_fpf) with its attached TPF. A plug-in pair gives the point
+    estimates, else they are ensemble means; intervals need an ensemble
+    of two or more members.
+    """
+    names = ("yi", "threshold", "fpf", "tpf", "sign") if criterion == "yi" else (
+        "threshold", "fpf", "tpf")
+    out = {name: [] for name in names}
+    for plugin, ensemble in pairs:
+        # F_H and F_D as (members, rows, grid)
+        plug = plugin and [s.cdf(grid).reshape(1, -1, grid.size) for s in plugin]
+        ens = [s.cdf(grid).reshape(s.shape[0], -1, grid.size) for s in ensemble] if ensemble else plug
+        for r in range(ens[0].shape[1]):
+            draws = _criterion_rows(ens[0][:, r], ens[1][:, r], grid, criterion, target_fpf)
+            point = plug and _criterion_rows(plug[0][:, r], plug[1][:, r], grid, criterion,
+                                             target_fpf)
+            spread = len(draws[0]) > 1
+            for name, vals, pt in zip(names, draws, point or draws):
+                if name == "sign":
+                    out[name].append(int(pt[0] if point else np.sign(vals.sum())))
+                else:
+                    est = float(pt[0] if point else vals.mean())
+                    out[name].append(interval_from(est, vals if spread else None))
+    return ThresholdResult(
+        criterion=criterion, threshold=out["threshold"], fpf=out["fpf"], tpf=out["tpf"],
+        yi=out.get("yi"), sign=out.get("sign"), target_fpf=target_fpf,
+    )
+
+
+# -- empirical ---------------------------------------------------------------
 
 def _empirical_pauc(h_sorted, d_sorted, ctrl: PaucControl) -> float:
     if ctrl.focus == "fpf":
@@ -169,61 +420,45 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
     h_sorted = np.sort(split.healthy)
     d_sorted = np.sort(split.diseased)
 
-    est = _empirical_roc(h_sorted, d_sorted, grid)
+    plugin = (StepStack(h_sorted), StepStack(d_sorted))
+    est = roc_rows(*plugin, grid)
     auc_point = mw_auc(split.healthy, split.diseased)
     pauc_point = _empirical_pauc(h_sorted, d_sorted, pauc) if pauc.compute else None
 
-    boot_pairs = []
+    boot_h = np.empty((max(B, 0), split.n_h))
+    boot_d = np.empty((max(B, 0), split.n_d))
 
     def one_rep(k: int):
         gen = stream.stream(_BOOT_STREAM_BASE + k).generator
-        h = np.sort(split.healthy[gen.integers(0, split.n_h, split.n_h)])
-        d = np.sort(split.diseased[gen.integers(0, split.n_d, split.n_d)])
-        curve = _empirical_roc(h, d, grid)
-        a = mw_auc(h, d)
-        pa = _empirical_pauc(h, d, pauc) if pauc.compute else None
-        return h, d, curve, a, pa
+        h = boot_h[k] = np.sort(split.healthy[gen.integers(0, split.n_h, split.n_h)])
+        d = boot_d[k] = np.sort(split.diseased[gen.integers(0, split.n_d, split.n_d)])
+        return mw_auc(h, d), _empirical_pauc(h, d, pauc) if pauc.compute else None
 
     reps = parallel_map(one_rep, range(B), workers) if B > 0 else []
-    boot_pairs = [(r[0], r[1]) for r in reps]
-    curves = np.array([r[2] for r in reps]) if reps else None
-    aucs = [r[3] for r in reps]
-    paucs = [r[4] for r in reps]
+    ensemble = (StepStack(boot_h), StepStack(boot_d)) if reps else None
+    curves = roc_rows(*ensemble, grid) if reps else None
 
     lo, hi = band(curves) if curves is not None else (est.copy(), est.copy())
     return RocResult(
         method="empirical",
         p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
-        auc=interval_from(auc_point, aucs if reps else None),
-        pauc=_pauc_summary(pauc_point, paucs if reps else None, pauc) if pauc.compute else None,
+        auc=interval_from(auc_point, [r[0] for r in reps] if reps else None),
+        pauc=(_pauc_summary(pauc_point, [r[1] for r in reps] if reps else None, pauc)
+              if pauc.compute else None),
         sample_sizes=(split.n_h, split.n_d),
         ensemble=curves,
-        internals={
-            "kind": "emp", "h": h_sorted, "d": d_sorted, "boot": boot_pairs,
-        },
+        internals={"plugin": plugin, "ensemble": ensemble,
+                   "y": np.concatenate([h_sorted, d_sorted])},
     )
 
 
 # -- kernel ------------------------------------------------------------------
 
-def _kernel_curve_and_areas(y_h, y_d, h_h, h_d, grid, pauc: PaucControl):
-    lo_b = min(y_h.min() - 10 * h_h, y_d.min() - 10 * h_d)
-    hi_b = max(y_h.max() + 10 * h_h, y_d.max() + 10 * h_d)
-    fh = lambda c: kernel_cdf(c, y_h, h_h)
-    fd = lambda c: kernel_cdf(c, y_d, h_d)
-    curve = roc_curve(fh, fd, grid, lo_b, hi_b)
-    auc_grid = odd_grid(0.0, 1.0, 201)
-    auc = float(simpson(roc_curve(fh, fd, auc_grid, lo_b, hi_b), auc_grid[1] - auc_grid[0]))
-    pa = None
-    if pauc.compute:
-        if pauc.focus == "fpf":
-            g = odd_grid(0.0, pauc.value, 201)
-            raw = float(simpson(roc_curve(fh, fd, g, lo_b, hi_b), g[1] - g[0]))
-        else:
-            g = odd_grid(pauc.value, 1.0, 201)
-            raw = float(simpson(tnf_curve(fh, fd, g, lo_b, hi_b), g[1] - g[0]))
-        pa = pauc_normalise(raw, pauc.focus, pauc.value)
-    return curve, auc, pa
+def _kernel_stacks(y_h, y_d, h_h, h_d):
+    """Kernel stacks of both groups, bracketed 10 bandwidths past either group's data."""
+    lo = np.minimum(y_h.min(axis=-1) - 10 * h_h, y_d.min(axis=-1) - 10 * h_d)
+    hi = np.maximum(y_h.max(axis=-1) + 10 * h_h, y_d.max(axis=-1) + 10 * h_d)
+    return KernelStack(y_h, h_h, lo, hi), KernelStack(y_d, h_d, lo, hi)
 
 
 def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
@@ -250,32 +485,30 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
         h_h = lscv_bandwidth(y_h, y_h, target="cdf").value
         h_d = lscv_bandwidth(y_d, y_d, target="cdf").value
 
-    est, auc_point, pauc_point = _kernel_curve_and_areas(y_h, y_d, h_h, h_d, grid, pauc)
+    plugin = _kernel_stacks(y_h, y_d, h_h, h_d)
+    est = roc_rows(*plugin, grid)
 
     def one_rep(k: int):
         gen = stream.stream(_BOOT_STREAM_BASE + k).generator
-        h = y_h[gen.integers(0, split.n_h, split.n_h)]
-        d = y_d[gen.integers(0, split.n_d, split.n_d)]
-        curve, a, pa = _kernel_curve_and_areas(h, d, h_h, h_d, grid, pauc)
-        return h, d, curve, a, pa
+        return y_h[gen.integers(0, split.n_h, split.n_h)], y_d[gen.integers(0, split.n_d, split.n_d)]
 
     reps = parallel_map(one_rep, range(B), workers) if B > 0 else []
-    curves = np.array([r[2] for r in reps]) if reps else None
+    ensemble = _kernel_stacks(np.array([r[0] for r in reps]), np.array([r[1] for r in reps]),
+                              h_h, h_d) if reps else None
+    curves = roc_rows(*ensemble, grid) if reps else None
     lo, hi = band(curves) if curves is not None else (est.copy(), est.copy())
     return RocResult(
         method="kernel",
         p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
-        auc=interval_from(auc_point, [r[3] for r in reps] if reps else None),
+        auc=interval_from(simpson_area(*plugin), simpson_area(*ensemble) if reps else None),
         pauc=(
-            _pauc_summary(pauc_point, [r[4] for r in reps] if reps else None, pauc)
+            _pauc_summary(simpson_area(*plugin, pauc),
+                          simpson_area(*ensemble, pauc) if reps else None, pauc)
             if pauc.compute else None
         ),
         sample_sizes=(split.n_h, split.n_d),
         ensemble=curves,
-        internals={
-            "kind": "kernel", "h": y_h, "d": y_d, "h_h": h_h, "h_d": h_d,
-            "boot": [(r[0], r[1]) for r in reps],
-        },
+        internals={"plugin": plugin, "ensemble": ensemble, "y": np.concatenate([y_h, y_d])},
     )
 
 
@@ -292,10 +525,12 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
               pauc: PaucControl | None = None, rng=None) -> RocResult:
     """Dirichlet-weight resampling with closed-form areas.
 
-    Per iteration, both groups get flat Dirichlet weights; diseased
-    placements against the weighted healthy CDF give the step curve
-    ROC(p) = sum_j q_j 1[U_j <= p] and the areas in closed form.
+    Per iteration, both groups get flat Dirichlet weights; the curve is
+    read off the two weighted step CDFs, and diseased placements against
+    the weighted healthy CDF give the areas in closed form.
     """
+    if S < 1:
+        raise ConfigError("Bayesian bootstrap draw count S must be >= 1")
     stream = _stream_of(rng)
     grid = _grid_of(p)
     pauc = pauc or PaucControl()
@@ -311,20 +546,11 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
     q2 = dirichlet(np.ones(split.n_d), gen, size=S)[:, order_d]
     cum1 = np.cumsum(q1, axis=1)
     cum2 = np.cumsum(q2, axis=1)
+    ensemble = (StepStack(h_sorted, cum1), StepStack(d_sorted, cum2))
 
     U = _bb_placements(h_sorted, cum1, d_sorted)  # (S, n_d)
     aucs = 1.0 - np.einsum("sj,sj->s", q2, U)
-
-    curves = np.empty((S, grid.size))
-    for s in range(S):
-        order = np.argsort(U[s], kind="stable")
-        u_sorted = U[s][order]
-        cq = np.cumsum(q2[s][order])
-        idx = np.searchsorted(u_sorted, grid, side="right")
-        padded = np.concatenate([[0.0], cq])
-        curves[s] = padded[idx]
-    curves[:, 0] = 0.0
-    curves[:, -1] = 1.0
+    curves = roc_rows(*ensemble, grid)
 
     paucs = None
     if pauc.compute:
@@ -332,10 +558,9 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
             raw = pauc.value - np.einsum("sj,sj->s", q2, np.minimum(pauc.value, U))
         else:
             U_rev = _bb_placements(d_sorted, cum2, h_sorted)  # (S, n_h)
-            raw = np.einsum("si,si->s", q1, np.maximum(pauc.value, U_rev)) - pauc.value
-        paucs = raw / pauc.value if pauc.focus == "fpf" else (
-            raw / (1.0 - pauc.value) if pauc.value < 1.0 else raw
-        )
+            U_rev -= pauc.value
+            raw = np.einsum("si,si->s", q1, np.maximum(U_rev, 0.0, out=U_rev))
+        paucs = pauc_normalise(raw, pauc.focus, pauc.value)
 
     est = curves.mean(axis=0)
     lo, hi = band(curves)
@@ -348,10 +573,8 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
         ),
         sample_sizes=(split.n_h, split.n_d),
         ensemble=curves,
-        internals={
-            "kind": "bb", "h_sorted": h_sorted, "d_sorted": d_sorted,
-            "cum1": cum1, "cum2": cum2, "q1": q1, "q2": q2, "U": U,
-        },
+        internals={"plugin": None, "ensemble": ensemble,
+                   "y": np.concatenate([h_sorted, d_sorted])},
     )
 
 
@@ -359,66 +582,12 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
 
 def _mixture_roc_draws(w_h, mu_h, s2_h, w_d, mu_d, s2_d, p) -> np.ndarray:
     """Per-draw ROC(p) for mixture CDFs; p (m,) -> (S, m)."""
-    p = np.asarray(p, dtype=float)
-    interior = (p > 0.0) & (p < 1.0)
-    S = w_h.shape[0]
-    out = np.empty((S, p.size))
-    if np.any(interior):
-        c = mixture_quantile(w_h, mu_h, s2_h, 1.0 - p[interior])  # (S, mi)
-        sd_d = np.sqrt(s2_d)
-        from scipy.special import ndtr
-
-        f_d = np.einsum(
-            "sml,sl->sm",
-            ndtr((c[:, :, None] - mu_d[:, None, :]) / sd_d[:, None, :]),
-            w_d,
-        )
-        out[:, interior] = 1.0 - f_d
-    out[:, p == 0.0] = 0.0
-    out[:, p == 1.0] = 1.0
-    return out
+    return roc_rows(MixtureStack(w_h, mu_h, s2_h), MixtureStack(w_d, mu_d, s2_d), p)
 
 
-def _mixture_tnf_draws(w_h, mu_h, s2_h, w_d, mu_d, s2_d, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    interior = (p > 0.0) & (p < 1.0)
-    S = w_h.shape[0]
-    out = np.empty((S, p.size))
-    if np.any(interior):
-        c = mixture_quantile(w_d, mu_d, s2_d, 1.0 - p[interior])
-        sd_h = np.sqrt(s2_h)
-        from scipy.special import ndtr
-
-        f_h = np.einsum(
-            "sml,sl->sm",
-            ndtr((c[:, :, None] - mu_h[:, None, :]) / sd_h[:, None, :]),
-            w_h,
-        )
-        out[:, interior] = f_h
-    out[:, p == 0.0] = 1.0
-    out[:, p == 1.0] = 0.0
-    return out
-
-
-def _dpm_pauc_draws(draws_h: DpmDraws, draws_d: DpmDraws, pauc: PaucControl) -> np.ndarray:
-    wh, muh, s2h = draws_h.weights, draws_h.means, draws_h.sigma2
-    wd, mud, s2d = draws_d.weights, draws_d.means, draws_d.sigma2
-    if pauc.focus == "fpf":
-        g = odd_grid(0.0, pauc.value, 201)
-        vals = _mixture_roc_draws(wh, muh, s2h, wd, mud, s2d, g)
-    else:
-        g = odd_grid(pauc.value, 1.0, 201)
-        vals = _mixture_tnf_draws(wh, muh, s2h, wd, mud, s2d, g)
-    raw = simpson(vals, g[1] - g[0])
-    return np.array([pauc_normalise(float(r), pauc.focus, pauc.value) for r in np.atleast_1d(raw)])
-
-
-def _density_block(draws: DpmDraws, y_raw: np.ndarray, std, grid_length: int) -> dict:
+def _density_block(stack, y_raw: np.ndarray, grid_length: int) -> dict:
     grid_raw = np.linspace(float(y_raw.min()), float(y_raw.max()), int(grid_length))
-    grid_std = std.marker_to_std(grid_raw) if std.enabled else grid_raw
-    dens = draws.pdf(grid_std)
-    if std.enabled:
-        dens = std.density_to_raw(dens)
+    dens = stack.pdf(grid_raw)
     lo, hi = band(dens)
     return {
         "grid": grid_raw, "est": dens.mean(axis=0), "lo": lo, "hi": hi, "draws": dens,
@@ -456,18 +625,16 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
         [(split.healthy, prior_h, _CHAIN_H), (split.diseased, prior_d, _CHAIN_D)],
         workers=min(workers, 2),
     )
+    ensemble = tuple(mixture_stack(d.weights, d.means, d.sigma2, std) for d in (draws_h, draws_d))
 
-    curves = _mixture_roc_draws(
-        draws_h.weights, draws_h.means, draws_h.sigma2,
-        draws_d.weights, draws_d.means, draws_d.sigma2, grid,
-    )
+    curves = roc_rows(*ensemble, grid)
     aucs = mixture_auc_closed(
         draws_h.weights, draws_h.means, np.sqrt(draws_h.sigma2),
         draws_d.weights, draws_d.means, np.sqrt(draws_d.sigma2),
     )
     aucs = np.atleast_1d(aucs)
 
-    paucs = _dpm_pauc_draws(draws_h, draws_d, pauc) if pauc.compute else None
+    paucs = simpson_area(*ensemble, pauc) if pauc.compute else None
 
     log_s = math.log(std.marker_sd) if std.enabled else 0.0
     crit = FitCriteria(
@@ -484,8 +651,8 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
     densities = None
     if density.compute:
         densities = {
-            "healthy": _density_block(draws_h, split_raw.healthy, std, density.grid_length),
-            "diseased": _density_block(draws_d, split_raw.diseased, std, density.grid_length),
+            "healthy": _density_block(ensemble[0], split_raw.healthy, density.grid_length),
+            "diseased": _density_block(ensemble[1], split_raw.diseased, density.grid_length),
         }
 
     est = curves.mean(axis=0)
@@ -499,167 +666,29 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
         ensemble=curves,
         densities=densities,
         fit=crit,
-        internals={"kind": "dpm", "draws_h": draws_h, "draws_d": draws_d, "std": std},
+        internals={"plugin": None, "ensemble": ensemble, "draws_h": draws_h, "draws_d": draws_d,
+                   "y": np.concatenate([split_raw.healthy, split_raw.diseased])},
     )
 
 
 # -- reverse-orientation curve and thresholds ---------------------------------
 
+def _stacks_of(result) -> tuple:
+    if not result.internals:
+        raise MissingDrawsError("result carries no fitted internals")
+    return result.internals["plugin"], result.internals["ensemble"]
+
+
 def pooled_tnf(result: RocResult, p=None) -> np.ndarray:
     """Reverse-orientation curve F_H(F_D^{-1}(1-p)) from the fitted CDFs.
 
     Evaluates 1 at p=0 and 0 at p=1; its integral over p equals the AUC.
-    Uses the same internals the original fit produced (plug-in for the
-    frequentist methods, ensemble mean for the Bayesian ones).
+    Uses the plug-in fit for the frequentist methods and the ensemble
+    mean for the Bayesian ones.
     """
     grid = _grid_of(p) if p is not None else result.p
-    ints = result.internals
-    kind = ints.get("kind")
-    if kind == "emp":
-        h, d = ints["h"], ints["d"]
-        out = np.empty_like(grid)
-        interior = (grid > 0) & (grid < 1)
-        c = ecdf_quantile(d, 1.0 - grid[interior])
-        out[interior] = ecdf_eval(h, c)
-        out[grid == 0.0] = 1.0
-        out[grid == 1.0] = 0.0
-        return out
-    if kind == "kernel":
-        y_h, y_d, h_h, h_d = ints["h"], ints["d"], ints["h_h"], ints["h_d"]
-        lo_b = min(y_h.min() - 10 * h_h, y_d.min() - 10 * h_d)
-        hi_b = max(y_h.max() + 10 * h_h, y_d.max() + 10 * h_d)
-        return tnf_curve(
-            lambda c: kernel_cdf(c, y_h, h_h), lambda c: kernel_cdf(c, y_d, h_d),
-            grid, lo_b, hi_b,
-        )
-    if kind == "bb":
-        h_sorted, d_sorted = ints["h_sorted"], ints["d_sorted"]
-        cum1, cum2 = ints["cum1"], ints["cum2"]
-        U_rev = _bb_placements(d_sorted, cum2, h_sorted)  # (S, n_h)
-        q1 = ints["q1"]
-        S = cum1.shape[0]
-        out = np.empty((S, grid.size))
-        for s in range(S):
-            order = np.argsort(U_rev[s], kind="stable")
-            u_sorted = U_rev[s][order]
-            cq = np.cumsum(q1[s][order])
-            # curve value = healthy weight with placement >= p
-            idx = np.searchsorted(u_sorted, grid, side="left")
-            padded = np.concatenate([[0.0], cq])
-            out[s] = 1.0 - padded[idx]
-        mean = out.mean(axis=0)
-        mean[grid == 0.0] = 1.0
-        mean[grid == 1.0] = 0.0
-        return mean
-    if kind == "dpm":
-        dh, dd = ints["draws_h"], ints["draws_d"]
-        vals = _mixture_tnf_draws(
-            dh.weights, dh.means, dh.sigma2, dd.weights, dd.means, dd.sigma2, grid
-        )
-        return vals.mean(axis=0)
-    raise MissingDrawsError("result carries no fitted internals")
-
-
-def _threshold_from_cdf_rows(fh_rows, fd_rows, grid, criterion, target_fpf,
-                             point_row=None):
-    """Interval summaries for an ensemble of CDF evaluations on a grid.
-
-    point_row: index pair (fh, fd) evaluated at the plug-in fit; when
-    None the ensemble mean supplies the point estimates.
-    """
-    if criterion == "yi":
-        yi, thr, fpf, tpf, sign = youden_rows(fh_rows, fd_rows, grid)
-        if point_row is not None:
-            yi0, thr0, fpf0, tpf0, sign0 = point_row
-        else:
-            yi0, thr0 = float(yi.mean()), float(thr.mean())
-            fpf0, tpf0 = float(fpf.mean()), float(tpf.mean())
-            sign0 = int(np.sign(sign.sum())) if sign.sum() != 0 else 0
-        if fh_rows.shape[0] > 1:
-            return ThresholdResult(
-                criterion="yi",
-                threshold=[interval_from(thr0, thr)],
-                fpf=[interval_from(fpf0, fpf)],
-                tpf=[interval_from(tpf0, tpf)],
-                yi=[interval_from(yi0, yi)],
-                sign=[sign0],
-            )
-        return ThresholdResult(
-            criterion="yi",
-            threshold=[interval_from(thr0)], fpf=[interval_from(fpf0)],
-            tpf=[interval_from(tpf0)], yi=[interval_from(yi0)], sign=[sign0],
-        )
-    # FPF criterion: c = F_H^{-1}(1 - target) per ensemble member
-    q = 1.0 - target_fpf
-    n_rows = fh_rows.shape[0]
-    thr = np.empty(n_rows)
-    fpf = np.empty(n_rows)
-    tpf = np.empty(n_rows)
-    for s in range(n_rows):
-        k = int(np.searchsorted(fh_rows[s], q, side="left"))
-        k = min(k, grid.size - 1)
-        thr[s] = grid[k]
-        fpf[s] = 1.0 - fh_rows[s, k]
-        tpf[s] = 1.0 - fd_rows[s, k]
-    if point_row is not None:
-        thr0, fpf0, tpf0 = point_row
-    else:
-        thr0, fpf0, tpf0 = float(thr.mean()), float(fpf.mean()), float(tpf.mean())
-    draws = n_rows > 1
-    return ThresholdResult(
-        criterion="fpf",
-        threshold=[interval_from(thr0, thr if draws else None)],
-        fpf=[interval_from(fpf0, fpf if draws else None)],
-        tpf=[interval_from(tpf0, tpf if draws else None)],
-        target_fpf=target_fpf,
-    )
-
-
-def _cdf_rows_for_threshold(result: RocResult, grid: np.ndarray):
-    """(fh_rows, fd_rows, point_pair) on the threshold grid per method."""
-    ints = result.internals
-    kind = ints.get("kind")
-    if kind == "emp":
-        fh0 = ecdf_eval(ints["h"], grid)
-        fd0 = ecdf_eval(ints["d"], grid)
-        rows = [
-            (ecdf_eval(h, grid), ecdf_eval(d, grid)) for h, d in ints["boot"]
-        ]
-        if rows:
-            return (
-                np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
-                (fh0, fd0),
-            )
-        return fh0[None, :], fd0[None, :], (fh0, fd0)
-    if kind == "kernel":
-        fh0 = np.asarray(kernel_cdf(grid, ints["h"], ints["h_h"]))
-        fd0 = np.asarray(kernel_cdf(grid, ints["d"], ints["h_d"]))
-        rows = [
-            (kernel_cdf(grid, h, ints["h_h"]), kernel_cdf(grid, d, ints["h_d"]))
-            for h, d in ints["boot"]
-        ]
-        if rows:
-            return (
-                np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
-                (fh0, fd0),
-            )
-        return fh0[None, :], fd0[None, :], (fh0, fd0)
-    if kind == "bb":
-        fh_rows = np.array(
-            [weighted_ecdf_eval(ints["h_sorted"], ints["cum1"][s], grid)
-             for s in range(ints["cum1"].shape[0])]
-        )
-        fd_rows = np.array(
-            [weighted_ecdf_eval(ints["d_sorted"], ints["cum2"][s], grid)
-             for s in range(ints["cum2"].shape[0])]
-        )
-        return fh_rows, fd_rows, None
-    if kind == "dpm":
-        dh, dd = ints["draws_h"], ints["draws_d"]
-        std = ints["std"]
-        g = std.marker_to_std(grid) if std.enabled else grid
-        return dh.cdf(g), dd.cdf(g), None
-    raise MissingDrawsError("result carries no fitted internals for thresholds")
+    plugin, ensemble = _stacks_of(result)
+    return tnf_rows(*plugin, grid) if plugin else tnf_rows(*ensemble, grid).mean(axis=0)
 
 
 def pooled_threshold(result: RocResult, criterion: str = "yi",
@@ -671,40 +700,7 @@ def pooled_threshold(result: RocResult, criterion: str = "yi",
     F_H^{-1}(1 - target_fpf) with its attached TPF. Interval sources:
     bootstrap replicates or posterior draws, whichever the fit carries.
     """
-    criterion = criterion.lower()
-    if criterion not in ("yi", "fpf"):
-        raise ConfigError("criterion must be 'yi' or 'fpf'")
-    if criterion == "fpf":
-        if target_fpf is None or not 0.0 < target_fpf < 1.0:
-            raise ConfigError("target_fpf in (0,1) required for the fpf criterion")
-    ints = result.internals
-    if not ints:
-        raise MissingDrawsError("result carries no fitted internals")
-    if ints["kind"] in ("emp", "kernel"):
-        y_all = np.concatenate([ints["h"], ints["d"]])
-    elif ints["kind"] == "bb":
-        y_all = np.concatenate([ints["h_sorted"], ints["d_sorted"]])
-    else:
-        std = ints["std"]
-        raw_h = std.marker_to_raw(ints["draws_h"].y) if std.enabled else ints["draws_h"].y
-        raw_d = std.marker_to_raw(ints["draws_d"].y) if std.enabled else ints["draws_d"].y
-        y_all = np.concatenate([raw_h, raw_d])
-    grid = youden_grid(y_all)
-    fh_rows, fd_rows, point = _cdf_rows_for_threshold(result, grid)
-    if point is not None and criterion == "yi":
-        diff = point[0] - point[1]
-        k = int(np.argmax(np.abs(diff)))
-        point_row = (
-            float(abs(diff[k])), float(grid[k]),
-            float(1.0 - point[0][k]), float(1.0 - point[1][k]),
-            int(np.sign(diff[k])) if diff[k] != 0 else 0,
-        )
-    elif point is not None:
-        q = 1.0 - target_fpf
-        k = min(int(np.searchsorted(point[0], q, side="left")), grid.size - 1)
-        point_row = (float(grid[k]), float(1.0 - point[0][k]), float(1.0 - point[1][k]))
-    else:
-        point_row = None
-    return _threshold_from_cdf_rows(
-        fh_rows, fd_rows, grid, criterion, target_fpf, point_row
-    )
+    criterion = _check_criterion(criterion, target_fpf)
+    pair = _stacks_of(result)
+    grid = youden_grid(result.internals["y"])
+    return threshold_result(grid, criterion, target_fpf if criterion == "fpf" else None, [pair])

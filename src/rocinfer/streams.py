@@ -12,8 +12,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-
 from .errors import BadAlphaError, BadStickError, DimMismatchError, NotSPDError
 
 
@@ -127,39 +125,6 @@ def gamma_shape_rate(shape, rate, rng, size=None) -> np.ndarray | float:
     if np.any(shape <= 0) or np.any(rate <= 0):
         raise BadAlphaError("gamma needs positive shape and rate")
     return _gen(rng).gamma(shape, 1.0 / rate, size=size)
-
-
-def beta(a, b, rng, size=None) -> np.ndarray | float:
-    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
-        raise BadAlphaError("beta needs positive parameters")
-    return _gen(rng).beta(a, b, size=size)
-
-
-def truncated_normal(mean, sd, low, high, rng, size=None) -> np.ndarray | float:
-    """Truncated normal by inverse-CDF; low/high may be +-inf."""
-    if np.any(np.asarray(sd) <= 0):
-        raise BadAlphaError("truncated_normal needs sd > 0")
-    if np.any(np.asarray(low) >= np.asarray(high)):
-        raise BadAlphaError("truncated_normal needs low < high")
-    g = _gen(rng)
-    a = ndtr((np.asarray(low, dtype=float) - mean) / sd)
-    b = ndtr((np.asarray(high, dtype=float) - mean) / sd)
-    u = g.uniform(a, b, size=size)
-    # keep strictly inside (0,1) so ndtri stays finite
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
-    return mean + sd * ndtri(u)
-
-
-def categorical(weights, rng, size=None) -> np.ndarray | int:
-    """Indices sampled proportionally to nonnegative weights."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or np.any(w < 0) or w.sum() <= 0:
-        raise BadAlphaError("categorical needs nonnegative weights with positive sum")
-    cum = np.cumsum(w)
-    cum /= cum[-1]
-    u = _gen(rng).random(size=size)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, w.size - 1)
 
 
 def categorical_rows(prob_rows: np.ndarray, rng) -> np.ndarray:

@@ -82,7 +82,7 @@ def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray | float:
     return float(out[0]) if out.size == 1 else out
 
 
-def invert_cdf(cdf, q, lo: float, hi: float, vectorized: bool | None = None):
+def invert_cdf(cdf, q, lo: float, hi: float):
     """Invert a monotone CDF by bisection.
 
     Stops when |F(c) - q| <= 1e-8 or the bracket width falls below
@@ -112,32 +112,6 @@ def invert_cdf(cdf, q, lo: float, hi: float, vectorized: bool | None = None):
             break
     out = 0.5 * (lo_arr + hi_arr)
     return float(out[0]) if scalar else out
-
-
-def roc_curve(cdf_h, cdf_d, p, lo: float, hi: float) -> np.ndarray:
-    """ROC(p) = 1 - F_D(F_H^{-1}(1-p)) with exact 0/1 endpoints."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    interior = (p > 0.0) & (p < 1.0)
-    if np.any(interior):
-        c = invert_cdf(cdf_h, 1.0 - p[interior], lo, hi)
-        out[interior] = 1.0 - np.asarray(cdf_d(c), dtype=float)
-    out[p == 0.0] = 0.0
-    out[p == 1.0] = 1.0
-    return out
-
-
-def tnf_curve(cdf_h, cdf_d, p, lo: float, hi: float) -> np.ndarray:
-    """ROC_TNF(p) = F_H(F_D^{-1}(1-p)); evaluates 1 at p=0 and 0 at p=1."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    interior = (p > 0.0) & (p < 1.0)
-    if np.any(interior):
-        c = invert_cdf(cdf_d, 1.0 - p[interior], lo, hi)
-        out[interior] = np.asarray(cdf_h(c), dtype=float)
-    out[p == 0.0] = 1.0
-    out[p == 1.0] = 0.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -260,20 +234,27 @@ def ecdf_eval(sorted_y: np.ndarray, x) -> np.ndarray | float:
 
 
 def ecdf_quantile(sorted_y: np.ndarray, q) -> np.ndarray | float:
-    """inf{y: F(y) >= q}; q <= 1/n gives the smallest order statistic."""
-    n = sorted_y.size
+    """inf{y: F(y) >= q}; q <= 1/n gives the smallest order statistic.
+
+    sorted_y may hold one ascending sample of equal size per row.
+    """
+    n = sorted_y.shape[-1]
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
     idx = np.ceil(q_arr * n - 1e-9).astype(int) - 1
     idx = np.clip(idx, 0, n - 1)
-    out = sorted_y[idx]
+    out = sorted_y[..., idx]
     return float(out[0]) if np.isscalar(q) or np.asarray(q).ndim == 0 else out
 
 
 def weighted_ecdf_eval(sorted_y: np.ndarray, cumw: np.ndarray, x) -> np.ndarray | float:
-    """F(x) = total weight of sample values <= x; cumw aligns with sorted_y."""
+    """F(x) = total weight of sample values <= x; cumw aligns with sorted_y.
+
+    cumw may hold one row of cumulative weights per member (M, n); x is
+    then shared by all members (1-d) or holds one row per member.
+    """
     idx = np.searchsorted(sorted_y, np.asarray(x, dtype=float), side="right")
-    padded = np.concatenate([[0.0], cumw])
-    out = padded[idx]
+    padded = np.concatenate([np.zeros(cumw.shape[:-1] + (1,)), cumw], axis=-1)
+    out = np.take_along_axis(padded, idx, axis=-1) if idx.ndim == padded.ndim == 2 else padded[..., idx]
     return float(out) if np.isscalar(x) else out
 
 
@@ -302,8 +283,9 @@ def pauc_from_placements(U, weights, focus: str, bound: float) -> float:
     """Raw partial area from placement values via the closed forms.
 
     FPF focus: u1 - sum(w * min(u1, U_D)) with diseased-in-healthy
-    placements. TPF focus: sum(w * max(v1, U_H)) - v1 with reversed
-    (healthy-in-diseased) placements. Normalise separately.
+    placements. TPF focus: sum(w * max(U_H - v1, 0)) with reversed
+    (healthy-in-diseased) placements, exactly 0 on the empty range
+    v1 = 1. Normalise separately.
     """
     U = np.asarray(U, dtype=float)
     if weights is None:
@@ -312,5 +294,5 @@ def pauc_from_placements(U, weights, focus: str, bound: float) -> float:
     if focus.lower() == "fpf":
         return float(bound - np.sum(w * np.minimum(bound, U)))
     if focus.lower() == "tpf":
-        return float(np.sum(w * np.maximum(bound, U)) - bound)
+        return float(np.sum(w * np.maximum(U - bound, 0.0)))
     raise BadGridError("pauc focus must be 'fpf' or 'tpf', got %r" % focus)

@@ -111,6 +111,36 @@ def test_bad_method_exits_2(study_csv, tmp_path):
     assert rc == 2
 
 
+def test_bayesian_bootstrap_without_draws_exits_2(study_csv, tmp_path, capsys):
+    rc = main(_pooled_args(study_csv, ["--method", "bb", "--B", "0",
+                                       "--out", str(tmp_path / "o.json")]))
+    assert rc == 2
+    assert "S must be >= 1" in capsys.readouterr().err
+
+
+_FORMULAS = ["--formula-h", "bmi ~ age", "--formula-d", "bmi ~ age"]
+
+
+@pytest.mark.parametrize("subcommand,method,extra", [
+    ("pooled", "emp", []), ("pooled", "kernel", []), ("pooled", "bb", []),
+    ("pooled", "dpm", []), ("croc", "sp", _FORMULAS),
+    ("croc", "kernel", ["--covariate", "age", "--bw", "srt"]), ("croc", "bnp", _FORMULAS),
+    ("aroc", "sp", _FORMULAS[:2]), ("aroc", "kernel", ["--covariate", "age"]),
+    ("aroc", "bnp", _FORMULAS[:2]),
+])
+def test_zero_width_tpf_partial_area_is_zero(study_csv, newdata_csv, tmp_path,
+                                              subcommand, method, extra):
+    # --pauc-value defaults to 1.0, so TPF focus asks for the area over [1, 1]
+    args = [subcommand, "--data", study_csv, "--marker", "bmi", "--group", "cvd_idf",
+            "--tag", "0", "--method", method, "--pauc", "--pauc-focus", "tpf",
+            "--B", "3", "--nsave", "20", "--nburn", "10", *extra]
+    if subcommand == "croc":
+        args += ["--newdata", newdata_csv]
+    pauc = _run_json(args, tmp_path / "out.json")["payload"]["pauc"]
+    for row in pauc if isinstance(pauc, list) else [pauc]:
+        assert (row["est"], row["lo"], row["hi"]) == (0.0, 0.0, 0.0)
+
+
 def test_missing_data_file_exits_3(tmp_path, capsys):
     rc = main(["pooled", "--data", str(tmp_path / "nope.csv"), "--marker", "bmi",
                "--group", "cvd_idf", "--tag", "0",

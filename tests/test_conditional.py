@@ -15,11 +15,11 @@ from rocinfer.errors import (
     RankDeficientError,
 )
 from rocinfer.mixtures import DdpPrior, McmcControl
-from rocinfer.pooled import PaucControl
+from rocinfer.pooled import PaucControl, pooled_bb, pooled_dpm, pooled_threshold
 from rocinfer.sample import Column, DiagnosticSample
 from rocinfer.summaries import odd_grid, simpson
 
-from conftest import covariate_sample
+from conftest import binormal_sample, covariate_sample
 
 AUC_SHIFT15 = float(ndtr(1.5 / np.sqrt(2.0)))
 NEW = {"x": np.array([0.25, 0.5, 0.75])}
@@ -230,3 +230,40 @@ def test_partial_area_rows_have_bounds():
         assert 0.0 <= pa.est <= 1.0
         assert pa.focus == "fpf" and pa.bound == 0.3
         assert pa.lo <= pa.est <= pa.hi
+
+
+def _threshold_of(estimator, criterion, fresh):
+    kw = {"criterion": criterion, "target_fpf": 0.2 if criterion == "fpf" else None}
+    mcmc = McmcControl(nsave=60, nburn=40)
+    if estimator in ("bb", "dpm"):
+        s = binormal_sample(n_h=150, n_d=150, seed=53)
+        fit = (pooled_bb(s, S=200, rng=54) if estimator == "bb"
+               else pooled_dpm(s, mcmc=mcmc, rng=54))
+        return pooled_threshold(fit, **kw)
+    s = covariate_sample(n_h=150, n_d=150, seed=55)
+    if estimator == "kernel":
+        fit = croc_kernel(s, "x", NEW, bw="srt", B=10, rng=56)
+    elif estimator == "bnp":
+        fit = croc_bnp("y ~ x", "y ~ x", s, NEW, mcmc=mcmc, rng=56)
+    else:
+        fit = croc_sp("y ~ x", "y ~ x", s, NEW, est_cdf="empirical", B=30, rng=56)
+    return croc_threshold(fit, newdata={"x": [0.3, 0.6]} if fresh else None, **kw)
+
+
+@pytest.mark.parametrize("estimator,criterion,fresh", [
+    ("bb", "yi", False), ("bb", "fpf", False), ("dpm", "yi", False), ("dpm", "fpf", False),
+    ("kernel", "yi", False), ("kernel", "fpf", False), ("kernel", "yi", True),
+    ("kernel", "fpf", True), ("bnp", "yi", False), ("bnp", "fpf", False),
+    ("bnp", "yi", True), ("bnp", "fpf", True), ("sp-empirical", "fpf", False),
+])
+def test_threshold_intervals_are_finite_and_ordered(estimator, criterion, fresh):
+    thr = _threshold_of(estimator, criterion, fresh)
+    n_rows = 2 if fresh else 1 if estimator in ("bb", "dpm") else len(NEW["x"])
+    for ivs in [thr.threshold, thr.fpf, thr.tpf] + ([thr.yi] if criterion == "yi" else []):
+        assert len(ivs) == n_rows
+        for iv in ivs:
+            assert np.all(np.isfinite([iv.est, iv.lo, iv.hi]))
+            assert iv.lo <= iv.hi
+    if criterion == "fpf":
+        for iv in thr.fpf:
+            assert iv.est == pytest.approx(0.2, abs=0.05)

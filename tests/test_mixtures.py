@@ -16,7 +16,6 @@ from rocinfer.mixtures import (
     mixture_mean_variance,
     mixture_pdf,
     mixture_quantile,
-    occupied_components_prior,
     sample_atoms_prior,
 )
 from rocinfer.streams import RngStream
@@ -80,14 +79,6 @@ def test_mixture_mean_variance_hand_case():
     m, v = mixture_mean_variance([0.5, 0.5], [0.0, 2.0], [1.0, 1.0])
     assert isinstance(m, float)
     assert m == pytest.approx(1.0) and v == pytest.approx(2.0)
-
-
-def test_occupied_components_prior_hand_case():
-    mean, var = occupied_components_prior(1.0, 10)
-    assert mean == pytest.approx(np.log(11.0))
-    assert var == pytest.approx(np.log(11.0) - 1.0)
-    with pytest.raises(ConfigError):
-        occupied_components_prior(0.0, 10)
 
 
 def test_mixture_quantile_single_component_fast_path():

@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 from rocinfer.errors import BadAlphaError, BadStickError, NotSPDError
 from rocinfer.streams import (
     RngStream,
-    categorical,
     categorical_rows,
     dirichlet,
     gamma_shape_rate,
     parallel_map,
     stick_breaking,
-    truncated_normal,
     wishart,
 )
 
@@ -90,16 +88,6 @@ def test_wishart_validates_inputs():
 def test_gamma_shape_rate_mean():
     d = gamma_shape_rate(4.0, 2.0, RngStream(2), size=4000)
     assert abs(d.mean() - 2.0) < 0.1
-
-
-def test_truncated_normal_respects_bounds():
-    d = truncated_normal(0.0, 1.0, -0.5, 0.25, RngStream(3), size=500)
-    assert np.all(d >= -0.5) and np.all(d <= 0.25)
-
-
-def test_categorical_ignores_zero_weight_cells():
-    idx = categorical([0.0, 1.0, 0.0], RngStream(4), size=200)
-    assert set(np.unique(idx)) == {1}
 
 
 def test_categorical_rows_handles_unnormalised_rows():

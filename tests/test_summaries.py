@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from rocinfer.errors import BadGridError
+from rocinfer.pooled import LocScaleStack, NormalStack, roc_rows, tnf_rows
 from rocinfer.summaries import (
     band,
     ecdf_eval,
@@ -16,9 +17,7 @@ from rocinfer.summaries import (
     pauc_from_placements,
     pauc_normalise,
     placements_half,
-    roc_curve,
     simpson,
-    tnf_curve,
     weighted_ecdf_eval,
     weighted_ecdf_quantile,
     youden,
@@ -75,9 +74,14 @@ def test_invert_cdf_matches_normal_quantiles():
     np.testing.assert_allclose(got, ndtri(q), atol=1e-7)
 
 
+def _binormal_stacks():
+    """Healthy N(0, 1) and diseased N(2, 1) as normal location-scale stacks."""
+    return LocScaleStack(0.0, 1.0, NormalStack()), LocScaleStack(2.0, 1.0, NormalStack())
+
+
 def test_binormal_roc_curve_closed_form():
     p = np.linspace(0.0, 1.0, 11)
-    got = roc_curve(lambda t: ndtr(t), lambda t: ndtr(t - 2.0), p, -12.0, 12.0)
+    got = roc_rows(*_binormal_stacks(), p)
     expect = np.where((p > 0) & (p < 1), ndtr(2.0 + ndtri(np.clip(p, 1e-12, 1 - 1e-12))), p)
     expect[p == 0.0] = 0.0
     expect[p == 1.0] = 1.0
@@ -86,7 +90,7 @@ def test_binormal_roc_curve_closed_form():
 
 def test_tnf_curve_integrates_to_auc():
     p = odd_grid(0.0, 1.0, 401)
-    vals = tnf_curve(lambda t: ndtr(t), lambda t: ndtr(t - 2.0), p, -12.0, 12.0)
+    vals = tnf_rows(*_binormal_stacks(), p)
     area = simpson(vals, p[1] - p[0])
     assert area == pytest.approx(0.9213503964748574, abs=1e-4)
 
