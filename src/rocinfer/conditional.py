@@ -588,4 +588,4 @@ def croc_threshold(result: CRocResult, criterion: str = "yi",
     frame = result.newdata if newdata is None else _frame_of(newdata)
     pairs = _fit_pairs(result, frame)
     grid = youden_grid(result.internals["y"])
-    return threshold_result(grid, criterion, target_fpf, pairs)
+    return threshold_result(grid, criterion, target_fpf if criterion == "fpf" else None, pairs)

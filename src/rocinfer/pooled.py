@@ -39,7 +39,7 @@ from .mixtures import (
     mixture_quantile,
 )
 from .sample import DiagnosticSample, FpfGrid, split_groups, standardise
-from .smoothing import kernel_cdf, lscv_bandwidth, silverman_bandwidth
+from .smoothing import kernel_cdf, kernel_pdf, lscv_bandwidth, silverman_bandwidth
 from .streams import RngStream, dirichlet, parallel_map
 from .summaries import (
     Interval,
@@ -180,10 +180,11 @@ class StepStack:
 
 
 class KernelStack:
-    """Gaussian-kernel CDFs with one bandwidth, quantiles by bisection.
+    """Gaussian-kernel CDFs with one bandwidth and closed-form densities.
 
     data is one sample (n,) or one resample per member (M, n); lo and hi
-    bracket every quantile (scalars, or one per member).
+    bracket every quantile (scalars, or one per member). Quantiles are
+    found by safeguarded Newton from the sample quantile.
     """
 
     def __init__(self, data, h, lo, hi):
@@ -195,13 +196,17 @@ class KernelStack:
             return kernel_cdf(x, self.data, self.h)
         return _per_member(lambda b, xb: kernel_cdf(xb, self.data[b], self.h), self.shape[0], x)
 
-    def quantile(self, q):
-        def invert(data, lo, hi):
-            return invert_cdf(lambda c: kernel_cdf(c, data, self.h), q, lo, hi)
-
+    def pdf(self, x):
         if not self.shape:
-            return invert(self.data, self.lo, self.hi)
-        return np.array([invert(self.data[b], self.lo[b], self.hi[b]) for b in range(self.shape[0])])
+            return kernel_pdf(x, self.data, self.h)
+        return _per_member(lambda b, xb: kernel_pdf(xb, self.data[b], self.h), self.shape[0], x)
+
+    def quantile(self, q):
+        if not self.shape:
+            return invert_cdf(self.cdf, q, self.lo, self.hi, pdf=self.pdf,
+                              start=np.quantile(self.data, q))
+        return np.array([KernelStack(self.data[b], self.h, self.lo[b], self.hi[b]).quantile(q)
+                         for b in range(self.shape[0])])
 
 
 class MixtureStack:
@@ -413,6 +418,8 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
     AUC is the tie-halved Mann-Whitney statistic and partial areas come
     from the matching placement-value closed forms.
     """
+    if B < 0:
+        raise ConfigError("bootstrap count B must be >= 0")
     stream = _stream_of(rng)
     grid = _grid_of(p)
     pauc = pauc or PaucControl()
@@ -425,8 +432,8 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
     auc_point = mw_auc(split.healthy, split.diseased)
     pauc_point = _empirical_pauc(h_sorted, d_sorted, pauc) if pauc.compute else None
 
-    boot_h = np.empty((max(B, 0), split.n_h))
-    boot_d = np.empty((max(B, 0), split.n_d))
+    boot_h = np.empty((B, split.n_h))
+    boot_d = np.empty((B, split.n_d))
 
     def one_rep(k: int):
         gen = stream.stream(_BOOT_STREAM_BASE + k).generator
@@ -464,7 +471,7 @@ def _kernel_stacks(y_h, y_d, h_h, h_d):
 def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
                   pauc: PaucControl | None = None, B: int = 500, rng=None,
                   workers: int = 1) -> RocResult:
-    """Normal-kernel CDF plug-ins, quantiles by bisection, areas by Simpson.
+    """Normal-kernel CDF plug-ins, quantiles by safeguarded Newton, areas by Simpson.
 
     bw picks the bandwidth rule per group: 'srt' (normal-reference) or
     'lscv' (leave-one-out CV on the integrated squared CDF error).
@@ -472,6 +479,8 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     """
     if bw not in ("srt", "lscv"):
         raise ConfigError("bw must be 'srt' or 'lscv'")
+    if B < 0:
+        raise ConfigError("bootstrap count B must be >= 0")
     stream = _stream_of(rng)
     grid = _grid_of(p)
     pauc = pauc or PaucControl()

@@ -5,10 +5,19 @@ regression function first, then fit the variance function on squared
 residuals with its own bandwidth. Mean and variance bandwidths are
 selected independently by leave-one-out least squares cross-validation
 over a fixed candidate grid, which keeps selection deterministic.
+
+Local fits and the cross-validation scan never form an n x n weight
+matrix. They walk the x-sorted evaluation points in blocks of _BLOCK
+rows and weigh each block only against the sorted data within _REACH
+bandwidths of it (found by `searchsorted`); every weight outside that
+window underflows to exactly 0.0, so the sums are the full sums taken
+in another order. The scan computes each block's distances once for
+all 50 candidates and reuses one weight buffer.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +33,9 @@ from .errors import (
 )
 
 _VAR_FLOOR = 1e-10
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_BLOCK = 64  # evaluation rows per block of kernel weights
+_REACH = 40.0  # in bandwidths; exp(-0.5 * 40**2) = exp(-800) is exactly 0.0
 
 
 @dataclass(frozen=True)
@@ -72,9 +84,50 @@ def kernel_cdf(y0, data, h) -> np.ndarray | float:
     return float(out) if np.ndim(y0) == 0 else out
 
 
-def _weights(x, x0, h):
-    d = np.asarray(x0, dtype=float)[..., None] - np.asarray(x, dtype=float)
-    return np.exp(-0.5 * (d / h) ** 2), d
+def kernel_pdf(y0, data, h) -> np.ndarray | float:
+    """Gaussian kernel density: mean of phi((y0 - y_i)/h) / h."""
+    hv = _bw_value(h)
+    data = np.asarray(data, dtype=float)
+    z = (np.asarray(y0, dtype=float)[..., None] - data) / hv
+    out = np.exp(-0.5 * z * z).mean(axis=-1) / (hv * _SQRT_2PI)
+    return float(out) if np.ndim(y0) == 0 else out
+
+
+def _moments(w, d, cols, order):
+    """Kernel moment sums of one block of rows: s0, t0 and, for order 1, s1, t1, s2.
+
+    w holds the block's weights (overwritten), d its distances x0 - x_j
+    and cols the matching data columns [1, y_j].
+    """
+    s0, t0 = (w @ cols).T
+    if order == 0:
+        return s0, t0
+    w *= d
+    s1, t1 = (w @ cols).T
+    return s0, t0, s1, t1, np.einsum("ij,ij->i", w, d)
+
+
+def _kernel_sums(x, y, h, x0, order):
+    """Gaussian-kernel moment sums at each evaluation point x0.
+
+    Returns the rows s0 = sum w_j and t0 = sum w_j y_j, plus
+    s1 = sum w_j d_j, t1 = sum w_j d_j y_j and s2 = sum w_j d_j^2 for
+    order 1, where d_j = x0 - x_j and w_j = exp(-d_j^2 / (2 h^2)).
+    """
+    xs_order = np.argsort(x, kind="stable")
+    xs = x[xs_order]
+    cols = np.column_stack([np.ones(x.size), y[xs_order]])
+    x0 = np.asarray(x0, dtype=float).ravel()
+    rows = np.argsort(x0, kind="stable")
+    sums = np.empty((x0.size, 2 if order == 0 else 5))
+    for start in range(0, x0.size, _BLOCK):
+        idx = rows[start:start + _BLOCK]
+        r = x0[idx]
+        lo = np.searchsorted(xs, r[0] - _REACH * h, side="left")
+        hi = np.searchsorted(xs, r[-1] + _REACH * h, side="right")
+        d = r[:, None] - xs[lo:hi]
+        sums[idx] = np.column_stack(_moments(np.exp(d * d * (-0.5 / (h * h))), d, cols[lo:hi], order))
+    return sums.T
 
 
 def local_poly_regression(x, y, h, x0, order: int = 1) -> np.ndarray | float:
@@ -82,24 +135,20 @@ def local_poly_regression(x, y, h, x0, order: int = 1) -> np.ndarray | float:
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     hv = _bw_value(h)
-    y = np.asarray(y, dtype=float)
-    w, d = _weights(x, x0, hv)
-    s0 = w.sum(axis=-1)
+    sums = _kernel_sums(np.asarray(x, dtype=float), np.asarray(y, dtype=float), hv, x0, order)
+    s0, t0 = sums[0], sums[1]
     if np.any(s0 <= 1e-300):
         raise NoLocalDataError("no kernel mass at some evaluation points")
-    t0 = w @ y
     if order == 0:
         out = t0 / s0
     else:
-        s1 = (w * d).sum(axis=-1)
-        s2 = (w * d * d).sum(axis=-1)
-        t1 = (w * d) @ y
+        s1, t1, s2 = sums[2:]
         denom = s0 * s2 - s1 * s1
         # a degenerate local design (single support point) reduces to the
         # local constant estimate
         safe = denom > 1e-300 * np.maximum(1.0, s2)
         out = np.where(safe, (s2 * t0 - s1 * t1) / np.where(safe, denom, 1.0), t0 / s0)
-    return float(out) if np.ndim(x0) == 0 else out
+    return float(out[0]) if np.ndim(x0) == 0 else out.reshape(np.shape(x0))
 
 
 def local_constant_variance(x, squared_residuals, h, x0) -> np.ndarray | float:
@@ -117,28 +166,50 @@ def _candidate_grid(scale_sample) -> np.ndarray:
     return np.geomspace(h0 / 20.0, 20.0 * h0, 50)
 
 
-def _loo_cv_regression(x, y, h, order):
-    w, d = _weights(x, x, h)
-    diag = np.arange(x.size)
-    s0 = w.sum(axis=1)
-    t0 = w @ y
-    wii = w[diag, diag]
-    if order == 0:
-        denom = s0 - wii
-        if np.any(denom <= 1e-300):
-            return np.inf
-        est = (t0 - wii * y) / denom
-    else:
-        s1 = (w * d).sum(axis=1)
-        s2 = (w * d * d).sum(axis=1)
-        t1 = (w * d) @ y
-        # the i-th point sits at distance zero, so dropping it only
-        # touches the zeroth-order sums
-        denom = (s0 - wii) * s2 - s1 * s1
-        if np.any(denom <= 1e-300 * np.maximum(1.0, s2)):
-            return np.inf
-        est = (s2 * (t0 - wii * y) - s1 * t1) / denom
-    return float(np.mean((y - est) ** 2))
+def _loo_cv_regression(x, y, candidates, order):
+    """Leave-one-out mean squared error of the local fit at each candidate.
+
+    One pass over the x-sorted data in blocks of _BLOCK rows: each block's
+    distances are computed once for all candidates, and each candidate's
+    weights only over the columns within _REACH of its bandwidth (the
+    rest are exactly 0.0). The i-th point sits at distance zero with
+    weight 1, so dropping it only touches the zeroth-order sums. A
+    candidate scores inf when any row's leave-one-out design fails.
+    """
+    xs_order = np.argsort(x, kind="stable")
+    xs, ys = x[xs_order], y[xs_order]
+    n = xs.size
+    cols = np.column_stack([np.ones(n), ys])
+    reach = _REACH * candidates
+    sse = np.zeros(candidates.size)
+    failed = np.zeros(candidates.size, dtype=bool)
+    buf = np.empty((min(_BLOCK, n), n))
+    for start in range(0, n, _BLOCK):
+        r, yr = xs[start:start + _BLOCK], ys[start:start + _BLOCK]
+        lo = np.searchsorted(xs, r[0] - reach, side="left")
+        hi = np.searchsorted(xs, r[-1] + reach, side="right")
+        first = lo.min()
+        d = r[:, None] - xs[first:hi.max()]
+        d2 = d * d
+        for c, h in enumerate(candidates):
+            if failed[c]:
+                continue
+            a, b = lo[c] - first, hi[c] - first
+            w = buf[:r.size, :b - a]
+            np.multiply(d2[:, a:b], -0.5 / (h * h), out=w)
+            np.exp(w, out=w)
+            sums = _moments(w, d[:, a:b], cols[lo[c]:hi[c]], order)
+            if order == 0:
+                s0, t0 = sums
+                num, denom, floor = t0 - yr, s0 - 1.0, 1e-300
+            else:
+                s0, t0, s1, t1, s2 = sums
+                num = s2 * (t0 - yr) - s1 * t1
+                denom, floor = (s0 - 1.0) * s2 - s1 * s1, 1e-300 * np.maximum(1.0, s2)
+            failed[c] = np.any(denom <= floor)
+            if not failed[c]:
+                sse[c] += np.sum((yr - num / denom) ** 2)
+    return np.where(failed, np.inf, sse / n)
 
 
 def _loo_cv_cdf(y, h, grid):
@@ -175,7 +246,7 @@ def lscv_bandwidth(x, y, target: str, order: int = 1) -> Bandwidth:
             raise TooFewPointsError("x and y must have equal length")
         use_order = 0 if target == "variance" else order
         candidates = _candidate_grid(x)
-        scores = np.array([_loo_cv_regression(x, y, h, use_order) for h in candidates])
+        scores = _loo_cv_regression(x, y, candidates, use_order)
         fallback = silverman_bandwidth(x)
     else:
         raise ValueError("target must be regression, variance, or cdf")

@@ -63,7 +63,8 @@ def mw_auc(y_h, y_d, weights_h=None, weights_d=None) -> float:
         wd = wd / wd.sum()
     below = cwh[np.searchsorted(hs, y_d, side="left")]
     upto = cwh[np.searchsorted(hs, y_d, side="right")]
-    return float(np.sum(wd * (below + 0.5 * (upto - below))))
+    # cumulative 1/n weights can sum to 1 + 2e-16; an area is at most 1
+    return float(np.clip(np.sum(wd * (below + 0.5 * (upto - below))), 0.0, 1.0))
 
 
 def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray | float:
@@ -82,35 +83,58 @@ def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray | float:
     return float(out[0]) if out.size == 1 else out
 
 
-def invert_cdf(cdf, q, lo: float, hi: float):
-    """Invert a monotone CDF by bisection.
+def invert_cdf(cdf, q, lo: float, hi: float, pdf=None, start=None):
+    """Invert a monotone CDF by safeguarded Newton, or by bisection.
 
-    Stops when |F(c) - q| <= 1e-8 or the bracket width falls below
-    1e-10 (absolute, after scaling by the bracket size). cdf must accept
-    arrays when q is an array.
+    This is the bracketed Newton scheme ("rtsafe", Numerical Recipes
+    9.4): each evaluation shrinks the bracket [lo, hi], and the next
+    point is the Newton step c - (F(c) - q)/pdf(c) unless that leaves
+    the bracket (or pdf is not given), in which case it is the bracket
+    midpoint. The first point is start (clipped into the bracket), or
+    the midpoint. Each quantile stops when |F(c) - q| <= 1e-8 or its
+    bracket width falls below 1e-10 (absolute, after scaling by the
+    bracket size). cdf and pdf act elementwise on arrays.
     """
     q_arr = np.asarray(q, dtype=float)
     scalar = q_arr.ndim == 0
     q_arr = np.atleast_1d(q_arr)
-    lo_arr = np.broadcast_to(np.asarray(lo, dtype=float), q_arr.shape).astype(float).copy()
-    hi_arr = np.broadcast_to(np.asarray(hi, dtype=float), q_arr.shape).astype(float).copy()
-    f_lo = np.asarray(cdf(lo_arr), dtype=float)
-    f_hi = np.asarray(cdf(hi_arr), dtype=float)
+    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
+    f_lo = np.asarray(cdf(lo), dtype=float)
+    f_hi = np.asarray(cdf(hi), dtype=float)
+    lo_arr = np.broadcast_to(lo, q_arr.shape).copy()
+    hi_arr = np.broadcast_to(hi, q_arr.shape).copy()
     bad = (f_lo - q_arr > 1e-8) | (f_hi - q_arr < -1e-8)
     if np.any(bad):
         raise BracketFailError(
             "bracket does not straddle the target quantile (q=%r)" % q_arr[bad][:3]
         )
     width_floor = 1e-10 * max(1.0, float(np.max(np.abs(hi_arr - lo_arr))))
+    c = 0.5 * (lo_arr + hi_arr) if start is None else np.clip(start, lo_arr, hi_arr)
+    # the unconverged positions, with their points, targets and brackets
+    act = np.arange(q_arr.size)
+    c, qa, lo_a, hi_a = c.ravel(), q_arr.ravel(), lo_arr.ravel(), hi_arr.ravel()
+    out = np.empty(q_arr.size)
     for _ in range(200):
-        mid = 0.5 * (lo_arr + hi_arr)
-        f_mid = np.asarray(cdf(mid), dtype=float)
-        go_right = f_mid < q_arr
-        lo_arr = np.where(go_right, mid, lo_arr)
-        hi_arr = np.where(go_right, hi_arr, mid)
-        if np.all((np.abs(f_mid - q_arr) <= 1e-8) | (hi_arr - lo_arr <= width_floor)):
+        f = np.asarray(cdf(c), dtype=float)
+        below = f < qa
+        lo_a = np.where(below, c, lo_a)
+        hi_a = np.where(below, hi_a, c)
+        done = (np.abs(f - qa) <= 1e-8) | (hi_a - lo_a <= width_floor)
+        out[act[done]] = c[done]
+        keep = ~done
+        if not np.any(keep):
             break
-    out = 0.5 * (lo_arr + hi_arr)
+        act, c, f, qa, lo_a, hi_a = act[keep], c[keep], f[keep], qa[keep], lo_a[keep], hi_a[keep]
+        mid = 0.5 * (lo_a + hi_a)
+        if pdf is None:
+            c = mid
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = c - (f - qa) / np.asarray(pdf(c), dtype=float)
+            c = np.where((step > lo_a) & (step < hi_a), step, mid)
+    else:
+        out[act] = 0.5 * (lo_a + hi_a)
+    out = out.reshape(q_arr.shape)
     return float(out[0]) if scalar else out
 
 

@@ -118,6 +118,14 @@ def test_bayesian_bootstrap_without_draws_exits_2(study_csv, tmp_path, capsys):
     assert "S must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["emp", "kernel"])
+def test_negative_bootstrap_count_exits_2(study_csv, tmp_path, capsys, method):
+    rc = main(_pooled_args(study_csv, ["--method", method, "--B", "-5",
+                                       "--out", str(tmp_path / "o.json")]))
+    assert rc == 2
+    assert "bootstrap count B must be >= 0" in capsys.readouterr().err
+
+
 _FORMULAS = ["--formula-h", "bmi ~ age", "--formula-d", "bmi ~ age"]
 
 
@@ -226,6 +234,20 @@ def test_threshold_croc_rows_and_skip_note(study_csv, newdata_csv, tmp_path):
     assert pay["newdata"]["age"] == [32.5, 51.0]
     assert any("curves CSV skipped" in w for w in env["warnings"])
     assert not (tmp_path / "skip.csv").exists()
+
+
+@pytest.mark.parametrize("approach", ["pooled", "croc"])
+def test_threshold_echoes_target_fpf_only_for_fpf(study_csv, newdata_csv, tmp_path, approach):
+    extra = (["--method", "sp", *_FORMULAS, "--newdata", newdata_csv]
+             if approach == "croc" else [])
+    for criterion, echoed in (("yi", False), ("fpf", True)):
+        env = _run_json(["threshold", "--approach", approach, "--criterion", criterion,
+                         "--target-fpf", "0.3", "--data", study_csv, "--marker", "bmi",
+                         "--group", "cvd_idf", "--tag", "0", "--B", "5", *extra],
+                        tmp_path / "out.json")
+        assert ("target_fpf" in env["payload"]) is echoed
+        if echoed:
+            assert env["payload"]["target_fpf"] == 0.3
 
 
 def test_ini_precedence(study_csv, tmp_path):

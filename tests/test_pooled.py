@@ -6,6 +6,7 @@ from rocinfer.mixtures import DpmPrior, McmcControl
 from rocinfer.pooled import (
     DensityControl,
     PaucControl,
+    _kernel_stacks,
     pooled_bb,
     pooled_dpm,
     pooled_empirical,
@@ -14,6 +15,7 @@ from rocinfer.pooled import (
     pooled_tnf,
 )
 from rocinfer.sample import DiagnosticSample
+from rocinfer.smoothing import kernel_cdf, silverman_bandwidth
 from rocinfer.summaries import mixture_auc_closed, mw_auc, odd_grid, simpson
 
 from conftest import binormal_sample
@@ -234,3 +236,26 @@ def test_dpm_without_standardisation_still_fits():
                      standardise_marker=False)
     assert np.all(np.diff(res.roc_est) >= -1e-9)
     assert 0.5 < res.auc.est < 1.0
+
+
+def _kernel_inverter_cases():
+    g = np.random.default_rng(11)
+    for n in (2, 3, 10, 137, 3000):
+        yield "normal-%d" % n, g.normal(size=n) * g.uniform(0.1, 10) + g.normal()
+    yield "ties", np.round(g.normal(size=500), 0)
+    yield "skew", g.lognormal(0.0, 1.5, size=400)
+    base = g.normal(size=300)
+    yield "bootstrap", base[g.integers(0, base.size, (5, base.size))]
+
+
+@pytest.mark.parametrize("name,data", list(_kernel_inverter_cases()))
+def test_kernel_quantiles_meet_the_stopping_rule_and_are_monotone(name, data):
+    h = silverman_bandwidth(data.ravel()).value
+    stack, _ = _kernel_stacks(data, data, h, h)
+    area = odd_grid(0.0, 1.0, 201)
+    q = np.sort(1.0 - area[1:-1])  # every interior point, ends 0.005 and 0.995 included
+    c = np.atleast_2d(stack.quantile(q))
+    members = np.atleast_2d(data)
+    for row, sample in zip(c, members):
+        assert np.max(np.abs(kernel_cdf(row, sample, h) - q)) <= 1e-8
+        assert np.all(np.diff(row) >= 0.0)

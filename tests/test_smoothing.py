@@ -3,11 +3,57 @@ import pytest
 from scipy.special import ndtr
 
 from rocinfer.smoothing import (
+    _candidate_grid,
+    _loo_cv_regression,
     fit_location_scale,
     kernel_cdf,
+    local_poly_regression,
     lscv_bandwidth,
     silverman_bandwidth,
 )
+
+
+def _full_weights(x, x0, h):
+    d = np.asarray(x0, dtype=float)[:, None] - np.asarray(x, dtype=float)[None, :]
+    return np.exp(-0.5 * (d / h) ** 2), d
+
+
+def _loo_score_reference(x, y, h, order):
+    """Leave-one-out score of one candidate over the full n x n weight matrix."""
+    w, d = _full_weights(x, x, h)
+    diag = np.arange(x.size)
+    s0 = w.sum(axis=1)
+    t0 = w @ y
+    wii = w[diag, diag]
+    if order == 0:
+        denom = s0 - wii
+        if np.any(denom <= 1e-300):
+            return np.inf
+        est = (t0 - wii * y) / denom
+    else:
+        s1 = (w * d).sum(axis=1)
+        s2 = (w * d * d).sum(axis=1)
+        t1 = (w * d) @ y
+        denom = (s0 - wii) * s2 - s1 * s1
+        if np.any(denom <= 1e-300 * np.maximum(1.0, s2)):
+            return np.inf
+        est = (s2 * (t0 - wii * y) - s1 * t1) / denom
+    return float(np.mean((y - est) ** 2))
+
+
+def _scan_sample(kind, seed):
+    g = np.random.default_rng(seed)
+    if kind == "ties":
+        x = np.round(g.uniform(20, 80, 400), 0)
+    elif kind == "gap":
+        # two clusters and a lone point far from both: the smallest
+        # candidates leave that point with no neighbour weight
+        x = np.concatenate([g.uniform(0, 10, 150), g.uniform(60, 70, 150), [35.0]])
+    else:
+        x = g.uniform(0, 5, 10)
+    y = np.sin(x / 7.0) + (0.5 + x / 100.0) * g.normal(size=x.size)
+    shuffle = g.permutation(x.size)
+    return x[shuffle], y[shuffle]
 
 
 def test_normal_reference_bandwidth_frozen_value():
@@ -76,3 +122,72 @@ def test_variance_function_tracks_heteroskedastic_noise():
     assert v[0] == pytest.approx((0.5 + 1.5 * 0.2) ** 2, rel=0.5)
     assert v[1] == pytest.approx((0.5 + 1.5 * 0.8) ** 2, rel=0.5)
     assert v[1] > v[0]
+
+
+def _loo_margins(x, h):
+    """Smallest leave-one-out kernel mass over rows, and the order-1 margin.
+
+    Both come from the weight matrix with its diagonal zeroed, so neither
+    suffers the s0 - 1 cancellation of the scorers. The order-1 margin is
+    the leave-one-out denominator written as a sum of squares, over
+    max(1, s2).
+    """
+    w, d = _full_weights(x, x, h)
+    np.fill_diagonal(w, 0.0)
+    s0 = w.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        centre = (w * d).sum(axis=1) / s0
+        spread = (w * (d - centre[:, None]) ** 2).sum(axis=1)
+        margin = np.nan_to_num(s0 * spread / np.maximum(1.0, (w * d * d).sum(axis=1)))
+    return s0.min(), margin.min()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["ties", "gap", "n10"])
+def test_blocked_lscv_scan_matches_full_matrix_scorer(kind, seed):
+    """The blocked scan against the per-candidate n x n scorer.
+
+    Both scorers take s0 - 1, which loses digits as a row's leave-one-out
+    mass shrinks, so the comparison is split by that mass (computed
+    without cancellation). Below 1e-17 s0 rounds to 1 in any summation
+    order and both must score inf; where every row keeps a margin of
+    1e-6 both must be finite and, from h_srt/10 up, agree to 1e-9. In
+    between, the inf rule itself depends on summation order. The
+    selected bandwidth must always agree.
+    """
+    x, y = _scan_sample(kind, seed)
+    h0 = silverman_bandwidth(x).value
+    candidates = _candidate_grid(x)
+    margins = np.array([_loo_margins(x, h) for h in candidates])
+    sure_inf = margins[:, 0] < 1e-17
+    if kind == "gap":
+        assert sure_inf[0]
+    for target, order, yy in (("regression", 1, y), ("regression", 0, y),
+                              ("variance", 0, (y - y.mean()) ** 2)):
+        fast = _loo_cv_regression(x, yy, candidates, order)
+        ref = np.array([_loo_score_reference(x, yy, h, order) for h in candidates])
+        sure_finite = margins[:, 1 if order == 1 else 0] >= 1e-6
+        assert np.isinf(ref[sure_inf]).all() and np.isinf(fast[sure_inf]).all()
+        assert np.isfinite(ref[sure_finite]).all() and np.isfinite(fast[sure_finite]).all()
+        scored = sure_finite & (candidates >= h0 / 10 * (1 - 1e-12))
+        np.testing.assert_allclose(fast[scored], ref[scored], rtol=1e-9, atol=0)
+        best = candidates[int(np.argmin(ref))]
+        assert candidates[int(np.argmin(fast))] == best
+        assert lscv_bandwidth(x, yy, target, order=order).value == best
+
+
+def test_blocked_local_fits_match_full_matrix_formula():
+    g = np.random.default_rng(5)
+    x = np.round(g.uniform(0, 60, 700), 1)  # unsorted, with ties
+    y = np.cos(x / 9.0) + g.normal(size=x.size)
+    x0 = np.concatenate([g.choice(x, 300), [0.0, 60.0, 30.05]])
+    for h in (0.05, 1.3, 40.0):
+        w, d = _full_weights(x, x0, h)
+        s0, s1, s2 = w.sum(axis=1), (w * d).sum(axis=1), (w * d * d).sum(axis=1)
+        t0, t1 = w @ y, (w * d) @ y
+        np.testing.assert_allclose(local_poly_regression(x, y, h, x0, order=0), t0 / s0,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(local_poly_regression(x, y, h, x0, order=1),
+                                   (s2 * t0 - s1 * t1) / (s0 * s2 - s1 * s1), rtol=1e-9)
+    assert local_poly_regression(x, y, 1.3, 30.05) == pytest.approx(
+        local_poly_regression(x, y, 1.3, np.array([30.05]))[0], rel=1e-15)
