@@ -215,7 +215,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         p_star=interval_from(ps0, ps_d),
         placements=U0,
         sample_sizes=(split.n_h, split.n_d),
-        internals={"kind": "aroc_freq", "variant": variant, "U": U0},
+        internals={"variant": variant, "U": U0},
     )
 
 
@@ -302,7 +302,7 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
         sample_sizes=(split_std.n_h, split_std.n_d),
         fit=crit,
         internals={
-            "kind": "aroc_bnp", "draws_h": draws, "std": std,
+            "draws_h": draws, "std": std,
             "spec": spec, "fitted": fitted,
             "U": U, "q": q, "p_star_draws": ps_d, "yi_draws": yi_d,
             "y_h": split_raw.healthy, "y_d": split_raw.diseased,
@@ -319,7 +319,7 @@ def aroc_threshold(result: ArocResult, newdata) -> ThresholdResult:
     conditional model).
     """
     ints = result.internals
-    if ints.get("kind") != "aroc_bnp":
+    if "draws_h" not in ints:
         raise MissingDrawsError("covariate-specific thresholds need a Bayesian fit")
     draws, std = ints["draws_h"], ints["std"]
     frame = _frame_of(newdata)

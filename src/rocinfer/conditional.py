@@ -64,7 +64,7 @@ from .pooled import (
 from .sample import Column, DiagnosticSample, PredictionFrame, column_from_values, split_groups, standardise
 from .smoothing import fit_location_scale, silverman_bandwidth
 from .streams import parallel_map
-from .summaries import ThresholdResult, band, interval_from, youden_grid
+from .summaries import ThresholdResult, band, interval_from, mixture_auc_closed, youden_grid
 
 @dataclass
 class CRocResult:
@@ -151,18 +151,21 @@ def _induced_pairs(plugin, ensemble, base) -> list:
     return [(pair(plugin), tuple(ChunkedStack([c[g] for c in chunks]) for g in (0, 1)))]
 
 
-def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl) -> list:
+def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None) -> list:
     """(curve, lo, hi, AUC interval, pAUC summary or None) per prediction row.
 
     The rows are the stacks' last member axis. The plug-in pair gives
     the point estimates, else they are ensemble means; bands and
-    intervals come from the ensemble when there is one.
+    intervals come from the ensemble when there is one. aucs holds the
+    ensemble's areas (members, rows) when they are known in closed
+    form; otherwise every area is Simpson's on the curve.
     """
-    def areas(pair):
-        return simpson_area(*pair), simpson_area(*pair, ctrl) if ctrl.compute else None
+    def areas(pair, auc=None):
+        return (simpson_area(*pair) if auc is None else auc,
+                simpson_area(*pair, ctrl) if ctrl.compute else None)
 
     curves = roc_rows(*ensemble, grid) if ensemble else None
-    aucs, paucs = areas(ensemble) if ensemble else (None, None)
+    aucs, paucs = areas(ensemble, aucs) if ensemble else (None, None)
     if plugin:
         est = roc_rows(*plugin, grid)
         auc0, pauc0 = areas(plugin)
@@ -462,10 +465,11 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
 
     Marker and continuous covariates are standardised over the combined
     sample before fitting; curve inversion runs per draw and prediction
-    row, areas by Simpson on each draw's curve. Fit criteria are
-    reported on the original marker scale, and with one component and a
-    purely linear design the coefficient summaries are mapped back to
-    the original scales as well.
+    row. Each draw's AUC is the closed-form double sum over the two
+    conditional mixtures; partial areas use Simpson on each draw's
+    curve. Fit criteria are reported on the original marker scale, and
+    with one component and a purely linear design the coefficient
+    summaries are mapped back to the original scales as well.
     """
     stream = _stream_of(rng)
     grid = _grid_of(p)
@@ -498,27 +502,39 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
         workers=min(workers, 2),
     )
 
+    def row_means(frame):
+        """Per prediction row, each group's (draws, components) conditional means."""
+        zh, zd = design_rows(frame)
+        return [(draws_h.conditional_means(zh[r]), draws_d.conditional_means(zd[r]))
+                for r in range(len(zh))]
+
+    def row_pair(means):
+        return None, tuple(mixture_stack(d.weights, mu[:, None, :], d.sigma2, std)
+                           for d, mu in zip((draws_h, draws_d), means))
+
     def stacks(frame):
         """One pair per prediction row, which bounds the (draws, grid) arrays."""
-        zh, zd = design_rows(frame)
-        return [(None, tuple(
-            mixture_stack(d.weights, d.conditional_means(z[r])[:, None, :], d.sigma2, std)
-            for d, z in ((draws_h, zh), (draws_d, zd))
-        )) for r in range(len(zh))]
+        return [row_pair(means) for means in row_means(frame)]
 
-    pairs = stacks(newdata)
     dens_grid = np.linspace(
         float(sample.marker.min()), float(sample.marker.max()), density.grid_length
     )
 
-    def one_row(pair):
+    def one_row(means):
+        pair = row_pair(means)
+        # a shared location-scale map leaves the AUC unchanged, so the
+        # fitting-scale mixtures give it
+        aucs = np.atleast_1d(mixture_auc_closed(
+            draws_h.weights, means[0], np.sqrt(draws_h.sigma2),
+            draws_d.weights, means[1], np.sqrt(draws_d.sigma2),
+        ))
         dens = None
         if density.compute:
             fh, fd = (s.pdf(dens_grid)[:, 0] for s in pair[1])
             dens = (fh.mean(axis=0), *band(fh), fd.mean(axis=0), *band(fd))
-        return _summarise_rows(*pair, grid, ctrl)[0] + (dens,)
+        return _summarise_rows(*pair, grid, ctrl, aucs[:, None])[0] + (dens,)
 
-    rows = parallel_map(one_row, pairs, workers=workers)
+    rows = parallel_map(one_row, row_means(newdata), workers=workers)
 
     densities = None
     if density.compute:

@@ -29,6 +29,7 @@ from .streams import (
     stick_breaking,
     wishart,
 )
+from .summaries import invert_cdf
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -512,12 +513,45 @@ def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None
     )
 
 
-def mixture_quantile(weights, means, sigma2, q, max_iter: int = 200) -> np.ndarray:
-    """Per-draw quantiles of normal mixtures by vectorised bisection.
+def _mixture_callbacks(weights, means, sd, m: int):
+    """invert_cdf callbacks (cdf, pdf) over draws with m points each.
+
+    Flat position pos belongs to draw pos // m; each call gathers only
+    its points' draws and works in place, so a chunk's peak memory stays
+    near two (points, components) arrays.
+    """
+    w_sd = weights / (sd * math.sqrt(2.0 * math.pi))
+
+    def z_of(x, d):
+        z = np.subtract(x[:, None], np.take(means, d, axis=0))
+        z /= np.take(sd, d, axis=0)
+        return z
+
+    def cdf(x, pos):
+        d = pos // m
+        z = z_of(x, d)
+        return np.einsum("al,al->a", ndtr(z, out=z), np.take(weights, d, axis=0))
+
+    def pdf(x, pos):
+        d = pos // m
+        z = z_of(x, d)
+        z *= z
+        z *= -0.5
+        return np.einsum("al,al->a", np.exp(z, out=z), np.take(w_sd, d, axis=0))
+
+    return cdf, pdf
+
+
+def mixture_quantile(weights, means, sigma2, q) -> np.ndarray:
+    """Per-draw quantiles of normal mixtures by safeguarded Newton (`invert_cdf`).
 
     weights/means/sigma2 are (S, L); q is (m,) shared across draws or
     (S, m). Returns (S, m). Brackets span all components +-10 sd, so any
     q strictly inside (0, 1) is straddled; q is clipped to [1e-12, 1-1e-12].
+    Each quantile starts from the moment-matched normal quantile
+    m + sqrt(v) Phi^{-1}(q) and takes Newton steps on the closed-form
+    mixture density. Draws are inverted in chunks of about 4e6
+    (point, component) elements.
     """
     w, mu, s2 = _as_sl(weights), _as_sl(means), _as_sl(sigma2)
     sd = np.sqrt(s2)
@@ -532,23 +566,13 @@ def mixture_quantile(weights, means, sigma2, q, max_iter: int = 200) -> np.ndarr
     out = np.empty((S, m))
     chunk = max(1, int(4_000_000 / max(1, m * w.shape[1])))
     for start in range(0, S, chunk):
-        stop = min(S, start + chunk)
-        wc, muc, sdc = w[start:stop], mu[start:stop], sd[start:stop]
-        qc = q[start:stop]
-        lo = np.broadcast_to((muc - 10.0 * sdc).min(axis=1)[:, None], qc.shape).copy()
-        hi = np.broadcast_to((muc + 10.0 * sdc).max(axis=1)[:, None], qc.shape).copy()
-        width_floor = 1e-10 * max(1.0, float(np.max(hi - lo)))
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            f = np.einsum(
-                "sml,sl->sm",
-                ndtr((mid[:, :, None] - muc[:, None, :]) / sdc[:, None, :]),
-                wc,
-            )
-            go_right = f < qc
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-            if np.all((np.abs(f - qc) <= 1e-8) | (hi - lo <= width_floor)):
-                break
-        out[start:stop] = 0.5 * (lo + hi)
+        rows = slice(start, min(S, start + chunk))
+        cdf, pdf = _mixture_callbacks(w[rows], mu[rows], sd[rows], m)
+        mean, var = mixture_mean_variance(w[rows], mu[rows], s2[rows])
+        out[rows] = invert_cdf(
+            cdf, q[rows],
+            (mu[rows] - 10.0 * sd[rows]).min(axis=1)[:, None],
+            (mu[rows] + 10.0 * sd[rows]).max(axis=1)[:, None],
+            pdf=pdf, start=mean[:, None] + np.sqrt(var)[:, None] * ndtri(q[rows]),
+        )
     return out

@@ -203,8 +203,8 @@ class KernelStack:
 
     def quantile(self, q):
         if not self.shape:
-            return invert_cdf(self.cdf, q, self.lo, self.hi, pdf=self.pdf,
-                              start=np.quantile(self.data, q))
+            return invert_cdf(lambda x, _: self.cdf(x), q, self.lo, self.hi,
+                              pdf=lambda x, _: self.pdf(x), start=np.quantile(self.data, q))
         return np.array([KernelStack(self.data[b], self.h, self.lo[b], self.hi[b]).quantile(q)
                          for b in range(self.shape[0])])
 

@@ -83,7 +83,7 @@ def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray | float:
     return float(out[0]) if out.size == 1 else out
 
 
-def invert_cdf(cdf, q, lo: float, hi: float, pdf=None, start=None):
+def invert_cdf(cdf, q, lo, hi, pdf=None, start=None):
     """Invert a monotone CDF by safeguarded Newton, or by bisection.
 
     This is the bracketed Newton scheme ("rtsafe", Numerical Recipes
@@ -93,29 +93,42 @@ def invert_cdf(cdf, q, lo: float, hi: float, pdf=None, start=None):
     midpoint. The first point is start (clipped into the bracket), or
     the midpoint. Each quantile stops when |F(c) - q| <= 1e-8 or its
     bracket width falls below 1e-10 (absolute, after scaling by the
-    bracket size). cdf and pdf act elementwise on arrays.
+    bracket size).
+
+    lo, hi and start broadcast against q. cdf and pdf are called as
+    fn(x, pos) on 1-d arrays: pos holds the flat position in q that
+    each point of x serves, so a callback with one CDF per group of
+    positions evaluates just the positions still unconverged. The
+    bracket ends are checked at the positions they stand for.
     """
     q_arr = np.asarray(q, dtype=float)
     scalar = q_arr.ndim == 0
     q_arr = np.atleast_1d(q_arr)
-    lo, hi = np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float))
-    f_lo = np.asarray(cdf(lo), dtype=float)
-    f_hi = np.asarray(cdf(hi), dtype=float)
-    lo_arr = np.broadcast_to(lo, q_arr.shape).copy()
-    hi_arr = np.broadcast_to(hi, q_arr.shape).copy()
-    bad = (f_lo - q_arr > 1e-8) | (f_hi - q_arr < -1e-8)
+    pos = np.arange(q_arr.size).reshape(q_arr.shape)
+
+    def ends(bound):
+        """F at each distinct value of a bracket end, at the first position it serves."""
+        b = np.asarray(bound, dtype=float)
+        b = b.reshape((1,) * (q_arr.ndim - b.ndim) + b.shape)
+        at = pos[tuple(slice(None) if n > 1 else slice(0, 1) for n in b.shape)]
+        f = cdf(np.broadcast_to(b, at.shape).ravel(), at.ravel())
+        return np.asarray(f, dtype=float).reshape(at.shape)
+
+    bad = (ends(lo) - q_arr > 1e-8) | (ends(hi) - q_arr < -1e-8)
     if np.any(bad):
         raise BracketFailError(
             "bracket does not straddle the target quantile (q=%r)" % q_arr[bad][:3]
         )
+    lo_arr = np.broadcast_to(lo, q_arr.shape).astype(float)
+    hi_arr = np.broadcast_to(hi, q_arr.shape).astype(float)
     width_floor = 1e-10 * max(1.0, float(np.max(np.abs(hi_arr - lo_arr))))
     c = 0.5 * (lo_arr + hi_arr) if start is None else np.clip(start, lo_arr, hi_arr)
     # the unconverged positions, with their points, targets and brackets
-    act = np.arange(q_arr.size)
+    act = pos.ravel()
     c, qa, lo_a, hi_a = c.ravel(), q_arr.ravel(), lo_arr.ravel(), hi_arr.ravel()
     out = np.empty(q_arr.size)
     for _ in range(200):
-        f = np.asarray(cdf(c), dtype=float)
+        f = np.asarray(cdf(c, act), dtype=float)
         below = f < qa
         lo_a = np.where(below, c, lo_a)
         hi_a = np.where(below, hi_a, c)
@@ -130,7 +143,7 @@ def invert_cdf(cdf, q, lo: float, hi: float, pdf=None, start=None):
             c = mid
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = c - (f - qa) / np.asarray(pdf(c), dtype=float)
+                step = c - (f - qa) / np.asarray(pdf(c, act), dtype=float)
             c = np.where((step > lo_a) & (step < hi_a), step, mid)
     else:
         out[act] = 0.5 * (lo_a + hi_a)

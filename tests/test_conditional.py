@@ -15,9 +15,9 @@ from rocinfer.errors import (
     RankDeficientError,
 )
 from rocinfer.mixtures import DdpPrior, McmcControl
-from rocinfer.pooled import PaucControl, pooled_bb, pooled_dpm, pooled_threshold
+from rocinfer.pooled import PaucControl, pooled_bb, pooled_dpm, pooled_threshold, roc_rows
 from rocinfer.sample import Column, DiagnosticSample
-from rocinfer.summaries import odd_grid, simpson
+from rocinfer.summaries import mixture_auc_closed, odd_grid, simpson
 
 from conftest import binormal_sample, covariate_sample
 
@@ -187,6 +187,30 @@ def test_bnp_reverse_curve_integrates_to_auc():
     tnf = croc_tnf(res, grid)
     integral = float(simpson(tnf[0], grid[1] - grid[0]))
     assert integral == pytest.approx(res.auc[0].est, abs=1e-3)
+
+
+@pytest.mark.parametrize("standardise", [True, False])
+def test_bnp_closed_form_auc_matches_simpson_per_draw(standardise):
+    s = covariate_sample(n_h=150, n_d=150, seed=46)
+    res = croc_bnp(
+        "y ~ x", "y ~ x", s, {"x": [0.2, 0.8]},
+        prior_h=DdpPrior(L=10), prior_d=DdpPrior(L=10),
+        mcmc=McmcControl(nsave=60, nburn=60), rng=47, standardise_marker=standardise,
+    )
+    grid = odd_grid(0.0, 1.0, 2001)
+    for r, (_, (H, D)) in enumerate(res.internals["stacks"](res.newdata)):
+        # the raw-scale stacks' Simpson areas against the fitting-scale closed form
+        fine = simpson(roc_rows(H, D, grid)[:, 0], grid[1] - grid[0])
+        h, d = (getattr(st, "base", st) for st in (H, D))
+        closed = mixture_auc_closed(h.weights, h.means[:, 0], np.sqrt(h.sigma2),
+                                    d.weights, d.means[:, 0], np.sqrt(d.sigma2))
+        assert np.max(np.abs(closed - fine)) <= 1e-5
+        lo, hi = np.percentile(closed, [2.5, 97.5])
+        assert (res.auc[r].est, res.auc[r].lo, res.auc[r].hi) == pytest.approx(
+            (closed.mean(), lo, hi), abs=1e-12)
+    tnf = croc_tnf(res, odd_grid(0.0, 1.0, 1001))
+    for r in range(2):
+        assert float(simpson(tnf[r], 1e-3)) == pytest.approx(res.auc[r].est, abs=1e-3)
 
 
 def test_threshold_youden_tracks_the_covariate():

@@ -98,6 +98,75 @@ def test_mixture_quantile_roundtrips_through_cdf():
     assert np.all(np.diff(x[0]) > 0)
 
 
+def _bisection_quantile(weights, means, sigma2, q):
+    """The former mixture_quantile: global 200-step bisection, kept as the oracle."""
+    w, mu, s2 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (weights, means, sigma2))
+    sd = np.sqrt(s2)
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        q = np.broadcast_to(q, (w.shape[0], q.size))
+    q = np.clip(q, 1e-12, 1.0 - 1e-12)
+    if w.shape[1] == 1:
+        return mu[:, :1] + sd[:, :1] * ndtri(q)
+    lo = np.broadcast_to((mu - 10.0 * sd).min(axis=1)[:, None], q.shape).copy()
+    hi = np.broadcast_to((mu + 10.0 * sd).max(axis=1)[:, None], q.shape).copy()
+    width_floor = 1e-10 * max(1.0, float(np.max(hi - lo)))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = np.einsum("sml,sl->sm", ndtr((mid[:, :, None] - mu[:, None, :]) / sd[:, None, :]), w)
+        go_right = f < q
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+        if np.all((np.abs(f - q) <= 1e-8) | (hi - lo <= width_floor)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _inverter_cases():
+    gen = RngStream(2027, 0).generator
+    ends = [1e-12, 1.0 - 1e-12]
+    grid = np.sort(np.concatenate([ends, np.linspace(0.005, 0.995, 199), [1e-6, 1.0 - 1e-6]]))
+    post_w = gen.dirichlet(np.full(10, 0.5), 30)
+    post = (post_w, gen.normal(0.0, 1.0, (30, 10)), gen.gamma(2.0, 0.1, (30, 10)))
+    return {
+        # pdf ~ 1e-190 between the modes: Newton steps leave the bracket
+        "far_modes": ([[0.5, 0.5]], [[0.0, 60.0]], [[1.0, 1.0]], grid),
+        "weight_1e-300": ([[1.0, 1e-300, 0.0]], [[0.0, 5.0, -3.0]], [[1.0, 4.0, 0.25]], grid),
+        "one_component": ([[1.0]], [[2.0]], [[9.0]], grid),
+        "sd_1e-3_to_1e3": ([[0.3, 0.4, 0.3]], [[0.0, 1.0, -2.0]], [[1e-6, 1.0, 1e6]], grid),
+        "posterior_like": post + (grid,),
+        "per_draw_q": post + (np.sort(np.concatenate(
+            [gen.uniform(0.0, 1.0, (30, 40)), np.tile(ends, (30, 1))], axis=1), axis=1),),
+    }
+
+
+@pytest.mark.parametrize("name", list(_inverter_cases()))
+def test_mixture_quantile_meets_the_stopping_rule_and_matches_bisection(name):
+    w, mu, s2, q = (np.asarray(a, dtype=float) for a in _inverter_cases()[name])
+    c = mixture_quantile(w, mu, s2, q)
+    old = _bisection_quantile(w, mu, s2, q)
+    qq = np.clip(np.broadcast_to(q, c.shape), 1e-12, 1.0 - 1e-12)
+    sd = np.sqrt(s2)
+    width = (mu + 10.0 * sd).max(axis=1) - (mu - 10.0 * sd).min(axis=1)
+    floor = 1e-10 * max(1.0, float(width.max()))
+    for s in range(c.shape[0]):
+        def F(x, s=s):
+            return mixture_cdf(w[s], mu[s], s2[s], x)
+
+        # |F(c) - q| <= 1e-8, or c lies within the width floor of the root
+        hit = np.abs(F(c[s]) - qq[s]) <= 1e-8
+        near = (F(c[s] - floor) <= qq[s] + 1e-12) & (F(c[s] + floor) >= qq[s] - 1e-12)
+        assert np.all(hit | near), (name, s, np.flatnonzero(~(hit | near)))
+        assert np.all(np.diff(c[s]) >= 0.0)
+        # both inverters meet the rule, so they agree in probability; in x
+        # they must agree wherever the rule pins the quantile: where
+        # 1e-8 / pdf is small next to the bracket (not in a gap between
+        # modes or far in a tail, where F is flat to within 1e-8)
+        assert np.all(np.abs(F(c[s]) - F(old[s])) <= 2e-8 + np.abs(F(c[s] + floor) - F(c[s] - floor)))
+        narrow = 1e-8 / np.maximum(mixture_pdf(w[s], mu[s], s2[s], old[s]), 1e-300) <= 1e-7 * width[s]
+        assert np.all(np.abs(c[s] - old[s])[narrow] <= 1e-6 * width[s]), (name, s)
+
+
 def _mixture_means_per_draw(draws):
     m, _ = mixture_mean_variance(draws.weights, draws.means, draws.sigma2)
     return m

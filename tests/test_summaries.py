@@ -70,7 +70,7 @@ def test_single_normal_auc_closed_form():
 
 def test_invert_cdf_matches_normal_quantiles():
     q = np.array([0.1, 0.5, 0.9])
-    got = invert_cdf(lambda t: ndtr(t), q, -10.0, 10.0)
+    got = invert_cdf(lambda t, _: ndtr(t), q, -10.0, 10.0)
     np.testing.assert_allclose(got, ndtri(q), atol=1e-7)
 
 
