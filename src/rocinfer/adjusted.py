@@ -70,54 +70,58 @@ class ArocResult:
     internals: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _step_curve(u_sorted, p) -> np.ndarray:
-    out = ecdf_eval(u_sorted, p)
-    out = np.asarray(out, dtype=float)
-    out[p == 0.0] = 0.0
-    out[p == 1.0] = 1.0
-    return out
+def _placement_rows(U, q, grid, ctrl: PaucControl):
+    """Curve, aAUC, pAUC (or None), YI and p* for every row of placements.
 
-
-def _youden_from_placements(u_sorted, cum_mass) -> tuple:
-    """max_p {AROC(p) - p} on a weighted step curve; the max sits at a jump."""
-    gaps = cum_mass - u_sorted
-    k = int(np.argmax(gaps))
-    if gaps[k] <= 0.0:
-        return 0.0, 0.0
-    return float(gaps[k]), float(u_sorted[k])
-
-
-def _tpf_partial_area(u_sorted, cum_mass, v1: float) -> float:
-    """Upper-TPF partial area by trapezoid quadrature on the step curve.
-
-    The lower limit is inf{p: AROC(p) >= v1}; the first cell of the
-    101-point grid is subdivided tenfold because the curve jumps there.
+    U holds one row of placements per member (plug-in, bootstrap
+    replicate or posterior draw) and q the matching weight rows, or None
+    for equal weights 1/n. The curve is the right-continuous
+    AROC(p) = sum q 1[U <= p] with exact 0/1 endpoints, the areas are the
+    placement closed forms, and the Youden index max_p {AROC(p) - p}
+    sits at a jump, clamped at 0.
     """
-    idx = int(np.searchsorted(cum_mass, v1 - 1e-12, side="left"))
-    c = float(u_sorted[min(idx, u_sorted.size - 1)])
-    base = np.linspace(c, 1.0, 101)
-    g = np.unique(np.concatenate([np.linspace(base[0], base[1], 11), base]))
-    vals = np.concatenate([[0.0], cum_mass])[
-        np.searchsorted(u_sorted, g, side="right")
-    ]
-    return float(np.trapezoid(vals, g) - (1.0 - c) * v1)
+    R, n = U.shape
+    order = np.argsort(U, axis=1, kind="stable")
+    u_sorted = np.take_along_axis(U, order, axis=1)
+    if q is None:
+        cum = (np.arange(1, n + 1) / n)[None, :]
+    else:
+        cum = np.cumsum(np.take_along_axis(q, order, axis=1), axis=1)
+    del order
 
+    def wmean(X):  # sum_j q_j X_j per row
+        return X.mean(axis=1) if q is None else np.einsum("rn,rn->r", q, X)
 
-def _placement_summaries(U, ctrl: PaucControl):
-    """(aauc, pauc_or_None, yi, p_star) from equal-weight placements."""
-    u_sorted = np.sort(U)
-    n = u_sorted.size
-    cum = np.arange(1, n + 1) / n
-    aauc = 1.0 - float(np.mean(U))
-    pauc_val = None
+    # count each placement at the first grid point >= it, then accumulate
+    m = grid.size
+    bins = np.searchsorted(grid, U, side="left") + (m + 1) * np.arange(R)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=R * (m + 1)).reshape(R, m + 1)
+    del bins
+    padded = np.concatenate([np.zeros((cum.shape[0], 1)), cum], axis=1)
+    curves = np.take_along_axis(padded, np.cumsum(counts[:, :m], axis=1), axis=1)
+    curves[:, grid == 0.0] = 0.0
+    curves[:, grid == 1.0] = 1.0
+
+    gaps = cum - u_sorted
+    k = np.argmax(gaps, axis=1)[:, None]
+    gap = np.take_along_axis(gaps, k, axis=1)[:, 0]
+    yi = np.where(gap > 0.0, gap, 0.0)
+    p_star = np.where(gap > 0.0, np.take_along_axis(u_sorted, k, axis=1)[:, 0], 0.0)
+    del gaps
+
+    aauc = 1.0 - wmean(U)
+    pauc = None
     if ctrl.compute:
+        v = ctrl.value
         if ctrl.focus == "fpf":
-            raw = ctrl.value - float(np.mean(np.minimum(ctrl.value, U)))
+            raw = v - wmean(np.minimum(v, U))
         else:
-            raw = _tpf_partial_area(u_sorted, cum, ctrl.value)
-        pauc_val = pauc_normalise(raw, ctrl.focus, ctrl.value)
-    yi, p_star = _youden_from_placements(u_sorted, cum)
-    return aauc, pauc_val, yi, p_star
+            # c = inf{p: AROC(p) >= v}; the area is sum q (1 - max(c, U)) - (1 - c) v
+            j = np.minimum(np.sum(cum < v - 1e-12, axis=1), n - 1)
+            c = np.take_along_axis(u_sorted, j[:, None], axis=1)
+            raw = wmean(1.0 - np.maximum(c, U) - (1.0 - c) * v)
+        pauc = pauc_normalise(raw, ctrl.focus, v)
+    return curves, aauc, pauc, yi, p_star
 
 
 # -- frequentist, three healthy-model variants ---------------------------------
@@ -179,40 +183,26 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
             )
             return 1.0 - ecdf_eval(fh.residuals, t)
 
-    all_h = np.arange(y_h.size)
-    all_d = np.arange(y_d.size)
-    U0 = np.asarray(placements(all_h, all_d), dtype=float)
-    curve0 = _step_curve(np.sort(U0), grid)
-    aauc0, pauc0, yi0, ps0 = _placement_summaries(U0, ctrl)
-
     def one_rep(k):
         gen = stream.stream(_BOOT_STREAM_BASE + k).generator
         hi = gen.integers(0, y_h.size, y_h.size)
         di = gen.integers(0, y_d.size, y_d.size)
-        u = np.asarray(placements(hi, di), dtype=float)
-        c = _step_curve(np.sort(u), grid)
-        return (c,) + _placement_summaries(u, ctrl)
+        return placements(hi, di)
 
-    reps = parallel_map(one_rep, range(B), workers=workers) if B > 0 else []
-    if reps:
-        curve_stack = np.stack([r[0] for r in reps])
-        lo, hi = band(curve_stack)
-        aauc_d = np.array([r[1] for r in reps])
-        pauc_d = np.array([r[2] for r in reps]) if ctrl.compute else None
-        yi_d = np.array([r[3] for r in reps])
-        ps_d = np.array([r[4] for r in reps])
-    else:
-        lo, hi = curve0.copy(), curve0.copy()
-        aauc_d = pauc_d = yi_d = ps_d = None
+    # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
+    U0 = placements(np.arange(y_h.size), np.arange(y_d.size))
+    U = np.stack([U0] + parallel_map(one_rep, range(B), workers=workers))
+    curves, aauc, pauc_v, yi, ps = _placement_rows(U, None, grid, ctrl)
+    lo, hi = band(curves[1:]) if B > 0 else (curves[0].copy(), curves[0].copy())
 
     return ArocResult(
         method="aroc-" + variant.replace("_", "-"),
         p=grid,
-        aroc_est=curve0, aroc_lo=lo, aroc_hi=hi,
-        aauc=interval_from(aauc0, aauc_d),
-        pauc=_pauc_summary(pauc0, pauc_d, ctrl) if ctrl.compute else None,
-        yi=interval_from(yi0, yi_d),
-        p_star=interval_from(ps0, ps_d),
+        aroc_est=curves[0], aroc_lo=lo, aroc_hi=hi,
+        aauc=interval_from(aauc[0], aauc[1:]),
+        pauc=_pauc_summary(pauc_v[0], pauc_v[1:], ctrl) if ctrl.compute else None,
+        yi=interval_from(yi[0], yi[1:]),
+        p_star=interval_from(ps[0], ps[1:]),
         placements=U0,
         sample_sizes=(split.n_h, split.n_d),
         internals={"variant": variant, "U": U0},
@@ -249,35 +239,7 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
     S, n_d = U.shape
     q = dirichlet(np.ones(n_d), stream.stream(_WEIGHTS_STREAM).generator, size=S)
 
-    order = np.argsort(U, axis=1, kind="stable")
-    u_sorted = np.take_along_axis(U, order, axis=1)
-    cum = np.cumsum(np.take_along_axis(q, order, axis=1), axis=1)
-
-    curves = np.empty((S, grid.size))
-    yi_d = np.empty(S)
-    ps_d = np.empty(S)
-    pauc_d = np.empty(S) if ctrl.compute else None
-    padded = np.concatenate([np.zeros((S, 1)), cum], axis=1)
-    for s in range(S):
-        curves[s] = padded[s][np.searchsorted(u_sorted[s], grid, side="right")]
-        gaps = cum[s] - u_sorted[s]
-        k = int(np.argmax(gaps))
-        if gaps[k] > 0.0:
-            yi_d[s], ps_d[s] = gaps[k], u_sorted[s, k]
-        else:
-            yi_d[s], ps_d[s] = 0.0, 0.0
-        if ctrl.compute:
-            if ctrl.focus == "fpf":
-                raw = ctrl.value - float(q[s] @ np.minimum(ctrl.value, U[s]))
-            else:
-                j = int(np.searchsorted(cum[s], ctrl.value - 1e-12, side="left"))
-                c = float(u_sorted[s, min(j, n_d - 1)])
-                raw = float(q[s] @ (1.0 - np.maximum(c, U[s]) - (1.0 - c) * ctrl.value))
-            pauc_d[s] = pauc_normalise(raw, ctrl.focus, ctrl.value)
-    curves[:, grid == 0.0] = 0.0
-    curves[:, grid == 1.0] = 1.0
-
-    aauc_d = 1.0 - np.einsum("sn,sn->s", q, U)
+    curves, aauc_d, pauc_d, yi_d, ps_d = _placement_rows(U, q, grid, ctrl)
     lo, hi = band(curves)
 
     log_s = math.log(std.marker_sd) if std.enabled else 0.0

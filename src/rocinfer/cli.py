@@ -119,6 +119,8 @@ class RunConfig:
         return self.method or _DEFAULT_METHOD[self.family()]
 
     def validate(self):
+        if self.workers < 1:
+            raise ConfigError("--workers must be >= 1, got %d" % self.workers)
         if self.subcommand == "simulate":
             if not self.out:
                 raise ConfigError("simulate needs --out for the CSV")

@@ -589,11 +589,6 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
 
 # -- normal-mixture posterior --------------------------------------------------
 
-def _mixture_roc_draws(w_h, mu_h, s2_h, w_d, mu_d, s2_d, p) -> np.ndarray:
-    """Per-draw ROC(p) for mixture CDFs; p (m,) -> (S, m)."""
-    return roc_rows(MixtureStack(w_h, mu_h, s2_h), MixtureStack(w_d, mu_d, s2_d), p)
-
-
 def _density_block(stack, y_raw: np.ndarray, grid_length: int) -> dict:
     grid_raw = np.linspace(float(y_raw.min()), float(y_raw.max()), int(grid_length))
     dens = stack.pdf(grid_raw)

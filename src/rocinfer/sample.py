@@ -149,15 +149,8 @@ class StandardisationParams:
     covariates: dict = field(default_factory=dict)  # name -> (mean, sd)
     enabled: bool = False
 
-    def marker_to_std(self, y):
-        return (np.asarray(y, dtype=float) - self.marker_mean) / self.marker_sd
-
     def marker_to_raw(self, y):
         return np.asarray(y, dtype=float) * self.marker_sd + self.marker_mean
-
-    def density_to_raw(self, dens):
-        # change of variables: f_raw(y) = f_std((y - m)/s) / s
-        return np.asarray(dens, dtype=float) / self.marker_sd
 
     def cov_to_std(self, name: str, x):
         if name not in self.covariates:

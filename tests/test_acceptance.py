@@ -29,14 +29,15 @@ from rocinfer.errors import CollinearityWarning
 from rocinfer.ingest import ingest_csv
 from rocinfer.mixtures import DdpPrior, DpmPrior, McmcControl, fit_ddp, fit_dpm
 from rocinfer.pooled import (
+    MixtureStack,
     PaucControl,
-    _mixture_roc_draws,
     pooled_bb,
     pooled_dpm,
     pooled_empirical,
     pooled_kernel,
     pooled_threshold,
     pooled_tnf,
+    roc_rows,
 )
 from rocinfer.sample import Column, DiagnosticSample
 from rocinfer.smoothing import silverman_bandwidth
@@ -112,8 +113,8 @@ def test_criterion_02_binormal_oracle():
 
     dh, dd = dpm.internals["draws_h"], dpm.internals["draws_d"]
     grid = odd_grid(0.0, 1.0, 401)
-    curves = _mixture_roc_draws(dh.weights, dh.means, dh.sigma2,
-                                dd.weights, dd.means, dd.sigma2, grid)
+    curves = roc_rows(MixtureStack(dh.weights, dh.means, dh.sigma2),
+                      MixtureStack(dd.weights, dd.means, dd.sigma2), grid)
     closed = mixture_auc_closed(dh.weights, dh.means, np.sqrt(dh.sigma2),
                                 dd.weights, dd.means, np.sqrt(dd.sigma2))
     quad_gap = float(np.max(np.abs(simpson(curves, grid[1] - grid[0]) - closed)))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
 
 from rocinfer.adjusted import (
-    _youden_from_placements,
+    _placement_rows,
     aroc_bnp,
     aroc_frequentist,
     aroc_threshold,
@@ -81,16 +82,92 @@ def test_tpf_partial_area_matches_direct_quadrature():
     assert res.pauc.focus == "tpf" and res.pauc.bound == v1
 
 
+def test_tpf_partial_area_is_exact():
+    s = covariate_sample(n_h=200, n_d=200, seed=66)
+    v1 = 0.6
+    ctrl = PaucControl(compute=True, focus="tpf", value=v1)
+    res = aroc_frequentist(s, formula="y ~ x", pauc=ctrl, B=0)
+    u = np.sort(res.placements)
+    # the area between the step curve and TPF = v1 where the curve lies above it
+    g = np.linspace(0.0, 1.0, 400001)
+    above = np.maximum(np.searchsorted(u, g, side="right") / u.size - v1, 0.0)
+    assert res.pauc.est == pytest.approx(np.trapezoid(above, g) / (1.0 - v1), abs=1e-5)
+
+
 def test_youden_hand_case_and_clamp():
-    yi, p_star = _youden_from_placements(
-        np.array([0.1, 0.2, 0.9]), np.array([1 / 3, 2 / 3, 1.0])
+    grid = np.linspace(0.0, 1.0, 11)
+    _, _, _, yi, p_star = _placement_rows(
+        np.array([[0.1, 0.2, 0.9], [0.5, 0.9, 1.0]]), None, grid, PaucControl()
     )
-    assert yi == pytest.approx(7.0 / 15.0, abs=1e-12)
-    assert p_star == pytest.approx(0.2, abs=1e-12)
-    yi0, ps0 = _youden_from_placements(
-        np.array([0.5, 0.9, 1.0]), np.array([1 / 3, 2 / 3, 1.0])
-    )
-    assert yi0 == 0.0 and ps0 == 0.0  # useless marker clamps at zero
+    assert yi[0] == pytest.approx(7.0 / 15.0, abs=1e-12)
+    assert p_star[0] == pytest.approx(0.2, abs=1e-12)
+    assert yi[1] == 0.0 and p_star[1] == 0.0  # useless marker clamps at zero
+
+
+_GRID = np.linspace(0.0, 1.0, 41)
+# grid points (ties, placements exactly on the grid, 0 and 1) or anywhere in [0, 1]
+_PLACEMENT = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+_PAUC = st.sampled_from([None, ("fpf", 0.25), ("fpf", 1.0), ("tpf", 0.6), ("tpf", 1.0)])
+
+
+def _aroc_oracle(U, q, p):
+    """sum_j q_j 1[U_j <= p] per row, straight from the definition.
+
+    p is one set of points for every row, or one row of points per row.
+    """
+    return np.sum(q[:, None, :] * (U[:, None, :] <= p[..., None]), axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    U=st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(_PLACEMENT, min_size=n, max_size=n), min_size=1, max_size=3)
+    ),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    pauc=_PAUC,
+)
+@example(U=[[1.0]], weighted=False, seed=0, pauc=("tpf", 0.6))  # n = 1
+# these weights sum to 1 - 1.1e-16, so every jump lies below the diagonal
+@example(U=[[1.0, 1.0, 1.0]], weighted=True, seed=0, pauc=None)  # YI clamp
+@example(U=[[0.5, 0.5, 0.25, 0.0], [1.0, 1.0, 0.5, 0.5]], weighted=True, seed=1,
+         pauc=("fpf", 0.25))  # ties on grid points, Dirichlet weights
+def test_placement_rows_match_definitions(U, weighted, seed, pauc):
+    U = np.asarray(U, dtype=float)
+    R, n = U.shape
+    q = np.random.default_rng(seed).dirichlet(np.ones(n), size=R) if weighted else None
+    qq = q if weighted else np.full((R, n), 1.0 / n)
+    ctrl = PaucControl() if pauc is None else PaucControl(True, *pauc)
+    curves, aauc, pauc_v, yi, p_star = _placement_rows(U, q, _GRID, ctrl)
+
+    # right-continuous curve with exact endpoints
+    want = _aroc_oracle(U, qq, _GRID)
+    assert np.allclose(curves[:, 1:-1], want[:, 1:-1], rtol=0.0, atol=1e-12)
+    assert np.all(curves[:, 0] == 0.0) and np.all(curves[:, -1] == 1.0)
+
+    # Youden index: the largest AROC(u) - u over the jumps, clamped at 0
+    yi_want = np.maximum((_aroc_oracle(U, qq, U) - U).max(axis=1), 0.0)
+    assert np.allclose(yi, yi_want, rtol=0.0, atol=1e-12) and np.all(yi >= 0.0)
+    hit = yi > 0.0
+    assert np.all(p_star[~hit] == 0.0)
+    assert all(p_star[r] in U[r] for r in np.flatnonzero(hit))
+    gain = _aroc_oracle(U, qq, p_star[:, None])[:, 0] - p_star
+    assert np.allclose(gain[hit], yi[hit], rtol=0.0, atol=1e-12)
+
+    # areas against dense trapezoid integrals of the step curve
+    dense = np.linspace(0.0, 1.0, 40001)
+    curve = _aroc_oracle(U, qq, dense)
+    assert np.allclose(aauc, np.trapezoid(curve, dense, axis=1), rtol=0.0, atol=1e-4)
+    if pauc is None:
+        assert pauc_v is None
+    elif ctrl.focus == "fpf":
+        part = np.linspace(0.0, ctrl.value, 40001)
+        raw = np.trapezoid(_aroc_oracle(U, qq, part), part, axis=1)
+        assert np.allclose(pauc_v, raw / ctrl.value, rtol=0.0, atol=1e-4)
+    else:
+        raw = np.trapezoid(np.maximum(curve - ctrl.value, 0.0), dense, axis=1)
+        norm = 1.0 - ctrl.value if ctrl.value < 1.0 else 1.0
+        assert np.allclose(pauc_v, raw / norm, rtol=0.0, atol=1e-4)
 
 
 def test_adjusted_area_recovers_shared_conditional_auc():

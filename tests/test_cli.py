@@ -126,6 +126,15 @@ def test_negative_bootstrap_count_exits_2(study_csv, tmp_path, capsys, method):
     assert "bootstrap count B must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exits_2(study_csv, tmp_path, capsys, workers):
+    rc = main(_pooled_args(study_csv, ["--workers", workers,
+                                       "--out", str(tmp_path / "o.json")]))
+    assert rc == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 _FORMULAS = ["--formula-h", "bmi ~ age", "--formula-d", "bmi ~ age"]
 
 

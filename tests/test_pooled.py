@@ -5,6 +5,7 @@ from scipy.special import ndtr
 from rocinfer.mixtures import DpmPrior, McmcControl
 from rocinfer.pooled import (
     DensityControl,
+    MixtureStack,
     PaucControl,
     _kernel_stacks,
     pooled_bb,
@@ -13,6 +14,7 @@ from rocinfer.pooled import (
     pooled_kernel,
     pooled_threshold,
     pooled_tnf,
+    roc_rows,
 )
 from rocinfer.sample import DiagnosticSample
 from rocinfer.smoothing import kernel_cdf, silverman_bandwidth
@@ -147,11 +149,9 @@ def test_dpm_closed_form_auc_agrees_with_quadrature():
         dh.weights, dh.means, np.sqrt(dh.sigma2),
         dd.weights, dd.means, np.sqrt(dd.sigma2),
     )
-    from rocinfer.pooled import _mixture_roc_draws
-
     g = odd_grid(0.0, 1.0, 401)
-    curves = _mixture_roc_draws(dh.weights, dh.means, dh.sigma2,
-                                dd.weights, dd.means, dd.sigma2, g)
+    curves = roc_rows(MixtureStack(dh.weights, dh.means, dh.sigma2),
+                      MixtureStack(dd.weights, dd.means, dd.sigma2), g)
     quad = simpson(curves, g[1] - g[0])
     assert np.max(np.abs(np.asarray(closed) - np.asarray(quad))) < 1e-3
 
