@@ -15,7 +15,6 @@ exchangeable Dirichlet weights over the diseased placements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +22,9 @@ from scipy.special import ndtr
 
 from .conditional import _frame_of, _ols_fit, _spec_of, _standardised_frame
 from .design import build_design
-from .diagnostics import FitCriteria, criteria_from_draws
+from .diagnostics import FitCriteria, raw_scale_criteria
 from .errors import ConfigError, MissingColumnError, MissingDrawsError
-from .mixtures import McmcControl, fit_ddp, loglik_at_posterior_mean, mixture_quantile
+from .mixtures import McmcControl, fit_ddp, mixture_quantile
 from .pooled import (
     _BOOT_STREAM_BASE,
     _CHAIN_H,
@@ -242,14 +241,7 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
     curves, aauc_d, pauc_d, yi_d, ps_d = _placement_rows(U, q, grid, ctrl)
     lo, hi = band(curves)
 
-    log_s = math.log(std.marker_sd) if std.enabled else 0.0
-    crit = FitCriteria(
-        healthy=criteria_from_draws(
-            draws, loglik=draws.loglik - log_s,
-            ll_hat=loglik_at_posterior_mean(draws) - log_s,
-        ),
-        diseased=None,
-    )
+    crit = raw_scale_criteria(std, draws)
 
     split_raw = split_groups(sample)
     return ArocResult(

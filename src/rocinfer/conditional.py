@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import build_design, parse_formula, spec_is_linear
-from .diagnostics import FitCriteria, criteria_from_draws
+from .diagnostics import FitCriteria, raw_scale_criteria
 from .errors import (
     ConfigError,
     MissingColumnError,
@@ -40,7 +40,7 @@ from .errors import (
     TooFewPointsError,
     ZeroVarianceError,
 )
-from .mixtures import McmcControl, fit_ddp, loglik_at_posterior_mean
+from .mixtures import McmcControl, fit_ddp
 from .pooled import (
     _BOOT_STREAM_BASE,
     _CHAIN_D,
@@ -543,17 +543,7 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
             densities[name] = {key: np.stack([r[5][3 * g + i] for r in rows])
                                for i, key in enumerate(("est", "lo", "hi"))}
 
-    log_s = math.log(std.marker_sd) if std.enabled else 0.0
-    crit = FitCriteria(
-        healthy=criteria_from_draws(
-            draws_h, loglik=draws_h.loglik - log_s,
-            ll_hat=loglik_at_posterior_mean(draws_h) - log_s,
-        ),
-        diseased=criteria_from_draws(
-            draws_d, loglik=draws_d.loglik - log_s,
-            ll_hat=loglik_at_posterior_mean(draws_d) - log_s,
-        ),
-    )
+    crit = raw_scale_criteria(std, draws_h, draws_d)
 
     coefficients = None
     if (draws_h.prior.L == 1 and draws_d.prior.L == 1

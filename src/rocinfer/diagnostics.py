@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,11 +48,21 @@ class FitCriteria:
         return out
 
 
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _by_columns(fn, ll) -> np.ndarray:
+    """fn of each block of about _BLOCK_ELEMENTS entries (whole columns) of
+    ll, joined into one (n,) vector: fn's temporaries stay near 8 MB."""
+    step = max(1, _BLOCK_ELEMENTS // ll.shape[0])
+    return np.concatenate([fn(ll[:, j:j + step]) for j in range(0, ll.shape[1], step)])
+
+
 def _check_ll(ll) -> np.ndarray:
     ll = np.asarray(ll, dtype=float)
     if ll.ndim != 2 or ll.size == 0:
         raise MissingDrawsError("need a draws-by-observations log-likelihood matrix")
-    if not np.all(np.isfinite(ll)):
+    if not np.all(_by_columns(lambda b: np.isfinite(b).all(axis=0), ll)):
         raise MissingDrawsError("log-likelihood matrix has non-finite entries")
     return ll
 
@@ -64,8 +75,8 @@ def waic(ll) -> tuple:
     """
     ll = _check_ll(ll)
     S = ll.shape[0]
-    lppd = float(np.sum(logsumexp(ll, axis=0) - np.log(S)))
-    penalty = float(np.sum(np.var(ll, axis=0, ddof=1))) if S > 1 else 0.0
+    lppd = float(np.sum(_by_columns(lambda b: logsumexp(b, axis=0), ll) - np.log(S)))
+    penalty = float(np.sum(_by_columns(lambda b: np.var(b, axis=0, ddof=1), ll))) if S > 1 else 0.0
     return -2.0 * (lppd - penalty), penalty
 
 
@@ -100,7 +111,7 @@ def lpml(ll) -> tuple:
     ll = _check_ll(ll)
     S = ll.shape[0]
     # log CPO_i = -log mean_s exp(-ll_si)
-    log_cpo = -(logsumexp(-ll, axis=0) - np.log(S))
+    log_cpo = -(_by_columns(lambda b: logsumexp(-b, axis=0), ll) - np.log(S))
     return float(np.sum(log_cpo)), np.exp(log_cpo)
 
 
@@ -119,6 +130,21 @@ def criteria_from_draws(draws, loglik=None, ll_hat=None) -> GroupCriteria:
     d, dp = dic(ll, ll_hat)
     lp, _ = lpml(ll)
     return GroupCriteria(waic=w, waic_penalty=wp, dic=d, dic_penalty=dp, lpml=lp)
+
+
+def raw_scale_criteria(std, draws_h, draws_d=None) -> FitCriteria:
+    """Each fitted group's criteria on the raw marker scale.
+
+    Draws fit to the marker divided by std.marker_sd (when std.enabled)
+    have per-observation log-densities log(marker_sd) above the raw ones.
+    """
+    log_s = math.log(std.marker_sd) if std.enabled else 0.0
+
+    def group(draws):
+        return None if draws is None else criteria_from_draws(
+            draws, loglik=draws.loglik - log_s, ll_hat=loglik_at_posterior_mean(draws) - log_s)
+
+    return FitCriteria(healthy=group(draws_h), diseased=group(draws_d))
 
 
 def moment_skewness(x) -> float:

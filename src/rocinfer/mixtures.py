@@ -4,7 +4,8 @@ Two samplers: a location-scale normal mixture for a single sample
 (fit_dpm), and its regression extension where component means are linear
 in a design matrix while the stick weights are shared across covariates
 (fit_ddp). Both save weights, atoms, the concentration parameter, and a
-per-observation log-likelihood matrix for the fit criteria.
+per-observation log-likelihood matrix for the fit criteria, read off the
+allocation step's log-densities at each saved state.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from .errors import (
     ConfigError,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .streams import (
     _gen,
-    categorical_rows,
+    check_shape_rate,
     gamma_shape_rate,
     stick_breaking,
     wishart,
@@ -141,7 +141,11 @@ class McmcControl:
 
 @dataclass(frozen=True)
 class DpmDraws:
-    """Saved Gibbs output for the no-covariate mixture."""
+    """Saved Gibbs output for the no-covariate mixture.
+
+    loglik[s, i] is log f_s(y_i), the column log-sum-exp of the allocation
+    log-densities the sampler evaluates at saved state s.
+    """
 
     weights: np.ndarray  # (S, L)
     means: np.ndarray    # (S, L)
@@ -165,7 +169,11 @@ class DpmDraws:
 
 @dataclass(frozen=True)
 class DdpDraws:
-    """Saved Gibbs output for the shared-weights regression mixture."""
+    """Saved Gibbs output for the shared-weights regression mixture.
+
+    loglik[s, i] is log f_s(y_i | z_i), read off the allocation step as in
+    DpmDraws.
+    """
 
     weights: np.ndarray  # (S, L)
     beta: np.ndarray     # (S, L, q)
@@ -219,32 +227,25 @@ def mixture_cdf(weights, means, sigma2, y0) -> np.ndarray:
     with one row of points per draw. Returns (S, m), or (m,) for a
     single draw, or a scalar for a single draw and scalar y0.
     """
-    w, mu, s2 = _as_sl(weights), _as_sl(means), _as_sl(sigma2)
-    scalar_draw = np.asarray(weights).ndim == 1
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
-    rows = y if y.ndim == 2 else y[None, :]
-    sd = np.sqrt(s2)
-    out = np.einsum(
-        "sml,sl->sm", ndtr((rows[:, :, None] - mu[:, None, :]) / sd[:, None, :]), w
-    )
-    if scalar_draw:
-        out = out[0]
-        if np.isscalar(y0) or np.asarray(y0).ndim == 0:
-            return float(out[0])
-    return out
+    return _per_draw(lambda z, s2: ndtr(z), weights, means, sigma2, y0)
 
 
 def mixture_pdf(weights, means, sigma2, y0) -> np.ndarray:
     """Density counterpart of mixture_cdf, same shape conventions."""
+    return _per_draw(lambda z, s2: np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * s2),
+                     weights, means, sigma2, y0)
+
+
+def _per_draw(kernel, weights, means, sigma2, y0):
+    """sum_l w_l kernel(z, sigma2_l), z = (y0 - mean_l) / sd_l, per draw and point."""
     w, mu, s2 = _as_sl(weights), _as_sl(means), _as_sl(sigma2)
-    scalar_draw = np.asarray(weights).ndim == 1
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    z = (y[None, :, None] - mu[:, None, :]) / np.sqrt(s2)[:, None, :]
-    dens = np.exp(-0.5 * z * z) / np.sqrt(2.0 * math.pi * s2)[:, None, :]
-    out = np.einsum("sml,sl->sm", dens, w)
-    if scalar_draw:
+    rows = y if y.ndim == 2 else y[None, :]
+    z = (rows[:, :, None] - mu[:, None, :]) / np.sqrt(s2)[:, None, :]
+    out = np.einsum("sml,sl->sm", kernel(z, s2[:, None, :]), w)
+    if np.ndim(weights) == 1:
         out = out[0]
-        if np.isscalar(y0) or np.asarray(y0).ndim == 0:
+        if np.ndim(y0) == 0:
             return float(out[0])
     return out
 
@@ -261,16 +262,36 @@ def mixture_mean_variance(weights, means, sigma2):
 
 
 def _component_logdens(y, weights, means, sigma2) -> np.ndarray:
-    """(n, L) matrix of log w_l + log N(y_i; mean_il, sigma2_l).
+    """(L, n) matrix of log w_l + log N(y_i; mean_li, sigma2_l).
 
-    means is (L,) for the location mixture or (n, L) for the regression
-    mixture (one row of z_i'beta_l per observation).
+    means is (L,) for the location mixture or (L, n) for the regression
+    mixture (one row of z_i'beta_l per component). Component-major, so
+    the reductions over components run down contiguous columns.
     """
-    return (
-        np.log(np.maximum(weights, 1e-300))[None, :]
-        - 0.5 * (_LOG_2PI + np.log(sigma2))[None, :]
-        - 0.5 * (y[:, None] - means) ** 2 / sigma2[None, :]
-    )
+    lead = np.log(np.maximum(weights, 1e-300)) - 0.5 * (_LOG_2PI + np.log(sigma2))
+    lp = y - np.reshape(means, (sigma2.size, -1))
+    np.square(lp, out=lp)
+    lp *= 0.5
+    lp /= sigma2[:, None]
+    return np.subtract(lead[:, None], lp, out=lp)
+
+
+def _allocation_cdf(lp):
+    """Cumulative component masses down each column of an (L, n) log-density
+    matrix (in place, max-shifted), and each column's log-sum-exp: the
+    observation's mixture log-likelihood."""
+    top = lp.max(axis=0)
+    lp -= top
+    cum = np.exp(lp, out=lp)
+    for l in range(1, cum.shape[0]):  # row adds: cumsum down axis 0 is slower
+        cum[l] += cum[l - 1]
+    return cum, top + np.log(cum[-1])
+
+
+def _allocate(cum, gen):
+    """Column i takes the first component whose mass reaches u_i times the total."""
+    u = gen.random(cum.shape[1])
+    return np.minimum((cum < u * cum[-1]).sum(axis=0), cum.shape[0] - 1)
 
 
 def loglik_at_posterior_mean(draws, y=None, Z=None) -> np.ndarray:
@@ -282,11 +303,11 @@ def loglik_at_posterior_mean(draws, y=None, Z=None) -> np.ndarray:
     yy = draws.y if y is None else np.asarray(y, dtype=float)
     if isinstance(draws, DdpDraws):
         zmat = draws.Z if Z is None else np.asarray(Z, dtype=float)
-        means = zmat @ draws.beta.mean(axis=0).T  # (n, L)
+        means = draws.beta.mean(axis=0) @ zmat.T  # (L, n)
     else:
         means = draws.means.mean(axis=0)
     lp = _component_logdens(yy, draws.weights.mean(axis=0), means, draws.sigma2.mean(axis=0))
-    return logsumexp(lp, axis=1)
+    return _allocation_cdf(lp)[1]
 
 
 def sample_atoms_prior(prior: DpmPrior, size: int, rng):
@@ -322,6 +343,49 @@ def _update_alpha(v, prior_a, prior_b, gen):
     return float(gamma_shape_rate(prior_a + L - 1, rate, gen))
 
 
+def _update_components(Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, a, b, gen):
+    """Conjugate draws of all regression components' (beta_l, sigma2_l) at once.
+
+    Z_l'Z_l and Z_l'y come from one-hot sums of the row outer products ZZ
+    (n, q*q) and Z*y; one batched Cholesky and two batched solves follow.
+    Draws keep the per-component order (q normals, then a standard gamma
+    scaled by 1/rate, as gamma(shape, 1/rate) does). Returns beta (L, q),
+    sigma2 (L,), the posterior means and the precisions' Cholesky factors.
+    """
+    L, q = sigma2.size, Z.shape[1]
+    onehot = (z == np.arange(L)[:, None]).astype(float)
+    prec = S_inv + (onehot @ ZZ).reshape(L, q, q) / sigma2[:, None, None]
+    rhs = S_inv @ m + (onehot @ Zy) / sigma2[:, None]
+    try:
+        chol = np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalCollapseError("component precision lost definiteness") from exc
+    shape = a + 0.5 * counts
+    eps, g = np.empty((L, q, 1)), np.empty(L)
+    for l in range(L):
+        eps[l, :, 0] = gen.standard_normal(q)
+        g[l] = gen.standard_gamma(shape[l])
+    half = np.linalg.solve(chol, rhs[:, :, None])
+    both = np.linalg.solve(np.swapaxes(chol, 1, 2), np.concatenate([half, half + eps], axis=2))
+    mean, beta = both[:, :, 0], both[:, :, 1]
+    resid = y - np.einsum("ij,ij->i", Z, beta[z])
+    rate = b + 0.5 * np.bincount(z, weights=resid * resid, minlength=L)
+    check_shape_rate(shape, rate)
+    return beta, 1.0 / ((1.0 / rate) * g), mean, chol
+
+
+def _collect(mcmc: McmcControl, sweeps) -> list:
+    """Stack every nskip-th state after nburn of an endless sweep generator."""
+    out = None
+    for saved in range(mcmc.nsave):
+        for _ in range(mcmc.nskip if saved else mcmc.nburn + mcmc.nskip):
+            state = next(sweeps)
+        out = out or [np.empty((mcmc.nsave,) + np.shape(a)) for a in state]
+        for o, a in zip(out, state):
+            o[saved] = a
+    return out
+
+
 def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
             rng=None) -> DpmDraws:
     """Blocked Gibbs for the truncated stick-breaking normal mixture.
@@ -329,6 +393,9 @@ def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
     Sweep order: allocations, sticks, atoms (mu given sigma2, then sigma2
     given the new mu), concentration. Empty components are refreshed from
     the base measure. Draws are saved every nskip sweeps after nburn.
+    Each sweep ends by evaluating the next allocation step's log-densities
+    at its new state; their column log-sum-exps are the saved draw's
+    log-likelihood row.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 2:
@@ -337,28 +404,21 @@ def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
         raise TooFewPointsError("observations must be finite")
     prior = (prior or DpmPrior()).resolved(y)
     mcmc = mcmc or McmcControl()
-    gen = _gen(rng)
-    n, L = y.size, prior.L
+    w, mu, s2, alpha, ll = _collect(mcmc, _dpm_sweeps(y, prior, _gen(rng)))
+    return DpmDraws(weights=w, means=mu, sigma2=s2, alpha=alpha, loglik=ll,
+                    y=y.copy(), prior=prior, mcmc=mcmc)
 
+
+def _dpm_sweeps(y, prior: DpmPrior, gen):
+    """Yield (w, mu, sigma2, alpha, loglik) after every sweep of fit_dpm."""
+    L = prior.L
     alpha = prior.a_alpha / prior.b_alpha
     mu, sigma2 = sample_atoms_prior(prior, L, gen)
-    v = _update_sticks(np.zeros(L, dtype=int), alpha, gen)
-    w = stick_breaking(v)
-
-    S = mcmc.nsave
-    out_w = np.empty((S, L))
-    out_mu = np.empty((S, L))
-    out_s2 = np.empty((S, L))
-    out_alpha = np.empty(S)
-    out_ll = np.empty((S, n))
-
-    total = mcmc.nburn + mcmc.nsave * mcmc.nskip
-    saved = 0
-    for sweep in range(total):
+    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
+    cum, _ = _allocation_cdf(_component_logdens(y, w, mu, sigma2))
+    while True:
         # (i) allocations
-        lp = _component_logdens(y, w, mu, sigma2)
-        lp -= lp.max(axis=1, keepdims=True)
-        z = categorical_rows(np.exp(lp), gen)
+        z = _allocate(cum, gen)
         counts = np.bincount(z, minlength=L)
 
         # (ii) sticks and weights
@@ -384,19 +444,8 @@ def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
         # (iv) concentration
         alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
 
-        keep = sweep >= mcmc.nburn and (sweep - mcmc.nburn) % mcmc.nskip == mcmc.nskip - 1
-        if keep:
-            out_w[saved] = w
-            out_mu[saved] = mu
-            out_s2[saved] = sigma2
-            out_alpha[saved] = alpha
-            out_ll[saved] = logsumexp(_component_logdens(y, w, mu, sigma2), axis=1)
-            saved += 1
-
-    return DpmDraws(
-        weights=out_w, means=out_mu, sigma2=out_s2, alpha=out_alpha,
-        loglik=out_ll, y=y.copy(), prior=prior, mcmc=mcmc,
-    )
+        cum, ll = _allocation_cdf(_component_logdens(y, w, mu, sigma2))
+        yield w, mu, sigma2, alpha, ll
 
 
 def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None,
@@ -404,8 +453,9 @@ def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None
     """Blocked Gibbs for the shared-weights regression mixture.
 
     Component means are z'beta_l; the weights do not depend on covariates.
-    beta_l and sigma2_l get conjugate updates; the base-measure mean m and
-    covariance S get normal and Wishart updates.
+    beta_l and sigma2_l get conjugate updates (_update_components); the
+    base-measure mean m and covariance S get normal and Wishart updates.
+    Saved log-likelihood rows come from the allocation step, as in fit_dpm.
     """
     y = np.asarray(y, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -413,104 +463,58 @@ def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None
         raise DimMismatchError("design matrix rows must match the response length")
     if y.size < 2:
         raise TooFewPointsError("need at least two observations")
-    n, q = Z.shape
-    prior = (prior or DdpPrior()).resolved(y, q)
+    prior = (prior or DdpPrior()).resolved(y, Z.shape[1])
     mcmc = mcmc or McmcControl()
-    gen = _gen(rng)
-    L = prior.L
+    w, beta, s2, alpha, ll = _collect(mcmc, _ddp_sweeps(y, Z, prior, _gen(rng)))
+    return DdpDraws(weights=w, beta=beta, sigma2=s2, alpha=alpha, loglik=ll,
+                    y=y.copy(), Z=Z.copy(), prior=prior, mcmc=mcmc)
 
+
+def _ddp_sweeps(y, Z, prior: DdpPrior, gen):
+    """Yield (w, beta, sigma2, alpha, loglik) after every sweep of fit_ddp."""
+    (n, q), L = Z.shape, prior.L
     m0 = np.asarray(prior.m0, dtype=float)
-    S0 = np.asarray(prior.S0, dtype=float)
-    S0_inv = scipy.linalg.inv(S0)
+    S0_inv = np.linalg.inv(np.asarray(prior.S0, dtype=float))
     nu, Psi = float(prior.nu), np.asarray(prior.Psi, dtype=float)
     nuPsi = nu * Psi
+    ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, q * q)
+    Zy = Z * y[:, None]
 
     alpha = prior.a_alpha / prior.b_alpha
     m = m0.copy()
-    S_inv = scipy.linalg.inv(Psi)  # E[S^-1] under the Wishart prior
-    S_chol = scipy.linalg.cholesky(scipy.linalg.inv(S_inv), lower=True)
+    S_inv = np.linalg.inv(Psi)  # E[S^-1] under the Wishart prior
+    S_chol = np.linalg.cholesky(np.linalg.inv(S_inv))
     beta = m[None, :] + (S_chol @ gen.standard_normal((q, L))).T
-    sigma2 = 1.0 / np.asarray(
-        gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float
-    )
-    v = _update_sticks(np.zeros(L, dtype=int), alpha, gen)
-    w = stick_breaking(v)
-
-    S = mcmc.nsave
-    out_w = np.empty((S, L))
-    out_beta = np.empty((S, L, q))
-    out_s2 = np.empty((S, L))
-    out_alpha = np.empty(S)
-    out_ll = np.empty((S, n))
-
-    total = mcmc.nburn + mcmc.nsave * mcmc.nskip
-    saved = 0
-    for sweep in range(total):
-        lp = _component_logdens(y, w, Z @ beta.T, sigma2)
-        lp -= lp.max(axis=1, keepdims=True)
-        z = categorical_rows(np.exp(lp), gen)
+    sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float)
+    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
+    cum, _ = _allocation_cdf(_component_logdens(y, w, beta @ Z.T, sigma2))
+    while True:
+        z = _allocate(cum, gen)
         counts = np.bincount(z, minlength=L)
 
         v = _update_sticks(counts, alpha, gen)
         w = stick_breaking(v)
 
-        prior_part = S_inv @ m
-        for l in range(L):
-            rows = z == l
-            if counts[l]:
-                Zl = Z[rows]
-                yl = y[rows]
-                prec = S_inv + (Zl.T @ Zl) / sigma2[l]
-                rhs = prior_part + (Zl.T @ yl) / sigma2[l]
-            else:
-                prec = S_inv
-                rhs = prior_part
-            try:
-                chol = scipy.linalg.cholesky(prec, lower=True)
-            except scipy.linalg.LinAlgError as exc:
-                raise NumericalCollapseError("component precision lost definiteness") from exc
-            mean_l = scipy.linalg.cho_solve((chol, True), rhs)
-            beta[l] = mean_l + scipy.linalg.solve_triangular(
-                chol.T, gen.standard_normal(q), lower=False
-            )
-            if counts[l]:
-                resid = y[rows] - Z[rows] @ beta[l]
-                rate = prior.b + 0.5 * float(resid @ resid)
-            else:
-                rate = prior.b
-            sigma2[l] = 1.0 / float(gamma_shape_rate(prior.a + 0.5 * counts[l], rate, gen))
+        beta, sigma2 = _update_components(
+            Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, prior.a, prior.b, gen
+        )[:2]
         _check_state(sigma2)
 
         # base-measure mean
-        prec_m = S0_inv + L * S_inv
-        rhs_m = S0_inv @ m0 + S_inv @ beta.sum(axis=0)
-        chol_m = scipy.linalg.cholesky(prec_m, lower=True)
-        m = scipy.linalg.cho_solve((chol_m, True), rhs_m) + scipy.linalg.solve_triangular(
-            chol_m.T, gen.standard_normal(q), lower=False
-        )
+        chol_m = np.linalg.cholesky(S0_inv + L * S_inv)
+        half = np.linalg.solve(chol_m, S0_inv @ m0 + S_inv @ beta.sum(axis=0))
+        m = np.linalg.solve(chol_m.T, half + gen.standard_normal(q))
 
         # base-measure covariance (precision is Wishart-conjugate)
         dev = beta - m[None, :]
-        scatter = dev.T @ dev
-        scale = scipy.linalg.inv(nuPsi + scatter)
+        scale = np.linalg.inv(nuPsi + dev.T @ dev)
         scale = 0.5 * (scale + scale.T)
         S_inv = wishart(nu + L, scale, gen)
 
         alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
 
-        keep = sweep >= mcmc.nburn and (sweep - mcmc.nburn) % mcmc.nskip == mcmc.nskip - 1
-        if keep:
-            out_w[saved] = w
-            out_beta[saved] = beta
-            out_s2[saved] = sigma2
-            out_alpha[saved] = alpha
-            out_ll[saved] = logsumexp(_component_logdens(y, w, Z @ beta.T, sigma2), axis=1)
-            saved += 1
-
-    return DdpDraws(
-        weights=out_w, beta=out_beta, sigma2=out_s2, alpha=out_alpha,
-        loglik=out_ll, y=y.copy(), Z=Z.copy(), prior=prior, mcmc=mcmc,
-    )
+        cum, ll = _allocation_cdf(_component_logdens(y, w, beta @ Z.T, sigma2))
+        yield w, beta, sigma2, alpha, ll
 
 
 def _mixture_callbacks(weights, means, sd, m: int):

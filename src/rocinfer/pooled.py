@@ -21,19 +21,17 @@ frequentist methods and ensemble means for the Bayesian ones; bands are
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .diagnostics import FitCriteria, criteria_from_draws
+from .diagnostics import FitCriteria, raw_scale_criteria
 from .errors import ConfigError, MissingDrawsError
 from .mixtures import (
     DpmPrior,
     McmcControl,
     fit_dpm,
-    loglik_at_posterior_mean,
     mixture_cdf,
     mixture_pdf,
     mixture_quantile,
@@ -640,17 +638,7 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
 
     paucs = simpson_area(*ensemble, pauc) if pauc.compute else None
 
-    log_s = math.log(std.marker_sd) if std.enabled else 0.0
-    crit = FitCriteria(
-        healthy=criteria_from_draws(
-            draws_h, loglik=draws_h.loglik - log_s,
-            ll_hat=loglik_at_posterior_mean(draws_h) - log_s,
-        ),
-        diseased=criteria_from_draws(
-            draws_d, loglik=draws_d.loglik - log_s,
-            ll_hat=loglik_at_posterior_mean(draws_d) - log_s,
-        ),
-    )
+    crit = raw_scale_criteria(std, draws_h, draws_d)
 
     densities = None
     if density.compute:

@@ -118,18 +118,16 @@ def wishart(nu: float, scale: np.ndarray, rng) -> np.ndarray:
     return root @ root.T
 
 
-def gamma_shape_rate(shape, rate, rng, size=None) -> np.ndarray | float:
-    """Gamma draws in the shape-rate parameterisation (mean shape/rate)."""
+def check_shape_rate(shape, rate):
+    """Gamma shape and rate as float arrays, both required positive."""
     shape = np.asarray(shape, dtype=float)
     rate = np.asarray(rate, dtype=float)
     if np.any(shape <= 0) or np.any(rate <= 0):
         raise BadAlphaError("gamma needs positive shape and rate")
+    return shape, rate
+
+
+def gamma_shape_rate(shape, rate, rng, size=None) -> np.ndarray | float:
+    """Gamma draws in the shape-rate parameterisation (mean shape/rate)."""
+    shape, rate = check_shape_rate(shape, rate)
     return _gen(rng).gamma(shape, 1.0 / rate, size=size)
-
-
-def categorical_rows(prob_rows: np.ndarray, rng) -> np.ndarray:
-    """One categorical index per row of a nonnegative-weight matrix."""
-    cum = np.cumsum(prob_rows, axis=1)
-    u = _gen(rng).random(prob_rows.shape[0])
-    idx = (cum < (u * cum[:, -1])[:, None]).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[1] - 1)

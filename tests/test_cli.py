@@ -4,11 +4,17 @@ Every test drives ``rocinfer.cli.main`` in process and inspects the JSON
 envelope, the text summary, or the exit code.
 """
 import json
+import math
 import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rocinfer.cli import main
+from rocinfer.cli import _merge_config, _prior_ddp, _prior_pooled, build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +324,35 @@ def test_simulate_unknown_param_exits_2(tmp_path, capsys):
 
 def test_simulate_requires_out(capsys):
     assert main(["simulate", "--n", "50"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["pooled", "--method", "dpm"],
+    ["aroc", "--method", "bnp", "--formula-h", "bmi ~ gender + age"],
+], ids=["pooled-dpm", "aroc-bnp"])
+def test_one_component_one_draw_thinned_fit(study_csv, tmp_path, args):
+    env = _run_json([*args, "--data", study_csv, "--marker", "bmi", "--group", "cvd_idf",
+                     "--tag", "0", "--prior", "L=1", "--nsave", "1", "--nburn", "0",
+                     "--nskip", "3"], tmp_path / "out.json")
+    fit = env["payload"]["fit"]
+    assert fit
+    for group in fit.values():
+        assert all(math.isfinite(val) for val in group.values())
+
+
+def test_readme_prior_examples_parse():
+    lines = [line.split("#")[0] for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("--prior")]
+    assert lines
+    base = ["croc", "--data", "s.csv", "--marker", "bmi", "--group", "g", "--tag", "0",
+            "--method", "bnp", "--formula-h", "bmi ~ age", "--formula-d", "bmi ~ age",
+            "--newdata", "n.csv"]
+    y = np.linspace(18.0, 30.0, 12)
+    for line in lines:
+        cfg = _merge_config("croc", build_parser().parse_args(base + shlex.split(line)))
+        for overrides in ({**cfg.prior, **cfg.prior_h}, {**cfg.prior, **cfg.prior_d}):
+            if not overrides:
+                continue
+            assert _prior_ddp(overrides).resolved(y, 2) is not None
+            if all(re.fullmatch(r"[-+.\deE]+", val) for val in overrides.values()):
+                assert _prior_pooled(overrides).resolved(y) is not None

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import ndtr
+from scipy.special import logsumexp, ndtr
+
+from rocinfer import diagnostics
 
 from rocinfer.diagnostics import (
     criteria_from_draws,
@@ -187,3 +191,28 @@ def test_criteria_from_draws_bundles_the_three():
     assert crit.lpml == pytest.approx(lpml(ll)[0])
     d = crit.as_dict()
     assert set(d) == {"waic", "waic_penalty", "dic", "dic_penalty", "lpml"}
+
+
+def test_criteria_reduce_over_column_blocks(monkeypatch):
+    # 1000 draws x 2000 observations (16 MB) in blocks of 64 columns
+    monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", 1 << 16)
+    ll = -1.0 - RngStream(4, 0).generator.gamma(2.0, 1.0, size=(1000, 2000))
+    S = ll.shape[0]
+    lppd = np.sum(logsumexp(ll, axis=0) - np.log(S))
+    penalty = np.sum(np.var(ll, axis=0, ddof=1))
+    log_cpo = -(logsumexp(-ll, axis=0) - np.log(S))
+    tracemalloc.start()
+    try:
+        val, pen = waic(ll)
+        total, cpo = lpml(ll)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ll.nbytes / 4
+    assert pen == pytest.approx(penalty, rel=1e-12)
+    assert val == pytest.approx(-2.0 * (lppd - penalty), rel=1e-12)
+    assert total == pytest.approx(np.sum(log_cpo), rel=1e-12)
+    assert np.allclose(cpo, np.exp(log_cpo), rtol=1e-12, atol=0)
+    ll[700, 1999] = np.nan
+    with pytest.raises(MissingDrawsError):
+        waic(ll)

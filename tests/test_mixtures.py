@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+import scipy.linalg
+from scipy.special import logsumexp, ndtr, ndtri
 
 from rocinfer.diagnostics import effective_sample_size
-from rocinfer.errors import ConfigError, DimMismatchError
+from rocinfer.errors import ConfigError, DimMismatchError, NumericalCollapseError
 from rocinfer.mixtures import (
     DdpPrior,
     DpmDraws,
     DpmPrior,
     McmcControl,
+    _allocate,
+    _allocation_cdf,
+    _update_components,
     fit_ddp,
     fit_dpm,
     loglik_at_posterior_mean,
@@ -18,7 +22,7 @@ from rocinfer.mixtures import (
     mixture_quantile,
     sample_atoms_prior,
 )
-from rocinfer.streams import RngStream
+from rocinfer.streams import RngStream, gamma_shape_rate
 
 
 def test_dpm_prior_resolves_from_data():
@@ -271,3 +275,97 @@ def test_ddp_rejects_mismatched_design():
     y = np.arange(5.0)
     with pytest.raises(DimMismatchError):
         fit_ddp(y, np.ones((4, 2)))
+
+
+def test_allocate_handles_unnormalised_columns():
+    cols = np.array([[2.0, 0.0], [0.0, 5.0], [1.0, 1.0]]).T
+    with np.errstate(divide="ignore"):
+        idx = _allocate(_allocation_cdf(np.log(cols))[0], RngStream(5).generator)
+    assert idx.shape == (3,)
+    assert idx[0] == 0 and idx[1] == 1
+
+
+def _component_loop(Z, y, z, counts, S_inv, m, sigma2, a, b, gen):
+    """Reference for _update_components: one conjugate update per component."""
+    L, q = sigma2.size, Z.shape[1]
+    beta, s2 = np.empty((L, q)), sigma2.copy()
+    means, chols = np.empty((L, q)), np.empty((L, q, q))
+    for l in range(L):
+        Zl, yl = Z[z == l], y[z == l]
+        prec = S_inv + (Zl.T @ Zl) / sigma2[l]
+        rhs = S_inv @ m + (Zl.T @ yl) / sigma2[l]
+        chols[l] = scipy.linalg.cholesky(prec, lower=True)
+        means[l] = scipy.linalg.cho_solve((chols[l], True), rhs)
+        beta[l] = means[l] + scipy.linalg.solve_triangular(
+            chols[l].T, gen.standard_normal(q), lower=False
+        )
+        resid = yl - Zl @ beta[l]
+        rate = b + 0.5 * float(resid @ resid)
+        s2[l] = 1.0 / float(gamma_shape_rate(a + 0.5 * counts[l], rate, gen))
+    return beta, s2, means, chols
+
+
+def _component_state():
+    """A fixed DDP state: component 0 empty, 1 holds one point, 2 holds
+    three points with collinear design rows (rank-deficient Z_l), 3 the rest."""
+    gen = RngStream(31, 0).generator
+    n, q, L = 40, 3, 4
+    x = gen.uniform(0.0, 1.0, n)
+    Z = np.column_stack([np.ones(n), x, x ** 2])
+    z = np.full(n, 3)
+    z[0] = 1
+    z[1:4] = 2
+    Z[1:4] = Z[1]
+    y = Z @ np.array([1.0, -2.0, 0.5]) + 0.3 * gen.standard_normal(n)
+    counts = np.bincount(z, minlength=L)
+    S_inv = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+    return Z, y, z, counts, S_inv, np.array([0.5, 0.0, 0.1]), np.array([0.4, 1.3, 0.2, 0.9])
+
+
+def test_batched_component_update_matches_per_component_loop():
+    Z, y, z, counts, S_inv, m, sigma2 = _component_state()
+    assert list(counts) == [0, 1, 3, 36]
+    assert np.linalg.matrix_rank(Z[z == 2]) == 1
+    ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(Z.shape[0], -1)
+    ref_gen, gen = RngStream(8, 2).generator, RngStream(8, 2).generator
+    ref = _component_loop(Z, y, z, counts, S_inv, m, sigma2, 2.0, 1.5, ref_gen)
+    out = _update_components(Z, y, z, counts, ZZ, Z * y[:, None], S_inv, m, sigma2,
+                             2.0, 1.5, gen)
+    for name, got, want in zip(("beta", "sigma2", "mean", "chol"), out, ref):
+        assert got.shape == want.shape, name
+        assert np.allclose(got, want, rtol=0, atol=1e-10), name
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def test_batched_component_update_raises_on_lost_definiteness():
+    Z, y, z, counts, S_inv, m, sigma2 = _component_state()
+    ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(Z.shape[0], -1)
+    with pytest.raises(NumericalCollapseError):
+        _update_components(Z, y, z, counts, ZZ, Z * y[:, None], -S_inv, m, sigma2,
+                           2.0, 1.5, RngStream(8, 2).generator)
+
+
+def _normal_logpdf(y, mean, sigma2):
+    return -0.5 * np.log(2.0 * np.pi * sigma2) - 0.5 * (y - mean) ** 2 / sigma2
+
+
+@pytest.mark.parametrize("nskip", [1, 3])
+@pytest.mark.parametrize("nsave,L", [(4, 3), (1, 3), (4, 1)])
+def test_saved_loglik_is_the_saved_draws_log_sum_exp(nskip, nsave, L):
+    gen = RngStream(66, 0).generator
+    x = gen.uniform(0.0, 1.0, 30)
+    y = 1.0 + x + 0.4 * gen.standard_normal(30)
+    mcmc = McmcControl(nsave=nsave, nburn=2, nskip=nskip)
+    dpm = fit_dpm(y, prior=DpmPrior(L=L), mcmc=mcmc, rng=RngStream(66, 1))
+    Z = np.column_stack([np.ones_like(x), x])
+    ddp = fit_ddp(y, Z, prior=DdpPrior(L=L), mcmc=mcmc, rng=RngStream(66, 2))
+    assert dpm.loglik.shape == ddp.loglik.shape == (nsave, 30)
+    for s in range(nsave):
+        want = logsumexp(np.log(dpm.weights[s])[:, None]
+                         + _normal_logpdf(y, dpm.means[s][:, None], dpm.sigma2[s][:, None]),
+                         axis=0)
+        assert np.allclose(dpm.loglik[s], want, rtol=0, atol=1e-12)
+        want = logsumexp(np.log(ddp.weights[s])[:, None]
+                         + _normal_logpdf(y, ddp.beta[s] @ Z.T, ddp.sigma2[s][:, None]),
+                         axis=0)
+        assert np.allclose(ddp.loglik[s], want, rtol=0, atol=1e-12)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from rocinfer.errors import BadAlphaError, BadStickError, NotSPDError
 from rocinfer.streams import (
     RngStream,
-    categorical_rows,
     dirichlet,
     gamma_shape_rate,
     parallel_map,
@@ -88,10 +87,3 @@ def test_wishart_validates_inputs():
 def test_gamma_shape_rate_mean():
     d = gamma_shape_rate(4.0, 2.0, RngStream(2), size=4000)
     assert abs(d.mean() - 2.0) < 0.1
-
-
-def test_categorical_rows_handles_unnormalised_rows():
-    rows = np.array([[2.0, 0.0], [0.0, 5.0], [1.0, 1.0]])
-    idx = categorical_rows(rows, RngStream(5))
-    assert idx.shape == (3,)
-    assert idx[0] == 0 and idx[1] == 1
