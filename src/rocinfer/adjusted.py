@@ -16,6 +16,7 @@ exchangeable Dirichlet weights over the diseased placements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -26,18 +27,19 @@ from .diagnostics import FitCriteria, raw_scale_criteria
 from .errors import ConfigError, MissingColumnError, MissingDrawsError
 from .mixtures import McmcControl, fit_ddp, mixture_quantile
 from .pooled import (
-    _BOOT_STREAM_BASE,
     _CHAIN_H,
     _WEIGHTS_STREAM,
     PaucControl,
     PaucSummary,
+    _bootstrap_stream,
     _grid_of,
     _pauc_summary,
     _stream_of,
+    case_bootstrap,
 )
 from .sample import DiagnosticSample, split_groups, standardise
 from .smoothing import fit_location_scale
-from .streams import dirichlet, parallel_map
+from .streams import dirichlet
 from .summaries import (
     Interval,
     ThresholdResult,
@@ -139,9 +141,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
     variant = variant.lower()
     if variant not in _VARIANTS:
         raise ConfigError("variant must be one of %s" % (_VARIANTS,))
-    if B < 0:
-        raise ConfigError("bootstrap count B must be >= 0")
-    stream = _stream_of(rng)
+    stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
     ctrl = pauc or PaucControl()
     split = split_groups(sample)
@@ -151,16 +151,9 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         if formula is None:
             raise ConfigError("the sp variants need a healthy-model formula")
         spec = _spec_of(formula)
-        Zh, _, fitted = build_design(split.healthy_cov, spec)
-        Zd, _, _ = build_design(split.diseased_cov, spec, fitted)
-
-        def placements(h_idx, d_idx):
-            bh, sh, eh = _ols_fit(Zh[h_idx], y_h[h_idx])
-            t = (y_d[d_idx] - Zd[d_idx] @ bh) / sh
-            if variant == "sp_normal":
-                return 1.0 - ndtr(t)
-            return 1.0 - ecdf_eval(eh, t)
-
+        X_h, _, fitted = build_design(split.healthy_cov, spec)
+        X_d, _, _ = build_design(split.diseased_cov, spec, fitted)
+        refit = _ols_fit
     else:
         if covariate is None:
             raise ConfigError("the kernel variant needs a covariate name")
@@ -168,29 +161,21 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
             raise MissingColumnError("covariate %r not in the sample" % covariate)
         if sample.covariates[covariate].is_categorical:
             raise ConfigError("the kernel variant needs one continuous covariate")
-        x_h = np.asarray(split.healthy_cov[covariate].values, dtype=float)
-        x_d = np.asarray(split.diseased_cov[covariate].values, dtype=float)
-        fit0 = fit_location_scale(x_h, y_h)
+        X_h = np.asarray(split.healthy_cov[covariate].values, dtype=float)
+        X_d = np.asarray(split.diseased_cov[covariate].values, dtype=float)
+        fit0 = fit_location_scale(X_h, y_h)
+        refit = partial(fit_location_scale, bw_mean=fit0.bw_mean, bw_var=fit0.bw_var)
 
-        def placements(h_idx, d_idx):
-            fh = fit_location_scale(
-                x_h[h_idx], y_h[h_idx], bw_mean=fit0.bw_mean, bw_var=fit0.bw_var
-            )
-            xs, ys = x_d[d_idx], y_d[d_idx]
-            t = (ys - np.asarray(fh.mu(xs), dtype=float)) / np.sqrt(
-                np.asarray(fh.sigma2(xs), dtype=float)
-            )
-            return 1.0 - ecdf_eval(fh.residuals, t)
-
-    def one_rep(k):
-        gen = stream.stream(_BOOT_STREAM_BASE + k).generator
-        hi = gen.integers(0, y_h.size, y_h.size)
-        di = gen.integers(0, y_d.size, y_d.size)
-        return placements(hi, di)
+    def placements(h_idx, d_idx):
+        """1 - F_H(y_D | x_D) under the healthy model refit on the rows h_idx."""
+        fit = refit(X_h[h_idx], y_h[h_idx])
+        mu, sd = fit.at(X_d[d_idx])
+        t = (y_d[d_idx] - mu) / sd
+        return 1.0 - (ndtr(t) if variant == "sp_normal" else ecdf_eval(fit.residuals, t))
 
     # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
     U0 = placements(np.arange(y_h.size), np.arange(y_d.size))
-    U = np.stack([U0] + parallel_map(one_rep, range(B), workers=workers))
+    U = np.stack([U0] + case_bootstrap(placements, stream, B, (y_h.size, y_d.size), workers))
     curves, aauc, pauc_v, yi, ps = _placement_rows(U, None, grid, ctrl)
     lo, hi = band(curves[1:]) if B > 0 else (curves[0].copy(), curves[0].copy())
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .mixtures import McmcControl, fit_ddp
 from .pooled import (
-    _BOOT_STREAM_BASE,
     _CHAIN_D,
     _CHAIN_H,
     ChunkedStack,
@@ -51,10 +51,12 @@ from .pooled import (
     NormalStack,
     PaucControl,
     StepStack,
+    _bootstrap_stream,
     _check_criterion,
     _grid_of,
     _pauc_summary,
     _stream_of,
+    case_bootstrap,
     mixture_stack,
     roc_rows,
     simpson_area,
@@ -103,8 +105,20 @@ def _spec_of(formula):
 
 # -- induced location-scale transport -----------------------------------------
 
-def _ols_fit(Z, y):
-    """(coefficients, residual scale, ascending standardised residuals)."""
+@dataclass(frozen=True)
+class LinearFit:
+    """Least-squares location-scale fit: mean z'beta, constant scale sigma."""
+
+    beta: np.ndarray
+    sigma: float
+    residuals: np.ndarray  # standardised, ascending
+
+    def at(self, Z):
+        return Z @ self.beta, self.sigma
+
+
+def _ols_fit(Z, y) -> LinearFit:
+    """Least-squares fit of y on the design Z."""
     n, k = Z.shape
     if n <= k:
         raise TooFewPointsError("need more observations than coefficients")
@@ -115,40 +129,76 @@ def _ols_fit(Z, y):
     sigma = math.sqrt(float(resid @ resid) / (n - k))
     if sigma <= 0.0:
         raise ZeroVarianceError("regression residuals have zero scale")
-    return beta, sigma, np.sort(resid / sigma)
+    return LinearFit(beta, sigma, np.sort(resid / sigma))
 
 
-def _coef_table(labels, point, draws) -> dict:
-    values = [
-        interval_from(float(point[j]), draws[:, j] if draws is not None else None)
-        for j in range(len(labels))
-    ]
-    return {"labels": list(labels), "values": values}
+def _coef_table(labels, coef, name, scale, plugin: bool) -> dict:
+    """Per-label coefficient intervals plus a scale interval under `name`.
+
+    coef has one row and scale one value per member. With plugin, member
+    0 is the point estimate and members 1.. the bootstrap replicates;
+    otherwise all are posterior draws, summarised by their mean.
+    """
+    if plugin:
+        point, coef, s0, scale = coef[0], coef[1:], scale[0], scale[1:]
+    else:
+        point, s0 = coef.mean(axis=0), scale.mean()
+    return {"labels": list(labels),
+            "values": [interval_from(float(point[j]), coef[:, j]) for j in range(len(labels))],
+            name: interval_from(float(s0), scale)}
+
+
+def _induced_tables(labels, coef_h, coef_d, sig_h, sig_d, plugin: bool, ind_map=None) -> dict:
+    """The induced model's a = (beta_H - beta_D) / sigma_D and b = sigma_H / sigma_D,
+    and the reverse curve's (-a / b, 1 / b); ind_map takes a to another design basis."""
+    ind = (coef_h - coef_d) / sig_d[:, None]
+    if ind_map is not None:
+        ind = ind @ ind_map.T
+    brat = sig_h / sig_d
+    return {"induced": _coef_table(labels, ind, "b", brat, plugin),
+            "induced_tnf": _coef_table(labels, -ind / brat[:, None], "b", 1.0 / brat, plugin)}
 
 
 _MEMBER_CHUNK = 64  # bootstrap replicates per ChunkedStack part
 
 
-def _induced_pairs(plugin, ensemble, base) -> list:
-    """Stack pairs of an induced location-scale model, all prediction rows at once.
+def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
+    """Residual bootstrap and CDF stacks of an induced location-scale model.
 
-    plugin and ensemble hold (loc, scale, residuals) per group, and
-    base(residuals) gives the error-law stack. loc has one column per
-    prediction row, after a leading replicate axis for the ensemble;
-    scale broadcasts against loc.
+    groups holds each group's (plug-in fit, training inputs, refit). A fit
+    has ascending standardised `residuals` and `at(inputs) -> (mean,
+    scale)`; refit(inputs, y) fits the same model to new responses, here
+    the fitted means plus the fitted scales times resampled residuals.
+    Returns the replicate fits (a tuple per replicate) and stacks(frame):
+    the plug-in pair and the ensemble pair (ChunkedStack parts, or None)
+    over all prediction rows, whose inputs per group are inputs_of(frame).
+    base(residuals) gives the error-law stack.
     """
-    def pair(parts, members=slice(None)):
-        return tuple(
-            LocScaleStack(loc[members], np.broadcast_to(scale, loc.shape)[members],
-                          base(resid[members]))
-            for loc, scale, resid in parts
-        )
+    fitted = [(X, refit, *fit.at(X), fit.residuals) for fit, X, refit in groups]
 
-    if not ensemble:
-        return [(pair(plugin), None)]
-    chunks = [pair(ensemble, slice(b, b + _MEMBER_CHUNK))
-              for b in range(0, len(ensemble[0][0]), _MEMBER_CHUNK)]
-    return [(pair(plugin), tuple(ChunkedStack([c[g] for c in chunks]) for g in (0, 1)))]
+    def replicate(*idx):
+        return tuple(refit(X, mu + sd * e[i]) for (X, refit, mu, sd, e), i in zip(fitted, idx))
+
+    boot = case_bootstrap(replicate, stream, B, [e.size for *_, e in fitted], workers)
+
+    def stack(fits, x):
+        """One group's stack over a chunk of replicate fits, members first."""
+        loc, scale = (np.array(a) for a in zip(*(f.at(x) for f in fits)))
+        if scale.ndim < loc.ndim:  # one scale per fit, shared by the rows
+            scale = scale[:, None]
+        return LocScaleStack(loc, scale, base(np.array([f.residuals for f in fits])))
+
+    def stacks(frame):
+        inputs = inputs_of(frame)
+        plugin = tuple(LocScaleStack(*fit.at(x), base(fit.residuals))
+                       for (fit, _, _), x in zip(groups, inputs))
+        ensemble = tuple(
+            ChunkedStack([stack([b[g] for b in boot[c:c + _MEMBER_CHUNK]], x)
+                          for c in range(0, len(boot), _MEMBER_CHUNK)])
+            for g, x in enumerate(inputs)) if boot else None
+        return [(plugin, ensemble)]
+
+    return boot, stacks
 
 
 def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None) -> list:
@@ -214,9 +264,7 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     est_cdf = est_cdf.lower()
     if est_cdf not in ("normal", "empirical"):
         raise ConfigError("est_cdf must be 'normal' or 'empirical'")
-    if B < 0:
-        raise ConfigError("bootstrap count B must be >= 0")
-    stream = _stream_of(rng)
+    stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
     ctrl = pauc or PaucControl()
     newdata = _frame_of(newdata)
@@ -230,56 +278,25 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
         return build_design(frame, spec_h, fitted_h)[0], build_design(frame, spec_d, fitted_d)[0]
 
     design_rows(newdata)  # reject unusable prediction rows before fitting
-    bh, sh, eh, bd, sd_, ed = _ols_fit(Zh, split.healthy) + _ols_fit(Zd, split.diseased)
-    mu_h_hat, mu_d_hat = Zh @ bh, Zd @ bd
+    fit_h, fit_d = _ols_fit(Zh, split.healthy), _ols_fit(Zd, split.diseased)
+    base = StepStack if est_cdf == "empirical" else lambda _: NormalStack()
+    boot, stacks = _induced_model(((fit_h, Zh, _ols_fit), (fit_d, Zd, _ols_fit)), design_rows,
+                                  base, B, stream, workers)
 
-    def one_rep(k):
-        gen = stream.stream(_BOOT_STREAM_BASE + k).generator
-        yh = mu_h_hat + sh * eh[gen.integers(0, eh.size, eh.size)]
-        yd = mu_d_hat + sd_ * ed[gen.integers(0, ed.size, ed.size)]
-        return _ols_fit(Zh, yh) + _ols_fit(Zd, yd)
+    # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
+    fits = [(fit_h, fit_d)] + boot
+    bh, bd = (np.array([f[g].beta for f in fits]) for g in (0, 1))
+    sh, sd_ = (np.array([f[g].sigma for f in fits]) for g in (0, 1))
 
-    boot = parallel_map(one_rep, range(B), workers=workers) if B > 0 else []
-    bh_st = np.stack([f[0] for f in boot]) if boot else None
-    sh_st = np.array([f[1] for f in boot]) if boot else None
-    bd_st = np.stack([f[3] for f in boot]) if boot else None
-    sd_st = np.array([f[4] for f in boot]) if boot else None
     coefficients = {
-        "healthy": {**_coef_table(labels_h, bh, bh_st), "sigma": interval_from(sh, sh_st)},
-        "diseased": {**_coef_table(labels_d, bd, bd_st), "sigma": interval_from(sd_, sd_st)},
+        "healthy": _coef_table(labels_h, bh, "sigma", sh, plugin=True),
+        "diseased": _coef_table(labels_d, bd, "sigma", sd_, plugin=True),
         "scale_basis": "original",
     }
     if (spec_is_linear(spec_h) and spec_is_linear(spec_d)
             and list(labels_h) == list(labels_d)
             and fitted_h.levels == fitted_d.levels):
-        ind0 = (bh - bd) / sd_
-        brat = sh / sd_
-        if boot:
-            ind_st = (bh_st - bd_st) / sd_st[:, None]
-            brat_st = sh_st / sd_st
-        else:
-            ind_st = brat_st = None
-        coefficients["induced"] = {
-            **_coef_table(labels_h, ind0, ind_st),
-            "b": interval_from(brat, brat_st),
-        }
-        coefficients["induced_tnf"] = {
-            **_coef_table(labels_h, -ind0 / brat,
-                          -ind_st / brat_st[:, None] if boot else None),
-            "b": interval_from(1.0 / brat, 1.0 / brat_st if boot else None),
-        }
-
-    def base(resid):
-        return NormalStack() if est_cdf == "normal" else StepStack(resid)
-
-    def stacks(frame):
-        zh, zd = design_rows(frame)
-        plugin = ((zh @ bh, sh, eh), (zd @ bd, sd_, ed))
-        ensemble = (
-            (bh_st @ zh.T, sh_st[:, None], np.array([f[2] for f in boot])),
-            (bd_st @ zd.T, sd_st[:, None], np.array([f[5] for f in boot])),
-        ) if boot else None
-        return _induced_pairs(plugin, ensemble, base)
+        coefficients.update(_induced_tables(labels_h, bh, bd, sh, sd_, plugin=True))
 
     (pair,) = stacks(newdata)
     return CRocResult(
@@ -307,9 +324,7 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     bw = bw.lower()
     if bw not in ("lscv", "srt"):
         raise ConfigError("bw must be 'lscv' or 'srt'")
-    if B < 0:
-        raise ConfigError("bootstrap count B must be >= 0")
-    stream = _stream_of(rng)
+    stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
     ctrl = pauc or PaucControl()
     newdata = _frame_of(newdata)
@@ -336,39 +351,13 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
         return x0
 
     points(newdata)  # reject unusable prediction rows before fitting
-    if bw == "srt":
-        h_h, h_d = silverman_bandwidth(x_h), silverman_bandwidth(x_d)
-        fit_h = fit_location_scale(x_h, split.healthy, bw_mean=h_h, bw_var=h_h)
-        fit_d = fit_location_scale(x_d, split.diseased, bw_mean=h_d, bw_var=h_d)
-    else:
-        fit_h = fit_location_scale(x_h, split.healthy)
-        fit_d = fit_location_scale(x_d, split.diseased)
-
-    mu_h_hat = np.asarray(fit_h.mu(x_h), dtype=float)
-    mu_d_hat = np.asarray(fit_d.mu(x_d), dtype=float)
-    sd_h_hat = np.sqrt(np.asarray(fit_h.sigma2(x_h), dtype=float))
-    sd_d_hat = np.sqrt(np.asarray(fit_d.sigma2(x_d), dtype=float))
-    eh, ed = fit_h.residuals, fit_d.residuals
-
-    def one_rep(k):
-        gen = stream.stream(_BOOT_STREAM_BASE + k).generator
-        yh = mu_h_hat + sd_h_hat * eh[gen.integers(0, eh.size, eh.size)]
-        yd = mu_d_hat + sd_d_hat * ed[gen.integers(0, ed.size, ed.size)]
-        fh = fit_location_scale(x_h, yh, bw_mean=fit_h.bw_mean, bw_var=fit_h.bw_var)
-        fd = fit_location_scale(x_d, yd, bw_mean=fit_d.bw_mean, bw_var=fit_d.bw_var)
-        return fh, fd
-
-    boot = parallel_map(one_rep, range(B), workers=workers) if B > 0 else []
-
-    def stacks(frame):
-        x0 = points(frame)
-        plugin = tuple((f.mu(x0), np.sqrt(f.sigma2(x0)), f.residuals) for f in (fit_h, fit_d))
-        ensemble = tuple(
-            (np.array([b[g].mu(x0) for b in boot]), np.sqrt(np.array([b[g].sigma2(x0) for b in boot])),
-             np.array([b[g].residuals for b in boot]))
-            for g in (0, 1)
-        ) if boot else None
-        return _induced_pairs(plugin, ensemble, StepStack)
+    groups = []
+    for x, y in ((x_h, split.healthy), (x_d, split.diseased)):
+        h = silverman_bandwidth(x) if bw == "srt" else None
+        fit = fit_location_scale(x, y, bw_mean=h, bw_var=h)
+        groups.append((fit, x, partial(fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var)))
+    _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
+                               B, stream, workers)
 
     (pair,) = stacks(newdata)
     return CRocResult(
@@ -404,6 +393,7 @@ def _bnp_coefficients(sample, std, spec_h, spec_d, fitted_h, fitted_d,
                       labels_h, labels_d, Zh, Zd, draws_h, draws_d) -> dict:
     beta_h, beta_d = draws_h.beta[:, 0, :], draws_d.beta[:, 0, :]
     sig_h, sig_d = np.sqrt(draws_h.sigma2[:, 0]), np.sqrt(draws_d.sigma2[:, 0])
+    gam_h, gam_d, sraw_h, sraw_d, ind_map = beta_h, beta_d, sig_h, sig_d, None
     basis = "original"
     if std.enabled:
         split_raw = split_groups(sample)
@@ -426,33 +416,14 @@ def _bnp_coefficients(sample, std, spec_h, spec_d, fitted_h, fitted_d,
                 RocinferWarning,
             )
             basis = "standardised"
-            gam_h, gam_d, sraw_h, sraw_d = beta_h, beta_d, sig_h, sig_d
-            ind_map = None
-    else:
-        gam_h, gam_d, sraw_h, sraw_d = beta_h, beta_d, sig_h, sig_d
-        ind_map = None
 
     out = {
-        "healthy": {**_coef_table(labels_h, gam_h.mean(axis=0), gam_h),
-                    "sigma": interval_from(float(sraw_h.mean()), sraw_h)},
-        "diseased": {**_coef_table(labels_d, gam_d.mean(axis=0), gam_d),
-                     "sigma": interval_from(float(sraw_d.mean()), sraw_d)},
+        "healthy": _coef_table(labels_h, gam_h, "sigma", sraw_h, plugin=False),
+        "diseased": _coef_table(labels_d, gam_d, "sigma", sraw_d, plugin=False),
         "scale_basis": basis,
     }
     if list(labels_h) == list(labels_d) and fitted_h.levels == fitted_d.levels:
-        ind = (beta_h - beta_d) / sig_d[:, None]
-        if ind_map is not None:
-            ind = ind @ ind_map.T
-        brat = sig_h / sig_d
-        out["induced"] = {
-            **_coef_table(labels_h, ind.mean(axis=0), ind),
-            "b": interval_from(float(brat.mean()), brat),
-        }
-        ind_t = -ind / brat[:, None]
-        out["induced_tnf"] = {
-            **_coef_table(labels_h, ind_t.mean(axis=0), ind_t),
-            "b": interval_from(float((1.0 / brat).mean()), 1.0 / brat),
-        }
+        out.update(_induced_tables(labels_h, beta_h, beta_d, sig_h, sig_d, False, ind_map))
     return out
 
 

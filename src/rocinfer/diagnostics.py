@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp, ndtri
@@ -118,8 +118,8 @@ def lpml(ll) -> tuple:
 def criteria_from_draws(draws, loglik=None, ll_hat=None) -> GroupCriteria:
     """Bundle WAIC, DIC, and LPML for one group's saved draws.
 
-    loglik overrides the matrix stored in the draws (used to shift the fit
-    scale back to the raw marker scale); ll_hat overrides the plug-in.
+    loglik overrides the matrix stored in the draws (the plug-in then
+    moves by the change in its mean); ll_hat overrides the plug-in.
     """
     ll = draws.loglik if loglik is None else np.asarray(loglik, dtype=float)
     if ll_hat is None:
@@ -136,13 +136,20 @@ def raw_scale_criteria(std, draws_h, draws_d=None) -> FitCriteria:
     """Each fitted group's criteria on the raw marker scale.
 
     Draws fit to the marker divided by std.marker_sd (when std.enabled)
-    have per-observation log-densities log(marker_sd) above the raw ones.
+    have per-observation log-densities log(marker_sd) above the raw
+    ones. The criteria are affine in that shift, so they are taken on
+    the fitting scale and moved: WAIC and DIC by +2n log s, LPML by
+    -n log s; the penalties do not change.
     """
     log_s = math.log(std.marker_sd) if std.enabled else 0.0
 
     def group(draws):
-        return None if draws is None else criteria_from_draws(
-            draws, loglik=draws.loglik - log_s, ll_hat=loglik_at_posterior_mean(draws) - log_s)
+        if draws is None:
+            return None
+        crit = criteria_from_draws(draws)
+        shift = draws.loglik.shape[1] * log_s
+        return replace(crit, waic=crit.waic + 2.0 * shift, dic=crit.dic + 2.0 * shift,
+                       lpml=crit.lpml - shift)
 
     return FitCriteria(healthy=group(draws_h), diseased=group(draws_d))
 
@@ -246,15 +253,6 @@ class QuantileResiduals:
     theoretical: np.ndarray
 
 
-def _cdf_matrix(draws, y) -> np.ndarray:
-    """(S, n) matrix of F^(s)(y_i), conditional on each row's design for DDP."""
-    if isinstance(draws, DpmDraws):
-        return draws.cdf(y)
-    if isinstance(draws, DdpDraws):
-        return draws.cdf_at(y, draws.Z)
-    return np.asarray(draws, dtype=float)
-
-
 def quantile_residuals(draws, y=None) -> QuantileResiduals:
     """Normal quantile residuals per draw, with pointwise bands.
 
@@ -264,7 +262,7 @@ def quantile_residuals(draws, y=None) -> QuantileResiduals:
     """
     if isinstance(draws, (DpmDraws, DdpDraws)):
         yy = draws.y if y is None else np.asarray(y, dtype=float)
-        F = _cdf_matrix(draws, yy)
+        F = draws.cdf(yy) if isinstance(draws, DpmDraws) else draws.cdf_at(yy, draws.Z)
     else:
         F = np.asarray(draws, dtype=float)
         if F.ndim != 2:

@@ -128,6 +128,13 @@ def _stream_of(rng) -> RngStream:
     raise ConfigError("rng must be an RngStream, an integer seed, or None")
 
 
+def _bootstrap_stream(B: int, rng) -> RngStream:
+    """The seed stream of a B-replicate bootstrap; B is checked before any fitting."""
+    if B < 0:
+        raise ConfigError("bootstrap count B must be >= 0")
+    return _stream_of(rng)
+
+
 def _grid_of(p) -> np.ndarray:
     if p is None:
         return FpfGrid.default().p
@@ -139,6 +146,21 @@ def _grid_of(p) -> np.ndarray:
 def _pauc_summary(point, draws, ctrl: PaucControl) -> PaucSummary:
     iv = interval_from(point, draws)
     return PaucSummary(iv.est, iv.lo, iv.hi, ctrl.focus, ctrl.value)
+
+
+def case_bootstrap(fn, stream: RngStream, B: int, sizes, workers: int = 1) -> list:
+    """fn(*indices) for each of B bootstrap replicates, in replicate order.
+
+    Replicate k draws one integers(0, n, n) index vector per n in sizes,
+    in that order, from stream _BOOT_STREAM_BASE + k: this is the one
+    place that builds a replicate's generator, so every frequentist
+    bootstrap gives the same numbers for any worker count.
+    """
+    def one_rep(k: int):
+        gen = stream.stream(_BOOT_STREAM_BASE + k).generator
+        return fn(*[gen.integers(0, n, n) for n in sizes])
+
+    return parallel_map(one_rep, range(B), workers)
 
 
 # -- CDF stacks ----------------------------------------------------------------
@@ -416,9 +438,7 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
     AUC is the tie-halved Mann-Whitney statistic and partial areas come
     from the matching placement-value closed forms.
     """
-    if B < 0:
-        raise ConfigError("bootstrap count B must be >= 0")
-    stream = _stream_of(rng)
+    stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
     pauc = pauc or PaucControl()
     split = split_groups(sample)
@@ -430,25 +450,20 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
     auc_point = mw_auc(split.healthy, split.diseased)
     pauc_point = _empirical_pauc(h_sorted, d_sorted, pauc) if pauc.compute else None
 
-    boot_h = np.empty((B, split.n_h))
-    boot_d = np.empty((B, split.n_d))
+    def replicate(h_idx, d_idx):
+        h, d = np.sort(split.healthy[h_idx]), np.sort(split.diseased[d_idx])
+        return h, d, mw_auc(h, d), _empirical_pauc(h, d, pauc) if pauc.compute else None
 
-    def one_rep(k: int):
-        gen = stream.stream(_BOOT_STREAM_BASE + k).generator
-        h = boot_h[k] = np.sort(split.healthy[gen.integers(0, split.n_h, split.n_h)])
-        d = boot_d[k] = np.sort(split.diseased[gen.integers(0, split.n_d, split.n_d)])
-        return mw_auc(h, d), _empirical_pauc(h, d, pauc) if pauc.compute else None
-
-    reps = parallel_map(one_rep, range(B), workers) if B > 0 else []
-    ensemble = (StepStack(boot_h), StepStack(boot_d)) if reps else None
+    reps = case_bootstrap(replicate, stream, B, (split.n_h, split.n_d), workers)
+    ensemble = tuple(StepStack(np.array([r[g] for r in reps])) for g in (0, 1)) if reps else None
     curves = roc_rows(*ensemble, grid) if reps else None
 
     lo, hi = band(curves) if curves is not None else (est.copy(), est.copy())
     return RocResult(
         method="empirical",
         p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
-        auc=interval_from(auc_point, [r[0] for r in reps] if reps else None),
-        pauc=(_pauc_summary(pauc_point, [r[1] for r in reps] if reps else None, pauc)
+        auc=interval_from(auc_point, [r[2] for r in reps]),
+        pauc=(_pauc_summary(pauc_point, [r[3] for r in reps], pauc)
               if pauc.compute else None),
         sample_sizes=(split.n_h, split.n_d),
         ensemble=curves,
@@ -477,9 +492,7 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     """
     if bw not in ("srt", "lscv"):
         raise ConfigError("bw must be 'srt' or 'lscv'")
-    if B < 0:
-        raise ConfigError("bootstrap count B must be >= 0")
-    stream = _stream_of(rng)
+    stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
     pauc = pauc or PaucControl()
     split = split_groups(sample)
@@ -495,13 +508,9 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     plugin = _kernel_stacks(y_h, y_d, h_h, h_d)
     est = roc_rows(*plugin, grid)
 
-    def one_rep(k: int):
-        gen = stream.stream(_BOOT_STREAM_BASE + k).generator
-        return y_h[gen.integers(0, split.n_h, split.n_h)], y_d[gen.integers(0, split.n_d, split.n_d)]
-
-    reps = parallel_map(one_rep, range(B), workers) if B > 0 else []
-    ensemble = _kernel_stacks(np.array([r[0] for r in reps]), np.array([r[1] for r in reps]),
-                              h_h, h_d) if reps else None
+    reps = case_bootstrap(lambda h_idx, d_idx: (y_h[h_idx], y_d[d_idx]), stream, B,
+                          (split.n_h, split.n_d), workers)
+    ensemble = _kernel_stacks(*map(np.array, zip(*reps)), h_h, h_d) if reps else None
     curves = roc_rows(*ensemble, grid) if reps else None
     lo, hi = band(curves) if curves is not None else (est.copy(), est.copy())
     return RocResult(
@@ -521,11 +530,12 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
 
 # -- Dirichlet-weight resampling ---------------------------------------------
 
-def _bb_placements(values_sorted, cumw_rows, query) -> np.ndarray:
-    """U_j = sum_i w_i 1[ref_i >= query_j] per weight row; (S, m)."""
-    left = np.searchsorted(values_sorted, query, side="left")
+def _bb_placements(values_sorted, cumw_rows, query, side="left") -> np.ndarray:
+    """U_j = sum_i w_i 1[ref_i >= query_j] per weight row, or 1[ref_i > query_j]
+    with side 'right'; (S, m)."""
+    below = np.searchsorted(values_sorted, query, side=side)
     padded = np.concatenate([np.zeros((cumw_rows.shape[0], 1)), cumw_rows], axis=1)
-    return 1.0 - padded[:, left]
+    return 1.0 - padded[:, below]
 
 
 def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
@@ -564,7 +574,8 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
         if pauc.focus == "fpf":
             raw = pauc.value - np.einsum("sj,sj->s", q2, np.minimum(pauc.value, U))
         else:
-            U_rev = _bb_placements(d_sorted, cum2, h_sorted)  # (S, n_h)
+            # V_i = P_D(D > h_i), strict like the AUC's P(H < D)
+            U_rev = _bb_placements(d_sorted, cum2, h_sorted, side="right")  # (S, n_h)
             U_rev -= pauc.value
             raw = np.einsum("si,si->s", q1, np.maximum(U_rev, 0.0, out=U_rev))
         paucs = pauc_normalise(raw, pauc.focus, pauc.value)

@@ -280,6 +280,11 @@ class LocationScaleFit:
     def sigma2(self, x0):
         return local_constant_variance(self.x, self.sq_resid, self.bw_var, x0)
 
+    def at(self, x0):
+        """(mu(x0), sqrt(sigma2(x0))) as arrays: the fit's location and scale."""
+        return (np.asarray(self.mu(x0), dtype=float),
+                np.sqrt(np.asarray(self.sigma2(x0), dtype=float)))
+
 
 def fit_location_scale(x, y, order: int = 1, bw_mean: Bandwidth | None = None,
                        bw_var: Bandwidth | None = None) -> LocationScaleFit:

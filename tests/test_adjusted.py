@@ -229,9 +229,12 @@ def test_validation_errors():
         aroc_frequentist(s, formula="y ~ x", variant="magic", B=0)
 
 
-def test_workers_do_not_change_results():
+@pytest.mark.parametrize("variant", ["sp_normal", "sp_empirical", "kernel"])
+def test_workers_do_not_change_results(variant):
     s = covariate_sample(n_h=120, n_d=120, seed=75)
-    a = aroc_frequentist(s, formula="y ~ x", B=40, rng=76, workers=1)
-    b = aroc_frequentist(s, formula="y ~ x", B=40, rng=76, workers=4)
+    B = 8 if variant == "kernel" else 40
+    a, b = (aroc_frequentist(s, formula="y ~ x", covariate="x", variant=variant, B=B, rng=76,
+                             workers=w) for w in (1, 4))
     assert np.array_equal(a.aroc_lo, b.aroc_lo)
+    assert np.array_equal(a.aroc_hi, b.aroc_hi)
     assert a.aauc == b.aauc and a.yi == b.yi

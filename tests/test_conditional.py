@@ -236,11 +236,15 @@ def test_threshold_accepts_fresh_newdata():
     assert thr.threshold[1].est > thr.threshold[0].est
 
 
-def test_workers_do_not_change_sp_results():
+@pytest.mark.parametrize("method", ["sp", "kernel"])
+def test_workers_do_not_change_results(method):
     s = covariate_sample(n_h=120, n_d=120, seed=49)
-    a = croc_sp("y ~ x", "y ~ x", s, NEW, B=40, rng=50, workers=1)
-    b = croc_sp("y ~ x", "y ~ x", s, NEW, B=40, rng=50, workers=4)
+    if method == "sp":
+        a, b = (croc_sp("y ~ x", "y ~ x", s, NEW, B=40, rng=50, workers=w) for w in (1, 4))
+    else:
+        a, b = (croc_kernel(s, "x", NEW, bw="srt", B=8, rng=50, workers=w) for w in (1, 4))
     assert np.array_equal(a.roc_lo, b.roc_lo)
+    assert np.array_equal(a.roc_hi, b.roc_hi)
     for i1, i2 in zip(a.auc, b.auc):
         assert i1 == i2
 

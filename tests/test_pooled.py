@@ -8,6 +8,7 @@ from rocinfer.pooled import (
     MixtureStack,
     PaucControl,
     _kernel_stacks,
+    case_bootstrap,
     pooled_bb,
     pooled_dpm,
     pooled_empirical,
@@ -18,7 +19,8 @@ from rocinfer.pooled import (
 )
 from rocinfer.sample import DiagnosticSample
 from rocinfer.smoothing import kernel_cdf, silverman_bandwidth
-from rocinfer.summaries import mixture_auc_closed, mw_auc, odd_grid, simpson
+from rocinfer.streams import RngStream
+from rocinfer.summaries import band, mixture_auc_closed, mw_auc, odd_grid, pauc_normalise, simpson
 
 from conftest import binormal_sample
 
@@ -227,6 +229,34 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(a.roc_lo, b.roc_lo)
     assert np.array_equal(a.roc_hi, b.roc_hi)
     assert a.auc == b.auc
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_case_bootstrap_stream_layout(workers):
+    # replicate k draws integers(0, n, n) per size, in order, from stream 100 + k
+    sizes = (7, 3, 5)
+    reps = case_bootstrap(lambda *idx: idx, RngStream(31), 4, sizes, workers)
+    assert len(reps) == 4
+    for k, idx in enumerate(reps):
+        gen = RngStream(31, 100 + k).generator
+        for n, got in zip(sizes, idx):
+            assert np.array_equal(got, gen.integers(0, n, n))
+    assert case_bootstrap(lambda *idx: idx, RngStream(31), 0, sizes, workers) == []
+
+
+def test_bb_tpf_partial_area_matches_the_curve_integral_with_ties():
+    # marker rounded to 0.1: many healthy and diseased values coincide
+    s = _sample_with_ties(n=150, seed=12)
+    ctrl = PaucControl(compute=True, focus="tpf", value=0.8)
+    bb = pooled_bb(s, S=6, pauc=ctrl, rng=13)
+    # the area between each draw's curve and TPF = value, where the curve lies above it
+    g = odd_grid(0.0, 1.0, 200001)
+    above = np.maximum(roc_rows(*bb.internals["ensemble"], g) - ctrl.value, 0.0)
+    ref = pauc_normalise(simpson(above, g[1] - g[0]), "tpf", ctrl.value)
+    lo, hi = band(ref)
+    assert bb.pauc.est == pytest.approx(float(ref.mean()), abs=1e-5)
+    assert bb.pauc.lo == pytest.approx(float(lo), abs=1e-5)
+    assert bb.pauc.hi == pytest.approx(float(hi), abs=1e-5)
 
 
 def test_dpm_without_standardisation_still_fits():
