@@ -47,6 +47,7 @@ from .summaries import (
     ecdf_eval,
     interval_from,
     pauc_normalise,
+    placement_areas,
 )
 
 _VARIANTS = ("sp_normal", "sp_empirical", "kernel")
@@ -90,9 +91,6 @@ def _placement_rows(U, q, grid, ctrl: PaucControl):
         cum = np.cumsum(np.take_along_axis(q, order, axis=1), axis=1)
     del order
 
-    def wmean(X):  # sum_j q_j X_j per row
-        return X.mean(axis=1) if q is None else np.einsum("rn,rn->r", q, X)
-
     # count each placement at the first grid point >= it, then accumulate
     m = grid.size
     bins = np.searchsorted(grid, U, side="left") + (m + 1) * np.arange(R)[:, None]
@@ -110,18 +108,16 @@ def _placement_rows(U, q, grid, ctrl: PaucControl):
     p_star = np.where(gap > 0.0, np.take_along_axis(u_sorted, k, axis=1)[:, 0], 0.0)
     del gaps
 
-    aauc = 1.0 - wmean(U)
-    pauc = None
-    if ctrl.compute:
+    # the adjusted curve has no reverse placements, so its TPF area stays here
+    aauc, pauc = placement_areas(U, q, ctrl if ctrl.focus == "fpf" else None)
+    if ctrl.compute and ctrl.focus == "tpf":
         v = ctrl.value
-        if ctrl.focus == "fpf":
-            raw = v - wmean(np.minimum(v, U))
-        else:
-            # c = inf{p: AROC(p) >= v}; the area is sum q (1 - max(c, U)) - (1 - c) v
-            j = np.minimum(np.sum(cum < v - 1e-12, axis=1), n - 1)
-            c = np.take_along_axis(u_sorted, j[:, None], axis=1)
-            raw = wmean(1.0 - np.maximum(c, U) - (1.0 - c) * v)
-        pauc = pauc_normalise(raw, ctrl.focus, v)
+        # c = inf{p: AROC(p) >= v}; the area is sum q (1 - max(c, U)) - (1 - c) v
+        j = np.minimum(np.sum(cum < v - 1e-12, axis=1), n - 1)
+        c = np.take_along_axis(u_sorted, j[:, None], axis=1)
+        X = 1.0 - np.maximum(c, U) - (1.0 - c) * v
+        raw = X.mean(axis=1) if q is None else np.einsum("rn,rn->r", q, X)
+        pauc = pauc_normalise(raw, "tpf", v)
     return curves, aauc, pauc, yi, p_star
 
 

@@ -34,8 +34,8 @@ from .errors import (
     CollinearityWarning,
     ConfigError,
     DataError,
+    ExtrapolationWarning,
     MissingColumnError,
-    OutOfRangeError,
     TooFewPointsError,
     UnknownLevelError,
 )
@@ -93,21 +93,20 @@ def spline_spec_from_data(x, K: int) -> SplineSpec:
     return SplineSpec(quantile_knots(x, K), (float(x.min()), float(x.max())))
 
 
-def bspline_design(x, spec: SplineSpec, extrapolate: bool = False) -> np.ndarray:
+def bspline_design(x, spec: SplineSpec) -> np.ndarray:
     """Evaluate the clamped cubic basis at x (Cox-de Boor recursion).
 
-    Rows sum to one; each function is nonnegative with local support.
-    Points outside the boundary raise unless extrapolate=True, which
-    clamps them to the boundary first.
+    Rows sum to one; each function is nonnegative with local support
+    inside the boundary. Past either boundary knot each column continues
+    linearly with its boundary value and slope (the natural-spline tail
+    of R's splines::ns), and an ExtrapolationWarning says how many points
+    fell outside and how far.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = spec.boundary
-    if extrapolate:
-        x = np.clip(x, lo, hi)
-    elif np.any(x < lo) or np.any(x > hi):
-        raise OutOfRangeError(
-            "values outside the training range [%g, %g] of the spline basis" % (lo, hi)
-        )
+    outside = (x < lo) | (x > hi)
+    inside = np.clip(x, lo, hi)
+    dx, x = x - inside, inside  # dx: signed distance past the boundary, 0 inside
     t = spec.knot_vector
     nb = t.size - _DEGREE - 1
     # order zero: indicator of the half-open span, last span closed on the right
@@ -130,7 +129,21 @@ def bspline_design(x, spec: SplineSpec, extrapolate: bool = False) -> np.ndarray
                 acc = acc + (t[i + k + 1] - x) / right_den * b[:, i + 1]
             nxt[:, i] = acc
         b = nxt
-    return b[:, :nb]
+    b = b[:, :nb]
+    if np.any(outside):
+        warnings.warn(
+            "%d covariate value(s) outside the spline boundary [%g, %g], up to %g past it; "
+            "the basis continues linearly" % (outside.sum(), lo, hi, np.abs(dx[outside]).max()),
+            ExtrapolationWarning,
+        )
+        # only the two end columns have a slope at a clamped boundary
+        left, right = np.minimum(dx, 0.0), np.maximum(dx, 0.0)
+        slope_lo, slope_hi = 3.0 / (t[_DEGREE + 1] - lo), 3.0 / (hi - t[-_DEGREE - 2])
+        b[:, 0] -= slope_lo * left
+        b[:, 1] += slope_lo * left
+        b[:, -2] -= slope_hi * right
+        b[:, -1] += slope_hi * right
+    return b
 
 
 # -- formula parsing ---------------------------------------------------------
@@ -289,8 +302,7 @@ def _smooth_key(term: SmoothTerm) -> str:
     return "f(%s|%s)" % (term.name, term.by or "")
 
 
-def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None,
-                 extrapolate: bool = False):
+def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None):
     """Assemble (Z, labels, fitted) for a covariate frame.
 
     When fitted is supplied (prediction), training levels, knots, and
@@ -353,7 +365,7 @@ def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None,
                     k = term.K[0] if len(term.K) else 0
                     splines[key] = [(None, spline_spec_from_data(x, k))]
                 sspec = splines[key][0][1]
-                basis = bspline_design(x, sspec, extrapolate=extrapolate)
+                basis = bspline_design(x, sspec)
                 blocks.append(basis)
                 labels.extend(["f(%s):s%d" % (term.name, j + 1) for j in range(basis.shape[1])])
             else:
@@ -383,7 +395,7 @@ def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None,
                     basis = np.zeros((n, sspec.dim))
                     rows = mask > 0
                     if np.any(rows):
-                        basis[rows] = bspline_design(x[rows], sspec, extrapolate=extrapolate)
+                        basis[rows] = bspline_design(x[rows], sspec)
                     blocks.append(basis)
                     labels.extend(
                         ["f(%s):%s%s:s%d" % (term.name, term.by, lv, j + 1) for j in range(sspec.dim)]

@@ -56,10 +56,6 @@ class TooFewPointsError(DataError):
     pass
 
 
-class OutOfRangeError(DataError):
-    pass
-
-
 class ZeroVarianceError(DataError):
     pass
 
@@ -118,6 +114,10 @@ class CollinearityWarning(RocinferWarning):
 
 class DegenerateGridWarning(RocinferWarning):
     """Bandwidth cross-validation could not separate candidates."""
+
+
+class ExtrapolationWarning(RocinferWarning):
+    """A spline basis was evaluated past its boundary knots (linear tails)."""
 
 
 class ClampWarning(RocinferWarning):

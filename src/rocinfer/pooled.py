@@ -48,11 +48,10 @@ from .summaries import (
     interval_from,
     invert_cdf,
     mixture_auc_closed,
-    mw_auc,
     odd_grid,
-    pauc_from_placements,
     pauc_normalise,
-    placements_half,
+    placement_areas,
+    placements,
     simpson,
     weighted_ecdf_eval,
     weighted_ecdf_quantile,
@@ -341,7 +340,10 @@ def roc_rows(H, D, p) -> np.ndarray:
 def tnf_rows(H, D, p) -> np.ndarray:
     """Reverse orientation F_H(F_D^{-1}(1-p)): the ROC curve with the groups swapped.
 
-    Evaluates 1 at p=0 and 0 at p=1; its integral over p equals the AUC.
+    Evaluates 1 at p=0 and 0 at p=1. Its integral over p is
+    E[F_H(D)] = P(H <= D): the AUC for continuous CDFs, but on step
+    stacks (emp, bb) cross-group ties count whole, so it exceeds their
+    AUC (tie-halved for emp, strict for bb) by the tie mass they drop.
     """
     return 1.0 - roc_rows(D, H, p)
 
@@ -419,17 +421,6 @@ def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult
 
 # -- empirical ---------------------------------------------------------------
 
-def _empirical_pauc(h_sorted, d_sorted, ctrl: PaucControl) -> float:
-    if ctrl.focus == "fpf":
-        U = placements_half(h_sorted, d_sorted)
-        raw = pauc_from_placements(U, None, "fpf", ctrl.value)
-    else:
-        U = placements_half(d_sorted, h_sorted)
-        # reversed placement: U_H = P_D(Y > y_H) + half ties
-        raw = pauc_from_placements(U, None, "tpf", ctrl.value)
-    return pauc_normalise(raw, ctrl.focus, ctrl.value)
-
-
 def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None = None,
                      B: int = 500, rng=None, workers: int = 1) -> RocResult:
     """Step-function plug-in with a within-group case bootstrap.
@@ -447,24 +438,26 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
 
     plugin = (StepStack(h_sorted), StepStack(d_sorted))
     est = roc_rows(*plugin, grid)
-    auc_point = mw_auc(split.healthy, split.diseased)
-    pauc_point = _empirical_pauc(h_sorted, d_sorted, pauc) if pauc.compute else None
+    tpf = pauc.compute and pauc.focus == "tpf"
 
     def replicate(h_idx, d_idx):
         h, d = np.sort(split.healthy[h_idx]), np.sort(split.diseased[d_idx])
-        return h, d, mw_auc(h, d), _empirical_pauc(h, d, pauc) if pauc.compute else None
+        return h, d, placements(h, d), placements(d, h) if tpf else None
 
     reps = case_bootstrap(replicate, stream, B, (split.n_h, split.n_d), workers)
     ensemble = tuple(StepStack(np.array([r[g] for r in reps])) for g in (0, 1)) if reps else None
     curves = roc_rows(*ensemble, grid) if reps else None
+    # row 0 is the plug-in, rows 1..B the bootstrap replicates
+    U = np.array([placements(h_sorted, d_sorted)] + [r[2] for r in reps])
+    U_rev = np.array([placements(d_sorted, h_sorted)] + [r[3] for r in reps]) if tpf else None
+    aucs, paucs = placement_areas(U, None, pauc, U_rev)
 
     lo, hi = band(curves) if curves is not None else (est.copy(), est.copy())
     return RocResult(
         method="empirical",
         p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
-        auc=interval_from(auc_point, [r[2] for r in reps]),
-        pauc=(_pauc_summary(pauc_point, [r[3] for r in reps], pauc)
-              if pauc.compute else None),
+        auc=interval_from(aucs[0], aucs[1:]),
+        pauc=_pauc_summary(paucs[0], paucs[1:], pauc) if pauc.compute else None,
         sample_sizes=(split.n_h, split.n_d),
         ensemble=curves,
         internals={"plugin": plugin, "ensemble": ensemble,
@@ -530,14 +523,6 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
 
 # -- Dirichlet-weight resampling ---------------------------------------------
 
-def _bb_placements(values_sorted, cumw_rows, query, side="left") -> np.ndarray:
-    """U_j = sum_i w_i 1[ref_i >= query_j] per weight row, or 1[ref_i > query_j]
-    with side 'right'; (S, m)."""
-    below = np.searchsorted(values_sorted, query, side=side)
-    padded = np.concatenate([np.zeros((cumw_rows.shape[0], 1)), cumw_rows], axis=1)
-    return 1.0 - padded[:, below]
-
-
 def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
               pauc: PaucControl | None = None, rng=None) -> RocResult:
     """Dirichlet-weight resampling with closed-form areas.
@@ -565,20 +550,13 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
     cum2 = np.cumsum(q2, axis=1)
     ensemble = (StepStack(h_sorted, cum1), StepStack(d_sorted, cum2))
 
-    U = _bb_placements(h_sorted, cum1, d_sorted)  # (S, n_d)
-    aucs = 1.0 - np.einsum("sj,sj->s", q2, U)
     curves = roc_rows(*ensemble, grid)
-
-    paucs = None
-    if pauc.compute:
-        if pauc.focus == "fpf":
-            raw = pauc.value - np.einsum("sj,sj->s", q2, np.minimum(pauc.value, U))
-        else:
-            # V_i = P_D(D > h_i), strict like the AUC's P(H < D)
-            U_rev = _bb_placements(d_sorted, cum2, h_sorted, side="right")  # (S, n_h)
-            U_rev -= pauc.value
-            raw = np.einsum("si,si->s", q1, np.maximum(U_rev, 0.0, out=U_rev))
-        paucs = pauc_normalise(raw, pauc.focus, pauc.value)
+    # placements with ties counted whole, so the AUC is P(H < D); the
+    # reverse V_i = P_D(D > h_i) is strict like it
+    U = placements(h_sorted, d_sorted, cum1, side="left")  # (S, n_d)
+    U_rev = (placements(d_sorted, h_sorted, cum2, side="right")
+             if pauc.compute and pauc.focus == "tpf" else None)
+    aucs, paucs = placement_areas(U, q2, pauc, U_rev, q1)
 
     est = curves.mean(axis=0)
     lo, hi = band(curves)
@@ -586,9 +564,7 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
         method="bb",
         p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
         auc=interval_from(float(aucs.mean()), aucs),
-        pauc=(
-            _pauc_summary(float(np.mean(paucs)), paucs, pauc) if pauc.compute else None
-        ),
+        pauc=_pauc_summary(float(paucs.mean()), paucs, pauc) if pauc.compute else None,
         sample_sizes=(split.n_h, split.n_d),
         ensemble=curves,
         internals={"plugin": None, "ensemble": ensemble,
@@ -685,9 +661,11 @@ def _stacks_of(result) -> tuple:
 def pooled_tnf(result: RocResult, p=None) -> np.ndarray:
     """Reverse-orientation curve F_H(F_D^{-1}(1-p)) from the fitted CDFs.
 
-    Evaluates 1 at p=0 and 0 at p=1; its integral over p equals the AUC.
-    Uses the plug-in fit for the frequentist methods and the ensemble
-    mean for the Bayesian ones.
+    Evaluates 1 at p=0 and 0 at p=1; its integral over p is P(H <= D),
+    which equals the AUC except on the step CDFs of emp and bb, where
+    cross-group ties count whole (see `tnf_rows`). Uses the plug-in fit
+    for the frequentist methods and the ensemble mean for the Bayesian
+    ones.
     """
     grid = _grid_of(p) if p is not None else result.p
     plugin, ensemble = _stacks_of(result)

@@ -83,9 +83,11 @@ def stick_breaking(v) -> np.ndarray:
     Accepts a vector or a matrix of row-wise proportion vectors.
     """
     v = np.asarray(v, dtype=float)
-    if v.size == 0 or np.any(v < 0) or np.any(v > 1):
+    # fmin/fmax skip NaN as the elementwise comparisons do; a NaN or inf
+    # last entry fails the distance test as np.allclose would
+    if v.size == 0 or np.fmin.reduce(v, axis=None) < 0 or np.fmax.reduce(v, axis=None) > 1:
         raise BadStickError("stick proportions must lie in [0,1]")
-    if not np.allclose(v[..., -1], 1.0, rtol=0, atol=1e-12):
+    if not np.abs(v[..., -1] - 1.0).max() <= 1e-12:
         raise BadStickError("last stick proportion must equal 1")
     ones = np.ones(v.shape[:-1] + (1,))
     surv = np.cumprod(1.0 - v[..., :-1], axis=-1)
@@ -100,7 +102,9 @@ def wishart(nu: float, scale: np.ndarray, rng) -> np.ndarray:
     d = scale.shape[0]
     if nu <= d - 1:
         raise NotSPDError("wishart needs nu > dim - 1")
-    if not np.allclose(scale, scale.T, rtol=0, atol=1e-10):
+    # mirrored entries must be equal (equal infinities included) or within 1e-10
+    asym = scale != scale.T
+    if not np.abs(scale[asym] - scale.T[asym]).max(initial=0.0) <= 1e-10:
         raise NotSPDError("scale must be symmetric")
     try:
         lower = np.linalg.cholesky(scale)
@@ -122,7 +126,8 @@ def check_shape_rate(shape, rate):
     """Gamma shape and rate as float arrays, both required positive."""
     shape = np.asarray(shape, dtype=float)
     rate = np.asarray(rate, dtype=float)
-    if np.any(shape <= 0) or np.any(rate <= 0):
+    if (np.fmin.reduce(shape, axis=None, initial=np.inf) <= 0
+            or np.fmin.reduce(rate, axis=None, initial=np.inf) <= 0):
         raise BadAlphaError("gamma needs positive shape and rate")
     return shape, rate
 

@@ -39,32 +39,15 @@ def simpson(values, spacing: float) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def _sorted_with_cumweights(y, weights=None):
-    y = np.asarray(y, dtype=float)
-    order = np.argsort(y, kind="stable")
-    ys = y[order]
-    if weights is None:
-        w = np.full(y.size, 1.0 / y.size)
-    else:
-        w = np.asarray(weights, dtype=float)[order]
-        w = w / w.sum()
-    cw = np.concatenate([[0.0], np.cumsum(w)])
-    return ys, cw
-
-
 def mw_auc(y_h, y_d, weights_h=None, weights_d=None) -> float:
     """Mann-Whitney AUC with ties counted one half, optionally weighted."""
-    hs, cwh = _sorted_with_cumweights(y_h, weights_h)
-    y_d = np.asarray(y_d, dtype=float)
-    if weights_d is None:
-        wd = np.full(y_d.size, 1.0 / y_d.size)
-    else:
-        wd = np.asarray(weights_d, dtype=float)
-        wd = wd / wd.sum()
-    below = cwh[np.searchsorted(hs, y_d, side="left")]
-    upto = cwh[np.searchsorted(hs, y_d, side="right")]
-    # cumulative 1/n weights can sum to 1 + 2e-16; an area is at most 1
-    return float(np.clip(np.sum(wd * (below + 0.5 * (upto - below))), 0.0, 1.0))
+    y_h = np.asarray(y_h, dtype=float)
+    order = np.argsort(y_h, kind="stable")
+    wh, wd = (None if w is None else np.asarray(w, dtype=float)[None, :] / np.sum(w)
+              for w in (weights_h, weights_d))
+    U = placements(y_h[order], y_d, None if wh is None else np.cumsum(wh[:, order], axis=1))
+    # weighted cumulative sums can end at 1 + 2e-16; an area is at most 1
+    return float(np.clip(placement_areas(U.reshape(1, -1), wd)[0][0], 0.0, 1.0))
 
 
 def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray | float:
@@ -304,32 +287,45 @@ def weighted_ecdf_quantile(sorted_y: np.ndarray, cumw: np.ndarray, q) -> np.ndar
     return float(out[0]) if np.isscalar(q) or np.asarray(q).ndim == 0 else out
 
 
-def placements_half(ref_sorted: np.ndarray, query) -> np.ndarray:
-    """U(y) = P_ref(Y > y) + 0.5 P_ref(Y = y), the tie-halved placement.
+def placements(ref_sorted: np.ndarray, query, cumw=None, side: str = "half") -> np.ndarray:
+    """Placement values U(y) = P_ref(Y > y) of query points in an ascending sample.
 
-    1 - mean(U over a sample) reproduces the Mann-Whitney AUC exactly.
+    Ties with y count whole (side 'left'), not at all ('right') or one
+    half ('half'). Every reference value weighs 1/n (U exact in k/n),
+    or cumw (M, n) holds one row of cumulative weights per member, and
+    U then has one row per member.
     """
     y = np.asarray(query, dtype=float)
-    n = ref_sorted.size
-    left = np.searchsorted(ref_sorted, y, side="left")
-    right = np.searchsorted(ref_sorted, y, side="right")
-    return (n - 0.5 * (left + right)) / n
+    padded = None if cumw is None else np.concatenate(
+        [np.zeros(cumw.shape[:-1] + (1,)), cumw], axis=-1)
+
+    def below(s):  # reference count or weight below y, ties included on side 'right'
+        i = np.searchsorted(ref_sorted, y, side=s)
+        return i if padded is None else padded[..., i]
+
+    mass = 0.5 * (below("left") + below("right")) if side == "half" else below(side)
+    if padded is None:
+        return (ref_sorted.size - mass) / ref_sorted.size
+    return np.subtract(1.0, mass, out=mass)  # mass is a fresh array
 
 
-def pauc_from_placements(U, weights, focus: str, bound: float) -> float:
-    """Raw partial area from placement values via the closed forms.
+def placement_areas(U, q=None, ctrl=None, U_rev=None, q_rev=None):
+    """Per row of placements U (weights q, None for 1/n): AUC 1 - sum q U.
 
-    FPF focus: u1 - sum(w * min(u1, U_D)) with diseased-in-healthy
-    placements. TPF focus: sum(w * max(U_H - v1, 0)) with reversed
-    (healthy-in-diseased) placements, exactly 0 on the empty range
-    v1 = 1. Normalise separately.
+    When ctrl (compute, focus, value) asks, also the normalised partial
+    area: FPF v - sum q min(v, U), or TPF sum q_rev max(U_rev - v, 0) over
+    the reverse (healthy-in-diseased) placements. Returns (auc, pauc or None).
     """
-    U = np.asarray(U, dtype=float)
-    if weights is None:
-        weights = np.full(U.size, 1.0 / U.size)
-    w = np.asarray(weights, dtype=float)
-    if focus.lower() == "fpf":
-        return float(bound - np.sum(w * np.minimum(bound, U)))
-    if focus.lower() == "tpf":
-        return float(np.sum(w * np.maximum(U - bound, 0.0)))
-    raise BadGridError("pauc focus must be 'fpf' or 'tpf', got %r" % focus)
+    def wsum(w, X):  # sum_j w_j X_j per row
+        return X.mean(axis=1) if w is None else np.einsum("rn,rn->r", w, X)
+
+    auc = 1.0 - wsum(q, U)
+    if ctrl is None or not ctrl.compute:
+        return auc, None
+    v = ctrl.value
+    if ctrl.focus == "fpf":
+        raw = v - wsum(q, np.minimum(v, U))
+    else:
+        X = U_rev - v
+        raw = wsum(q_rev, np.maximum(X, 0.0, out=X))
+    return auc, pauc_normalise(raw, ctrl.focus, v)

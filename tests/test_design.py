@@ -12,8 +12,8 @@ from rocinfer.errors import (
     CollinearityWarning,
     ConfigError,
     DataError,
+    ExtrapolationWarning,
     MissingColumnError,
-    OutOfRangeError,
     TooFewPointsError,
     UnknownLevelError,
 )
@@ -116,17 +116,30 @@ def test_unknown_level_in_prediction_is_rejected():
         build_design(bad, spec, fitted=fitted)
 
 
-def test_out_of_range_smooth_prediction_needs_extrapolate():
+def test_out_of_range_smooth_prediction_continues_linearly():
     g = np.random.default_rng(5)
     frame = {"x": Column(g.uniform(0.0, 1.0, 50))}
     spec = parse_formula("y ~ f(x, K=2)")
     with pytest.warns(CollinearityWarning):
         _, _, fitted = build_design(frame, spec)
-    outside = {"x": Column([2.5])}
-    with pytest.raises(OutOfRangeError):
-        build_design(outside, spec, fitted=fitted)
-    Z, _, _ = build_design(outside, spec, fitted=fitted, extrapolate=True)
-    assert np.all(np.isfinite(Z))
+    (_, sspec), = fitted.splines["f(x|)"]
+    lo, hi = sspec.boundary
+    t = sspec.knot_vector
+    at = lambda x: build_design({"x": Column(np.atleast_1d(x))}, spec, fitted=fitted)[0]
+    inside = at(np.array([lo, hi]))
+    with pytest.warns(ExtrapolationWarning, match=r"2 covariate value\(s\).*up to 1\.5 past"):
+        Z = at(np.array([lo - 0.5, hi + 1.5]))
+    # intercept column, then the basis: only the two end columns move, by
+    # their boundary slopes -+3/(t[4] - lo) and -+3/(hi - t[-5])
+    step = np.zeros_like(inside)
+    step[0, 1:3] = np.array([-1.0, 1.0]) * 3.0 / (t[4] - lo) * -0.5
+    step[1, -2:] = np.array([-1.0, 1.0]) * 3.0 / (hi - t[-5]) * 1.5
+    np.testing.assert_allclose(Z, inside + step, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Z[:, 1:].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # linear: the midpoint of two outside points is the mean of their rows
+    with pytest.warns(ExtrapolationWarning, match="3 covariate"):
+        far = at(np.array([hi + 1.0, hi + 3.0, hi + 2.0]))
+    np.testing.assert_allclose(far[2], far[:2].mean(axis=0), rtol=0, atol=1e-12)
 
 
 def test_missing_column_and_empty_frame_errors():

@@ -16,11 +16,20 @@ from rocinfer.pooled import (
     pooled_threshold,
     pooled_tnf,
     roc_rows,
+    tnf_rows,
 )
 from rocinfer.sample import DiagnosticSample
 from rocinfer.smoothing import kernel_cdf, silverman_bandwidth
 from rocinfer.streams import RngStream
-from rocinfer.summaries import band, mixture_auc_closed, mw_auc, odd_grid, pauc_normalise, simpson
+from rocinfer.summaries import (
+    band,
+    mixture_auc_closed,
+    mw_auc,
+    odd_grid,
+    pauc_normalise,
+    placements,
+    simpson,
+)
 
 from conftest import binormal_sample
 
@@ -73,14 +82,14 @@ def test_full_range_partial_area_equals_auc():
 
 
 def test_tpf_partial_area_matches_placement_oracle():
-    from rocinfer.summaries import placements_half
+    from rocinfer.summaries import placements
 
     s = binormal_sample(seed=2)
     h = np.sort(s.marker[s.disease == 0])
     d = np.sort(s.marker[s.disease != 0])
     emp = pooled_empirical(s, pauc=PaucControl(compute=True, focus="tpf", value=0.2),
                            B=0)
-    V = placements_half(d, h)  # healthy placed against the diseased survival law
+    V = placements(d, h)  # healthy placed against the diseased survival law
     raw = float(np.mean(np.maximum(0.2, V))) - 0.2
     assert emp.pauc.est == pytest.approx(raw / 0.8, abs=1e-12)
     assert emp.pauc.focus == "tpf" and emp.pauc.bound == 0.2
@@ -257,6 +266,25 @@ def test_bb_tpf_partial_area_matches_the_curve_integral_with_ties():
     assert bb.pauc.est == pytest.approx(float(ref.mean()), abs=1e-5)
     assert bb.pauc.lo == pytest.approx(float(lo), abs=1e-5)
     assert bb.pauc.hi == pytest.approx(float(hi), abs=1e-5)
+
+
+def test_step_reverse_curve_integrates_to_p_h_le_d_with_ties():
+    """On step stacks the reverse curve counts cross-group ties whole: its
+    integral is P(H <= D) = 1 - E_q[P(H > d)], above the emp and bb AUCs."""
+    s = _sample_with_ties(n=150, seed=12)
+    h, d = np.sort(s.marker[s.disease == 0]), np.sort(s.marker[s.disease != 0])
+    g = odd_grid(0.0, 1.0, 200001)
+    emp = pooled_empirical(s, B=0)
+    area = simpson(pooled_tnf(emp, g), g[1] - g[0])
+    assert area == pytest.approx(1.0 - placements(h, d, side="right").mean(), abs=1e-5)
+    assert area - emp.auc.est > 1e-3
+    bb = pooled_bb(s, S=6, rng=13)
+    H, D = bb.internals["ensemble"]
+    q = np.diff(D.cumw, axis=1, prepend=0.0)  # each draw's diseased weights
+    per_draw = 1.0 - np.einsum("sj,sj->s", q, placements(h, d, H.cumw, side="right"))
+    np.testing.assert_allclose(simpson(tnf_rows(H, D, g), g[1] - g[0]), per_draw, atol=1e-5)
+    assert simpson(pooled_tnf(bb, g), g[1] - g[0]) == pytest.approx(per_draw.mean(), abs=1e-5)
+    assert per_draw.mean() - bb.auc.est > 1e-3
 
 
 def test_dpm_without_standardisation_still_fits():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from rocinfer.errors import BadAlphaError, BadStickError, NotSPDError
 from rocinfer.streams import (
     RngStream,
+    check_shape_rate,
     dirichlet,
     gamma_shape_rate,
     parallel_map,
@@ -87,3 +90,61 @@ def test_wishart_validates_inputs():
 def test_gamma_shape_rate_mean():
     d = gamma_shape_rate(4.0, 2.0, RngStream(2), size=4000)
     assert abs(d.mean() - 2.0) < 0.1
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("v", [
+    [0.5, 1.0], [0.0, 1.0 - 5e-13], [0.5, 1.0 + 2e-12], [], [[0.2, 1.0], [0.3, 1.0]],
+    [-0.1, 1.0], [1.5, 1.0], [_NAN, 1.0], [0.5, _NAN], [_NAN, _NAN], [-0.1, _NAN],
+    [_INF, 1.0], [-_INF, 1.0], [0.5, _INF], [[0.2, 1.0], [0.3, _NAN]],
+])
+def test_stick_breaking_checks_edge_inputs(v):
+    """The checks reject exactly the inputs the np.any/np.allclose forms rejected."""
+    a = np.asarray(v, dtype=float)
+    if a.size == 0 or np.any(a < 0) or np.any(a > 1):
+        expected = "lie in"
+    elif not np.allclose(a[..., -1], 1.0, rtol=0, atol=1e-12):
+        expected = "must equal 1"
+    else:
+        expected = None
+    if expected is None:
+        with np.errstate(invalid="ignore"):
+            stick_breaking(a)
+    else:
+        with pytest.raises(BadStickError, match=expected):
+            stick_breaking(a)
+
+
+@pytest.mark.parametrize("scale", [
+    [[2.0, 0.5], [0.5, 2.0]], [[2.0, 0.5], [0.5 + 5e-11, 2.0]], [[2.0, 0.5], [0.5 + 2e-10, 2.0]],
+    [[_NAN, 0.0], [0.0, 1.0]], [[1.0, _NAN], [_NAN, 1.0]], [[_INF, 0.0], [0.0, 1.0]],
+    [[1.0, _INF], [_INF, 1.0]], [[1.0, _INF], [-_INF, 1.0]], [[1.0, _INF], [0.0, 1.0]],
+])
+def test_wishart_symmetry_check_edge_inputs(scale):
+    a = np.asarray(scale, dtype=float)
+    expected = not np.allclose(a, a.T, rtol=0, atol=1e-10)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            wishart(5.0, a, RngStream(0))
+        except NotSPDError as exc:
+            raised = "symmetric" in str(exc)
+        else:
+            raised = False
+    assert raised == expected
+
+
+@pytest.mark.parametrize("shape, rate", [
+    (2.0, 1.0), (0.0, 1.0), (2.0, -1.0), (_NAN, 1.0), (2.0, _NAN), (_INF, 1.0), (-_INF, 1.0),
+    ([1.0, _NAN], [1.0, 1.0]), ([_NAN, -1.0], [1.0, 1.0]), ([1.0, 2.0], [_INF, 0.0]),
+    ([], []), ([[1.0, 2.0]], 1e-300),
+])
+def test_check_shape_rate_edge_inputs(shape, rate):
+    s, r = np.asarray(shape, dtype=float), np.asarray(rate, dtype=float)
+    if np.any(s <= 0) or np.any(r <= 0):
+        with pytest.raises(BadAlphaError):
+            check_shape_rate(shape, rate)
+    else:
+        check_shape_rate(shape, rate)

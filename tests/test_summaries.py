@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
 from rocinfer.errors import BadGridError
-from rocinfer.pooled import LocScaleStack, NormalStack, roc_rows, tnf_rows
+from rocinfer.pooled import LocScaleStack, NormalStack, PaucControl, roc_rows, tnf_rows
 from rocinfer.summaries import (
     band,
     ecdf_eval,
@@ -14,9 +14,9 @@ from rocinfer.summaries import (
     mixture_auc_closed,
     mw_auc,
     odd_grid,
-    pauc_from_placements,
     pauc_normalise,
-    placements_half,
+    placement_areas,
+    placements,
     simpson,
     weighted_ecdf_eval,
     weighted_ecdf_quantile,
@@ -154,16 +154,79 @@ def test_weighted_ecdf_with_flat_weights_matches_plain():
 
 def test_placements_half_tie_convention():
     # P(Y > 2) + 0.5 P(Y = 2) over ref {1, 2}
-    assert placements_half(np.array([1.0, 2.0]), 2.0) == pytest.approx(0.25)
-    assert placements_half(np.array([1.0, 2.0]), 0.0) == pytest.approx(1.0)
+    assert placements(np.array([1.0, 2.0]), 2.0) == pytest.approx(0.25)
+    assert placements(np.array([1.0, 2.0]), 0.0) == pytest.approx(1.0)
+    # ties whole, not at all, and the same with flat cumulative weights
+    assert placements(np.array([1.0, 2.0]), 2.0, side="left") == 0.5
+    assert placements(np.array([1.0, 2.0]), 2.0, side="right") == 0.0
+    cumw = np.array([[0.5, 1.0]])
+    np.testing.assert_allclose(placements(np.array([1.0, 2.0]), [2.0], cumw), [[0.25]])
 
 
 def test_full_range_placement_pauc_reduces_to_auc():
     g = np.random.default_rng(3)
     h = np.sort(g.normal(size=50))
     d = g.normal(1.0, 1.0, size=40)
-    U = placements_half(h, d)
-    w = np.full(40, 1.0 / 40)
-    full = pauc_from_placements(U, w, "fpf", 1.0)
-    assert full == pytest.approx(mw_auc(h, d), abs=1e-12)
-    assert full == pytest.approx(1.0 - U.mean(), abs=1e-12)
+    U = placements(h, d)
+    w = np.full((1, 40), 1.0 / 40)
+    ctrl = PaucControl(compute=True, focus="fpf", value=1.0)
+    auc, full = placement_areas(U[None, :], w, ctrl)
+    assert full[0] == pytest.approx(mw_auc(h, d), abs=1e-12)
+    assert full[0] == pytest.approx(1.0 - U.mean(), abs=1e-12)
+    assert auc[0] == pytest.approx(full[0], abs=1e-12)
+
+
+_TIE_WEIGHT = {"left": 0.0, "right": 1.0, "half": 0.5}  # P(H = D) share of the AUC
+
+
+def _dense_trapezoid(step, lo, hi, m=100_001):
+    """Trapezoid of a step function on m points: off by at most jumps * width / m."""
+    t = np.linspace(lo, hi, m)
+    return float(np.trapezoid(step(t), t)) if hi > lo else 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=8),
+    st.lists(st.integers(0, 6), min_size=1, max_size=8),
+    st.sampled_from(["left", "right", "half"]),
+    st.booleans(),
+    st.sampled_from([0.05, 0.3, 0.8, 1.0]),
+    st.integers(0, 2**16),
+)
+@example([3], [3], "half", False, 1.0, 0)  # n = 1 in both groups, one tie
+@example([1, 2, 2], [2], "left", True, 1.0, 7)
+@example([0, 4, 4, 5], [4, 4, 6], "right", True, 0.3, 11)
+def test_placement_areas_match_definition_oracles(h, d, side, weighted, v, seed):
+    """AUC against the pairwise double sum, partial areas against dense trapezoids."""
+    h, d = np.array(h, dtype=float), np.array(d, dtype=float)
+    g = np.random.default_rng(seed)
+    M = 2
+    wh = g.dirichlet(np.ones(h.size), M) if weighted else np.full((M, h.size), 1.0 / h.size)
+    wd = g.dirichlet(np.ones(d.size), M) if weighted else np.full((M, d.size), 1.0 / d.size)
+    oh, od = np.argsort(h, kind="stable"), np.argsort(d, kind="stable")
+    hs, ds, wh, wd = h[oh], d[od], wh[:, oh], wd[:, od]
+    if weighted:
+        U = placements(hs, ds, np.cumsum(wh, axis=1), side=side)
+        U_rev = placements(ds, hs, np.cumsum(wd, axis=1), side=side)
+        q, q_rev = wd, wh
+    else:
+        U = np.tile(placements(hs, ds, side=side), (M, 1))
+        U_rev = np.tile(placements(ds, hs, side=side), (M, 1))
+        q = q_rev = None
+    wins = (hs[:, None] < ds[None, :]) + _TIE_WEIGHT[side] * (hs[:, None] == ds[None, :])
+    for focus in ("fpf", "tpf"):
+        auc, pauc = placement_areas(U, q, PaucControl(True, focus, v), U_rev, q_rev)
+        for m in range(M):
+            np.testing.assert_allclose(auc[m], wh[m] @ wins @ wd[m], rtol=0, atol=1e-12)
+            if focus == "fpf":  # int_0^v P(U <= p) dp
+                raw = _dense_trapezoid(lambda t: wd[m] @ (U[m][:, None] <= t), 0.0, v)
+            else:  # int_v^1 P(U_rev > t) dt
+                raw = _dense_trapezoid(lambda t: wh[m] @ (U_rev[m][:, None] > t), v, 1.0)
+            tol = (h.size + d.size) / 1e5
+            np.testing.assert_allclose(pauc[m], pauc_normalise(raw, focus, v), rtol=0, atol=tol)
+        if focus == "tpf" and v == 1.0:
+            assert np.all(pauc == 0.0)
+    # the placement layer read back through the public Mann-Whitney wrapper
+    if side == "half" and not weighted:
+        assert mw_auc(h, d) == pytest.approx(auc[0], abs=1e-12)
