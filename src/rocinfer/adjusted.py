@@ -33,7 +33,6 @@ from .pooled import (
     PaucSummary,
     _bootstrap_stream,
     _grid_of,
-    _pauc_summary,
     _stream_of,
     case_bootstrap,
 )
@@ -43,11 +42,13 @@ from .streams import dirichlet
 from .summaries import (
     Interval,
     ThresholdResult,
-    band,
     ecdf_eval,
+    estimate,
     interval_from,
     pauc_normalise,
     placement_areas,
+    plugin_first,
+    summarise,
 )
 
 _VARIANTS = ("sp_normal", "sp_empirical", "kernel")
@@ -121,6 +122,20 @@ def _placement_rows(U, q, grid, ctrl: PaucControl):
     return curves, aauc, pauc, yi, p_star
 
 
+def _summary_fields(rows, ctrl: PaucControl, plugin: bool) -> dict:
+    """ArocResult curve, aAUC, pAUC, YI and p* fields of `_placement_rows`, by `summarise`.
+
+    With plugin, member 0 is the plug-in fit; otherwise every member is
+    a posterior draw.
+    """
+    est, lo, hi = summarise(**plugin_first(rows[0], plugin))
+    aauc, pauc, yi, p_star = (v if v is None else interval_from(**plugin_first(v, plugin))
+                              for v in rows[1:])
+    return {"aroc_est": est, "aroc_lo": lo, "aroc_hi": hi, "aauc": aauc,
+            "pauc": PaucSummary.of(pauc, ctrl) if ctrl.compute else None,
+            "yi": yi, "p_star": p_star}
+
+
 # -- frequentist, three healthy-model variants ---------------------------------
 
 def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | None = None,
@@ -172,17 +187,10 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
     # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
     U0 = placements(np.arange(y_h.size), np.arange(y_d.size))
     U = np.stack([U0] + case_bootstrap(placements, stream, B, (y_h.size, y_d.size), workers))
-    curves, aauc, pauc_v, yi, ps = _placement_rows(U, None, grid, ctrl)
-    lo, hi = band(curves[1:]) if B > 0 else (curves[0].copy(), curves[0].copy())
-
     return ArocResult(
         method="aroc-" + variant.replace("_", "-"),
         p=grid,
-        aroc_est=curves[0], aroc_lo=lo, aroc_hi=hi,
-        aauc=interval_from(aauc[0], aauc[1:]),
-        pauc=_pauc_summary(pauc_v[0], pauc_v[1:], ctrl) if ctrl.compute else None,
-        yi=interval_from(yi[0], yi[1:]),
-        p_star=interval_from(ps[0], ps[1:]),
+        **_summary_fields(_placement_rows(U, None, grid, ctrl), ctrl, plugin=True),
         placements=U0,
         sample_sizes=(split.n_h, split.n_d),
         internals={"variant": variant, "U": U0},
@@ -219,27 +227,21 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
     S, n_d = U.shape
     q = dirichlet(np.ones(n_d), stream.stream(_WEIGHTS_STREAM).generator, size=S)
 
-    curves, aauc_d, pauc_d, yi_d, ps_d = _placement_rows(U, q, grid, ctrl)
-    lo, hi = band(curves)
-
+    members = _placement_rows(U, q, grid, ctrl)
     crit = raw_scale_criteria(std, draws)
 
     split_raw = split_groups(sample)
     return ArocResult(
         method="aroc-bnp",
         p=grid,
-        aroc_est=curves.mean(axis=0), aroc_lo=lo, aroc_hi=hi,
-        aauc=interval_from(float(aauc_d.mean()), aauc_d),
-        pauc=_pauc_summary(float(pauc_d.mean()), pauc_d, ctrl) if ctrl.compute else None,
-        yi=interval_from(float(yi_d.mean()), yi_d),
-        p_star=interval_from(float(ps_d.mean()), ps_d),
-        placements=U.mean(axis=0),
+        **_summary_fields(members, ctrl, plugin=False),
+        placements=estimate(U),
         sample_sizes=(split_std.n_h, split_std.n_d),
         fit=crit,
         internals={
             "draws_h": draws, "std": std,
             "spec": spec, "fitted": fitted,
-            "U": U, "q": q, "p_star_draws": ps_d, "yi_draws": yi_d,
+            "U": U, "q": q, "p_star_draws": members[4], "yi_draws": members[3],
             "y_h": split_raw.healthy, "y_d": split_raw.diseased,
         },
     )
@@ -270,11 +272,11 @@ def aroc_threshold(result: ArocResult, newdata) -> ThresholdResult:
         mu = draws.conditional_means(z_rows[r])
         c_std = mixture_quantile(draws.weights, mu, draws.sigma2, q_levels)[:, 0]
         c_raw = std.marker_to_raw(c_std) if std.enabled else c_std
-        thresholds.append(interval_from(float(c_raw.mean()), c_raw))
+        thresholds.append(interval_from(None, c_raw))
 
-    fpf_iv = interval_from(float(ps.mean()), ps)
-    tpf_iv = interval_from(float((ps + yi).mean()), ps + yi)
-    yi_iv = interval_from(float(yi.mean()), yi)
+    fpf_iv = interval_from(None, ps)
+    tpf_iv = interval_from(None, ps + yi)
+    yi_iv = interval_from(None, yi)
     n_rows = len(z_rows)
     return ThresholdResult(
         criterion="yi",

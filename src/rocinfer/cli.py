@@ -121,10 +121,18 @@ class RunConfig:
     def validate(self):
         if self.workers < 1:
             raise ConfigError("--workers must be >= 1, got %d" % self.workers)
+        if self.seed < 0:
+            raise ConfigError("--seed must be >= 0, got %d" % self.seed)
         if self.subcommand == "simulate":
             if not self.out:
                 raise ConfigError("simulate needs --out for the CSV")
+            if self.n is not None and self.n < 0:
+                raise ConfigError("--n must be >= 0, got %d" % self.n)
             return
+        if self.grid_length is not None and self.grid_length < 2:
+            raise ConfigError("--grid-length must be >= 2, got %d" % self.grid_length)
+        if self.density_grid_length is not None and self.density_grid_length < 1:
+            raise ConfigError("--density-grid-length must be >= 1, got %d" % self.density_grid_length)
         for name in ("data", "marker", "group"):
             if not getattr(self, name):
                 raise ConfigError("--%s is required for %s" % (name, self.subcommand))
@@ -320,36 +328,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- estimator dispatch -------------------------------------------------------
 
-def _prior_pooled(overrides: dict) -> DpmPrior | None:
-    if not overrides:
-        return None
-    fields = {f.name for f in dataclasses.fields(DpmPrior)}
-    kwargs = {}
-    for key, val in overrides.items():
-        if key not in fields:
-            raise ConfigError("unknown prior field %r (DpmPrior has %s)" % (key, ", ".join(sorted(fields))))
-        kwargs[key] = int(val) if key == "L" else float(val)
-    return DpmPrior(**kwargs)
+_DIAGONAL = ("S0", "Psi")  # matrix fields, given by their diagonals
 
 
-def _prior_ddp(overrides: dict) -> DdpPrior | None:
-    """Vector field m0 takes comma floats; S0/Psi take a comma diagonal."""
+def _override(cls, overrides: dict):
+    """cls(**overrides), or None without overrides, each value parsed by its field's kind.
+
+    An int field takes an integer; an array field takes numbers separated
+    by `;` or `,`, as a vector or, for S0/Psi, a matrix diagonal; every
+    other field takes one finite float. Unknown keys and values that do
+    not parse raise ConfigError.
+    """
     if not overrides:
         return None
-    fields = {f.name for f in dataclasses.fields(DdpPrior)}
+    kinds = {f.name: getattr(f.type, "__name__", str(f.type)) for f in dataclasses.fields(cls)}
     kwargs = {}
-    for key, val in overrides.items():
-        if key not in fields:
-            raise ConfigError("unknown prior field %r (DdpPrior has %s)" % (key, ", ".join(sorted(fields))))
-        if key == "L":
-            kwargs[key] = int(val)
-        elif key in ("m0", "S0", "Psi"):
-            parts = [float(x) for x in str(val).split(";") if x.strip()] if ";" in str(val) \
-                else [float(x) for x in str(val).split(",") if x.strip()]
-            kwargs[key] = np.array(parts) if key == "m0" else np.diag(parts)
+    for key, text in overrides.items():
+        if key not in kinds:
+            raise ConfigError("unknown %s field %r (it has %s)"
+                              % (cls.__name__, key, ", ".join(kinds)))
+        whole, array = kinds[key] == "int", "ndarray" in kinds[key]
+        parts = str(text).replace(";", ",").split(",") if array else [str(text)]
+        try:
+            nums = [int(x) if whole else float(x) for x in parts if x.strip()]
+        except ValueError:
+            nums = []
+        if not nums or not all(math.isfinite(x) for x in nums):
+            raise ConfigError("%s field %r needs %s, got %r" % (cls.__name__, key, (
+                "an integer" if whole else "finite numbers" if array else "a finite number"), text))
+        if array:
+            kwargs[key] = np.diag(nums) if key in _DIAGONAL else np.array(nums)
         else:
-            kwargs[key] = float(val)
-    return DdpPrior(**kwargs)
+            kwargs[key] = nums[0]
+    return cls(**kwargs)
 
 
 def _mcmc_of(cfg: RunConfig) -> McmcControl | None:
@@ -405,8 +416,8 @@ def _dispatch(cfg: RunConfig):
             res = pooled_bb(sample, p=p, S=cfg.B if cfg.B is not None else 1000,
                             pauc=pauc, rng=cfg.seed)
         else:
-            res = pooled_dpm(sample, p=p, prior_h=_prior_pooled({**cfg.prior, **cfg.prior_h}),
-                             prior_d=_prior_pooled({**cfg.prior, **cfg.prior_d}),
+            res = pooled_dpm(sample, p=p, prior_h=_override(DpmPrior, {**cfg.prior, **cfg.prior_h}),
+                             prior_d=_override(DpmPrior, {**cfg.prior, **cfg.prior_d}),
                              mcmc=_mcmc_of(cfg), pauc=pauc, density=_density_of(cfg),
                              rng=cfg.seed, standardise_marker=std, workers=cfg.workers)
         return sample, res
@@ -422,8 +433,8 @@ def _dispatch(cfg: RunConfig):
                               p=p, pauc=pauc, B=B, rng=cfg.seed, workers=cfg.workers)
         else:
             res = croc_bnp(cfg.formula_h, cfg.formula_d, sample, newdata,
-                           prior_h=_prior_ddp({**cfg.prior, **cfg.prior_h}),
-                           prior_d=_prior_ddp({**cfg.prior, **cfg.prior_d}),
+                           prior_h=_override(DdpPrior, {**cfg.prior, **cfg.prior_h}),
+                           prior_d=_override(DdpPrior, {**cfg.prior, **cfg.prior_d}),
                            mcmc=_mcmc_of(cfg), p=p, pauc=pauc, density=_density_of(cfg),
                            rng=cfg.seed, standardise_marker=std, workers=cfg.workers)
         return sample, res
@@ -436,8 +447,8 @@ def _dispatch(cfg: RunConfig):
         res = aroc_frequentist(sample, covariate=cfg.covariate, variant="kernel",
                                p=p, pauc=pauc, B=B, rng=cfg.seed, workers=cfg.workers)
     else:
-        res = aroc_bnp(sample, cfg.formula_h, prior=_prior_ddp({**cfg.prior, **cfg.prior_h}),
-                       mcmc=_mcmc_of(cfg), p=p, pauc=pauc, rng=cfg.seed,
+        res = aroc_bnp(sample, cfg.formula_h,
+                       prior=_override(DdpPrior, {**cfg.prior, **cfg.prior_h}), mcmc=_mcmc_of(cfg), p=p, pauc=pauc, rng=cfg.seed,
                        standardise_marker=std, workers=cfg.workers)
     return sample, res
 
@@ -675,17 +686,8 @@ def run(cfg: RunConfig, echo: bool = True) -> ResultEnvelope:
 
 
 def _run_simulate(cfg: RunConfig):
-    params = None
-    if cfg.params:
-        fields = {f.name: f for f in dataclasses.fields(GeneratorParams)}
-        kwargs = {}
-        for key, val in cfg.params.items():
-            if key not in fields:
-                raise ConfigError("unknown generator field %r" % key)
-            kwargs[key] = float(val)
-        params = GeneratorParams(**kwargs)
     n = cfg.n if cfg.n is not None else 2840
-    text = simulate_endosyn_like(n, cfg.seed, params)
+    text = simulate_endosyn_like(n, cfg.seed, _override(GeneratorParams, cfg.params))
     with open(cfg.out, "wb") as fh:
         fh.write(text.encode("utf-8"))
     print("wrote %d rows to %s" % (n, cfg.out))

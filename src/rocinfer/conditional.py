@@ -34,7 +34,6 @@ from .diagnostics import FitCriteria, raw_scale_criteria
 from .errors import (
     ConfigError,
     MissingColumnError,
-    MissingDrawsError,
     NoLocalDataError,
     RankDeficientError,
     RocinferWarning,
@@ -52,21 +51,25 @@ from .pooled import (
     PaucControl,
     StepStack,
     _bootstrap_stream,
-    _check_criterion,
     _grid_of,
-    _pauc_summary,
+    _reverse_curve,
     _stream_of,
+    _summarise_rows,
+    _thresholds,
     case_bootstrap,
     mixture_stack,
-    roc_rows,
-    simpson_area,
-    threshold_result,
-    tnf_rows,
 )
 from .sample import Column, DiagnosticSample, PredictionFrame, column_from_values, split_groups, standardise
 from .smoothing import fit_location_scale, silverman_bandwidth
 from .streams import parallel_map
-from .summaries import ThresholdResult, band, interval_from, mixture_auc_closed, youden_grid
+from .summaries import (
+    ThresholdResult,
+    interval_from,
+    intervals,
+    mixture_auc_closed,
+    plugin_first,
+    summarise,
+)
 
 @dataclass
 class CRocResult:
@@ -136,16 +139,11 @@ def _coef_table(labels, coef, name, scale, plugin: bool) -> dict:
     """Per-label coefficient intervals plus a scale interval under `name`.
 
     coef has one row and scale one value per member. With plugin, member
-    0 is the point estimate and members 1.. the bootstrap replicates;
-    otherwise all are posterior draws, summarised by their mean.
+    0 is the plug-in fit and members 1.. the bootstrap replicates;
+    otherwise all are posterior draws (see `summarise`).
     """
-    if plugin:
-        point, coef, s0, scale = coef[0], coef[1:], scale[0], scale[1:]
-    else:
-        point, s0 = coef.mean(axis=0), scale.mean()
-    return {"labels": list(labels),
-            "values": [interval_from(float(point[j]), coef[:, j]) for j in range(len(labels))],
-            name: interval_from(float(s0), scale)}
+    return {"labels": list(labels), "values": intervals(**plugin_first(coef, plugin)),
+            name: interval_from(**plugin_first(scale, plugin))}
 
 
 def _induced_tables(labels, coef_h, coef_d, sig_h, sig_d, plugin: bool, ind_map=None) -> dict:
@@ -199,53 +197,6 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
         return [(plugin, ensemble)]
 
     return boot, stacks
-
-
-def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None) -> list:
-    """(curve, lo, hi, AUC interval, pAUC summary or None) per prediction row.
-
-    The rows are the stacks' last member axis. The plug-in pair gives
-    the point estimates, else they are ensemble means; bands and
-    intervals come from the ensemble when there is one. aucs holds the
-    ensemble's areas (members, rows) when they are known in closed
-    form; otherwise every area is Simpson's on the curve.
-    """
-    def areas(pair, auc=None):
-        return (simpson_area(*pair) if auc is None else auc,
-                simpson_area(*pair, ctrl) if ctrl.compute else None)
-
-    curves = roc_rows(*ensemble, grid) if ensemble else None
-    aucs, paucs = areas(ensemble, aucs) if ensemble else (None, None)
-    if plugin:
-        est = roc_rows(*plugin, grid)
-        auc0, pauc0 = areas(plugin)
-    else:
-        est, auc0 = curves.mean(axis=0), aucs.mean(axis=0)
-        pauc0 = paucs.mean(axis=0) if ctrl.compute else None
-    lo, hi = band(curves) if ensemble else (est.copy(), est.copy())
-
-    def draws(values, r):
-        return None if values is None else values[:, r]
-
-    return [(est[r], lo[r], hi[r], interval_from(float(auc0[r]), draws(aucs, r)),
-             _pauc_summary(float(pauc0[r]), draws(paucs, r), ctrl) if ctrl.compute else None)
-            for r in range(est.shape[0])]
-
-
-def _result_rows(rows, grid, ctrl: PaucControl) -> dict:
-    """CRocResult curve and area fields from per-row summaries."""
-    curves = np.array([r[:3] for r in rows]).reshape(len(rows), 3, grid.size)
-    return {
-        "roc_est": curves[:, 0], "roc_lo": curves[:, 1], "roc_hi": curves[:, 2],
-        "auc": [r[3] for r in rows],
-        "pauc": [r[4] for r in rows] if ctrl.compute else None,
-    }
-
-
-def _fit_pairs(result, frame) -> list:
-    if not result.internals:
-        raise MissingDrawsError("result carries no fitted internals")
-    return result.internals["stacks"](frame)
 
 
 # -- linear induced model ------------------------------------------------------
@@ -302,7 +253,7 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     return CRocResult(
         method="sp-" + est_cdf,
         p=grid, newdata=newdata,
-        **_result_rows(_summarise_rows(*pair, grid, ctrl), grid, ctrl),
+        **_summarise_rows(*pair, grid, ctrl)[0],
         coefficients=coefficients,
         sample_sizes=(split.n_h, split.n_d),
         internals={"stacks": stacks, "y": np.concatenate([split.healthy, split.diseased])},
@@ -363,7 +314,7 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     return CRocResult(
         method="kernel",
         p=grid, newdata=newdata,
-        **_result_rows(_summarise_rows(*pair, grid, ctrl), grid, ctrl),
+        **_summarise_rows(*pair, grid, ctrl)[0],
         coefficients=None,
         sample_sizes=(split.n_h, split.n_d),
         internals={"stacks": stacks, "y": np.concatenate([split.healthy, split.diseased])},
@@ -499,19 +450,22 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
             draws_h.weights, means[0], np.sqrt(draws_h.sigma2),
             draws_d.weights, means[1], np.sqrt(draws_d.sigma2),
         ))
-        dens = None
-        if density.compute:
-            fh, fd = (s.pdf(dens_grid)[:, 0] for s in pair[1])
-            dens = (fh.mean(axis=0), *band(fh), fd.mean(axis=0), *band(fd))
-        return _summarise_rows(*pair, grid, ctrl, aucs[:, None])[0] + (dens,)
+        # each group's marker density (est, lo, hi) on the density grid
+        dens = density.compute and [summarise(s.pdf(dens_grid)[:, 0]) for s in pair[1]]
+        return _summarise_rows(*pair, grid, ctrl, aucs[:, None])[0], dens
 
     rows = parallel_map(one_row, row_means(newdata), workers=workers)
+    parts = [r[0] for r in rows]
+    fields = {key: np.concatenate([f[key] for f in parts])
+              for key in ("roc_est", "roc_lo", "roc_hi")}
+    fields["auc"] = [f["auc"][0] for f in parts]
+    fields["pauc"] = [f["pauc"][0] for f in parts] if ctrl.compute else None
 
     densities = None
     if density.compute:
         densities = {"grid": dens_grid}
         for g, name in enumerate(("healthy", "diseased")):
-            densities[name] = {key: np.stack([r[5][3 * g + i] for r in rows])
+            densities[name] = {key: np.stack([r[1][g][i] for r in rows])
                                for i, key in enumerate(("est", "lo", "hi"))}
 
     crit = raw_scale_criteria(std, draws_h, draws_d)
@@ -527,7 +481,7 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     return CRocResult(
         method="bnp",
         p=grid, newdata=newdata,
-        **_result_rows(rows, grid, ctrl),
+        **fields,
         coefficients=coefficients,
         sample_sizes=(split_std.n_h, split_std.n_d),
         fit=crit,
@@ -544,11 +498,7 @@ def croc_tnf(result: CRocResult, p=None) -> np.ndarray:
 
     Plug-in fits give it directly; the Bayesian fit averages the draws.
     """
-    grid = _grid_of(p) if p is not None else result.p
-    return np.concatenate([
-        tnf_rows(*plugin, grid) if plugin else tnf_rows(*ensemble, grid).mean(axis=0)
-        for plugin, ensemble in _fit_pairs(result, result.newdata)
-    ])
+    return _reverse_curve(result, p, result.newdata)
 
 
 def croc_threshold(result: CRocResult, criterion: str = "yi",
@@ -561,8 +511,5 @@ def croc_threshold(result: CRocResult, criterion: str = "yi",
     Intervals reuse whatever ensemble the fit carries (bootstrap
     replicates or posterior draws).
     """
-    criterion = _check_criterion(criterion, target_fpf)
     frame = result.newdata if newdata is None else _frame_of(newdata)
-    pairs = _fit_pairs(result, frame)
-    grid = youden_grid(result.internals["y"])
-    return threshold_result(grid, criterion, target_fpf if criterion == "fpf" else None, pairs)
+    return _thresholds(result, criterion, target_fpf, frame)

@@ -163,9 +163,6 @@ class DpmDraws:
     def cdf(self, y0) -> np.ndarray:
         return mixture_cdf(self.weights, self.means, self.sigma2, y0)
 
-    def pdf(self, y0) -> np.ndarray:
-        return mixture_pdf(self.weights, self.means, self.sigma2, y0)
-
 
 @dataclass(frozen=True)
 class DdpDraws:

@@ -8,15 +8,14 @@ vector for a single plug-in CDF); `x` is shared by all members (1-d) or
 holds one row per member. The ROC curve ROC(p) = 1 - F_D(F_H^{-1}(1-p)),
 its reverse orientation, Simpson areas and optimal thresholds are
 written once against that interface (`roc_rows`, `tnf_rows`,
-`simpson_area`, `threshold_result`) and reused by the conditional and
-adjusted estimators.
+`simpson_area`, `threshold_result`), summarised once per prediction row
+(`_summarise_rows`, under the `summaries.summarise` rule) and reused by
+the conditional and adjusted estimators.
 
 The four pooled estimators share one result shape: empirical step curves
 with a within-group bootstrap, kernel-smoothed CDF plug-ins, the
 Dirichlet-weight resampling scheme with closed-form areas, and
-normal-mixture posteriors. Point estimates are plug-ins for the
-frequentist methods and ensemble means for the Bayesian ones; bands are
-2.5/97.5 percentiles.
+normal-mixture posteriors.
 """
 
 from __future__ import annotations
@@ -42,17 +41,20 @@ from .streams import RngStream, dirichlet, parallel_map
 from .summaries import (
     Interval,
     ThresholdResult,
-    band,
     ecdf_eval,
     ecdf_quantile,
+    estimate,
     interval_from,
+    intervals,
     invert_cdf,
     mixture_auc_closed,
     odd_grid,
     pauc_normalise,
     placement_areas,
     placements,
+    plugin_first,
     simpson,
+    summarise,
     weighted_ecdf_eval,
     weighted_ecdf_quantile,
     youden_grid,
@@ -93,6 +95,10 @@ class PaucSummary:
     hi: float
     focus: str
     bound: float
+
+    @classmethod
+    def of(cls, iv: Interval, ctrl: PaucControl) -> "PaucSummary":
+        return cls(iv.est, iv.lo, iv.hi, ctrl.focus, ctrl.value)
 
     def as_dict(self) -> dict:
         return {
@@ -140,11 +146,6 @@ def _grid_of(p) -> np.ndarray:
     if isinstance(p, FpfGrid):
         return p.p
     return FpfGrid(np.asarray(p, dtype=float)).p
-
-
-def _pauc_summary(point, draws, ctrl: PaucControl) -> PaucSummary:
-    iv = interval_from(point, draws)
-    return PaucSummary(iv.est, iv.lo, iv.hi, ctrl.focus, ctrl.value)
 
 
 def case_bootstrap(fn, stream: RngStream, B: int, sizes, workers: int = 1) -> list:
@@ -362,6 +363,50 @@ def simpson_area(H, D, pauc: PaucControl | None = None):
     return raw if pauc is None else pauc_normalise(raw, pauc.focus, pauc.value)
 
 
+def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=None):
+    """Curve and area summaries of a fit per prediction row, by `summarise`.
+
+    The rows are the stacks' last member axis; a stack without one
+    counts as one row. aucs and paucs hold member areas known in closed
+    form, (members[, rows]) with the plug-in at member 0 when there is
+    one; the other areas are Simpson's on each member's curve. Returns
+    the result fields (roc_est, roc_lo, roc_hi as (rows, points), auc
+    and pauc with one entry per row) and the ensemble curves (members,
+    rows, points), or None.
+    """
+    m = grid.size
+    curves = roc_rows(*ensemble, grid).reshape(ensemble[0].shape[0], -1, m) if ensemble else None
+    point = roc_rows(*plugin, grid).reshape(-1, m) if plugin else None
+
+    def area(closed, area_ctrl) -> dict:
+        """`summarise` keywords of one area, each value with a row axis."""
+        if closed is not None:
+            return plugin_first(closed.reshape(closed.shape[0], -1), bool(plugin))
+        return {"draws": None if curves is None else
+                simpson_area(*ensemble, area_ctrl).reshape(curves.shape[:2]),
+                "point": None if point is None else np.reshape(simpson_area(*plugin, area_ctrl), -1)}
+
+    est, lo, hi = summarise(curves, point)
+    fields = {"roc_est": est, "roc_lo": lo, "roc_hi": hi, "auc": intervals(**area(aucs, None)),
+              "pauc": None}
+    if ctrl.compute:
+        fields["pauc"] = [PaucSummary.of(iv, ctrl) for iv in intervals(**area(paucs, ctrl))]
+    return fields, curves
+
+
+def _pooled_result(method, split, grid, ctrl, plugin, ensemble, y, aucs=None, paucs=None,
+                   internals=None, **extra) -> RocResult:
+    """A pooled fit's result: the one row of `_summarise_rows`."""
+    fields, curves = _summarise_rows(plugin, ensemble, grid, ctrl, aucs, paucs)
+    return RocResult(
+        method=method, p=grid, **{k: None if v is None else v[0] for k, v in fields.items()},
+        sample_sizes=(split.n_h, split.n_d),
+        ensemble=None if curves is None else curves[:, 0],
+        internals={"plugin": plugin, "ensemble": ensemble, "y": y, **(internals or {})},
+        **extra,
+    )
+
+
 def _check_criterion(criterion: str, target_fpf) -> str:
     criterion = criterion.lower()
     if criterion not in ("yi", "fpf"):
@@ -391,28 +436,31 @@ def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult
     Stacks whose members end in a prediction-row axis give one entry
     per row, others one entry. 'yi' maximises |F_H - F_D| (smallest
     threshold on ties, sign reported); 'fpf' takes F_H^{-1}(1 -
-    target_fpf) with its attached TPF. A plug-in pair gives the point
-    estimates, else they are ensemble means; intervals need an ensemble
-    of two or more members.
+    target_fpf) with its attached TPF. Intervals follow `summarise`: the
+    plug-in (else the ensemble mean) with the ensemble's band; the sign
+    is the plug-in's, else the sign of the members' summed signs.
     """
     names = ("yi", "threshold", "fpf", "tpf", "sign") if criterion == "yi" else (
         "threshold", "fpf", "tpf")
     out = {name: [] for name in names}
-    for plugin, ensemble in pairs:
+
+    def criterion_rows(pair, count=None):
+        """Per prediction row, the criterion values of each member of a stack pair, or None."""
+        if not pair:
+            return None
         # F_H and F_D as (members, rows, grid)
-        plug = plugin and [s.cdf(grid).reshape(1, -1, grid.size) for s in plugin]
-        ens = [s.cdf(grid).reshape(s.shape[0], -1, grid.size) for s in ensemble] if ensemble else plug
-        for r in range(ens[0].shape[1]):
-            draws = _criterion_rows(ens[0][:, r], ens[1][:, r], grid, criterion, target_fpf)
-            point = plug and _criterion_rows(plug[0][:, r], plug[1][:, r], grid, criterion,
-                                             target_fpf)
-            spread = len(draws[0]) > 1
-            for name, vals, pt in zip(names, draws, point or draws):
-                if name == "sign":
-                    out[name].append(int(pt[0] if point else np.sign(vals.sum())))
-                else:
-                    est = float(pt[0] if point else vals.mean())
-                    out[name].append(interval_from(est, vals if spread else None))
+        fh, fd = (s.cdf(grid).reshape(count or s.shape[0], -1, grid.size) for s in pair)
+        return [_criterion_rows(fh[:, r], fd[:, r], grid, criterion, target_fpf)
+                for r in range(fh.shape[1])]
+
+    for plugin, ensemble in pairs:
+        points, draws = criterion_rows(plugin, 1), criterion_rows(ensemble)
+        for r in range(len(points or draws)):
+            for i, name in enumerate(names):
+                pt = points[r][i][0] if points else None
+                members = draws[r][i] if draws else None
+                out[name].append(interval_from(pt, members) if name != "sign" else
+                                 int(np.sign(members.sum()) if pt is None else pt))
     return ThresholdResult(
         criterion=criterion, threshold=out["threshold"], fpf=out["fpf"], tpf=out["tpf"],
         yi=out.get("yi"), sign=out.get("sign"), target_fpf=target_fpf,
@@ -437,7 +485,6 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
     d_sorted = np.sort(split.diseased)
 
     plugin = (StepStack(h_sorted), StepStack(d_sorted))
-    est = roc_rows(*plugin, grid)
     tpf = pauc.compute and pauc.focus == "tpf"
 
     def replicate(h_idx, d_idx):
@@ -445,24 +492,22 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
         return h, d, placements(h, d), placements(d, h) if tpf else None
 
     reps = case_bootstrap(replicate, stream, B, (split.n_h, split.n_d), workers)
-    ensemble = tuple(StepStack(np.array([r[g] for r in reps])) for g in (0, 1)) if reps else None
-    curves = roc_rows(*ensemble, grid) if reps else None
-    # row 0 is the plug-in, rows 1..B the bootstrap replicates
-    U = np.array([placements(h_sorted, d_sorted)] + [r[2] for r in reps])
-    U_rev = np.array([placements(d_sorted, h_sorted)] + [r[3] for r in reps]) if tpf else None
-    aucs, paucs = placement_areas(U, None, pauc, U_rev)
+    # one list per replicate field, each released as soon as it is
+    # stacked, so no replicate row is held twice
+    cols = [list(col) for col in zip(*reps)] or [[]] * 4
+    del reps
 
-    lo, hi = band(curves) if curves is not None else (est.copy(), est.copy())
-    return RocResult(
-        method="empirical",
-        p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
-        auc=interval_from(aucs[0], aucs[1:]),
-        pauc=_pauc_summary(paucs[0], paucs[1:], pauc) if pauc.compute else None,
-        sample_sizes=(split.n_h, split.n_d),
-        ensemble=curves,
-        internals={"plugin": plugin, "ensemble": ensemble,
-                   "y": np.concatenate([h_sorted, d_sorted])},
-    )
+    def stacked(g, *first):
+        rows, cols[g] = cols[g], None
+        return np.array([*first, *rows])
+
+    ensemble = (StepStack(stacked(0)), StepStack(stacked(1))) if B else None
+    # member 0 is the plug-in, members 1..B the bootstrap replicates
+    U = stacked(2, placements(h_sorted, d_sorted))
+    U_rev = stacked(3, placements(d_sorted, h_sorted)) if tpf else None
+    aucs, paucs = placement_areas(U, None, pauc, U_rev)
+    return _pooled_result("empirical", split, grid, pauc, plugin, ensemble,
+                          np.concatenate([h_sorted, d_sorted]), aucs, paucs)
 
 
 # -- kernel ------------------------------------------------------------------
@@ -499,26 +544,11 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
         h_d = lscv_bandwidth(y_d, y_d, target="cdf").value
 
     plugin = _kernel_stacks(y_h, y_d, h_h, h_d)
-    est = roc_rows(*plugin, grid)
-
     reps = case_bootstrap(lambda h_idx, d_idx: (y_h[h_idx], y_d[d_idx]), stream, B,
                           (split.n_h, split.n_d), workers)
     ensemble = _kernel_stacks(*map(np.array, zip(*reps)), h_h, h_d) if reps else None
-    curves = roc_rows(*ensemble, grid) if reps else None
-    lo, hi = band(curves) if curves is not None else (est.copy(), est.copy())
-    return RocResult(
-        method="kernel",
-        p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
-        auc=interval_from(simpson_area(*plugin), simpson_area(*ensemble) if reps else None),
-        pauc=(
-            _pauc_summary(simpson_area(*plugin, pauc),
-                          simpson_area(*ensemble, pauc) if reps else None, pauc)
-            if pauc.compute else None
-        ),
-        sample_sizes=(split.n_h, split.n_d),
-        ensemble=curves,
-        internals={"plugin": plugin, "ensemble": ensemble, "y": np.concatenate([y_h, y_d])},
-    )
+    return _pooled_result("kernel", split, grid, pauc, plugin, ensemble,
+                          np.concatenate([y_h, y_d]))
 
 
 # -- Dirichlet-weight resampling ---------------------------------------------
@@ -550,26 +580,14 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
     cum2 = np.cumsum(q2, axis=1)
     ensemble = (StepStack(h_sorted, cum1), StepStack(d_sorted, cum2))
 
-    curves = roc_rows(*ensemble, grid)
     # placements with ties counted whole, so the AUC is P(H < D); the
     # reverse V_i = P_D(D > h_i) is strict like it
     U = placements(h_sorted, d_sorted, cum1, side="left")  # (S, n_d)
     U_rev = (placements(d_sorted, h_sorted, cum2, side="right")
              if pauc.compute and pauc.focus == "tpf" else None)
     aucs, paucs = placement_areas(U, q2, pauc, U_rev, q1)
-
-    est = curves.mean(axis=0)
-    lo, hi = band(curves)
-    return RocResult(
-        method="bb",
-        p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
-        auc=interval_from(float(aucs.mean()), aucs),
-        pauc=_pauc_summary(float(paucs.mean()), paucs, pauc) if pauc.compute else None,
-        sample_sizes=(split.n_h, split.n_d),
-        ensemble=curves,
-        internals={"plugin": None, "ensemble": ensemble,
-                   "y": np.concatenate([h_sorted, d_sorted])},
-    )
+    return _pooled_result("bb", split, grid, pauc, None, ensemble,
+                          np.concatenate([h_sorted, d_sorted]), aucs, paucs)
 
 
 # -- normal-mixture posterior --------------------------------------------------
@@ -577,10 +595,8 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
 def _density_block(stack, y_raw: np.ndarray, grid_length: int) -> dict:
     grid_raw = np.linspace(float(y_raw.min()), float(y_raw.max()), int(grid_length))
     dens = stack.pdf(grid_raw)
-    lo, hi = band(dens)
-    return {
-        "grid": grid_raw, "est": dens.mean(axis=0), "lo": lo, "hi": hi, "draws": dens,
-    }
+    est, lo, hi = summarise(dens)
+    return {"grid": grid_raw, "est": est, "lo": lo, "hi": hi, "draws": dens}
 
 
 def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None,
@@ -615,17 +631,10 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
         workers=min(workers, 2),
     )
     ensemble = tuple(mixture_stack(d.weights, d.means, d.sigma2, std) for d in (draws_h, draws_d))
-
-    curves = roc_rows(*ensemble, grid)
-    aucs = mixture_auc_closed(
+    aucs = np.atleast_1d(mixture_auc_closed(
         draws_h.weights, draws_h.means, np.sqrt(draws_h.sigma2),
         draws_d.weights, draws_d.means, np.sqrt(draws_d.sigma2),
-    )
-    aucs = np.atleast_1d(aucs)
-
-    paucs = simpson_area(*ensemble, pauc) if pauc.compute else None
-
-    crit = raw_scale_criteria(std, draws_h, draws_d)
+    ))
 
     densities = None
     if density.compute:
@@ -633,29 +642,37 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
             "healthy": _density_block(ensemble[0], split_raw.healthy, density.grid_length),
             "diseased": _density_block(ensemble[1], split_raw.diseased, density.grid_length),
         }
-
-    est = curves.mean(axis=0)
-    lo, hi = band(curves)
-    return RocResult(
-        method="dpm",
-        p=grid, roc_est=est, roc_lo=lo, roc_hi=hi,
-        auc=interval_from(float(aucs.mean()), aucs),
-        pauc=_pauc_summary(float(paucs.mean()), paucs, pauc) if pauc.compute else None,
-        sample_sizes=(split.n_h, split.n_d),
-        ensemble=curves,
-        densities=densities,
-        fit=crit,
-        internals={"plugin": None, "ensemble": ensemble, "draws_h": draws_h, "draws_d": draws_d,
-                   "y": np.concatenate([split_raw.healthy, split_raw.diseased])},
-    )
+    return _pooled_result("dpm", split, grid, pauc, None, ensemble,
+                          np.concatenate([split_raw.healthy, split_raw.diseased]), aucs,
+                          densities=densities, fit=raw_scale_criteria(std, draws_h, draws_d),
+                          internals={"draws_h": draws_h, "draws_d": draws_d})
 
 
 # -- reverse-orientation curve and thresholds ---------------------------------
 
-def _stacks_of(result) -> tuple:
+def _fit_pairs(result, frame=None) -> list:
+    """A fit's (plug-in, ensemble) stack pairs; conditional fits give them for a frame."""
     if not result.internals:
         raise MissingDrawsError("result carries no fitted internals")
-    return result.internals["plugin"], result.internals["ensemble"]
+    ints = result.internals
+    return [(ints["plugin"], ints["ensemble"])] if frame is None else ints["stacks"](frame)
+
+
+def _reverse_curve(result, p=None, frame=None) -> np.ndarray:
+    """The reverse curve's point estimate per stack pair, by `estimate`."""
+    grid = _grid_of(p) if p is not None else result.p
+    return np.concatenate([
+        tnf_rows(*plugin, grid) if plugin else estimate(tnf_rows(*ensemble, grid))
+        for plugin, ensemble in _fit_pairs(result, frame)
+    ])
+
+
+def _thresholds(result, criterion: str, target_fpf, frame=None) -> ThresholdResult:
+    """Optimal thresholds of a fit's stack pairs on the grid of its marker values."""
+    criterion = _check_criterion(criterion, target_fpf)
+    pairs = _fit_pairs(result, frame)
+    grid = youden_grid(result.internals["y"])
+    return threshold_result(grid, criterion, target_fpf if criterion == "fpf" else None, pairs)
 
 
 def pooled_tnf(result: RocResult, p=None) -> np.ndarray:
@@ -667,9 +684,7 @@ def pooled_tnf(result: RocResult, p=None) -> np.ndarray:
     for the frequentist methods and the ensemble mean for the Bayesian
     ones.
     """
-    grid = _grid_of(p) if p is not None else result.p
-    plugin, ensemble = _stacks_of(result)
-    return tnf_rows(*plugin, grid) if plugin else tnf_rows(*ensemble, grid).mean(axis=0)
+    return _reverse_curve(result, p)
 
 
 def pooled_threshold(result: RocResult, criterion: str = "yi",
@@ -681,7 +696,4 @@ def pooled_threshold(result: RocResult, criterion: str = "yi",
     F_H^{-1}(1 - target_fpf) with its attached TPF. Interval sources:
     bootstrap replicates or posterior draws, whichever the fit carries.
     """
-    criterion = _check_criterion(criterion, target_fpf)
-    pair = _stacks_of(result)
-    grid = youden_grid(result.internals["y"])
-    return threshold_result(grid, criterion, target_fpf if criterion == "fpf" else None, [pair])
+    return _thresholds(result, criterion, target_fpf)

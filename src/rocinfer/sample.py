@@ -232,13 +232,3 @@ class PredictionFrame:
         for c in self.columns.values():
             return len(c.values)
         return 0
-
-    def row_dicts(self) -> list:
-        out = []
-        for i in range(self.n):
-            row = {}
-            for name, col in self.columns.items():
-                v = col.values[i]
-                row[name] = str(v) if col.is_categorical else float(v)
-            out.append(row)
-        return out

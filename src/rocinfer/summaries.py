@@ -214,6 +214,33 @@ def band(values: np.ndarray, axis: int = 0):
     return lo, hi
 
 
+# -- the reporting rule --------------------------------------------------------
+
+def estimate(draws, point=None) -> np.ndarray:
+    """The point estimate: the plug-in when one is given, else the members' mean."""
+    return np.asarray(draws, dtype=float).mean(axis=0) if point is None else np.asarray(point)
+
+
+def summarise(draws, point=None) -> tuple:
+    """(est, lo, hi) of every reported quantity, over the leading member axis.
+
+    draws holds one value (or array of values) per member: bootstrap
+    replicate or posterior draw. est is the plug-in `point` when one is
+    given, else the members' mean; lo and hi are the members' 2.5/97.5
+    percentile band, or est when there are no members (B = 0).
+    """
+    est = estimate(draws, point)
+    if draws is None or len(draws) == 0:
+        return est, est.copy(), est.copy()
+    lo, hi = band(np.asarray(draws, dtype=float))
+    return est, lo, hi
+
+
+def plugin_first(values, plugin: bool) -> dict:
+    """`summarise` keywords for member values whose member 0 is the plug-in when plugin is set."""
+    return {"draws": values[1:], "point": values[0]} if plugin else {"draws": values, "point": None}
+
+
 @dataclass(frozen=True)
 class Interval:
     est: float
@@ -224,11 +251,14 @@ class Interval:
         return {"est": self.est, "lo": self.lo, "hi": self.hi}
 
 
-def interval_from(point: float, draws=None) -> Interval:
-    if draws is None or len(draws) == 0:
-        return Interval(float(point), float(point), float(point))
-    lo, hi = band(np.asarray(draws, dtype=float))
-    return Interval(float(point), float(lo), float(hi))
+def interval_from(point, draws=None) -> Interval:
+    """The scalar view of `summarise`; point None means the draws' mean."""
+    return Interval(*(float(v) for v in summarise(draws, point)))
+
+
+def intervals(draws, point=None) -> list:
+    """`summarise` of members with one value per entry: one Interval per entry."""
+    return [Interval(*(float(v) for v in ends)) for ends in zip(*summarise(draws, point))]
 
 
 @dataclass(frozen=True)

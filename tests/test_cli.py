@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rocinfer.cli import _merge_config, _prior_ddp, _prior_pooled, build_parser, main
+from rocinfer.cli import _merge_config, _override, build_parser, main
+from rocinfer.mixtures import DdpPrior, DpmPrior
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -139,6 +140,34 @@ def test_workers_below_one_exits_2(study_csv, tmp_path, capsys, workers):
     assert rc == 2
     assert "--workers must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+_DPM = ["--method", "dpm", "--nsave", "5", "--nburn", "2"]
+
+
+@pytest.mark.parametrize("extra", [
+    [*_DPM, "--prior", "a=abc"], [*_DPM, "--prior", "L=1.5"], [*_DPM, "--prior-h", "a=inf"],
+    ["--grid-length", "-3"], ["--grid-length", "0"], ["--grid-length", "1"],
+    [*_DPM, "--density", "--density-grid-length", "-1"],
+    [*_DPM, "--density", "--density-grid-length", "0"],
+    ["--seed", "-1"],
+], ids=["prior-text", "prior-fractional-L", "prior-inf", "grid-negative", "grid-zero", "grid-one",
+        "density-grid-negative", "density-grid-zero", "seed-negative"])
+def test_bad_number_exits_2(study_csv, tmp_path, capsys, extra):
+    rc = main(_pooled_args(study_csv, [*extra, "--out", str(tmp_path / "o.json")]))
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("rocinfer: ")
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--param", "prevalence=abc"], ["--n", "-5"], ["--seed", "-1"],
+], ids=["param-text", "n-negative", "seed-negative"])
+def test_simulate_bad_number_exits_2(tmp_path, capsys, extra):
+    rc = main(["simulate", "--n", "50", "--out", str(tmp_path / "d.csv"), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("rocinfer: ")
+    assert not (tmp_path / "d.csv").exists()
 
 
 _FORMULAS = ["--formula-h", "bmi ~ age", "--formula-d", "bmi ~ age"]
@@ -353,6 +382,6 @@ def test_readme_prior_examples_parse():
         for overrides in ({**cfg.prior, **cfg.prior_h}, {**cfg.prior, **cfg.prior_d}):
             if not overrides:
                 continue
-            assert _prior_ddp(overrides).resolved(y, 2) is not None
+            assert _override(DdpPrior, overrides).resolved(y, 2) is not None
             if all(re.fullmatch(r"[-+.\deE]+", val) for val in overrides.values()):
-                assert _prior_pooled(overrides).resolved(y) is not None
+                assert _override(DpmPrior, overrides).resolved(y) is not None

@@ -97,7 +97,6 @@ def test_grid_must_increase_from_zero_to_one(bad):
 def test_prediction_frame_rows():
     f = PredictionFrame({"x": Column([1.0, 2.0]), "g": column_from_values(["a", "b"])})
     assert f.n == 2
-    assert f.row_dicts()[1] == {"x": 2.0, "g": "b"}
 
 
 def test_prediction_frame_rejects_ragged_columns():
