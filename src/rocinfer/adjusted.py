@@ -218,8 +218,8 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
 
     std_sample, std = standardise(sample, enable=standardise_marker)
     split_std = split_groups(std_sample)
-    Zh, _, fitted = build_design(split_std.healthy_cov, spec)
-    zd_rows, _, _ = build_design(split_std.diseased_cov, spec, fitted)
+    Zh, _, fitted = build_design(split_std.healthy_cov, spec, scales=std.covariates)
+    zd_rows, _, _ = build_design(split_std.diseased_cov, spec, fitted, std.covariates)
 
     draws = fit_ddp(split_std.healthy, Zh, prior=prior, mcmc=mcmc,
                     rng=stream.stream(_CHAIN_H))
@@ -261,7 +261,7 @@ def aroc_threshold(result: ArocResult, newdata) -> ThresholdResult:
     draws, std = ints["draws_h"], ints["std"]
     frame = _frame_of(newdata)
     z_rows, _, _ = build_design(
-        _standardised_frame(frame, std), ints["spec"], ints["fitted"]
+        _standardised_frame(frame, std), ints["spec"], ints["fitted"], std.covariates
     )
     ps = ints["p_star_draws"]
     yi = ints["yi_draws"]

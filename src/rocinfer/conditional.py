@@ -404,12 +404,13 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     std_sample, std = standardise(sample, enable=standardise_marker)
     split_std = split_groups(std_sample)
     split_raw = split_groups(sample)
-    Zh, labels_h, fitted_h = build_design(split_std.healthy_cov, spec_h)
-    Zd, labels_d, fitted_d = build_design(split_std.diseased_cov, spec_d)
+    Zh, labels_h, fitted_h = build_design(split_std.healthy_cov, spec_h, scales=std.covariates)
+    Zd, labels_d, fitted_d = build_design(split_std.diseased_cov, spec_d, scales=std.covariates)
 
     def design_rows(frame):
         nd = _standardised_frame(frame, std)
-        return build_design(nd, spec_h, fitted_h)[0], build_design(nd, spec_d, fitted_d)[0]
+        return (build_design(nd, spec_h, fitted_h, std.covariates)[0],
+                build_design(nd, spec_d, fitted_d, std.covariates)[0])
 
     design_rows(newdata)  # reject unusable prediction rows before fitting
 

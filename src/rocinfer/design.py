@@ -93,14 +93,15 @@ def spline_spec_from_data(x, K: int) -> SplineSpec:
     return SplineSpec(quantile_knots(x, K), (float(x.min()), float(x.max())))
 
 
-def bspline_design(x, spec: SplineSpec) -> np.ndarray:
+def bspline_design(x, spec: SplineSpec, name: str, scale: tuple) -> np.ndarray:
     """Evaluate the clamped cubic basis at x (Cox-de Boor recursion).
 
     Rows sum to one; each function is nonnegative with local support
     inside the boundary. Past either boundary knot each column continues
     linearly with its boundary value and slope (the natural-spline tail
-    of R's splines::ns), and an ExtrapolationWarning says how many points
-    fell outside and how far.
+    of R's splines::ns), and an ExtrapolationWarning says how many values
+    of the covariate `name` fell outside and how far, in raw units:
+    x was standardised as (raw - mean) / sd with scale = (mean, sd).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = spec.boundary
@@ -131,9 +132,11 @@ def bspline_design(x, spec: SplineSpec) -> np.ndarray:
         b = nxt
     b = b[:, :nb]
     if np.any(outside):
+        mean, sd = scale
         warnings.warn(
-            "%d covariate value(s) outside the spline boundary [%g, %g], up to %g past it; "
-            "the basis continues linearly" % (outside.sum(), lo, hi, np.abs(dx[outside]).max()),
+            "%d covariate value(s) of %s outside the spline boundary [%g, %g], up to %g past it; "
+            "the basis continues linearly"
+            % (outside.sum(), name, mean + sd * lo, mean + sd * hi, sd * np.abs(dx[outside]).max()),
             ExtrapolationWarning,
         )
         # only the two end columns have a slope at a clamped boundary
@@ -302,12 +305,14 @@ def _smooth_key(term: SmoothTerm) -> str:
     return "f(%s|%s)" % (term.name, term.by or "")
 
 
-def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None):
+def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None,
+                 scales: dict | None = None):
     """Assemble (Z, labels, fitted) for a covariate frame.
 
     When fitted is supplied (prediction), training levels, knots, and
     boundaries are reused, so a frame equal to a training row reproduces
-    that design row exactly.
+    that design row exactly. scales maps each standardised covariate to
+    its (mean, sd), so that extrapolation warnings give raw values.
     """
     if hasattr(frame, "columns"):
         frame = frame.columns
@@ -319,6 +324,7 @@ def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None):
         # intercept-only designs never look at the frame width
         raise DataError("cannot size an intercept-only design from an empty frame")
 
+    scales = scales or {}
     training = fitted is None
     if training:
         levels = {}
@@ -360,12 +366,13 @@ def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None):
                 raise DataError("smooth term needs a continuous covariate: %r" % term.name)
             x = np.asarray(xcol.values, dtype=float)
             key = _smooth_key(term)
+            scale = scales.get(term.name, (0.0, 1.0))
             if term.by is None:
                 if training:
                     k = term.K[0] if len(term.K) else 0
                     splines[key] = [(None, spline_spec_from_data(x, k))]
                 sspec = splines[key][0][1]
-                basis = bspline_design(x, sspec)
+                basis = bspline_design(x, sspec, term.name, scale)
                 blocks.append(basis)
                 labels.extend(["f(%s):s%d" % (term.name, j + 1) for j in range(basis.shape[1])])
             else:
@@ -395,7 +402,8 @@ def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None):
                     basis = np.zeros((n, sspec.dim))
                     rows = mask > 0
                     if np.any(rows):
-                        basis[rows] = bspline_design(x[rows], sspec)
+                        basis[rows] = bspline_design(
+                            x[rows], sspec, "%s where %s=%s" % (term.name, term.by, lv), scale)
                     blocks.append(basis)
                     labels.extend(
                         ["f(%s):%s%s:s%d" % (term.name, term.by, lv, j + 1) for j in range(sspec.dim)]

@@ -6,13 +6,21 @@ residuals with its own bandwidth. Mean and variance bandwidths are
 selected independently by leave-one-out least squares cross-validation
 over a fixed candidate grid, which keeps selection deterministic.
 
-Local fits and the cross-validation scan never form an n x n weight
-matrix. They walk the x-sorted evaluation points in blocks of _BLOCK
-rows and weigh each block only against the sorted data within _REACH
-bandwidths of it (found by `searchsorted`); every weight outside that
-window underflows to exactly 0.0, so the sums are the full sums taken
-in another order. The scan computes each block's distances once for
-all 50 candidates and reuses one weight buffer.
+Local fits never form an n x n weight matrix. They walk the x-sorted
+evaluation points in blocks of _BLOCK rows and weigh each block only
+against the sorted data within _REACH bandwidths of it (found by
+`searchsorted`); every weight outside that window underflows to exactly
+0.0, so the sums are the full sums taken in another order.
+
+The cross-validation scan walks the x-sorted data in the same blocks,
+but its window reaches R(n) = sqrt(2 ln((n - 1) 2^54)) bandwidths
+(_scan_reach): the at most n - 1 weights it drops from a row sum to less
+than 2^-54, half an ulp of s0 >= 1, so the s0 - 1 each score divides by
+moves by at most one rounding. It also forms each unordered pair's
+weight once (w_ij = w_ji): a block is weighed against the columns from
+its first row to its window's end, its own rows take the row sums and
+the later rows the column sums. Each block's distances are computed
+once for all 50 candidates.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ _VAR_FLOOR = 1e-10
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 64  # evaluation rows per block of kernel weights
 _REACH = 40.0  # in bandwidths; exp(-0.5 * 40**2) = exp(-800) is exactly 0.0
+_SCAN_BYTES = 64e6  # accumulator memory past which the scan walks candidates in groups
 
 
 @dataclass(frozen=True)
@@ -166,49 +175,76 @@ def _candidate_grid(scale_sample) -> np.ndarray:
     return np.geomspace(h0 / 20.0, 20.0 * h0, 50)
 
 
+def _scan_reach(n: int) -> float:
+    """Half-width of the cross-validation window, in bandwidths, for n points.
+
+    R(n) = sqrt(2 ln((n - 1) 2^54)), so each of a row's at most n - 1
+    weights past R h is below exp(-R^2 / 2) = 2^-54 / (n - 1); it is
+    raised by 1e-12 relative so that the bound survives rounding.
+    """
+    return math.sqrt(2.0 * math.log((n - 1) * 2.0 ** 54)) * (1.0 + 1e-12)
+
+
 def _loo_cv_regression(x, y, candidates, order):
     """Leave-one-out mean squared error of the local fit at each candidate.
 
-    One pass over the x-sorted data in blocks of _BLOCK rows: each block's
-    distances are computed once for all candidates, and each candidate's
-    weights only over the columns within _REACH of its bandwidth (the
-    rest are exactly 0.0). The i-th point sits at distance zero with
-    weight 1, so dropping it only touches the zeroth-order sums. A
-    candidate scores inf when any row's leave-one-out design fails.
+    One pass over the x-sorted data in blocks of _BLOCK rows (one pass
+    per group of candidates, when all 50 accumulators would pass
+    _SCAN_BYTES). Each block's distances are computed once for the
+    group, and each candidate's weights are formed once per unordered
+    pair, against the columns from the block's first row to
+    _scan_reach(n) bandwidths past its last: the block's rows take the
+    row sums, and the later rows in the window take the column sums into
+    per-candidate accumulators, with s1 and t1 negated (d_ji = -d_ij). A
+    block's rows are complete once the block is done, since every earlier
+    column within reach was added by an earlier block. The weights left
+    out of a row sum add up to less than 2^-54. The i-th point sits at
+    distance zero with weight 1, so dropping it only touches the
+    zeroth-order sums. A candidate scores inf when any row's
+    leave-one-out design fails.
     """
     xs_order = np.argsort(x, kind="stable")
     xs, ys = x[xs_order], y[xs_order]
     n = xs.size
     cols = np.column_stack([np.ones(n), ys])
-    reach = _REACH * candidates
+    reach = _scan_reach(n) * candidates
     sse = np.zeros(candidates.size)
     failed = np.zeros(candidates.size, dtype=bool)
     buf = np.empty((min(_BLOCK, n), n))
-    for start in range(0, n, _BLOCK):
-        r, yr = xs[start:start + _BLOCK], ys[start:start + _BLOCK]
-        lo = np.searchsorted(xs, r[0] - reach, side="left")
-        hi = np.searchsorted(xs, r[-1] + reach, side="right")
-        first = lo.min()
-        d = r[:, None] - xs[first:hi.max()]
-        d2 = d * d
-        for c, h in enumerate(candidates):
-            if failed[c]:
-                continue
-            a, b = lo[c] - first, hi[c] - first
-            w = buf[:r.size, :b - a]
-            np.multiply(d2[:, a:b], -0.5 / (h * h), out=w)
-            np.exp(w, out=w)
-            sums = _moments(w, d[:, a:b], cols[lo[c]:hi[c]], order)
-            if order == 0:
-                s0, t0 = sums
-                num, denom, floor = t0 - yr, s0 - 1.0, 1e-300
-            else:
-                s0, t0, s1, t1, s2 = sums
-                num = s2 * (t0 - yr) - s1 * t1
-                denom, floor = (s0 - 1.0) * s2 - s1 * s1, 1e-300 * np.maximum(1.0, s2)
-            failed[c] = np.any(denom <= floor)
-            if not failed[c]:
-                sse[c] += np.sum((yr - num / denom) ** 2)
+    k = 2 if order == 0 else 5
+    group = max(1, int(_SCAN_BYTES // (8 * k * n)))
+    for first in range(0, candidates.size, group):
+        cands = range(first, min(first + group, candidates.size))
+        acc = np.zeros((len(cands), k, n))  # each row's sums over earlier blocks
+        for start in range(0, n, _BLOCK):
+            end = min(start + _BLOCK, n)
+            r, yr, rows_t = xs[start:end], ys[start:end], cols[start:end].T
+            hi = np.searchsorted(xs, r[-1] + reach[first:cands.stop], side="right")
+            d = r[:, None] - xs[start:hi.max()]
+            d2 = d * d
+            for a, c in enumerate(cands):
+                if failed[c]:
+                    continue
+                h, b, past = candidates[c], hi[a] - start, acc[a, :, end:hi[a]]
+                w = buf[:r.size, :b]
+                np.multiply(d2[:, :b], -0.5 / (h * h), out=w)
+                np.exp(w, out=w)
+                past[:2] += rows_t @ w[:, r.size:]
+                sums = acc[a, :, start:end]
+                sums += _moments(w, d[:, :b], cols[start:hi[a]], order)
+                if order == 0:
+                    s0, t0 = sums
+                    num, denom, floor = t0 - yr, s0 - 1.0, 1e-300
+                else:
+                    # _moments left w * d in w
+                    past[2:4] -= rows_t @ w[:, r.size:]
+                    past[4] += np.einsum("ij,ij->j", w[:, r.size:], d[:, r.size:b])
+                    s0, t0, s1, t1, s2 = sums
+                    num = s2 * (t0 - yr) - s1 * t1
+                    denom, floor = (s0 - 1.0) * s2 - s1 * s1, 1e-300 * np.maximum(1.0, s2)
+                failed[c] = np.any(denom <= floor)
+                if not failed[c]:
+                    sse[c] += np.sum((yr - num / denom) ** 2)
     return np.where(failed, np.inf, sse / n)
 
 
@@ -259,6 +295,11 @@ def lscv_bandwidth(x, y, target: str, order: int = 1) -> Bandwidth:
         warnings.warn("LSCV objective is flat; using rule of thumb", DegenerateGridWarning)
         return Bandwidth(fallback.value, "lscv")
     best = int(np.nanargmin(np.where(finite, scores, np.inf)))
+    if best in (0, candidates.size - 1):
+        # the objective may still fall past the grid
+        warnings.warn("LSCV %s bandwidth stopped at the grid edge: h = %g = %g x h_srt"
+                      % (target, candidates[best], candidates[best] / fallback.value),
+                      DegenerateGridWarning)
     return Bandwidth(float(candidates[best]), "lscv")
 
 

@@ -7,6 +7,7 @@ newdata file inside that study's covariate range. Each must exit 0 and
 write an envelope with no null number.
 """
 
+import csv
 import json
 import os
 import re
@@ -72,3 +73,31 @@ def test_readme_command_exits_0_with_finite_output(argv, study_dir, capsys):
     with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
         envelope = json.load(fh)
     assert _nulls(envelope["payload"]) == []
+
+
+def test_readme_aroc_bnp_reports_extrapolation_in_age_units(study_dir):
+    """The Bayesian adjusted curve fits on standardised covariates, but its
+    extrapolation warnings give the age boundary and overshoot in years."""
+    argv = _relocated(next(a for a in _COMMANDS if a[0] == "aroc"), study_dir)
+    assert argv[argv.index("--method") + 1] == "bnp"
+    out = os.path.join(study_dir, "aroc_extrapolation.json")
+    argv[argv.index("--out") + 1] = out
+    assert cli.main(argv + ["--nsave", "5", "--nburn", "5"]) == 0
+    with open(out, encoding="utf-8") as fh:
+        notes = json.load(fh)["warnings"]
+    with open(os.path.join(study_dir, "study.csv"), encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for gender in ("Men", "Women"):
+        age = {s: [float(r["age"]) for r in rows if r["gender"] == gender and r["cvd_idf"] == s]
+               for s in "01"}
+        lo, hi = min(age["0"]), max(age["0"])
+        past = [max(lo - a, a - hi) for a in age["1"] if not lo <= a <= hi]
+        pattern = (r"(\d+) covariate value\(s\) of age where gender=%s outside the spline "
+                   r"boundary \[(\S+), (\S+)\], up to (\S+) past it" % gender)
+        found = [m for m in (re.match(pattern, note) for note in notes) if m]
+        assert len(found) == 1, notes
+        count, b_lo, b_hi, dist = found[0].groups()
+        assert int(count) == len(past) > 0
+        assert float(b_lo) == pytest.approx(lo, rel=1e-5)
+        assert float(b_hi) == pytest.approx(hi, rel=1e-5)
+        assert float(dist) == pytest.approx(max(past), rel=1e-5)

@@ -1,10 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from rocinfer import smoothing
+from rocinfer.errors import DegenerateGridWarning
 from rocinfer.smoothing import (
     _candidate_grid,
     _loo_cv_regression,
+    _scan_reach,
     fit_location_scale,
     kernel_cdf,
     local_poly_regression,
@@ -49,6 +55,12 @@ def _scan_sample(kind, seed):
         # two clusters and a lone point far from both: the smallest
         # candidates leave that point with no neighbour weight
         x = np.concatenate([g.uniform(0, 10, 150), g.uniform(60, 70, 150), [35.0]])
+    elif kind == "ages":
+        # benchmark scale: 32 blocks, and windows from a few rows to all n
+        x = np.round(g.uniform(18, 80, 2000), 2)
+        y = 20.0 + 0.1 * x + 0.01 * (x - 50.0) ** 2 / 50.0 + 4.0 * g.normal(size=x.size)
+        shuffle = g.permutation(x.size)
+        return x[shuffle], y[shuffle]
     else:
         x = g.uniform(0, 5, 10)
     y = np.sin(x / 7.0) + (0.5 + x / 100.0) * g.normal(size=x.size)
@@ -142,8 +154,8 @@ def _loo_margins(x, h):
     return s0.min(), margin.min()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("kind", ["ties", "gap", "n10"])
+@pytest.mark.parametrize("kind, seed", [(kind, seed) for seed in (0, 1, 2)
+                                        for kind in ("ties", "gap", "n10")] + [("ages", 0)])
 def test_blocked_lscv_scan_matches_full_matrix_scorer(kind, seed):
     """The blocked scan against the per-candidate n x n scorer.
 
@@ -191,3 +203,39 @@ def test_blocked_local_fits_match_full_matrix_formula():
                                    (s2 * t0 - s1 * t1) / (s0 * s2 - s1 * s1), rtol=1e-9)
     assert local_poly_regression(x, y, 1.3, 30.05) == pytest.approx(
         local_poly_regression(x, y, 1.3, np.array([30.05]))[0], rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 10, 2149, 10**6])
+def test_scan_reach_bounds_the_dropped_weights(n):
+    """At most n - 1 weights past the reach sum to no more than 2^-54."""
+    reach = _scan_reach(n)
+    assert (n - 1) * math.exp(-0.5 * reach * reach) <= 2.0 ** -54
+    assert reach < 40.0
+
+
+def test_scan_in_candidate_groups_matches_one_group(monkeypatch):
+    x, y = _scan_sample("ties", 0)
+    candidates = _candidate_grid(x)
+    whole = [_loo_cv_regression(x, y, candidates, order) for order in (0, 1)]
+    # accumulators for 7 candidates at a time
+    monkeypatch.setattr(smoothing, "_SCAN_BYTES", 7 * 5 * 8 * x.size)
+    for order, expected in zip((0, 1), whole):
+        np.testing.assert_array_equal(_loo_cv_regression(x, y, candidates, order), expected)
+
+
+def test_lscv_warns_when_it_stops_at_a_grid_edge():
+    g = np.random.default_rng(4)
+    x = g.uniform(0, 1, 400)
+    y = 1.0 + 2.0 * x + 0.3 * g.normal(size=x.size)
+    with pytest.warns(DegenerateGridWarning, match=r"regression bandwidth stopped at the grid "
+                                                  r"edge: h = \S+ = 20 x h_srt"):
+        bw = lscv_bandwidth(x, y, "regression")
+    assert bw.value == _candidate_grid(x)[-1]
+    # the sample of test_variance_function_tracks_heteroskedastic_noise
+    # has an interior optimum for both bandwidths
+    g = np.random.default_rng(3)
+    x = np.sort(g.uniform(0, 1, 600))
+    y = np.sin(2 * x) + (0.5 + 1.5 * x) * g.normal(size=600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateGridWarning)
+        fit_location_scale(x, y)
