@@ -37,12 +37,13 @@ from .pooled import (
     case_bootstrap,
 )
 from .sample import DiagnosticSample, split_groups, standardise
-from .smoothing import fit_location_scale
+from .smoothing import _in_group, fit_location_scale
 from .streams import dirichlet
 from .summaries import (
     Interval,
     ThresholdResult,
     ecdf_eval,
+    ecdf_quantile,
     estimate,
     interval_from,
     pauc_normalise,
@@ -83,22 +84,16 @@ def _placement_rows(U, q, grid, ctrl: PaucControl):
     placement closed forms, and the Youden index max_p {AROC(p) - p}
     sits at a jump, clamped at 0.
     """
-    R, n = U.shape
+    n = U.shape[1]
     order = np.argsort(U, axis=1, kind="stable")
     u_sorted = np.take_along_axis(U, order, axis=1)
     if q is None:
-        cum = (np.arange(1, n + 1) / n)[None, :]
+        cum = np.arange(1, n + 1) / n
     else:
         cum = np.cumsum(np.take_along_axis(q, order, axis=1), axis=1)
     del order
 
-    # count each placement at the first grid point >= it, then accumulate
-    m = grid.size
-    bins = np.searchsorted(grid, U, side="left") + (m + 1) * np.arange(R)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=R * (m + 1)).reshape(R, m + 1)
-    del bins
-    padded = np.concatenate([np.zeros((cum.shape[0], 1)), cum], axis=1)
-    curves = np.take_along_axis(padded, np.cumsum(counts[:, :m], axis=1), axis=1)
+    curves = ecdf_eval(u_sorted, grid, cum)
     curves[:, grid == 0.0] = 0.0
     curves[:, grid == 1.0] = 1.0
 
@@ -114,8 +109,7 @@ def _placement_rows(U, q, grid, ctrl: PaucControl):
     if ctrl.compute and ctrl.focus == "tpf":
         v = ctrl.value
         # c = inf{p: AROC(p) >= v}; the area is sum q (1 - max(c, U)) - (1 - c) v
-        j = np.minimum(np.sum(cum < v - 1e-12, axis=1), n - 1)
-        c = np.take_along_axis(u_sorted, j[:, None], axis=1)
+        c = ecdf_quantile(u_sorted, v, cum)[:, None]
         X = 1.0 - np.maximum(c, U) - (1.0 - c) * v
         raw = X.mean(axis=1) if q is None else np.einsum("rn,rn->r", q, X)
         pauc = pauc_normalise(raw, "tpf", v)
@@ -174,7 +168,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
             raise ConfigError("the kernel variant needs one continuous covariate")
         X_h = np.asarray(split.healthy_cov[covariate].values, dtype=float)
         X_d = np.asarray(split.diseased_cov[covariate].values, dtype=float)
-        fit0 = fit_location_scale(X_h, y_h)
+        fit0 = _in_group("healthy", fit_location_scale, X_h, y_h)
         refit = partial(fit_location_scale, bw_mean=fit0.bw_mean, bw_var=fit0.bw_var)
 
     def placements(h_idx, d_idx):

@@ -60,7 +60,7 @@ from .pooled import (
     mixture_stack,
 )
 from .sample import Column, DiagnosticSample, PredictionFrame, column_from_values, split_groups, standardise
-from .smoothing import fit_location_scale, silverman_bandwidth
+from .smoothing import _in_group, fit_location_scale, silverman_bandwidth
 from .streams import parallel_map
 from .summaries import (
     ThresholdResult,
@@ -303,9 +303,9 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
 
     points(newdata)  # reject unusable prediction rows before fitting
     groups = []
-    for x, y in ((x_h, split.healthy), (x_d, split.diseased)):
+    for name, x, y in (("healthy", x_h, split.healthy), ("diseased", x_d, split.diseased)):
         h = silverman_bandwidth(x) if bw == "srt" else None
-        fit = fit_location_scale(x, y, bw_mean=h, bw_var=h)
+        fit = _in_group(name, fit_location_scale, x, y, bw_mean=h, bw_var=h)
         groups.append((fit, x, partial(fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var)))
     _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
                                B, stream, workers)

@@ -10,7 +10,9 @@ its reverse orientation, Simpson areas and optimal thresholds are
 written once against that interface (`roc_rows`, `tnf_rows`,
 `simpson_area`, `threshold_result`), summarised once per prediction row
 (`_summarise_rows`, under the `summaries.summarise` rule) and reused by
-the conditional and adjusted estimators.
+the conditional and adjusted estimators. A step stack, plain or
+Dirichlet-weighted, is the two views `ecdf_eval` and `ecdf_quantile` of
+the one rank search over sorted rows in `summaries`.
 
 The four pooled estimators share one result shape: empirical step curves
 with a within-group bootstrap, kernel-smoothed CDF plug-ins, the
@@ -36,11 +38,12 @@ from .mixtures import (
     mixture_quantile,
 )
 from .sample import DiagnosticSample, FpfGrid, split_groups, standardise
-from .smoothing import kernel_cdf, kernel_pdf, lscv_bandwidth, silverman_bandwidth
+from .smoothing import _in_group, kernel_cdf, kernel_pdf, lscv_bandwidth, silverman_bandwidth
 from .streams import RngStream, dirichlet, parallel_map
 from .summaries import (
     Interval,
     ThresholdResult,
+    _ranks,
     ecdf_eval,
     ecdf_quantile,
     estimate,
@@ -55,8 +58,6 @@ from .summaries import (
     plugin_first,
     simpson,
     summarise,
-    weighted_ecdf_eval,
-    weighted_ecdf_quantile,
     youden_grid,
     youden_rows,
 )
@@ -172,12 +173,11 @@ def _per_member(fn, count: int, x) -> np.ndarray:
 
 
 class StepStack:
-    """Right-continuous step CDFs with the inf-type inverse.
+    """Right-continuous step CDFs with the inf-type inverse (`ecdf_eval`, `ecdf_quantile`).
 
     values is one ascending sample (n,) or one per member (M, n). With
-    cumw, each member is a Dirichlet-weighted step CDF over the shared
-    ascending values, cumw (M, n) holding its cumulative weights;
-    without, every value weighs 1/n.
+    cumw (M, n), each member is a Dirichlet-weighted step CDF holding its
+    cumulative weights; without, every value weighs 1/n.
     """
 
     def __init__(self, values, cumw=None):
@@ -185,18 +185,10 @@ class StepStack:
         self.shape = (values if cumw is None else cumw).shape[:-1]
 
     def cdf(self, x):
-        if self.cumw is not None:
-            return weighted_ecdf_eval(self.values, self.cumw, x)
-        if not self.shape:
-            return ecdf_eval(self.values, x)
-        return _per_member(lambda b, xb: ecdf_eval(self.values[b], xb), self.shape[0], x)
+        return ecdf_eval(self.values, x, self.cumw)
 
     def quantile(self, q):
-        if self.cumw is None:
-            return ecdf_quantile(self.values, q)
-        return _per_member(
-            lambda b, qb: weighted_ecdf_quantile(self.values, self.cumw[b], qb), self.shape[0], q
-        )
+        return ecdf_quantile(self.values, q, self.cumw)
 
 
 class KernelStack:
@@ -424,8 +416,7 @@ def _criterion_rows(fh, fd, grid, criterion, target_fpf) -> tuple:
     if criterion == "yi":
         return youden_rows(fh, fd, grid)
     # c = F_H^{-1}(1 - target) on the grid, per member
-    k = [min(int(np.searchsorted(row, 1.0 - target_fpf, side="left")), grid.size - 1)
-         for row in fh]
+    k = np.minimum(_ranks(fh, 1.0 - target_fpf, "left"), grid.size - 1)
     rows = np.arange(fh.shape[0])
     return grid[k], 1.0 - fh[rows, k], 1.0 - fd[rows, k]
 
@@ -540,8 +531,8 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
         h_h = silverman_bandwidth(y_h).value
         h_d = silverman_bandwidth(y_d).value
     else:
-        h_h = lscv_bandwidth(y_h, y_h, target="cdf").value
-        h_d = lscv_bandwidth(y_d, y_d, target="cdf").value
+        h_h = _in_group("healthy", lscv_bandwidth, y_h, y_h, target="cdf").value
+        h_d = _in_group("diseased", lscv_bandwidth, y_d, y_d, target="cdf").value
 
     plugin = _kernel_stacks(y_h, y_d, h_h, h_d)
     reps = case_bootstrap(lambda h_idx, d_idx: (y_h[h_idx], y_d[d_idx]), stream, B,

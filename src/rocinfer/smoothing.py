@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,16 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 64  # evaluation rows per block of kernel weights
 _REACH = 40.0  # in bandwidths; exp(-0.5 * 40**2) = exp(-800) is exactly 0.0
 _SCAN_BYTES = 64e6  # accumulator memory past which the scan walks candidates in groups
+_GROUP = ContextVar("lscv_group", default="")  # appended to each LSCV warning
+
+
+def _in_group(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), each LSCV warning it issues ending "(<name> group)"."""
+    token = _GROUP.set(" (%s group)" % name)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        _GROUP.reset(token)
 
 
 @dataclass(frozen=True)
@@ -288,18 +299,20 @@ def lscv_bandwidth(x, y, target: str, order: int = 1) -> Bandwidth:
         raise ValueError("target must be regression, variance, or cdf")
     finite = np.isfinite(scores)
     if not np.any(finite):
-        warnings.warn("all LSCV candidates failed; using rule of thumb", DegenerateGridWarning)
+        warnings.warn("all LSCV candidates failed; using rule of thumb" + _GROUP.get(),
+                      DegenerateGridWarning)
         return Bandwidth(fallback.value, "lscv")
     span = np.nanmax(scores[finite]) - np.nanmin(scores[finite])
     if span <= 1e-14 * max(1.0, abs(float(np.nanmax(scores[finite])))):
-        warnings.warn("LSCV objective is flat; using rule of thumb", DegenerateGridWarning)
+        warnings.warn("LSCV objective is flat; using rule of thumb" + _GROUP.get(),
+                      DegenerateGridWarning)
         return Bandwidth(fallback.value, "lscv")
     best = int(np.nanargmin(np.where(finite, scores, np.inf)))
     if best in (0, candidates.size - 1):
         # the objective may still fall past the grid
-        warnings.warn("LSCV %s bandwidth stopped at the grid edge: h = %g = %g x h_srt"
-                      % (target, candidates[best], candidates[best] / fallback.value),
-                      DegenerateGridWarning)
+        warnings.warn("LSCV %s bandwidth stopped at the grid edge: h = %g = %g x h_srt%s"
+                      % (target, candidates[best], candidates[best] / fallback.value,
+                         _GROUP.get()), DegenerateGridWarning)
     return Bandwidth(float(candidates[best]), "lscv")
 
 

@@ -158,17 +158,9 @@ def youden_grid(y_all, n_points: int = 500) -> np.ndarray:
 def youden(cdf_h, cdf_d, grid) -> YoudenPoint:
     """Maximise |F_H(c) - F_D(c)| over the grid; smallest c wins ties."""
     grid = np.asarray(grid, dtype=float)
-    fh = np.asarray(cdf_h(grid), dtype=float)
-    fd = np.asarray(cdf_d(grid), dtype=float)
-    diff = fh - fd
-    k = int(np.argmax(np.abs(diff)))  # argmax returns the first maximiser
-    return YoudenPoint(
-        yi=float(abs(diff[k])),
-        threshold=float(grid[k]),
-        sign=int(np.sign(diff[k])) if diff[k] != 0 else 0,
-        fpf=float(1.0 - fh[k]),
-        tpf=float(1.0 - fd[k]),
-    )
+    fh, fd = (np.asarray(cdf(grid), dtype=float)[None, :] for cdf in (cdf_h, cdf_d))
+    yi, threshold, fpf, tpf, sign = (v[0].item() for v in youden_rows(fh, fd, grid))
+    return YoudenPoint(yi, threshold, sign, fpf, tpf)
 
 
 def youden_rows(fh_rows: np.ndarray, fd_rows: np.ndarray, grid: np.ndarray):
@@ -274,47 +266,59 @@ class ThresholdResult:
     target_fpf: float | None = None
 
 
-# -- step-function (empirical / weighted-empirical) machinery ----------------
+# -- step CDFs over sorted rows ------------------------------------------------
 
-def ecdf_eval(sorted_y: np.ndarray, x) -> np.ndarray | float:
-    """Right-continuous empirical CDF from an ascending sample."""
-    n = sorted_y.size
-    out = np.searchsorted(sorted_y, np.asarray(x, dtype=float), side="right") / n
-    return float(out) if np.isscalar(x) else out
+def _ranks(rows: np.ndarray, x, side: str) -> np.ndarray:
+    """Rank of each x in ascending rows: one search for a shared row, one per member row.
 
-
-def ecdf_quantile(sorted_y: np.ndarray, q) -> np.ndarray | float:
-    """inf{y: F(y) >= q}; q <= 1/n gives the smallest order statistic.
-
-    sorted_y may hold one ascending sample of equal size per row.
+    rows is one ascending row (n,) or one per member (M, n); x is shared
+    by every row (0- or 1-d) or holds one row per member.
     """
+    x = np.asarray(x, dtype=float)
+    if rows.ndim == 1:
+        return np.searchsorted(rows, x, side=side)
+    return np.array([np.searchsorted(row, x if x.ndim < 2 else x[b], side=side)
+                     for b, row in enumerate(rows)])
+
+
+def _take(table: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """table at positions i: per member row when both hold one row per member, else shared."""
+    if table.ndim == 2 and i.ndim >= 2:
+        return np.take_along_axis(table, i.reshape(i.shape[0], -1), axis=1).reshape(i.shape)
+    return table[..., i]
+
+
+def ecdf_eval(sorted_y: np.ndarray, x, cumw=None, side: str = "right") -> np.ndarray | float:
+    """Step CDF F(x): the weight of sample values <= x (< x with side 'left').
+
+    sorted_y is one ascending sample (n,) or one per member (M, n). Every
+    value weighs 1/n, or cumw holds cumulative weights aligned with
+    sorted_y: one shared row (n,) or one per member (M, n). x is shared
+    by all members (0- or 1-d) or holds one row per member.
+    """
+    i = _ranks(sorted_y, x, side)
+    if cumw is None:
+        out = i / sorted_y.shape[-1]
+    else:
+        out = _take(np.concatenate([np.zeros(cumw.shape[:-1] + (1,)), cumw], axis=-1), i)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def ecdf_quantile(sorted_y: np.ndarray, q, cumw=None) -> np.ndarray | float:
+    """The inf-type inverse inf{y: F(y) >= q} of `ecdf_eval`'s step CDF.
+
+    With equal weights q <= 1/n gives the smallest order statistic; with
+    cumw the search is for the first cumulative weight >= q - 1e-12.
+    """
+    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
     n = sorted_y.shape[-1]
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    idx = np.ceil(q_arr * n - 1e-9).astype(int) - 1
-    idx = np.clip(idx, 0, n - 1)
-    out = sorted_y[..., idx]
-    return float(out[0]) if np.isscalar(q) or np.asarray(q).ndim == 0 else out
-
-
-def weighted_ecdf_eval(sorted_y: np.ndarray, cumw: np.ndarray, x) -> np.ndarray | float:
-    """F(x) = total weight of sample values <= x; cumw aligns with sorted_y.
-
-    cumw may hold one row of cumulative weights per member (M, n); x is
-    then shared by all members (1-d) or holds one row per member.
-    """
-    idx = np.searchsorted(sorted_y, np.asarray(x, dtype=float), side="right")
-    padded = np.concatenate([np.zeros(cumw.shape[:-1] + (1,)), cumw], axis=-1)
-    out = np.take_along_axis(padded, idx, axis=-1) if idx.ndim == padded.ndim == 2 else padded[..., idx]
-    return float(out) if np.isscalar(x) else out
-
-
-def weighted_ecdf_quantile(sorted_y: np.ndarray, cumw: np.ndarray, q) -> np.ndarray | float:
-    """inf{y: F(y) >= q} for a weighted step CDF."""
-    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    idx = np.searchsorted(cumw, q_arr - 1e-12, side="left")
-    idx = np.clip(idx, 0, sorted_y.size - 1)
-    out = sorted_y[idx]
-    return float(out[0]) if np.isscalar(q) or np.asarray(q).ndim == 0 else out
+    if cumw is None:
+        i = np.ceil(q_arr * n - 1e-9).astype(int) - 1
+    else:
+        i = _ranks(cumw, q_arr - 1e-12, "left")
+    out = _take(sorted_y, np.clip(i, 0, n - 1))
+    out = out[..., 0] if np.ndim(q) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def placements(ref_sorted: np.ndarray, query, cumw=None, side: str = "half") -> np.ndarray:
@@ -325,16 +329,12 @@ def placements(ref_sorted: np.ndarray, query, cumw=None, side: str = "half") -> 
     or cumw (M, n) holds one row of cumulative weights per member, and
     U then has one row per member.
     """
-    y = np.asarray(query, dtype=float)
-    padded = None if cumw is None else np.concatenate(
-        [np.zeros(cumw.shape[:-1] + (1,)), cumw], axis=-1)
-
     def below(s):  # reference count or weight below y, ties included on side 'right'
-        i = np.searchsorted(ref_sorted, y, side=s)
-        return i if padded is None else padded[..., i]
+        return (_ranks(ref_sorted, query, s) if cumw is None
+                else ecdf_eval(ref_sorted, query, cumw, s))
 
     mass = 0.5 * (below("left") + below("right")) if side == "half" else below(side)
-    if padded is None:
+    if cumw is None:
         return (ref_sorted.size - mass) / ref_sorted.size
     return np.subtract(1.0, mass, out=mass)  # mass is a fresh array
 

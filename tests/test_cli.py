@@ -385,3 +385,66 @@ def test_readme_prior_examples_parse():
             assert _override(DdpPrior, overrides).resolved(y, 2) is not None
             if all(re.fullmatch(r"[-+.\deE]+", val) for val in overrides.values()):
                 assert _override(DpmPrior, overrides).resolved(y) is not None
+
+
+def _edge_study(tmp_path, kind: str) -> str:
+    """A small study whose markers hit one edge case of the step estimators."""
+    g = np.random.default_rng(5)
+    n_h, n_d = 30, 1 if kind == "one_diseased" else 12
+    age = g.uniform(20.0, 70.0, n_h + n_d)
+    bmi = g.normal(25.0, 3.0, n_h + n_d)
+    if kind == "all_tied":
+        bmi[:] = 25.0
+    elif kind == "constant_diseased":
+        bmi[n_h:] = 31.0
+    elif kind == "constant_healthy":
+        bmi[:n_h] = 25.0
+    path = tmp_path / (kind + ".csv")
+    path.write_text("age,bmi,cvd_idf\n" + "".join(
+        "%.1f,%.1f,%d\n" % (a, b, i >= n_h) for i, (a, b) in enumerate(zip(age, bmi))),
+        encoding="utf-8")
+    return str(path)
+
+
+_PAUC = ([], ["--pauc", "--pauc-focus", "fpf", "--pauc-value", "0.3"],
+         ["--pauc", "--pauc-focus", "tpf", "--pauc-value", "0.8"])
+_STEP_RUNS = [
+    *(["pooled", "--method", m, *pa] for m in ("emp", "bb") for pa in _PAUC),
+    *(["threshold", "--approach", "pooled", "--method", m, "--criterion", *crit]
+      for m in ("emp", "bb") for crit in (["yi"], ["fpf", "--target-fpf", "0.1"])),
+    ["aroc", "--method", "sp", "--est-cdf", "empirical", "--formula-h", "bmi ~ age"],
+]
+
+
+def _nulls(node, at="payload") -> list:
+    if node is None:
+        return [at]
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    return [where for key, child in items for where in _nulls(child, "%s.%s" % (at, key))]
+
+
+@pytest.mark.parametrize("kind", ["one_diseased", "all_tied", "constant_diseased"])
+@pytest.mark.parametrize("run", _STEP_RUNS, ids=lambda run: "_".join(a.lstrip("-") for a in run))
+def test_step_estimators_survive_degenerate_markers(tmp_path, capsys, kind, run):
+    """n_d = 1, all-tied markers and a constant diseased marker: finite output, or
+    exit 3 for aroc sp when the healthy marker is constant (all tied)."""
+    args = [*run, "--data", _edge_study(tmp_path, kind), "--marker", "bmi", "--group",
+            "cvd_idf", "--tag", "0", "--B", "20", "--out", str(tmp_path / "out.json")]
+    if run[0] == "aroc" and kind == "all_tied":
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith("rocinfer: ")
+        return
+    assert main(args) == 0
+    with open(tmp_path / "out.json", "rb") as fh:
+        assert _nulls(json.load(fh)["payload"]) == []
+
+
+def test_aroc_sp_constant_healthy_marker_exits_3(tmp_path, capsys):
+    rc = main(["aroc", "--method", "sp", "--est-cdf", "empirical", "--formula-h", "bmi ~ age",
+               "--data", _edge_study(tmp_path, "constant_healthy"), "--marker", "bmi",
+               "--group", "cvd_idf", "--tag", "0", "--B", "20",
+               "--out", str(tmp_path / "out.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("rocinfer: ")
+    assert not (tmp_path / "out.json").exists()

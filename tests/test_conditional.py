@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
@@ -10,6 +13,7 @@ from rocinfer.conditional import (
     croc_tnf,
 )
 from rocinfer.errors import (
+    DegenerateGridWarning,
     MissingColumnError,
     NoLocalDataError,
     RankDeficientError,
@@ -146,6 +150,24 @@ def test_kernel_validation():
     )
     with pytest.raises(Exception):
         croc_kernel(cat, "g", {"g": ["a"]}, B=0)
+
+
+def test_kernel_lscv_warnings_name_their_group():
+    # a near-linear mean in both groups: each regression scan stops at the grid edge
+    g = np.random.default_rng(0)
+    x = g.uniform(0.0, 1.0, 600)
+    y = 1.0 + 2.0 * x + (0.1 + 0.9 * x) * g.normal(size=600)
+    y[300:] += 1.0
+    s = DiagnosticSample(marker=y, disease=np.repeat([0, 1], 300), nondiseased_tag=0,
+                         covariates={"x": Column(x)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        croc_kernel(s, "x", {"x": [0.5]}, B=0)
+    edge = [re.fullmatch(r"LSCV regression bandwidth stopped at the grid edge: "
+                         r"h = \S+ = 20 x h_srt \((\w+) group\)", str(w.message))
+            for w in caught if issubclass(w.category, DegenerateGridWarning)]
+    assert len(edge) == 2 and all(edge)
+    assert sorted(m.group(1) for m in edge) == ["diseased", "healthy"]
 
 
 def _ols(Z, y):

@@ -5,6 +5,10 @@ outside the definition itself: as a name, an attribute, an imported
 name or a string (`hasattr(x, "as_dict")`). Names listed in an
 `__all__` and dunders are exempt, since callers outside the package or
 the language itself use them.
+
+Since an import counts as a use there, a stale import could keep a
+deleted helper's name alive; so every name a module imports must also
+be used in that module as a name, unless its `__all__` lists it.
 """
 
 import ast
@@ -55,4 +59,18 @@ def test_every_definition_is_named_elsewhere():
         if node.name not in exported and not node.name.startswith("__")
         and not any(name == node.name and id(node) not in inside for name, inside in uses)
     ]
+    assert unused == []
+
+
+def test_every_import_is_used():
+    """A name a module imports is used in that module, or listed in its `__all__`."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [(alias.asname or alias.name).split(".", 1)[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%s" % (path.name, name) for name in imported
+                   if name not in used | _exported(tree)]
     assert unused == []

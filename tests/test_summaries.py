@@ -18,8 +18,6 @@ from rocinfer.summaries import (
     placement_areas,
     placements,
     simpson,
-    weighted_ecdf_eval,
-    weighted_ecdf_quantile,
     youden,
     youden_grid,
 )
@@ -139,6 +137,7 @@ def test_ecdf_conventions():
     y = np.array([1.0, 2.0, 3.0])
     assert ecdf_eval(y, 2.0) == pytest.approx(2.0 / 3.0)  # right continuous
     assert ecdf_eval(y, 0.5) == 0.0
+    assert ecdf_eval(y, 2.0, side="left") == pytest.approx(1.0 / 3.0)  # left limit F(2-)
     assert ecdf_quantile(y, 0.5) == 2.0  # smallest y with F(y) >= q
     assert ecdf_quantile(y, 1.0) == 3.0
 
@@ -147,9 +146,63 @@ def test_weighted_ecdf_with_flat_weights_matches_plain():
     y = np.array([1.0, 2.0, 5.0])
     cumw = np.array([1 / 3, 2 / 3, 1.0])
     x = np.array([0.0, 1.5, 5.0])
-    np.testing.assert_allclose(weighted_ecdf_eval(y, cumw, x), ecdf_eval(y, x))
+    np.testing.assert_allclose(ecdf_eval(y, x, cumw), ecdf_eval(y, x))
+    np.testing.assert_allclose(ecdf_eval(y, x, cumw, "left"), ecdf_eval(y, x, side="left"))
     q = np.array([0.2, 0.7, 1.0])
-    np.testing.assert_allclose(weighted_ecdf_quantile(y, cumw, q), ecdf_quantile(y, q))
+    np.testing.assert_allclose(ecdf_quantile(y, q, cumw), ecdf_quantile(y, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    st.integers(1, 3),
+    st.booleans(),
+    st.sampled_from(["equal", "flat", "dirichlet"]),
+    st.booleans(),
+    st.sampled_from(["left", "right"]),
+    st.lists(st.integers(-1, 6), min_size=1, max_size=6),
+    st.integers(0, 2**16),
+)
+@example([2], 1, False, "equal", False, "right", [2], 0)  # n = 1
+@example([1, 1, 1], 2, True, "dirichlet", True, "left", [1, 0, 2], 3)  # all tied
+@example([0] * 7, 1, False, "flat", False, "right", [0], 0)  # 1 - 6/7 > 1/7
+@example([0] * 10, 1, False, "equal", False, "right", [0], 0)  # 1 - 0.7 > 3/10
+def test_step_views_match_their_definitions(values, M, per_member, weights, x_per_member,
+                                            side, xs, seed):
+    """ecdf_eval is the weight of the values <= x (< x on the left side);
+    ecdf_quantile is the smallest value whose F reaches q, less 1e-12 under
+    cumw or the 1e-9/n rounding slack of equal weights.
+
+    Samples are shared or one per member; weights are equal, equal as one
+    shared cumulative row (the adjusted curve's), or Dirichlet per member.
+    Per-member values with per-member weights is the aroc bnp shape.
+    """
+    g = np.random.default_rng(seed)
+    n = len(values)
+    Y = np.sort(g.choice(values, size=(M, n)) if per_member else np.tile(values, (M, 1)), axis=1)
+    W = g.dirichlet(np.ones(n), M) if weights == "dirichlet" else np.full((M, n), 1.0 / n)
+    sorted_y = Y if per_member else Y[0]
+    cumw = {"equal": None, "flat": np.arange(1, n + 1) / n,
+            "dirichlet": np.cumsum(W, axis=1)}[weights]
+    x = np.array(xs, dtype=float) / 2.0  # halves fall between and on the values
+    X = g.permuted(np.tile(x, (M, 1)), axis=1) if x_per_member else np.tile(x, (M, 1))
+
+    def weight(m, mask):  # of member m's values in mask; equal weights count exactly
+        return W[m] @ mask if weights == "dirichlet" else mask.sum() / n
+
+    below = np.less if side == "left" else np.less_equal
+    want = np.array([[weight(m, below(Y[m], t)) for t in X[m]] for m in range(M)])
+    got = ecdf_eval(sorted_y, X if x_per_member else x, cumw, side)
+    np.testing.assert_allclose(np.broadcast_to(got, want.shape), want, rtol=0,
+                               atol=1e-12 if weights == "dirichlet" else 0.0)
+
+    # k/24, and 1 - k/n as roc_rows asks for it (an ulp above (n - k)/n for some n)
+    q = np.concatenate([np.arange(25) / 24.0, 1.0 - np.arange(n + 1) / n])
+    F = np.array([[weight(m, Y[m] <= y) for y in Y[m]] for m in range(M)])
+    reach = F[:, :, None] >= q - (1e-9 / n if cumw is None else 1e-12)
+    want = np.where(reach, Y[:, :, None], np.inf).min(axis=1)
+    got = ecdf_quantile(sorted_y, q, cumw)
+    np.testing.assert_array_equal(np.broadcast_to(got, want.shape), want)
 
 
 def test_placements_half_tie_convention():
