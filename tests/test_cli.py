@@ -425,7 +425,8 @@ def _nulls(node, at="payload") -> list:
 
 
 @pytest.mark.parametrize("kind", ["one_diseased", "all_tied", "constant_diseased"])
-@pytest.mark.parametrize("run", _STEP_RUNS, ids=lambda run: "_".join(a.lstrip("-") for a in run))
+@pytest.mark.parametrize("run", _STEP_RUNS,
+                         ids=lambda run: "_".join(a.lstrip("-").replace(" ", "") for a in run))
 def test_step_estimators_survive_degenerate_markers(tmp_path, capsys, kind, run):
     """n_d = 1, all-tied markers and a constant diseased marker: finite output, or
     exit 3 for aroc sp when the healthy marker is constant (all tied)."""
