@@ -44,6 +44,7 @@ from .mixtures import McmcControl, fit_ddp
 from .pooled import (
     _CHAIN_D,
     _CHAIN_H,
+    _MEMBER_BLOCK,
     ChunkedStack,
     DensityControl,
     LocScaleStack,
@@ -157,9 +158,6 @@ def _induced_tables(labels, coef_h, coef_d, sig_h, sig_d, plugin: bool, ind_map=
             "induced_tnf": _coef_table(labels, -ind / brat[:, None], "b", 1.0 / brat, plugin)}
 
 
-_MEMBER_CHUNK = 64  # bootstrap replicates per ChunkedStack part
-
-
 def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
     """Residual bootstrap and CDF stacks of an induced location-scale model.
 
@@ -191,8 +189,8 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
         plugin = tuple(LocScaleStack(*fit.at(x), base(fit.residuals))
                        for (fit, _, _), x in zip(groups, inputs))
         ensemble = tuple(
-            ChunkedStack([stack([b[g] for b in boot[c:c + _MEMBER_CHUNK]], x)
-                          for c in range(0, len(boot), _MEMBER_CHUNK)])
+            ChunkedStack([stack([b[g] for b in boot[c:c + _MEMBER_BLOCK]], x)
+                          for c in range(0, len(boot), _MEMBER_BLOCK)])
             for g, x in enumerate(inputs)) if boot else None
         return [(plugin, ensemble)]
 

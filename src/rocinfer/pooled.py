@@ -14,6 +14,12 @@ the conditional and adjusted estimators. A step stack, plain or
 Dirichlet-weighted, is the two views `ecdf_eval` and `ecdf_quantile` of
 the one rank search over sorted rows in `summaries`.
 
+Large ensembles are `ChunkedStack`s of at most _MEMBER_BLOCK members a
+part, walked part by part. The Dirichlet-weight ensemble keeps each
+part's generator state instead of its weights (`DirichletBlock`) and
+redraws the weights at every query, so its memory does not grow with
+the member count times the sample size.
+
 The four pooled estimators share one result shape: empirical step curves
 with a within-group bootstrap, kernel-smoothed CDF plug-ins, the
 Dirichlet-weight resampling scheme with closed-form areas, and
@@ -63,6 +69,7 @@ from .summaries import (
 )
 
 _BOOT_STREAM_BASE = 100
+_MEMBER_BLOCK = 64  # members per ChunkedStack part: bootstrap replicates or Dirichlet draws
 _CHAIN_H, _CHAIN_D, _WEIGHTS_STREAM = 1, 2, 3
 
 
@@ -177,7 +184,8 @@ class StepStack:
 
     values is one ascending sample (n,) or one per member (M, n). With
     cumw (M, n), each member is a Dirichlet-weighted step CDF holding its
-    cumulative weights; without, every value weighs 1/n.
+    cumulative weights; without, every value weighs 1/n. Pooled bb holds
+    weighted stacks one member block at a time (`DirichletBlock`).
     """
 
     def __init__(self, values, cumw=None):
@@ -189,6 +197,41 @@ class StepStack:
 
     def quantile(self, q):
         return ecdf_quantile(self.values, q, self.cumw)
+
+
+class DirichletBlock:
+    """Flat-Dirichlet-weighted step CDFs of one sample, redrawn at every query.
+
+    One block of pooled bb's ensemble: count members over the ascending
+    values = sample[order], whose weights are drawn in the sample's own
+    order from the PCG64 state saved at the block's first draw. It keeps
+    that state, not the (count, n) weights; `Generator` fills draws in
+    row-major order, so a replay is bitwise the original block.
+    """
+
+    def __init__(self, values, order, state, count):
+        self.values, self.order, self.state = values, order, state
+        self.shape = (count,)
+
+    def draw(self, gen) -> np.ndarray:
+        """The members' weights (count, n), aligned with values, drawn from gen."""
+        return dirichlet(np.ones(self.values.size), gen, size=self.shape[0])[:, self.order]
+
+    def weights(self) -> np.ndarray:
+        """The members' weights, redrawn from the saved state."""
+        gen = np.random.Generator(np.random.PCG64())
+        gen.bit_generator.state = self.state
+        return self.draw(gen)
+
+    def steps(self) -> StepStack:
+        """The block as a weighted StepStack, holding its cumulative weights."""
+        return StepStack(self.values, np.cumsum(self.weights(), axis=1))
+
+    def cdf(self, x):
+        return self.steps().cdf(x)
+
+    def quantile(self, q):
+        return self.steps().quantile(q)
 
 
 class KernelStack:
@@ -293,11 +336,13 @@ class LocScaleStack:
 
 
 class ChunkedStack:
-    """One stack held as chunks along its leading member axis.
+    """One stack held as parts of at most _MEMBER_BLOCK members along its leading axis.
 
-    roc_rows walks the chunks of a chunked pair together, which keeps
-    the (members, rows, points) intermediates of a large bootstrap
-    ensemble cache-sized; cdf takes points shared by all members.
+    roc_rows and simpson_area walk the parts of a chunked pair together,
+    which keeps the (members, rows, points) intermediates of a large
+    ensemble cache-sized; cdf and quantile take points shared by all
+    members. Pooled bb's parts are `DirichletBlock`s, so its ensemble
+    holds generator states, not weights.
     """
 
     def __init__(self, parts):
@@ -306,6 +351,9 @@ class ChunkedStack:
 
     def cdf(self, x):
         return np.concatenate([part.cdf(x) for part in self.parts])
+
+    def quantile(self, q):
+        return np.concatenate([part.quantile(q) for part in self.parts])
 
 
 def mixture_stack(weights, means, sigma2, std) -> MixtureStack | LocScaleStack:
@@ -345,8 +393,11 @@ def simpson_area(H, D, pauc: PaucControl | None = None):
     """Simpson AUC per member on 201 points, or the normalised partial area.
 
     FPF focus integrates the curve over [0, value], TPF focus the reverse
-    curve over [value, 1]. An empty range has area 0.
+    curve over [value, 1]. An empty range has area 0. Chunked pairs are
+    integrated part by part, like `roc_rows`.
     """
+    if isinstance(H, ChunkedStack):
+        return np.concatenate([simpson_area(h, d, pauc) for h, d in zip(H.parts, D.parts)])
     if pauc is None or pauc.focus == "fpf":
         g, curve = odd_grid(0.0, 1.0 if pauc is None else pauc.value, 201), roc_rows
     else:
@@ -355,19 +406,23 @@ def simpson_area(H, D, pauc: PaucControl | None = None):
     return raw if pauc is None else pauc_normalise(raw, pauc.focus, pauc.value)
 
 
-def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=None):
+def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=None,
+                    curves=None):
     """Curve and area summaries of a fit per prediction row, by `summarise`.
 
     The rows are the stacks' last member axis; a stack without one
     counts as one row. aucs and paucs hold member areas known in closed
     form, (members[, rows]) with the plug-in at member 0 when there is
-    one; the other areas are Simpson's on each member's curve. Returns
-    the result fields (roc_est, roc_lo, roc_hi as (rows, points), auc
-    and pauc with one entry per row) and the ensemble curves (members,
-    rows, points), or None.
+    one; the other areas are Simpson's on each member's curve. curves
+    holds the ensemble's curves on grid when the fit has them already.
+    Returns the result fields (roc_est, roc_lo, roc_hi as (rows,
+    points), auc and pauc with one entry per row) and the ensemble
+    curves (members, rows, points), or None.
     """
     m = grid.size
-    curves = roc_rows(*ensemble, grid).reshape(ensemble[0].shape[0], -1, m) if ensemble else None
+    if ensemble and curves is None:
+        curves = roc_rows(*ensemble, grid)
+    curves = None if curves is None else curves.reshape(ensemble[0].shape[0], -1, m)
     point = roc_rows(*plugin, grid).reshape(-1, m) if plugin else None
 
     def area(closed, area_ctrl) -> dict:
@@ -387,9 +442,9 @@ def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=
 
 
 def _pooled_result(method, split, grid, ctrl, plugin, ensemble, y, aucs=None, paucs=None,
-                   internals=None, **extra) -> RocResult:
+                   curves=None, internals=None, **extra) -> RocResult:
     """A pooled fit's result: the one row of `_summarise_rows`."""
-    fields, curves = _summarise_rows(plugin, ensemble, grid, ctrl, aucs, paucs)
+    fields, curves = _summarise_rows(plugin, ensemble, grid, ctrl, aucs, paucs, curves)
     return RocResult(
         method=method, p=grid, **{k: None if v is None else v[0] for k, v in fields.items()},
         sample_sizes=(split.n_h, split.n_d),
@@ -466,7 +521,8 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
 
     The curve uses right-continuous empirical CDFs and the inf-inverse;
     AUC is the tie-halved Mann-Whitney statistic and partial areas come
-    from the matching placement-value closed forms.
+    from the matching placement-value closed forms, reduced per member
+    block so that no (B+1, n) placement stack is built.
     """
     stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
@@ -477,26 +533,28 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
 
     plugin = (StepStack(h_sorted), StepStack(d_sorted))
     tpf = pauc.compute and pauc.focus == "tpf"
-
-    def replicate(h_idx, d_idx):
-        h, d = np.sort(split.healthy[h_idx]), np.sort(split.diseased[d_idx])
-        return h, d, placements(h, d), placements(d, h) if tpf else None
-
-    reps = case_bootstrap(replicate, stream, B, (split.n_h, split.n_d), workers)
-    # one list per replicate field, each released as soon as it is
-    # stacked, so no replicate row is held twice
-    cols = [list(col) for col in zip(*reps)] or [[]] * 4
+    reps = case_bootstrap(lambda h_idx, d_idx: (np.sort(split.healthy[h_idx]),
+                                                np.sort(split.diseased[d_idx])),
+                          stream, B, (split.n_h, split.n_d), workers)
+    # one list per group, each released as soon as it is stacked, so no
+    # replicate row is held twice
+    cols = [list(col) for col in zip(*reps)] or [[]] * 2
     del reps
 
-    def stacked(g, *first):
+    def stacked(g):
         rows, cols[g] = cols[g], None
-        return np.array([*first, *rows])
+        return np.array(rows)
 
-    ensemble = (StepStack(stacked(0)), StepStack(stacked(1))) if B else None
-    # member 0 is the plug-in, members 1..B the bootstrap replicates
-    U = stacked(2, placements(h_sorted, d_sorted))
-    U_rev = stacked(3, placements(d_sorted, h_sorted)) if tpf else None
-    aucs, paucs = placement_areas(U, None, pauc, U_rev)
+    rows_h, rows_d = stacked(0), stacked(1)
+    ensemble = (StepStack(rows_h), StepStack(rows_d)) if B else None
+    # member 0 is the plug-in, members 1..B the bootstrap replicates; the
+    # placements are reduced to areas one member block at a time
+    blocks = [(h_sorted[None], d_sorted[None])] + [
+        (rows_h[c:c + _MEMBER_BLOCK], rows_d[c:c + _MEMBER_BLOCK])
+        for c in range(0, B, _MEMBER_BLOCK)]
+    areas = [placement_areas(placements(h, d), None, pauc, placements(d, h) if tpf else None)
+             for h, d in blocks]
+    aucs, paucs = (None if col[0] is None else np.concatenate(col) for col in zip(*areas))
     return _pooled_result("empirical", split, grid, pauc, plugin, ensemble,
                           np.concatenate([h_sorted, d_sorted]), aucs, paucs)
 
@@ -544,13 +602,27 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
 
 # -- Dirichlet-weight resampling ---------------------------------------------
 
+def _dirichlet_blocks(values, order, gen, S: int):
+    """S members' flat-Dirichlet blocks over one sample, drawn from gen in turn.
+
+    Yields each `DirichletBlock`, with its start state saved, and the
+    weights just drawn for it.
+    """
+    for start in range(0, S, _MEMBER_BLOCK):
+        block = DirichletBlock(values, order, gen.bit_generator.state,
+                               min(_MEMBER_BLOCK, S - start))
+        yield block, block.draw(gen)
+
+
 def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
               pauc: PaucControl | None = None, rng=None) -> RocResult:
     """Dirichlet-weight resampling with closed-form areas.
 
     Per iteration, both groups get flat Dirichlet weights; the curve is
     read off the two weighted step CDFs, and diseased placements against
-    the weighted healthy CDF give the areas in closed form.
+    the weighted healthy CDF give the areas in closed form. The weights
+    are drawn in member blocks and never held whole: the ensemble keeps
+    each block's generator state and redraws it at every query.
     """
     if S < 1:
         raise ConfigError("Bayesian bootstrap draw count S must be >= 1")
@@ -564,21 +636,26 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
     order_d = np.argsort(split.diseased, kind="stable")
     h_sorted = split.healthy[order_h]
     d_sorted = split.diseased[order_d]
+    tpf = pauc.compute and pauc.focus == "tpf"
 
-    q1 = dirichlet(np.ones(split.n_h), gen, size=S)[:, order_h]
-    q2 = dirichlet(np.ones(split.n_d), gen, size=S)[:, order_d]
-    cum1 = np.cumsum(q1, axis=1)
-    cum2 = np.cumsum(q2, axis=1)
-    ensemble = (StepStack(h_sorted, cum1), StepStack(d_sorted, cum2))
-
-    # placements with ties counted whole, so the AUC is P(H < D); the
-    # reverse V_i = P_D(D > h_i) is strict like it
-    U = placements(h_sorted, d_sorted, cum1, side="left")  # (S, n_d)
-    U_rev = (placements(d_sorted, h_sorted, cum2, side="right")
-             if pauc.compute and pauc.focus == "tpf" else None)
-    aucs, paucs = placement_areas(U, q2, pauc, U_rev, q1)
-    return _pooled_result("bb", split, grid, pauc, None, ensemble,
-                          np.concatenate([h_sorted, d_sorted]), aucs, paucs)
+    # all S healthy draws precede the diseased ones in the stream: the
+    # first pass only saves the healthy blocks' states, the second
+    # redraws each healthy block beside its diseased block
+    H = [block for block, _ in _dirichlet_blocks(h_sorted, order_h, gen, S)]
+    D, rows = [], []
+    for h_block, (d_block, q2) in zip(H, _dirichlet_blocks(d_sorted, order_d, gen, S)):
+        q1 = h_block.weights()
+        h = StepStack(h_sorted, np.cumsum(q1, axis=1))
+        d = StepStack(d_sorted, np.cumsum(q2, axis=1))
+        # placements with ties counted whole, so the AUC is P(H < D); the
+        # reverse V_i = P_D(D > h_i) is strict like it
+        U = placements(h_sorted, d_sorted, h.cumw, side="left")  # (block, n_d)
+        U_rev = placements(d_sorted, h_sorted, d.cumw, side="right") if tpf else None
+        rows.append((roc_rows(h, d, grid), *placement_areas(U, q2, pauc, U_rev, q1)))
+        D.append(d_block)
+    curves, aucs, paucs = (None if col[0] is None else np.concatenate(col) for col in zip(*rows))
+    return _pooled_result("bb", split, grid, pauc, None, (ChunkedStack(H), ChunkedStack(D)),
+                          np.concatenate([h_sorted, d_sorted]), aucs, paucs, curves)
 
 
 # -- normal-mixture posterior --------------------------------------------------

@@ -59,14 +59,20 @@ def dirichlet(alpha, rng, size: int | None = None) -> np.ndarray:
     """Dirichlet draws via normalised gammas.
 
     Returns one probability vector, or a (size, k) matrix when size is
-    given. Components are positive and each row sums to one.
+    given. Components are positive and each row sums to one. The gammas
+    fill the matrix in row-major order, so `size` rows equal the same
+    rows drawn in consecutive chunks; a flat alpha takes one scalar-shape
+    `standard_gamma` call, bitwise equal to the per-element one.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size == 0 or np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
         raise BadAlphaError("dirichlet needs a vector of positive finite alphas")
     g = _gen(rng)
     shape = (alpha.size,) if size is None else (int(size), alpha.size)
-    draws = g.gamma(np.broadcast_to(alpha, shape), 1.0)
+    if np.all(alpha == alpha[0]):
+        draws = g.standard_gamma(alpha[0], size=shape)
+    else:
+        draws = g.gamma(np.broadcast_to(alpha, shape), 1.0)
     total = draws.sum(axis=-1, keepdims=True)
     # all-zero rows cannot occur for alpha >= machine-scale; guard anyway
     bad = total[..., 0] == 0.0

@@ -46,8 +46,7 @@ def mw_auc(y_h, y_d, weights_h=None, weights_d=None) -> float:
     wh, wd = (None if w is None else np.asarray(w, dtype=float)[None, :] / np.sum(w)
               for w in (weights_h, weights_d))
     U = placements(y_h[order], y_d, None if wh is None else np.cumsum(wh[:, order], axis=1))
-    # weighted cumulative sums can end at 1 + 2e-16; an area is at most 1
-    return float(np.clip(placement_areas(U.reshape(1, -1), wd)[0][0], 0.0, 1.0))
+    return float(placement_areas(U.reshape(1, -1), wd)[0][0])
 
 
 def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray | float:
@@ -325,9 +324,10 @@ def placements(ref_sorted: np.ndarray, query, cumw=None, side: str = "half") -> 
     """Placement values U(y) = P_ref(Y > y) of query points in an ascending sample.
 
     Ties with y count whole (side 'left'), not at all ('right') or one
-    half ('half'). Every reference value weighs 1/n (U exact in k/n),
-    or cumw (M, n) holds one row of cumulative weights per member, and
-    U then has one row per member.
+    half ('half'). ref_sorted is one sample (n,) or one per member (M, n)
+    with query rows (M, k). Every reference value weighs 1/n (U exact in
+    k/n), or cumw (M, n) holds one row of cumulative weights per member,
+    and U then has one row per member.
     """
     def below(s):  # reference count or weight below y, ties included on side 'right'
         return (_ranks(ref_sorted, query, s) if cumw is None
@@ -335,7 +335,7 @@ def placements(ref_sorted: np.ndarray, query, cumw=None, side: str = "half") -> 
 
     mass = 0.5 * (below("left") + below("right")) if side == "half" else below(side)
     if cumw is None:
-        return (ref_sorted.size - mass) / ref_sorted.size
+        return (ref_sorted.shape[-1] - mass) / ref_sorted.shape[-1]
     return np.subtract(1.0, mass, out=mass)  # mass is a fresh array
 
 
@@ -344,12 +344,15 @@ def placement_areas(U, q=None, ctrl=None, U_rev=None, q_rev=None):
 
     When ctrl (compute, focus, value) asks, also the normalised partial
     area: FPF v - sum q min(v, U), or TPF sum q_rev max(U_rev - v, 0) over
-    the reverse (healthy-in-diseased) placements. Returns (auc, pauc or None).
+    the reverse (healthy-in-diseased) placements. Returns (auc, pauc or
+    None), each clipped into [0, 1]: weighted cumulative sums can end at
+    1 + 2e-16, which would put a tied study's areas a rounding error
+    outside it.
     """
     def wsum(w, X):  # sum_j w_j X_j per row
         return X.mean(axis=1) if w is None else np.einsum("rn,rn->r", w, X)
 
-    auc = 1.0 - wsum(q, U)
+    auc = np.clip(1.0 - wsum(q, U), 0.0, 1.0)
     if ctrl is None or not ctrl.compute:
         return auc, None
     v = ctrl.value
@@ -358,4 +361,4 @@ def placement_areas(U, q=None, ctrl=None, U_rev=None, q_rev=None):
     else:
         X = U_rev - v
         raw = wsum(q_rev, np.maximum(X, 0.0, out=X))
-    return auc, pauc_normalise(raw, ctrl.focus, v)
+    return auc, np.clip(pauc_normalise(raw, ctrl.focus, v), 0.0, 1.0)

@@ -441,6 +441,21 @@ def test_step_estimators_survive_degenerate_markers(tmp_path, capsys, kind, run)
         assert _nulls(json.load(fh)["payload"]) == []
 
 
+@pytest.mark.parametrize("pauc", _PAUC, ids=["auc", "fpf", "tpf"])
+def test_bb_areas_on_all_tied_markers_stay_in_the_unit_interval(tmp_path, pauc):
+    """Dirichlet cumulative weights end at 1 +- 2e-16, so unclipped areas on an
+    all-tied study land a rounding error below 0 (AUC -5.6e-18)."""
+    out = tmp_path / "out.json"
+    assert main(["pooled", "--method", "bb", *pauc, "--data", _edge_study(tmp_path, "all_tied"),
+                 "--marker", "bmi", "--group", "cvd_idf", "--tag", "0",
+                 "--out", str(out)]) == 0
+    with open(out, "rb") as fh:
+        payload = json.load(fh)["payload"]
+    for area in ("auc", "pauc") if pauc else ("auc",):
+        for end in ("est", "lo", "hi"):
+            assert 0.0 <= payload[area][end] <= 1.0, (area, end, payload[area][end])
+
+
 def test_aroc_sp_constant_healthy_marker_exits_3(tmp_path, capsys):
     rc = main(["aroc", "--method", "sp", "--est-cdf", "empirical", "--formula-h", "bmi ~ age",
                "--data", _edge_study(tmp_path, "constant_healthy"), "--marker", "bmi",

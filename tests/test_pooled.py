@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from rocinfer.mixtures import DpmPrior, McmcControl
 from rocinfer.pooled import (
+    _WEIGHTS_STREAM,
     DensityControl,
     MixtureStack,
     PaucControl,
+    PaucSummary,
+    StepStack,
     _kernel_stacks,
     case_bootstrap,
     pooled_bb,
@@ -20,13 +25,15 @@ from rocinfer.pooled import (
 )
 from rocinfer.sample import DiagnosticSample
 from rocinfer.smoothing import kernel_cdf, silverman_bandwidth
-from rocinfer.streams import RngStream
+from rocinfer.streams import RngStream, dirichlet
 from rocinfer.summaries import (
     band,
+    interval_from,
     mixture_auc_closed,
     mw_auc,
     odd_grid,
     pauc_normalise,
+    placement_areas,
     placements,
     simpson,
 )
@@ -280,11 +287,75 @@ def test_step_reverse_curve_integrates_to_p_h_le_d_with_ties():
     assert area - emp.auc.est > 1e-3
     bb = pooled_bb(s, S=6, rng=13)
     H, D = bb.internals["ensemble"]
-    q = np.diff(D.cumw, axis=1, prepend=0.0)  # each draw's diseased weights
-    per_draw = 1.0 - np.einsum("sj,sj->s", q, placements(h, d, H.cumw, side="right"))
+    # each draw's diseased weights and healthy cumulative weights, replayed block by block
+    q = np.concatenate([block.weights() for block in D.parts])
+    cum_h = np.concatenate([block.steps().cumw for block in H.parts])
+    per_draw = 1.0 - np.einsum("sj,sj->s", q, placements(h, d, cum_h, side="right"))
     np.testing.assert_allclose(simpson(tnf_rows(H, D, g), g[1] - g[0]), per_draw, atol=1e-5)
     assert simpson(pooled_tnf(bb, g), g[1] - g[0]) == pytest.approx(per_draw.mean(), abs=1e-5)
     assert per_draw.mean() - bb.auc.est > 1e-3
+
+
+@pytest.mark.parametrize("S", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("focus", ["fpf", "tpf"])
+def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus):
+    """The block ensemble, its curves and its areas equal a stack built from
+    one (S, n) Dirichlet draw per group off the same stream."""
+    s = _sample_with_ties(n=90, seed=21)
+    ctrl = PaucControl(compute=True, focus=focus, value=0.3 if focus == "fpf" else 0.8)
+    res = pooled_bb(s, S=S, pauc=ctrl, rng=22)
+
+    y_h, y_d = s.marker[s.disease == 0], s.marker[s.disease != 0]
+    o_h, o_d = np.argsort(y_h, kind="stable"), np.argsort(y_d, kind="stable")
+    h, d = y_h[o_h], y_d[o_d]
+    gen = RngStream(22).stream(_WEIGHTS_STREAM).generator
+    q1 = dirichlet(np.ones(h.size), gen, size=S)[:, o_h]
+    q2 = dirichlet(np.ones(d.size), gen, size=S)[:, o_d]
+    ref = StepStack(h, np.cumsum(q1, axis=1)), StepStack(d, np.cumsum(q2, axis=1))
+
+    H, D = res.internals["ensemble"]
+    x, q = np.linspace(-3.0, 4.0, 57), np.linspace(0.0, 1.0, 33)
+    for got, want in zip((H, D), ref):
+        assert got.shape == want.shape == (S,)
+        assert np.array_equal(got.cdf(x), want.cdf(x))
+        assert np.array_equal(got.quantile(q), want.quantile(q))
+    assert np.array_equal(roc_rows(H, D, res.p), roc_rows(*ref, res.p))
+    assert np.array_equal(res.ensemble, roc_rows(*ref, res.p))
+    U = placements(h, d, ref[0].cumw, side="left")
+    U_rev = placements(d, h, ref[1].cumw, side="right")
+    aucs, paucs = placement_areas(U, q2, ctrl, U_rev, q1)
+    assert res.auc == interval_from(None, aucs)
+    assert res.pauc == PaucSummary.of(interval_from(None, paucs), ctrl)
+
+
+@pytest.mark.parametrize("B", [1, 64, 65, 130])
+@pytest.mark.parametrize("focus", ["fpf", "tpf"])
+def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus):
+    s = _sample_with_ties(n=80, seed=23)
+    ctrl = PaucControl(compute=True, focus=focus, value=0.3 if focus == "fpf" else 0.8)
+    res = pooled_empirical(s, B=B, pauc=ctrl, rng=24)
+    H, D = res.internals["ensemble"]
+    one = [placement_areas(placements(h, d)[None], None, ctrl, placements(d, h)[None])
+           for h, d in zip([np.sort(s.marker[s.disease == 0]), *H.values],
+                           [np.sort(s.marker[s.disease != 0]), *D.values])]
+    aucs, paucs = (np.concatenate(col) for col in zip(*one))
+    assert res.auc == interval_from(aucs[0], aucs[1:])
+    assert res.pauc == PaucSummary.of(interval_from(paucs[0], paucs[1:]), ctrl)
+
+
+def test_bb_fit_memory_does_not_grow_with_full_weight_arrays():
+    """S = 3000 draws over 2149 + 691 markers: one (S, n_h) weight array alone
+    is 52 MB, and the fit keeps none."""
+    g = np.random.default_rng(30)
+    s = DiagnosticSample(marker=np.concatenate([g.normal(0, 1, 2149), g.normal(1, 1, 691)]),
+                         disease=np.array([0] * 2149 + [1] * 691), nondiseased_tag=0)
+    tracemalloc.start()
+    try:
+        pooled_bb(s, S=3000, pauc=PaucControl(compute=True, focus="tpf", value=0.8), rng=31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_dpm_without_standardisation_still_fits():

@@ -49,6 +49,25 @@ def test_dirichlet_rows_are_distributions():
     np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 2.5])
+def test_flat_dirichlet_equals_the_per_element_gamma_draws(alpha):
+    """A flat alpha takes one scalar-shape standard_gamma call: bitwise the
+    per-element gamma(broadcast alpha, 1) draws, leaving the same state."""
+    a, b = RngStream(8).generator, RngStream(8).generator
+    got = dirichlet(np.full(37, alpha), a, size=23)
+    draws = b.gamma(np.broadcast_to(np.full(37, alpha), (23, 37)), 1.0)
+    assert np.array_equal(got, draws / draws.sum(axis=1, keepdims=True))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("alpha", [np.ones(41), np.linspace(0.5, 3.0, 41)])
+def test_dirichlet_rows_equal_the_same_rows_drawn_in_chunks(alpha):
+    whole = dirichlet(alpha, RngStream(9), size=150)
+    gen = RngStream(9).generator
+    chunks = [dirichlet(alpha, gen, size=k) for k in (64, 44, 1, 41)]
+    assert np.array_equal(whole, np.concatenate(chunks))
+
+
 def test_dirichlet_rejects_bad_alpha():
     with pytest.raises(BadAlphaError):
         dirichlet([1.0, 0.0], RngStream(0))
