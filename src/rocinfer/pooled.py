@@ -215,7 +215,8 @@ class DirichletBlock:
 
     def draw(self, gen) -> np.ndarray:
         """The members' weights (count, n), aligned with values, drawn from gen."""
-        return dirichlet(np.ones(self.values.size), gen, size=self.shape[0])[:, self.order]
+        return np.take(dirichlet(np.ones(self.values.size), gen, size=self.shape[0]), self.order,
+                       axis=1)
 
     def weights(self) -> np.ndarray:
         """The members' weights, redrawn from the saved state."""
@@ -225,7 +226,8 @@ class DirichletBlock:
 
     def steps(self) -> StepStack:
         """The block as a weighted StepStack, holding its cumulative weights."""
-        return StepStack(self.values, np.cumsum(self.weights(), axis=1))
+        w = self.weights()
+        return StepStack(self.values, np.cumsum(w, axis=1, out=w))
 
     def cdf(self, x):
         return self.steps().cdf(x)
@@ -338,11 +340,12 @@ class LocScaleStack:
 class ChunkedStack:
     """One stack held as parts of at most _MEMBER_BLOCK members along its leading axis.
 
-    roc_rows and simpson_area walk the parts of a chunked pair together,
-    which keeps the (members, rows, points) intermediates of a large
-    ensemble cache-sized; cdf and quantile take points shared by all
-    members. Pooled bb's parts are `DirichletBlock`s, so its ensemble
-    holds generator states, not weights.
+    roc_rows, simpson_area and threshold_result walk the parts of a
+    chunked pair together, which keeps the (members, rows, points)
+    intermediates of a large ensemble cache-sized; cdf takes points
+    shared by all members. Pooled bb's parts are `DirichletBlock`s, so
+    its ensemble holds generator states, not weights, and each query
+    redraws every block once.
     """
 
     def __init__(self, parts):
@@ -351,9 +354,6 @@ class ChunkedStack:
 
     def cdf(self, x):
         return np.concatenate([part.cdf(x) for part in self.parts])
-
-    def quantile(self, q):
-        return np.concatenate([part.quantile(q) for part in self.parts])
 
 
 def mixture_stack(weights, means, sigma2, std) -> MixtureStack | LocScaleStack:
@@ -491,9 +491,15 @@ def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult
     out = {name: [] for name in names}
 
     def criterion_rows(pair, count=None):
-        """Per prediction row, the criterion values of each member of a stack pair, or None."""
+        """Per prediction row, the criterion values of each member of a stack pair, or None.
+
+        A chunked pair is walked part by part, like `roc_rows`.
+        """
         if not pair:
             return None
+        if isinstance(pair[0], ChunkedStack):
+            parts = [criterion_rows(part) for part in zip(pair[0].parts, pair[1].parts)]
+            return [tuple(np.concatenate(col) for col in zip(*rows)) for rows in zip(*parts)]
         # F_H and F_D as (members, rows, grid)
         fh, fd = (s.cdf(grid).reshape(count or s.shape[0], -1, grid.size) for s in pair)
         return [_criterion_rows(fh[:, r], fd[:, r], grid, criterion, target_fpf)

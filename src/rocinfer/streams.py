@@ -56,30 +56,30 @@ def parallel_map(fn, items, workers: int = 1) -> list:
 
 
 def dirichlet(alpha, rng, size: int | None = None) -> np.ndarray:
-    """Dirichlet draws via normalised gammas.
+    """Flat Dirichlet draws via normalised gammas.
 
+    alpha is a vector of one positive finite value repeated k times.
     Returns one probability vector, or a (size, k) matrix when size is
     given. Components are positive and each row sums to one. The gammas
     fill the matrix in row-major order, so `size` rows equal the same
-    rows drawn in consecutive chunks; a flat alpha takes one scalar-shape
-    `standard_gamma` call, bitwise equal to the per-element one.
+    rows drawn in consecutive chunks.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or alpha.size == 0 or np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
         raise BadAlphaError("dirichlet needs a vector of positive finite alphas")
+    if np.any(alpha != alpha[0]):
+        raise BadAlphaError("dirichlet draws only a flat alpha")
     g = _gen(rng)
     shape = (alpha.size,) if size is None else (int(size), alpha.size)
-    if np.all(alpha == alpha[0]):
-        draws = g.standard_gamma(alpha[0], size=shape)
-    else:
-        draws = g.gamma(np.broadcast_to(alpha, shape), 1.0)
+    draws = g.standard_gamma(alpha[0], size=shape)
     total = draws.sum(axis=-1, keepdims=True)
     # all-zero rows cannot occur for alpha >= machine-scale; guard anyway
     bad = total[..., 0] == 0.0
     if np.any(bad):
         draws[bad] = 1.0
         total = draws.sum(axis=-1, keepdims=True)
-    return draws / total
+    draws /= total
+    return draws
 
 
 def stick_breaking(v) -> np.ndarray:

@@ -21,6 +21,7 @@ from rocinfer.pooled import (
     pooled_threshold,
     pooled_tnf,
     roc_rows,
+    threshold_result,
     tnf_rows,
 )
 from rocinfer.sample import DiagnosticSample
@@ -318,9 +319,14 @@ def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus):
     for got, want in zip((H, D), ref):
         assert got.shape == want.shape == (S,)
         assert np.array_equal(got.cdf(x), want.cdf(x))
-        assert np.array_equal(got.quantile(q), want.quantile(q))
+        assert np.array_equal(np.concatenate([part.quantile(q) for part in got.parts]),
+                              want.quantile(q))
     assert np.array_equal(roc_rows(H, D, res.p), roc_rows(*ref, res.p))
     assert np.array_equal(res.ensemble, roc_rows(*ref, res.p))
+    grid = np.linspace(-3.0, 4.0, 41)
+    for criterion, target in (("yi", None), ("fpf", 0.1)):
+        assert (threshold_result(grid, criterion, target, [(None, (H, D))])
+                == threshold_result(grid, criterion, target, [(None, ref)]))
     U = placements(h, d, ref[0].cumw, side="left")
     U_rev = placements(d, h, ref[1].cumw, side="right")
     aucs, paucs = placement_areas(U, q2, ctrl, U_rev, q1)

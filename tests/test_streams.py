@@ -60,11 +60,10 @@ def test_flat_dirichlet_equals_the_per_element_gamma_draws(alpha):
     assert a.bit_generator.state == b.bit_generator.state
 
 
-@pytest.mark.parametrize("alpha", [np.ones(41), np.linspace(0.5, 3.0, 41)])
-def test_dirichlet_rows_equal_the_same_rows_drawn_in_chunks(alpha):
-    whole = dirichlet(alpha, RngStream(9), size=150)
+def test_dirichlet_rows_equal_the_same_rows_drawn_in_chunks():
+    whole = dirichlet(np.ones(41), RngStream(9), size=150)
     gen = RngStream(9).generator
-    chunks = [dirichlet(alpha, gen, size=k) for k in (64, 44, 1, 41)]
+    chunks = [dirichlet(np.ones(41), gen, size=k) for k in (64, 44, 1, 41)]
     assert np.array_equal(whole, np.concatenate(chunks))
 
 
@@ -73,6 +72,8 @@ def test_dirichlet_rejects_bad_alpha():
         dirichlet([1.0, 0.0], RngStream(0))
     with pytest.raises(BadAlphaError):
         dirichlet([], RngStream(0))
+    with pytest.raises(BadAlphaError):
+        dirichlet([1.0, 2.0], RngStream(0))
 
 
 def test_stick_breaking_hand_case():
