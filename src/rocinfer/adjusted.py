@@ -38,7 +38,7 @@ from .pooled import (
 )
 from .sample import DiagnosticSample, split_groups, standardise
 from .smoothing import _in_group, fit_location_scale
-from .streams import dirichlet
+from .streams import dirichlet, parallel_map
 from .summaries import (
     Interval,
     ThresholdResult,
@@ -152,13 +152,26 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
     split = split_groups(sample)
     y_h, y_d = split.healthy, split.diseased
 
+    def placements(fit, d_idx):
+        """1 - F_H(y_D | x_D) at the diseased rows d_idx under a healthy fit, or per replicate
+        under a block fit, d_idx then holding one row per replicate."""
+        mu, sd = fit.at(X_d[d_idx])
+        t = (y_d[d_idx] - mu) / sd
+        return 1.0 - (ndtr(t) if variant == "sp_normal" else ecdf_eval(fit.residuals, t))
+
+    def replicate(h_idx, d_idx):  # the healthy model refit on the rows h_idx
+        return placements(refit(X_h[h_idx], y_h[h_idx]), d_idx)
+
     if variant in ("sp_normal", "sp_empirical"):
         if formula is None:
             raise ConfigError("the sp variants need a healthy-model formula")
         spec = _spec_of(formula)
         X_h, _, fitted = build_design(split.healthy_cov, spec)
         X_d, _, _ = build_design(split.diseased_cov, spec, fitted)
-        refit = _ols_fit
+        refit, threads = _ols_fit, workers
+
+        def block(h_idx, d_idx):  # the block's healthy refits solved together
+            return placements(_ols_fit(X_h, y_h, h_idx), d_idx)
     else:
         if covariate is None:
             raise ConfigError("the kernel variant needs a covariate name")
@@ -170,17 +183,14 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         X_d = np.asarray(split.diseased_cov[covariate].values, dtype=float)
         fit0 = _in_group("healthy", fit_location_scale, X_h, y_h)
         refit = partial(fit_location_scale, bw_mean=fit0.bw_mean, bw_var=fit0.bw_var)
+        threads = 1  # no block form: one replicate per thread-pool item, one block at a time
 
-    def placements(h_idx, d_idx):
-        """1 - F_H(y_D | x_D) under the healthy model refit on the rows h_idx."""
-        fit = refit(X_h[h_idx], y_h[h_idx])
-        mu, sd = fit.at(X_d[d_idx])
-        t = (y_d[d_idx] - mu) / sd
-        return 1.0 - (ndtr(t) if variant == "sp_normal" else ecdf_eval(fit.residuals, t))
+        def block(h_idx, d_idx):
+            return np.array(parallel_map(lambda i: replicate(*i), list(zip(h_idx, d_idx)), workers))
 
     # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
-    U0 = placements(np.arange(y_h.size), np.arange(y_d.size))
-    U = np.stack([U0] + case_bootstrap(placements, stream, B, (y_h.size, y_d.size), workers))
+    U0 = replicate(np.arange(y_h.size), np.arange(y_d.size))
+    U = np.concatenate([U0[None], *case_bootstrap(block, stream, B, (y_h.size, y_d.size), threads)])
     return ArocResult(
         method="aroc-" + variant.replace("_", "-"),
         p=grid,

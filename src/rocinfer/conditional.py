@@ -22,7 +22,6 @@ areas, reverse curves and thresholds are all read off those stacks.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,7 +43,6 @@ from .mixtures import McmcControl, fit_ddp
 from .pooled import (
     _CHAIN_D,
     _CHAIN_H,
-    _MEMBER_BLOCK,
     ChunkedStack,
     DensityControl,
     LocScaleStack,
@@ -111,29 +109,53 @@ def _spec_of(formula):
 
 @dataclass(frozen=True)
 class LinearFit:
-    """Least-squares location-scale fit: mean z'beta, constant scale sigma."""
+    """Least-squares location-scale fit: mean z'beta, constant scale sigma.
+
+    A block fit, and its `at`, have one row of each per bootstrap replicate.
+    """
 
     beta: np.ndarray
-    sigma: float
+    sigma: np.ndarray
     residuals: np.ndarray  # standardised, ascending
 
     def at(self, Z):
-        return Z @ self.beta, self.sigma
+        return (Z @ self.beta[..., None])[..., 0], self.sigma[..., None]
 
 
-def _ols_fit(Z, y) -> LinearFit:
-    """Least-squares fit of y on the design Z."""
+def _ols_fit(Z, y, idx=None) -> LinearFit:
+    """Least-squares fit of y (n,) on the design Z, or one fit per row of a block (b, n).
+
+    A block of responses y is one multi-right-hand-side solve on Z. A block of row indices
+    idx fits each case resample (Z[i], y[i]) as Z weighted by the counts c = bincount(i):
+    one stacked solve of the normal equations C = sum c_r z_r z_r'. A resample is rank
+    deficient when a column of Z[i] is zero (it drew no row of a factor level) or when its C
+    scaled to unit diagonal has an eigenvalue at or below n k eps. The residual scale counts
+    as zero at or below n eps max|y|, the rounding noise of an exact fit.
+    """
     n, k = Z.shape
     if n <= k:
         raise TooFewPointsError("need more observations than coefficients")
-    beta, _, rank, _ = np.linalg.lstsq(Z, y, rcond=None)
-    if rank < k:
-        raise RankDeficientError("design matrix is rank deficient")
-    resid = y - Z @ beta
-    sigma = math.sqrt(float(resid @ resid) / (n - k))
-    if sigma <= 0.0:
+    if idx is None:
+        beta, _, rank, _ = np.linalg.lstsq(Z, y.T, rcond=None)
+        if rank < k:
+            raise RankDeficientError("design matrix is rank deficient")
+        beta = beta.T
+        resid = y - (Z @ beta[..., None])[..., 0]
+    else:
+        counts = np.bincount((idx + n * np.arange(len(idx))[:, None]).ravel(),
+                             minlength=idx.size).reshape(idx.shape).astype(float)
+        C = (counts @ (Z[:, :, None] * Z[:, None, :]).reshape(n, k * k)).reshape(-1, k, k)
+        d = np.sqrt(np.diagonal(C, axis1=1, axis2=2))
+        if np.any(d == 0.0) or np.any(np.linalg.eigvalsh(
+                C / (d[:, :, None] * d[:, None, :]))[:, 0] <= n * k * np.finfo(float).eps):
+            raise RankDeficientError("design matrix is rank deficient")
+        beta = np.linalg.solve(C, (counts @ (Z * y[:, None]))[..., None])[..., 0]
+        y = y[idx]
+        resid = y - np.take_along_axis(beta @ Z.T, idx, axis=1)
+    sigma = np.sqrt(np.vecdot(resid, resid) / (n - k))
+    if np.any(sigma <= n * np.finfo(float).eps * np.abs(y).max(axis=-1)):
         raise ZeroVarianceError("regression residuals have zero scale")
-    return LinearFit(beta, sigma, np.sort(resid / sigma))
+    return LinearFit(beta, sigma, np.sort(resid / sigma[..., None], axis=-1))
 
 
 def _coef_table(labels, coef, name, scale, plugin: bool) -> dict:
@@ -163,12 +185,13 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
 
     groups holds each group's (plug-in fit, training inputs, refit). A fit
     has ascending standardised `residuals` and `at(inputs) -> (mean,
-    scale)`; refit(inputs, y) fits the same model to new responses, here
-    the fitted means plus the fitted scales times resampled residuals.
-    Returns the replicate fits (a tuple per replicate) and stacks(frame):
-    the plug-in pair and the ensemble pair (ChunkedStack parts, or None)
-    over all prediction rows, whose inputs per group are inputs_of(frame).
-    base(residuals) gives the error-law stack.
+    scale)`; refit(inputs, Y) fits the same model to each row of a block
+    of responses Y (b, n), the fitted means plus the fitted scales times
+    resampled residuals, as a block fit (one row per replicate). Returns
+    the block fits (a tuple per block, blocks on `workers` threads) and
+    stacks(frame): the plug-in pair and the ensemble pair (ChunkedStack
+    parts, or None) over all prediction rows, whose inputs per group are
+    inputs_of(frame). base(residuals) gives the error-law stack.
     """
     fitted = [(X, refit, *fit.at(X), fit.residuals) for fit, X, refit in groups]
 
@@ -177,24 +200,28 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
 
     boot = case_bootstrap(replicate, stream, B, [e.size for *_, e in fitted], workers)
 
-    def stack(fits, x):
-        """One group's stack over a chunk of replicate fits, members first."""
-        loc, scale = (np.array(a) for a in zip(*(f.at(x) for f in fits)))
-        if scale.ndim < loc.ndim:  # one scale per fit, shared by the rows
-            scale = scale[:, None]
-        return LocScaleStack(loc, scale, base(np.array([f.residuals for f in fits])))
+    def pair(fits, inputs):
+        """Both groups' stacks over a plug-in or block fit, members first."""
+        return tuple(LocScaleStack(*fit.at(x), base(fit.residuals)) for fit, x in zip(fits, inputs))
 
     def stacks(frame):
         inputs = inputs_of(frame)
-        plugin = tuple(LocScaleStack(*fit.at(x), base(fit.residuals))
-                       for (fit, _, _), x in zip(groups, inputs))
-        ensemble = tuple(
-            ChunkedStack([stack([b[g] for b in boot[c:c + _MEMBER_BLOCK]], x)
-                          for c in range(0, len(boot), _MEMBER_BLOCK)])
-            for g, x in enumerate(inputs)) if boot else None
-        return [(plugin, ensemble)]
+        ensemble = tuple(map(ChunkedStack, zip(*(pair(block, inputs) for block in boot))))
+        return [(pair([fit for fit, _, _ in groups], inputs), ensemble or None)]
 
     return boot, stacks
+
+
+class _RowFits:
+    """The block refit of a model with no block form (kernel smoothers): refit(X, y) on
+    each response row, one replicate per thread-pool item, seen as one block fit."""
+
+    def __init__(self, refit, workers: int, X, Y):
+        self.fits = parallel_map(partial(refit, X), Y, workers)
+        self.residuals = np.array([f.residuals for f in self.fits])
+
+    def at(self, x):
+        return tuple(np.array(a) for a in zip(*(f.at(x) for f in self.fits)))
 
 
 # -- linear induced model ------------------------------------------------------
@@ -234,8 +261,8 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
 
     # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
     fits = [(fit_h, fit_d)] + boot
-    bh, bd = (np.array([f[g].beta for f in fits]) for g in (0, 1))
-    sh, sd_ = (np.array([f[g].sigma for f in fits]) for g in (0, 1))
+    bh, bd = (np.concatenate([np.atleast_2d(f[g].beta) for f in fits]) for g in (0, 1))
+    sh, sd_ = (np.concatenate([np.atleast_1d(f[g].sigma) for f in fits]) for g in (0, 1))
 
     coefficients = {
         "healthy": _coef_table(labels_h, bh, "sigma", sh, plugin=True),
@@ -304,9 +331,11 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     for name, x, y in (("healthy", x_h, split.healthy), ("diseased", x_d, split.diseased)):
         h = silverman_bandwidth(x) if bw == "srt" else None
         fit = _in_group(name, fit_location_scale, x, y, bw_mean=h, bw_var=h)
-        groups.append((fit, x, partial(fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var)))
+        groups.append((fit, x, partial(_RowFits, partial(
+            fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var), workers)))
+    # the refits take the threads, so the blocks run one at a time
     _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
-                               B, stream, workers)
+                               B, stream, 1)
 
     (pair,) = stacks(newdata)
     return CRocResult(

@@ -157,18 +157,23 @@ def _grid_of(p) -> np.ndarray:
 
 
 def case_bootstrap(fn, stream: RngStream, B: int, sizes, workers: int = 1) -> list:
-    """fn(*indices) for each of B bootstrap replicates, in replicate order.
+    """fn(*indices) for each block of B bootstrap replicates, in replicate order.
 
     Replicate k draws one integers(0, n, n) index vector per n in sizes,
     in that order, from stream _BOOT_STREAM_BASE + k: this is the one
-    place that builds a replicate's generator, so every frequentist
-    bootstrap gives the same numbers for any worker count.
+    place that builds a replicate's generator. Blocks hold replicates
+    [c, c + _MEMBER_BLOCK) for c = 0, 64, ...; fn gets one (b, n) index
+    array per size, row j being replicate c + j. Blocks run on `workers`
+    threads, and neither the partition nor any draw depends on them, so
+    every frequentist bootstrap gives the same numbers for any worker
+    count.
     """
-    def one_rep(k: int):
-        gen = stream.stream(_BOOT_STREAM_BASE + k).generator
-        return fn(*[gen.integers(0, n, n) for n in sizes])
+    def one_block(start: int):
+        gens = [stream.stream(_BOOT_STREAM_BASE + k).generator
+                for k in range(start, min(start + _MEMBER_BLOCK, B))]
+        return fn(*[np.array([g.integers(0, n, n) for g in gens]) for n in sizes])
 
-    return parallel_map(one_rep, range(B), workers)
+    return parallel_map(one_block, range(0, B, _MEMBER_BLOCK), workers)
 
 
 # -- CDF stacks ----------------------------------------------------------------
@@ -473,7 +478,7 @@ def _criterion_rows(fh, fd, grid, criterion, target_fpf) -> tuple:
     # c = F_H^{-1}(1 - target) on the grid, per member
     k = np.minimum(_ranks(fh, 1.0 - target_fpf, "left"), grid.size - 1)
     rows = np.arange(fh.shape[0])
-    return grid[k], 1.0 - fh[rows, k], 1.0 - fd[rows, k]
+    return grid[k], np.clip(1.0 - fh[rows, k], 0.0, 1.0), np.clip(1.0 - fd[rows, k], 0.0, 1.0)
 
 
 def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult:
@@ -539,27 +544,14 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
 
     plugin = (StepStack(h_sorted), StepStack(d_sorted))
     tpf = pauc.compute and pauc.focus == "tpf"
-    reps = case_bootstrap(lambda h_idx, d_idx: (np.sort(split.healthy[h_idx]),
-                                                np.sort(split.diseased[d_idx])),
-                          stream, B, (split.n_h, split.n_d), workers)
-    # one list per group, each released as soon as it is stacked, so no
-    # replicate row is held twice
-    cols = [list(col) for col in zip(*reps)] or [[]] * 2
-    del reps
-
-    def stacked(g):
-        rows, cols[g] = cols[g], None
-        return np.array(rows)
-
-    rows_h, rows_d = stacked(0), stacked(1)
-    ensemble = (StepStack(rows_h), StepStack(rows_d)) if B else None
+    blocks = case_bootstrap(lambda h_idx, d_idx: (np.sort(split.healthy[h_idx], axis=1),
+                                                  np.sort(split.diseased[d_idx], axis=1)),
+                            stream, B, (split.n_h, split.n_d), workers)
+    ensemble = tuple(ChunkedStack(list(map(StepStack, rows))) for rows in zip(*blocks)) or None
     # member 0 is the plug-in, members 1..B the bootstrap replicates; the
     # placements are reduced to areas one member block at a time
-    blocks = [(h_sorted[None], d_sorted[None])] + [
-        (rows_h[c:c + _MEMBER_BLOCK], rows_d[c:c + _MEMBER_BLOCK])
-        for c in range(0, B, _MEMBER_BLOCK)]
     areas = [placement_areas(placements(h, d), None, pauc, placements(d, h) if tpf else None)
-             for h, d in blocks]
+             for h, d in [(h_sorted[None], d_sorted[None])] + blocks]
     aucs, paucs = (None if col[0] is None else np.concatenate(col) for col in zip(*areas))
     return _pooled_result("empirical", split, grid, pauc, plugin, ensemble,
                           np.concatenate([h_sorted, d_sorted]), aucs, paucs)
@@ -599,9 +591,9 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
         h_d = _in_group("diseased", lscv_bandwidth, y_d, y_d, target="cdf").value
 
     plugin = _kernel_stacks(y_h, y_d, h_h, h_d)
-    reps = case_bootstrap(lambda h_idx, d_idx: (y_h[h_idx], y_d[d_idx]), stream, B,
-                          (split.n_h, split.n_d), workers)
-    ensemble = _kernel_stacks(*map(np.array, zip(*reps)), h_h, h_d) if reps else None
+    blocks = case_bootstrap(lambda h_idx, d_idx: (y_h[h_idx], y_d[d_idx]), stream, B,
+                            (split.n_h, split.n_d), workers)
+    ensemble = _kernel_stacks(*map(np.concatenate, zip(*blocks)), h_h, h_d) if blocks else None
     return _pooled_result("kernel", split, grid, pauc, plugin, ensemble,
                           np.concatenate([y_h, y_d]))
 

@@ -166,17 +166,18 @@ def youden_rows(fh_rows: np.ndarray, fd_rows: np.ndarray, grid: np.ndarray):
     """Row-wise Youden scan over an ensemble of CDF evaluations.
 
     fh_rows/fd_rows hold F_H(grid) and F_D(grid) per ensemble member.
-    Returns (yi, threshold, fpf, tpf, sign) vectors.
+    Returns (yi, threshold, fpf, tpf, sign) vectors, yi, fpf and tpf clipped
+    into [0, 1]: weighted cumulative sums can end a rounding error past 1.
     """
     diff = fh_rows - fd_rows
     k = np.argmax(np.abs(diff), axis=1)
     rows = np.arange(diff.shape[0])
     dk = diff[rows, k]
     return (
-        np.abs(dk),
+        np.minimum(np.abs(dk), 1.0),
         np.asarray(grid, dtype=float)[k],
-        1.0 - fh_rows[rows, k],
-        1.0 - fd_rows[rows, k],
+        np.clip(1.0 - fh_rows[rows, k], 0.0, 1.0),
+        np.clip(1.0 - fd_rows[rows, k], 0.0, 1.0),
         np.sign(dk).astype(int),
     )
 
@@ -199,10 +200,8 @@ def odd_grid(lo: float, hi: float, n: int = 201) -> np.ndarray:
 
 
 def band(values: np.ndarray, axis: int = 0):
-    """2.5/97.5 percentile band along an axis."""
-    lo = np.percentile(values, 2.5, axis=axis)
-    hi = np.percentile(values, 97.5, axis=axis)
-    return lo, hi
+    """2.5/97.5 percentile band along an axis, from one partition of the values."""
+    return tuple(np.percentile(values, (2.5, 97.5), axis=axis))
 
 
 # -- the reporting rule --------------------------------------------------------

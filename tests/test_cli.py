@@ -316,13 +316,20 @@ def test_unknown_ini_key_exits_2(study_csv, tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_worker_count_leaves_payload_identical(study_csv, tmp_path):
-    envs = []
-    for w in ("1", "8"):
-        envs.append(_run_json(_pooled_args(
-            study_csv, ["--method", "bb", "--B", "200", "--seed", "5",
-                        "--workers", w]), tmp_path / ("o%s.json" % w)))
-    a, b = envs
+@pytest.mark.parametrize("run, workers", [
+    (["pooled", "--method", "bb", "--B", "200"], "8"),
+    # bootstrap replicates are drawn and refit in blocks of 64: B = 130 is three blocks
+    (["pooled", "--method", "emp", "--B", "130"], "2"),
+    (["croc", "--method", "sp", "--est-cdf", "empirical", "--formula-h", "bmi ~ age",
+      "--formula-d", "bmi ~ age", "--B", "130"], "2"),
+    (["aroc", "--method", "sp", "--est-cdf", "empirical", "--formula-h", "bmi ~ gender + age",
+      "--B", "130"], "2"),
+], ids=["pooled_bb", "pooled_emp", "croc_sp", "aroc_sp"])
+def test_worker_count_leaves_payload_identical(study_csv, newdata_csv, tmp_path, run, workers):
+    extra = ["--newdata", newdata_csv] if run[0] == "croc" else []
+    a, b = (_run_json([run[0], "--data", study_csv, "--marker", "bmi", "--group", "cvd_idf",
+                       "--tag", "0", *run[1:], *extra, "--seed", "5", "--workers", w],
+                      tmp_path / ("o%s.json" % w)) for w in ("1", workers))
     assert json.dumps(a["payload"], sort_keys=True) == \
         json.dumps(b["payload"], sort_keys=True)
     assert a["warnings"] == b["warnings"]
@@ -438,7 +445,12 @@ def test_step_estimators_survive_degenerate_markers(tmp_path, capsys, kind, run)
         return
     assert main(args) == 0
     with open(tmp_path / "out.json", "rb") as fh:
-        assert _nulls(json.load(fh)["payload"]) == []
+        payload = json.load(fh)["payload"]
+    assert _nulls(payload) == []
+    # bb cumulative weights end at 1 +- 2e-16: threshold probabilities stay clipped
+    for name in ("fpf", "tpf", "yi") if run[0] == "threshold" else ():
+        for iv in payload.get(name) or []:
+            assert all(0.0 <= iv[end] <= 1.0 for end in ("est", "lo", "hi")), (name, iv)
 
 
 @pytest.mark.parametrize("pauc", _PAUC, ids=["auc", "fpf", "tpf"])

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from rocinfer.conditional import (
+    _ols_fit,
     croc_bnp,
     croc_kernel,
     croc_sp,
@@ -269,6 +270,44 @@ def test_workers_do_not_change_results(method):
     assert np.array_equal(a.roc_hi, b.roc_hi)
     for i1, i2 in zip(a.auc, b.auc):
         assert i1 == i2
+
+
+def test_block_refits_match_each_replicate_fit_alone():
+    """One solve per block of replicates: the residual bootstrap's multi-right-hand-side
+    lstsq and the case bootstrap's normal equations, against `_ols_fit` per replicate."""
+    g = np.random.default_rng(40)
+    n = 300
+    age, sex = g.uniform(20.0, 80.0, n), g.integers(0, 2, n).astype(float)
+    Z = np.column_stack([np.ones(n), sex, age, sex * age])
+    y = 20.0 + 2.0 * sex + 0.1 * age + g.normal(0.0, 3.0, n)
+    idx = g.integers(0, n, (65, n))
+    fit = _ols_fit(Z, y)
+    Y = Z @ fit.beta + fit.sigma * fit.residuals[idx]
+    for block, alone in ((_ols_fit(Z, Y), [_ols_fit(Z, row) for row in Y]),
+                         (_ols_fit(Z, y, idx), [_ols_fit(Z[i], y[i]) for i in idx])):
+        for name in ("beta", "sigma", "residuals"):
+            want = np.array([getattr(f, name) for f in alone])
+            err = np.abs(getattr(block, name) - want)
+            assert np.all(err <= 1e-12 * np.abs(want).max(axis=-1, keepdims=True)), name
+
+
+@pytest.mark.parametrize("interaction", [False, True], ids=["level", "collinear"])
+def test_case_resample_losing_a_column_is_rank_deficient(interaction):
+    """Rows 0 and 1 hold the only level-1 markers. A resample without either has a zero
+    level column; with row 0 alone, the level-by-age column is a multiple of it."""
+    g = np.random.default_rng(41)
+    n = 40
+    level, age = (np.arange(n) < 2).astype(float), g.uniform(20.0, 80.0, n)
+    Z = np.column_stack([np.ones(n), level, age] + ([level * age] if interaction else []))
+    y = g.normal(25.0, 3.0, n)
+    keeps = np.column_stack([np.zeros(3, int), np.ones(3, int), g.integers(0, n, (3, n - 2))])
+    loses = keeps.copy()
+    loses[1] = np.where(loses[1] == 1, 0, loses[1]) if interaction else g.integers(2, n, n)
+    _ols_fit(Z, y, keeps)
+    with pytest.raises(RankDeficientError):
+        _ols_fit(Z[loses[1]], y[loses[1]])
+    with pytest.raises(RankDeficientError):
+        _ols_fit(Z, y, loses)
 
 
 def test_partial_area_rows_have_bounds():

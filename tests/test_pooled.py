@@ -248,17 +248,21 @@ def test_worker_count_does_not_change_results():
     assert a.auc == b.auc
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_case_bootstrap_stream_layout(workers):
-    # replicate k draws integers(0, n, n) per size, in order, from stream 100 + k
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("B", [0, 1, 64, 65, 130])
+def test_case_bootstrap_stream_layout(B, workers):
+    # replicate k draws integers(0, n, n) per size, in order, from stream 100 + k;
+    # block c holds replicates [64 c, 64 c + 64) as one (b, n) index array per size
     sizes = (7, 3, 5)
-    reps = case_bootstrap(lambda *idx: idx, RngStream(31), 4, sizes, workers)
-    assert len(reps) == 4
-    for k, idx in enumerate(reps):
+    blocks = case_bootstrap(lambda *idx: idx, RngStream(31), B, sizes, workers)
+    assert [[idx.shape for idx in block] for block in blocks] == [
+        [(min(64, B - c), n) for n in sizes] for c in range(0, B, 64)]
+    rows = [row for block in blocks for row in zip(*block)]
+    assert len(rows) == B
+    for k, idx in enumerate(rows):
         gen = RngStream(31, 100 + k).generator
         for n, got in zip(sizes, idx):
             assert np.array_equal(got, gen.integers(0, n, n))
-    assert case_bootstrap(lambda *idx: idx, RngStream(31), 0, sizes, workers) == []
 
 
 def test_bb_tpf_partial_area_matches_the_curve_integral_with_ties():
@@ -340,10 +344,12 @@ def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus):
     s = _sample_with_ties(n=80, seed=23)
     ctrl = PaucControl(compute=True, focus=focus, value=0.3 if focus == "fpf" else 0.8)
     res = pooled_empirical(s, B=B, pauc=ctrl, rng=24)
-    H, D = res.internals["ensemble"]
+    # the ensemble's replicate rows, block by block
+    rows_h, rows_d = ([row for part in S.parts for row in part.values]
+                      for S in res.internals["ensemble"])
     one = [placement_areas(placements(h, d)[None], None, ctrl, placements(d, h)[None])
-           for h, d in zip([np.sort(s.marker[s.disease == 0]), *H.values],
-                           [np.sort(s.marker[s.disease != 0]), *D.values])]
+           for h, d in zip([np.sort(s.marker[s.disease == 0]), *rows_h],
+                           [np.sort(s.marker[s.disease != 0]), *rows_d])]
     aucs, paucs = (np.concatenate(col) for col in zip(*one))
     assert res.auc == interval_from(aucs[0], aucs[1:])
     assert res.pauc == PaucSummary.of(interval_from(paucs[0], paucs[1:]), ctrl)
