@@ -18,6 +18,7 @@ from rocinfer.errors import (
     MissingColumnError,
     NoLocalDataError,
     RankDeficientError,
+    ZeroVarianceError,
 )
 from rocinfer.mixtures import DdpPrior, McmcControl
 from rocinfer.pooled import PaucControl, pooled_bb, pooled_dpm, pooled_threshold, roc_rows
@@ -308,6 +309,18 @@ def test_case_resample_losing_a_column_is_rank_deficient(interaction):
         _ols_fit(Z[loses[1]], y[loses[1]])
     with pytest.raises(RankDeficientError):
         _ols_fit(Z, y, loses)
+
+
+def test_exact_fit_has_zero_scale_for_either_solver():
+    """A constant marker is fitted exactly: its residuals are rounding noise, about 1e-15 and
+    exactly 0 only by chance, and that counts as zero scale for lstsq and for case blocks."""
+    g = np.random.default_rng(43)
+    Z = np.column_stack([np.ones(30), np.round(g.uniform(20.0, 70.0, 30), 1)])
+    y = np.full(30, 25.0)
+    with pytest.raises(ZeroVarianceError):
+        _ols_fit(Z, y)
+    with pytest.raises(ZeroVarianceError):
+        _ols_fit(Z, y, g.integers(0, 30, (4, 30)))
 
 
 def test_partial_area_rows_have_bounds():
