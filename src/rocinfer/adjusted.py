@@ -37,7 +37,7 @@ from .pooled import (
     case_bootstrap,
 )
 from .sample import DiagnosticSample, split_groups, standardise
-from .smoothing import _in_group, fit_location_scale
+from .smoothing import fit_by_rule, fit_location_scale
 from .streams import dirichlet, parallel_map
 from .summaries import (
     Interval,
@@ -134,13 +134,14 @@ def _summary_fields(rows, ctrl: PaucControl, plugin: bool) -> dict:
 
 def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | None = None,
                      variant: str = "sp_normal", p=None, pauc: PaucControl | None = None,
-                     B: int = 500, rng=None, workers: int = 1) -> ArocResult:
+                     B: int = 500, rng=None, workers: int = 1, bw: str = "lscv") -> ArocResult:
     """Placement-value curve with a frequentist healthy-group model.
 
     variant picks the healthy conditional CDF: 'sp_normal' (least
     squares, normal errors), 'sp_empirical' (least squares, empirical
     residual CDF), or 'kernel' (local mean/variance fits with empirical
-    residuals; needs `covariate`). Intervals come from B case-bootstrap
+    residuals; needs `covariate`, and its bandwidths follow the rule bw
+    as in `croc_kernel`). Intervals come from B case-bootstrap
     replicates that resample both groups and refit the healthy model.
     """
     variant = variant.lower()
@@ -181,7 +182,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
             raise ConfigError("the kernel variant needs one continuous covariate")
         X_h = np.asarray(split.healthy_cov[covariate].values, dtype=float)
         X_d = np.asarray(split.diseased_cov[covariate].values, dtype=float)
-        fit0 = _in_group("healthy", fit_location_scale, X_h, y_h)
+        fit0 = fit_by_rule(X_h, y_h, bw, "healthy")
         refit = partial(fit_location_scale, bw_mean=fit0.bw_mean, bw_var=fit0.bw_var)
         threads = 1  # no block form: one replicate per thread-pool item, one block at a time
 

@@ -363,36 +363,24 @@ def _override(cls, overrides: dict):
     return cls(**kwargs)
 
 
-def _mcmc_of(cfg: RunConfig) -> McmcControl | None:
-    if cfg.nsave is None and cfg.nburn is None and cfg.nskip is None:
-        return None
-    return McmcControl(
-        nsave=cfg.nsave if cfg.nsave is not None else 8000,
-        nburn=cfg.nburn if cfg.nburn is not None else 2000,
-        nskip=cfg.nskip if cfg.nskip is not None else 1,
-    )
+def _given(**flags) -> dict:
+    """The flags the user set, as keywords: an unset (None) one keeps the library default."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
+def _mcmc_of(cfg: RunConfig) -> McmcControl:
+    return McmcControl(**_given(nsave=cfg.nsave, nburn=cfg.nburn, nskip=cfg.nskip))
 
 
 def _pauc_of(cfg: RunConfig) -> PaucControl:
     compute = cfg.pauc if cfg.pauc is not None else (
         cfg.pauc_focus is not None or cfg.pauc_value is not None
     )
-    return PaucControl(
-        compute=bool(compute),
-        focus=cfg.pauc_focus or "fpf",
-        value=cfg.pauc_value if cfg.pauc_value is not None else 1.0,
-    )
+    return PaucControl(compute=bool(compute), **_given(focus=cfg.pauc_focus, value=cfg.pauc_value))
 
 
 def _density_of(cfg: RunConfig) -> DensityControl:
-    return DensityControl(
-        compute=bool(cfg.density),
-        grid_length=cfg.density_grid_length or 200,
-    )
-
-
-def _grid(cfg: RunConfig):
-    return FpfGrid.default(cfg.grid_length).p if cfg.grid_length else None
+    return DensityControl(compute=bool(cfg.density), **_given(grid_length=cfg.density_grid_length))
 
 
 def _dispatch(cfg: RunConfig):
@@ -401,55 +389,48 @@ def _dispatch(cfg: RunConfig):
     method = cfg.resolved_method()
     covs = [] if fam == "pooled" else None  # pooled reads marker and group only
     sample = ingest_csv(cfg.data, cfg.marker, cfg.group, cfg.tag, covariates=covs)
-    p = _grid(cfg)
-    pauc = _pauc_of(cfg)
-    std = True if cfg.standardise is None else bool(cfg.standardise)
-    B = cfg.B if cfg.B is not None else 500
+    common = {"p": FpfGrid.default(cfg.grid_length).p if cfg.grid_length else None,
+              "pauc": _pauc_of(cfg), "rng": cfg.seed}
+    boot = {**common, **_given(B=cfg.B), "workers": cfg.workers}
+    bayes = {**common, "mcmc": _mcmc_of(cfg), "workers": cfg.workers,
+             **_given(standardise_marker=cfg.standardise)}
 
     if fam == "pooled":
         if method == "emp":
-            res = pooled_empirical(sample, p=p, pauc=pauc, B=B, rng=cfg.seed, workers=cfg.workers)
+            res = pooled_empirical(sample, **boot)
         elif method == "kernel":
-            res = pooled_kernel(sample, p=p, bw=cfg.bw or "srt", pauc=pauc, B=B,
-                                rng=cfg.seed, workers=cfg.workers)
+            res = pooled_kernel(sample, **boot, **_given(bw=cfg.bw))
         elif method == "bb":
-            res = pooled_bb(sample, p=p, S=cfg.B if cfg.B is not None else 1000,
-                            pauc=pauc, rng=cfg.seed)
+            res = pooled_bb(sample, **common, **_given(S=cfg.B))
         else:
-            res = pooled_dpm(sample, p=p, prior_h=_override(DpmPrior, {**cfg.prior, **cfg.prior_h}),
+            res = pooled_dpm(sample, prior_h=_override(DpmPrior, {**cfg.prior, **cfg.prior_h}),
                              prior_d=_override(DpmPrior, {**cfg.prior, **cfg.prior_d}),
-                             mcmc=_mcmc_of(cfg), pauc=pauc, density=_density_of(cfg),
-                             rng=cfg.seed, standardise_marker=std, workers=cfg.workers)
+                             density=_density_of(cfg), **bayes)
         return sample, res
 
     if fam == "croc":
         newdata = read_newdata(cfg.newdata)
         if method == "sp":
-            res = croc_sp(cfg.formula_h, cfg.formula_d, sample, newdata,
-                          est_cdf=cfg.est_cdf or "normal", p=p, pauc=pauc, B=B,
-                          rng=cfg.seed, workers=cfg.workers)
+            res = croc_sp(cfg.formula_h, cfg.formula_d, sample, newdata, **boot,
+                          **_given(est_cdf=cfg.est_cdf))
         elif method == "kernel":
-            res = croc_kernel(sample, cfg.covariate, newdata, bw=cfg.bw or "lscv",
-                              p=p, pauc=pauc, B=B, rng=cfg.seed, workers=cfg.workers)
+            res = croc_kernel(sample, cfg.covariate, newdata, **boot, **_given(bw=cfg.bw))
         else:
             res = croc_bnp(cfg.formula_h, cfg.formula_d, sample, newdata,
                            prior_h=_override(DdpPrior, {**cfg.prior, **cfg.prior_h}),
                            prior_d=_override(DdpPrior, {**cfg.prior, **cfg.prior_d}),
-                           mcmc=_mcmc_of(cfg), p=p, pauc=pauc, density=_density_of(cfg),
-                           rng=cfg.seed, standardise_marker=std, workers=cfg.workers)
+                           density=_density_of(cfg), **bayes)
         return sample, res
 
     if method == "sp":
         variant = "sp_empirical" if cfg.est_cdf == "empirical" else "sp_normal"
-        res = aroc_frequentist(sample, formula=cfg.formula_h, variant=variant,
-                               p=p, pauc=pauc, B=B, rng=cfg.seed, workers=cfg.workers)
+        res = aroc_frequentist(sample, formula=cfg.formula_h, variant=variant, **boot)
     elif method == "kernel":
-        res = aroc_frequentist(sample, covariate=cfg.covariate, variant="kernel",
-                               p=p, pauc=pauc, B=B, rng=cfg.seed, workers=cfg.workers)
+        res = aroc_frequentist(sample, covariate=cfg.covariate, variant="kernel", **boot,
+                               **_given(bw=cfg.bw))
     else:
         res = aroc_bnp(sample, cfg.formula_h,
-                       prior=_override(DdpPrior, {**cfg.prior, **cfg.prior_h}), mcmc=_mcmc_of(cfg), p=p, pauc=pauc, rng=cfg.seed,
-                       standardise_marker=std, workers=cfg.workers)
+                       prior=_override(DdpPrior, {**cfg.prior, **cfg.prior_h}), **bayes)
     return sample, res
 
 

@@ -59,7 +59,7 @@ from .pooled import (
     mixture_stack,
 )
 from .sample import Column, DiagnosticSample, PredictionFrame, column_from_values, split_groups, standardise
-from .smoothing import _in_group, fit_location_scale, silverman_bandwidth
+from .smoothing import fit_by_rule, fit_location_scale
 from .streams import parallel_map
 from .summaries import (
     ThresholdResult,
@@ -212,18 +212,6 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
     return boot, stacks
 
 
-class _RowFits:
-    """The block refit of a model with no block form (kernel smoothers): refit(X, y) on
-    each response row, one replicate per thread-pool item, seen as one block fit."""
-
-    def __init__(self, refit, workers: int, X, Y):
-        self.fits = parallel_map(partial(refit, X), Y, workers)
-        self.residuals = np.array([f.residuals for f in self.fits])
-
-    def at(self, x):
-        return tuple(np.array(a) for a in zip(*(f.at(x) for f in self.fits)))
-
-
 # -- linear induced model ------------------------------------------------------
 
 def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
@@ -297,9 +285,6 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     residuals. Bootstrap replicates keep the original bandwidths.
     Prediction points must sit inside both groups' covariate ranges.
     """
-    bw = bw.lower()
-    if bw not in ("lscv", "srt"):
-        raise ConfigError("bw must be 'lscv' or 'srt'")
     stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
     ctrl = pauc or PaucControl()
@@ -329,13 +314,11 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     points(newdata)  # reject unusable prediction rows before fitting
     groups = []
     for name, x, y in (("healthy", x_h, split.healthy), ("diseased", x_d, split.diseased)):
-        h = silverman_bandwidth(x) if bw == "srt" else None
-        fit = _in_group(name, fit_location_scale, x, y, bw_mean=h, bw_var=h)
-        groups.append((fit, x, partial(_RowFits, partial(
-            fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var), workers)))
-    # the refits take the threads, so the blocks run one at a time
+        fit = fit_by_rule(x, y, bw, name)
+        groups.append((fit, x, partial(fit_location_scale, bw_mean=fit.bw_mean,
+                                       bw_var=fit.bw_var)))
     _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
-                               B, stream, 1)
+                               B, stream, workers)
 
     (pair,) = stacks(newdata)
     return CRocResult(

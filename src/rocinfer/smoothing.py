@@ -10,7 +10,10 @@ Local fits never form an n x n weight matrix. They walk the x-sorted
 evaluation points in blocks of _BLOCK rows and weigh each block only
 against the sorted data within _REACH bandwidths of it (found by
 `searchsorted`); every weight outside that window underflows to exactly
-0.0, so the sums are the full sums taken in another order.
+0.0, so the sums are the full sums taken in another order. A block of
+responses (b, n) on the same x (a bootstrap block's refits) is fitted
+in the same pass: each block of weights multiplies all b response
+columns at once, and every response row gets the sums of its own fit.
 
 The cross-validation scan walks the x-sorted data in the same blocks,
 but its window reaches R(n) = sqrt(2 ln((n - 1) 2^54)) bandwidths
@@ -35,6 +38,7 @@ from scipy.special import ndtr
 
 from .errors import (
     ClampWarning,
+    ConfigError,
     DegenerateGridWarning,
     NoLocalDataError,
     TooFewPointsError,
@@ -114,71 +118,68 @@ def kernel_pdf(y0, data, h) -> np.ndarray | float:
 
 
 def _moments(w, d, cols, order):
-    """Kernel moment sums of one block of rows: s0, t0 and, for order 1, s1, t1, s2.
+    """Kernel moment sums of one block of rows: the rows s0, t0 and, for order 1, s1, t1, s2.
 
     w holds the block's weights (overwritten), d its distances x0 - x_j
-    and cols the matching data columns [1, y_j].
+    and cols the matching data columns [1, y_j], one y column per
+    response, so t0 and t1 have one row per response.
     """
-    s0, t0 = (w @ cols).T
+    sums = (w @ cols).T
     if order == 0:
-        return s0, t0
+        return sums
     w *= d
-    s1, t1 = (w @ cols).T
-    return s0, t0, s1, t1, np.einsum("ij,ij->i", w, d)
+    return np.concatenate([sums, (w @ cols).T, np.einsum("ij,ij->i", w, d)[None]])
 
 
 def _kernel_sums(x, y, h, x0, order):
-    """Gaussian-kernel moment sums at each evaluation point x0.
+    """Gaussian-kernel moment sums at each evaluation point x0, for responses y (n,) or (b, n).
 
-    Returns the rows s0 = sum w_j and t0 = sum w_j y_j, plus
-    s1 = sum w_j d_j, t1 = sum w_j d_j y_j and s2 = sum w_j d_j^2 for
-    order 1, where d_j = x0 - x_j and w_j = exp(-d_j^2 / (2 h^2)).
+    Returns s0 = sum w_j and the rows t0 = sum w_j y_j, plus
+    s1 = sum w_j d_j, the rows t1 = sum w_j d_j y_j and s2 = sum w_j d_j^2
+    for order 1, where d_j = x0 - x_j and w_j = exp(-d_j^2 / (2 h^2)):
+    t0 and t1 one row per response, the others one row.
     """
     xs_order = np.argsort(x, kind="stable")
     xs = x[xs_order]
-    cols = np.column_stack([np.ones(x.size), y[xs_order]])
+    cols = np.column_stack([np.ones(x.size), y[..., xs_order].T])
+    r = cols.shape[1]
     x0 = np.asarray(x0, dtype=float).ravel()
     rows = np.argsort(x0, kind="stable")
-    sums = np.empty((x0.size, 2 if order == 0 else 5))
+    sums = np.empty((x0.size, r if order == 0 else 2 * r + 1))
     for start in range(0, x0.size, _BLOCK):
         idx = rows[start:start + _BLOCK]
-        r = x0[idx]
-        lo = np.searchsorted(xs, r[0] - _REACH * h, side="left")
-        hi = np.searchsorted(xs, r[-1] + _REACH * h, side="right")
-        d = r[:, None] - xs[lo:hi]
-        sums[idx] = np.column_stack(_moments(np.exp(d * d * (-0.5 / (h * h))), d, cols[lo:hi], order))
-    return sums.T
+        p = x0[idx]
+        lo = np.searchsorted(xs, p[0] - _REACH * h, side="left")
+        hi = np.searchsorted(xs, p[-1] + _REACH * h, side="right")
+        d = p[:, None] - xs[lo:hi]
+        sums[idx] = _moments(np.exp(d * d * (-0.5 / (h * h))), d, cols[lo:hi], order).T
+    sums = sums.T
+    return (sums[0], sums[1:r], sums[r:r + 1], sums[r + 1:-1], sums[-1])[:2 + 3 * order]
 
 
 def local_poly_regression(x, y, h, x0, order: int = 1) -> np.ndarray | float:
-    """Local constant (order 0) or local linear (order 1) fit at x0."""
+    """Local constant (order 0) or local linear (order 1) fit at x0.
+
+    y is one response (n,) or a block of responses (b, n) on the same x;
+    a block gives one row of fits per response, from one set of weights.
+    """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    hv = _bw_value(h)
-    sums = _kernel_sums(np.asarray(x, dtype=float), np.asarray(y, dtype=float), hv, x0, order)
-    s0, t0 = sums[0], sums[1]
+    y = np.asarray(y, dtype=float)
+    s0, t0, *rest = _kernel_sums(np.asarray(x, dtype=float), y, _bw_value(h), x0, order)
     if np.any(s0 <= 1e-300):
         raise NoLocalDataError("no kernel mass at some evaluation points")
     if order == 0:
         out = t0 / s0
     else:
-        s1, t1, s2 = sums[2:]
+        s1, t1, s2 = rest
         denom = s0 * s2 - s1 * s1
         # a degenerate local design (single support point) reduces to the
         # local constant estimate
         safe = denom > 1e-300 * np.maximum(1.0, s2)
         out = np.where(safe, (s2 * t0 - s1 * t1) / np.where(safe, denom, 1.0), t0 / s0)
-    return float(out[0]) if np.ndim(x0) == 0 else out.reshape(np.shape(x0))
-
-
-def local_constant_variance(x, squared_residuals, h, x0) -> np.ndarray | float:
-    """Nadaraya-Watson estimate of the variance function, clamped below."""
-    est = local_poly_regression(x, squared_residuals, h, x0, order=0)
-    arr = np.asarray(est, dtype=float)
-    if np.any(arr < _VAR_FLOOR):
-        warnings.warn("variance estimate clamped at %g" % _VAR_FLOOR, ClampWarning)
-        arr = np.maximum(arr, _VAR_FLOOR)
-    return float(arr) if np.ndim(x0) == 0 else arr
+    out = out.reshape(y.shape[:-1] + np.shape(x0))
+    return float(out) if out.ndim == 0 else out
 
 
 def _candidate_grid(scale_sample) -> np.ndarray:
@@ -318,7 +319,10 @@ def lscv_bandwidth(x, y, target: str, order: int = 1) -> Bandwidth:
 
 @dataclass(frozen=True)
 class LocationScaleFit:
-    """Sequential mean/variance kernel fit with standardised residuals."""
+    """Sequential mean/variance kernel fit with standardised residuals.
+
+    A block fit (y of shape (b, n)) has one row of each array, and of mu, sigma2 and `at`,
+    per response."""
 
     x: np.ndarray
     y: np.ndarray
@@ -332,7 +336,12 @@ class LocationScaleFit:
         return local_poly_regression(self.x, self.y, self.bw_mean, x0, order=self.order)
 
     def sigma2(self, x0):
-        return local_constant_variance(self.x, self.sq_resid, self.bw_var, x0)
+        """Nadaraya-Watson estimate of the variance function, clamped below."""
+        est = np.asarray(local_poly_regression(self.x, self.sq_resid, self.bw_var, x0, order=0))
+        if np.any(est < _VAR_FLOOR):
+            warnings.warn("variance estimate clamped at %g" % _VAR_FLOOR, ClampWarning)
+            est = np.maximum(est, _VAR_FLOOR)
+        return float(est) if est.ndim == 0 else est
 
     def at(self, x0):
         """(mu(x0), sqrt(sigma2(x0))) as arrays: the fit's location and scale."""
@@ -345,7 +354,9 @@ def fit_location_scale(x, y, order: int = 1, bw_mean: Bandwidth | None = None,
     """Fit mu then sigma^2 (on squared residuals), both bandwidths by LSCV.
 
     Pre-selected bandwidths may be passed in (bootstrap replicates keep
-    the original fit's bandwidths).
+    the original fit's bandwidths). y is one response (n,) or, with both
+    bandwidths given, a block of responses (b, n) on the same x, fitted
+    together as one block fit.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -362,3 +373,16 @@ def fit_location_scale(x, y, order: int = 1, bw_mean: Bandwidth | None = None,
     return LocationScaleFit(
         x=x, y=y, bw_mean=bw_mean, bw_var=bw_var, order=order, sq_resid=sq, residuals=resid
     )
+
+
+def fit_by_rule(x, y, bw: str, group: str) -> LocationScaleFit:
+    """One group's plug-in fit under a bandwidth rule, its LSCV warnings naming the group.
+
+    'lscv' selects the mean and variance bandwidths by LSCV; 'srt' uses
+    the covariate's Silverman bandwidth for both.
+    """
+    bw = bw.lower()
+    if bw not in ("lscv", "srt"):
+        raise ConfigError("bw must be 'lscv' or 'srt'")
+    h = silverman_bandwidth(x) if bw == "srt" else None
+    return _in_group(group, fit_location_scale, x, y, bw_mean=h, bw_var=h)

@@ -133,6 +133,11 @@ def invert_cdf(cdf, q, lo, hi, pdf=None, start=None):
     return float(out[0]) if scalar else out
 
 
+# The rounding bound of cumulative weights: a cumulative sum of n <= 2^22
+# weights that add to 1 is off by at most n 2^-52 <= 2^-30 (about 9.3e-10).
+_CDF_ROUNDING = 2.0 ** -30
+
+
 @dataclass(frozen=True)
 class YoudenPoint:
     yi: float
@@ -168,8 +173,12 @@ def youden_rows(fh_rows: np.ndarray, fd_rows: np.ndarray, grid: np.ndarray):
     fh_rows/fd_rows hold F_H(grid) and F_D(grid) per ensemble member.
     Returns (yi, threshold, fpf, tpf, sign) vectors, yi, fpf and tpf clipped
     into [0, 1]: weighted cumulative sums can end a rounding error past 1.
+    A difference |F_H - F_D| at or below _CDF_ROUNDING counts as 0, so a
+    member whose CDFs differ only by rounding has YI 0 and sign 0 at the
+    first grid point.
     """
     diff = fh_rows - fd_rows
+    diff[np.abs(diff) <= _CDF_ROUNDING] = 0.0
     k = np.argmax(np.abs(diff), axis=1)
     rows = np.arange(diff.shape[0])
     dk = diff[rows, k]

@@ -12,7 +12,8 @@ from rocinfer.adjusted import (
 from rocinfer.errors import ConfigError, MissingColumnError, MissingDrawsError
 from rocinfer.mixtures import DdpPrior, McmcControl
 from rocinfer.pooled import PaucControl
-from rocinfer.summaries import odd_grid, simpson
+from rocinfer.smoothing import fit_location_scale, silverman_bandwidth
+from rocinfer.summaries import ecdf_eval, odd_grid, simpson
 
 from conftest import covariate_sample
 
@@ -215,6 +216,22 @@ def test_threshold_requires_bayesian_fit():
     res = aroc_frequentist(s, formula="y ~ x", B=0)
     with pytest.raises(MissingDrawsError):
         aroc_threshold(res, {"x": [0.5]})
+
+
+def test_kernel_bw_srt_uses_the_silverman_bandwidth_for_both_fits():
+    s = covariate_sample(n_h=150, n_d=120, seed=77)
+    srt, lscv = (aroc_frequentist(s, covariate="x", variant="kernel", bw=bw, B=3, rng=78)
+                 for bw in ("srt", "lscv"))
+    assert not np.array_equal(srt.placements, lscv.placements)
+    assert srt.aauc != lscv.aauc
+    # the plug-in placements of a healthy fit given those bandwidths explicitly
+    x, y = s.covariates["x"].values, s.marker
+    h = silverman_bandwidth(x[:150])
+    fit = fit_location_scale(x[:150], y[:150], bw_mean=h, bw_var=h)
+    mu, sd = fit.at(x[150:])
+    assert np.array_equal(srt.placements, 1.0 - ecdf_eval(fit.residuals, (y[150:] - mu) / sd))
+    with pytest.raises(ConfigError):
+        aroc_frequentist(s, covariate="x", variant="kernel", bw="nrd", B=0)
 
 
 def test_validation_errors():

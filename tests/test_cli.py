@@ -12,8 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rocinfer.cli import _merge_config, _override, build_parser, main
-from rocinfer.mixtures import DdpPrior, DpmPrior
+from rocinfer.cli import (
+    RunConfig,
+    _density_of,
+    _mcmc_of,
+    _merge_config,
+    _override,
+    _pauc_of,
+    build_parser,
+    main,
+)
+from rocinfer.mixtures import DdpPrior, DpmPrior, McmcControl
+from rocinfer.pooled import DensityControl, PaucControl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -466,6 +476,34 @@ def test_bb_areas_on_all_tied_markers_stay_in_the_unit_interval(tmp_path, pauc):
     for area in ("auc", "pauc") if pauc else ("auc",):
         for end in ("est", "lo", "hi"):
             assert 0.0 <= payload[area][end] <= 1.0, (area, end, payload[area][end])
+
+
+def test_bb_youden_on_all_tied_markers_matches_emp(tmp_path):
+    """Each bb draw's CDFs differ only by rounding on an all-tied study: no draw may pick a
+    threshold or a sign from that noise, so bb reports emp's answer."""
+    data = _edge_study(tmp_path, "all_tied")
+    payloads = []
+    for method in ("emp", "bb"):
+        out = tmp_path / (method + ".json")
+        assert main(["threshold", "--approach", "pooled", "--method", method, "--criterion", "yi",
+                     "--B", "200", "--data", data, "--marker", "bmi", "--group", "cvd_idf",
+                     "--tag", "0", "--out", str(out)]) == 0
+        with open(out, "rb") as fh:
+            payloads.append({k: v for k, v in json.load(fh)["payload"].items() if k != "method"})
+    assert payloads[1] == payloads[0]
+    assert payloads[0]["sign"] == [0]
+    assert payloads[0]["threshold"] == [{"est": 24.0, "lo": 24.0, "hi": 24.0}]
+
+
+def test_unset_flags_keep_the_library_defaults():
+    cfg = RunConfig(subcommand="pooled")
+    assert _mcmc_of(cfg) == McmcControl()
+    assert _pauc_of(cfg) == PaucControl()
+    assert _density_of(cfg) == DensityControl()
+    cfg = RunConfig(subcommand="pooled", nburn=7, pauc_value=0.4, density=True)
+    assert _mcmc_of(cfg) == McmcControl(nburn=7)
+    assert _pauc_of(cfg) == PaucControl(compute=True, value=0.4)
+    assert _density_of(cfg) == DensityControl(compute=True)
 
 
 def test_aroc_sp_constant_healthy_marker_exits_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from rocinfer import conditional
 from rocinfer.conditional import (
     _ols_fit,
     croc_bnp,
@@ -23,6 +24,7 @@ from rocinfer.errors import (
 from rocinfer.mixtures import DdpPrior, McmcControl
 from rocinfer.pooled import PaucControl, pooled_bb, pooled_dpm, pooled_threshold, roc_rows
 from rocinfer.sample import Column, DiagnosticSample
+from rocinfer.smoothing import fit_location_scale
 from rocinfer.summaries import mixture_auc_closed, odd_grid, simpson
 
 from conftest import binormal_sample, covariate_sample
@@ -271,6 +273,36 @@ def test_workers_do_not_change_results(method):
     assert np.array_equal(a.roc_hi, b.roc_hi)
     for i1, i2 in zip(a.auc, b.auc):
         assert i1 == i2
+
+
+class _ReplicateFits:
+    """The per-replicate reference of a kernel block refit: one 1-d fit per response row."""
+
+    def __init__(self, x, Y, **bandwidths):
+        self.fits = [fit_location_scale(x, y, **bandwidths) for y in Y]
+        self.residuals = np.array([f.residuals for f in self.fits])
+
+    def at(self, x0):
+        return tuple(np.array(a) for a in zip(*(f.at(x0) for f in self.fits)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_block_refits_match_each_replicate_fit_alone(monkeypatch, workers):
+    """B = 70 is one full block of 64 replicates and a partial one of 6."""
+    s = covariate_sample(n_h=150, n_d=120, seed=51)
+    kw = dict(bw="srt", B=70, rng=52, workers=workers, pauc=PaucControl(True, "tpf", 0.7))
+    block = croc_kernel(s, "x", NEW, **kw)
+    monkeypatch.setattr(conditional, "fit_location_scale", _ReplicateFits)
+    alone = croc_kernel(s, "x", NEW, **kw)
+    for name in ("roc_est", "roc_lo", "roc_hi"):
+        np.testing.assert_allclose(getattr(block, name), getattr(alone, name), rtol=1e-12, atol=0)
+    for got, want in zip(block.auc + block.pauc, alone.auc + alone.pauc):
+        np.testing.assert_allclose([got.est, got.lo, got.hi], [want.est, want.lo, want.hi],
+                                   rtol=1e-12, atol=0)
+    thr = [croc_threshold(r, "yi") for r in (block, alone)]
+    for got, want in zip(*(t.threshold + t.yi for t in thr)):
+        np.testing.assert_allclose([got.est, got.lo, got.hi], [want.est, want.lo, want.hi],
+                                   rtol=1e-12, atol=0)
 
 
 def test_block_refits_match_each_replicate_fit_alone():

@@ -205,6 +205,53 @@ def test_blocked_local_fits_match_full_matrix_formula():
         local_poly_regression(x, y, 1.3, np.array([30.05]))[0], rel=1e-15)
 
 
+def _close_rows(block, rows):
+    """Each row of a block fit within 1e-12 of the single fit, relative to that row's largest."""
+    want = np.array(rows)
+    assert block.shape == want.shape
+    assert np.all(np.abs(block - want) <= 1e-12 * np.abs(want).max(axis=-1, keepdims=True))
+
+
+def test_block_fits_match_each_response_fit_alone():
+    """A (b, n) block of responses shares one set of kernel weights; each row must equal
+    the 1-d fit of that response (to 1e-12, so a threaded BLAS may sum in another order)."""
+    g = np.random.default_rng(8)
+    x = np.round(g.uniform(0, 60, 500), 1)  # unsorted, with ties
+    Y = np.cos(x / 9.0) + (0.5 + x / 60.0) * g.normal(size=(7, x.size))
+    x0 = np.concatenate([g.choice(x, 150), [0.5, 59.5]])
+    for order in (0, 1):
+        _close_rows(local_poly_regression(x, Y, 2.5, x0, order=order),
+                    [local_poly_regression(x, y, 2.5, x0, order=order) for y in Y])
+        block = fit_location_scale(x, Y, order=order, bw_mean=2.5, bw_var=4.0)
+        alone = [fit_location_scale(x, y, order=order, bw_mean=2.5, bw_var=4.0) for y in Y]
+        for name in ("residuals", "sq_resid"):
+            _close_rows(getattr(block, name), [getattr(f, name) for f in alone])
+        _close_rows(block.mu(x0), [f.mu(x0) for f in alone])
+        _close_rows(block.sigma2(x0), [f.sigma2(x0) for f in alone])
+        for got, want in zip(block.at(x0), zip(*(f.at(x0) for f in alone))):
+            _close_rows(got, want)
+
+
+def test_local_fits_keep_the_shape_of_x0():
+    g = np.random.default_rng(9)
+    x = g.uniform(0, 1, 80)
+    y = x + g.normal(size=80)
+    Y = np.stack([y, 2.0 * y, y - 1.0])
+    for order in (0, 1):
+        assert isinstance(local_poly_regression(x, y, 0.2, 0.5, order=order), float)
+        assert local_poly_regression(x, y, 0.2, [0.5], order=order).shape == (1,)
+        assert local_poly_regression(x, y, 0.2, np.ones((2, 3)) / 2, order=order).shape == (2, 3)
+        assert local_poly_regression(x, Y, 0.2, 0.5, order=order).shape == (3,)
+        assert local_poly_regression(x, Y, 0.2, [0.2, 0.5], order=order).shape == (3, 2)
+    fit = fit_location_scale(x, y, bw_mean=0.2, bw_var=0.2)
+    assert isinstance(fit.mu(0.5), float) and isinstance(fit.sigma2(0.5), float)
+    assert [a.shape for a in fit.at(np.array([0.2, 0.5]))] == [(2,), (2,)]
+    block = fit_location_scale(x, Y, bw_mean=0.2, bw_var=0.2)
+    assert block.residuals.shape == (3, 80)
+    assert [a.shape for a in block.at(np.array([0.2, 0.5]))] == [(3, 2), (3, 2)]
+    assert [a.shape for a in block.at(0.5)] == [(3,), (3,)]
+
+
 @pytest.mark.parametrize("n", [2, 10, 2149, 10**6])
 def test_scan_reach_bounds_the_dropped_weights(n):
     """At most n - 1 weights past the reach sum to no more than 2^-54."""

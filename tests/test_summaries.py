@@ -20,6 +20,7 @@ from rocinfer.summaries import (
     simpson,
     youden,
     youden_grid,
+    youden_rows,
 )
 
 
@@ -99,6 +100,24 @@ def test_youden_binormal_shift_two():
     assert pt.yi == pytest.approx(0.6826894921370859, abs=1e-6)
     assert pt.threshold == pytest.approx(1.0, abs=grid[1] - grid[0] + 1e-12)
     assert pt.sign == 1
+
+
+def test_youden_counts_rounding_noise_as_no_separation():
+    """Differences at or below the 2^-30 rounding bound of cumulative weights are 0: such a
+    member has YI 0 and sign 0 at the first grid point, like exactly equal CDFs."""
+    grid = np.linspace(24.0, 26.0, 5)
+    fh = np.array([[0.0, 0.0, 1.0, 1.0, 1.0]] * 3)
+    fd = fh + np.array([[0.0, 0.0, 2e-16, -1e-16, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.0, 2.0 ** -30, -2.0 ** -31, 0.0, 0.0]])
+    yi, threshold, fpf, tpf, sign = youden_rows(fh, fd, grid)
+    assert np.array_equal(yi, [0.0, 0.0, 0.0]) and np.array_equal(sign, [0, 0, 0])
+    assert np.array_equal(threshold, [24.0] * 3)
+    assert np.array_equal(fpf, [1.0] * 3) and np.array_equal(tpf, [1.0] * 3)
+    # past the bound a difference still counts, with its sign
+    fd[2, 3] = 1.0 - 2.0 ** -29
+    yi, threshold, _, _, sign = youden_rows(fh, fd, grid)
+    assert yi[2] == 2.0 ** -29 and threshold[2] == 25.5 and sign[2] == 1
 
 
 def test_youden_grid_spans_the_data():
