@@ -16,7 +16,6 @@ exchangeable Dirichlet weights over the diseased placements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -32,13 +31,14 @@ from .pooled import (
     PaucControl,
     PaucSummary,
     _bootstrap_stream,
+    _draw_counts,
     _grid_of,
     _stream_of,
     case_bootstrap,
 )
 from .sample import DiagnosticSample, split_groups, standardise
 from .smoothing import fit_by_rule, fit_location_scale
-from .streams import dirichlet, parallel_map
+from .streams import dirichlet
 from .summaries import (
     Interval,
     ThresholdResult,
@@ -142,7 +142,11 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
     residual CDF), or 'kernel' (local mean/variance fits with empirical
     residuals; needs `covariate`, and its bandwidths follow the rule bw
     as in `croc_kernel`). Intervals come from B case-bootstrap
-    replicates that resample both groups and refit the healthy model.
+    replicates that resample both groups and refit the healthy model,
+    one fit per block of 64 replicates: the least-squares variants solve
+    the block's normal equations together, and the kernel variant weighs
+    the original healthy rows by each replicate's draw counts under one
+    set of kernel weights.
     """
     variant = variant.lower()
     if variant not in _VARIANTS:
@@ -154,14 +158,12 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
     y_h, y_d = split.healthy, split.diseased
 
     def placements(fit, d_idx):
-        """1 - F_H(y_D | x_D) at the diseased rows d_idx under a healthy fit, or per replicate
-        under a block fit, d_idx then holding one row per replicate."""
-        mu, sd = fit.at(X_d[d_idx])
-        t = (y_d[d_idx] - mu) / sd
-        return 1.0 - (ndtr(t) if variant == "sp_normal" else ecdf_eval(fit.residuals, t))
-
-    def replicate(h_idx, d_idx):  # the healthy model refit on the rows h_idx
-        return placements(refit(X_h[h_idx], y_h[h_idx]), d_idx)
+        """1 - F_H(y_D | x_D) under a healthy fit at every diseased row, read at the rows d_idx,
+        or per replicate under a block fit, d_idx then holding one row per replicate."""
+        mu, sd = fit.at(X_d)
+        t = (y_d - mu) / sd
+        U = 1.0 - (ndtr(t) if variant == "sp_normal" else ecdf_eval(fit.residuals, t, fit.cumw))
+        return np.take_along_axis(U, d_idx, axis=-1)
 
     if variant in ("sp_normal", "sp_empirical"):
         if formula is None:
@@ -169,7 +171,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         spec = _spec_of(formula)
         X_h, _, fitted = build_design(split.healthy_cov, spec)
         X_d, _, _ = build_design(split.diseased_cov, spec, fitted)
-        refit, threads = _ols_fit, workers
+        fit0 = _ols_fit(X_h, y_h)
 
         def block(h_idx, d_idx):  # the block's healthy refits solved together
             return placements(_ols_fit(X_h, y_h, h_idx), d_idx)
@@ -183,15 +185,15 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         X_h = np.asarray(split.healthy_cov[covariate].values, dtype=float)
         X_d = np.asarray(split.diseased_cov[covariate].values, dtype=float)
         fit0 = fit_by_rule(X_h, y_h, bw, "healthy")
-        refit = partial(fit_location_scale, bw_mean=fit0.bw_mean, bw_var=fit0.bw_var)
-        threads = 1  # no block form: one replicate per thread-pool item, one block at a time
 
-        def block(h_idx, d_idx):
-            return np.array(parallel_map(lambda i: replicate(*i), list(zip(h_idx, d_idx)), workers))
+        def block(h_idx, d_idx):  # the block's healthy refits weighted by their draw counts
+            return placements(fit_location_scale(X_h, y_h, bw_mean=fit0.bw_mean,
+                                                 bw_var=fit0.bw_var, counts=_draw_counts(h_idx)),
+                              d_idx)
 
     # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
-    U0 = replicate(np.arange(y_h.size), np.arange(y_d.size))
-    U = np.concatenate([U0[None], *case_bootstrap(block, stream, B, (y_h.size, y_d.size), threads)])
+    U0 = placements(fit0, np.arange(y_d.size))
+    U = np.concatenate([U0[None], *case_bootstrap(block, stream, B, (y_h.size, y_d.size), workers)])
     return ArocResult(
         method="aroc-" + variant.replace("_", "-"),
         p=grid,

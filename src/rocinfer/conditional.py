@@ -50,6 +50,7 @@ from .pooled import (
     PaucControl,
     StepStack,
     _bootstrap_stream,
+    _draw_counts,
     _grid_of,
     _reverse_curve,
     _stream_of,
@@ -117,6 +118,7 @@ class LinearFit:
     beta: np.ndarray
     sigma: np.ndarray
     residuals: np.ndarray  # standardised, ascending
+    cumw = None  # each residual weighs 1/n
 
     def at(self, Z):
         return (Z @ self.beta[..., None])[..., 0], self.sigma[..., None]
@@ -142,8 +144,7 @@ def _ols_fit(Z, y, idx=None) -> LinearFit:
         beta = beta.T
         resid = y - (Z @ beta[..., None])[..., 0]
     else:
-        counts = np.bincount((idx + n * np.arange(len(idx))[:, None]).ravel(),
-                             minlength=idx.size).reshape(idx.shape).astype(float)
+        counts = _draw_counts(idx)
         C = (counts @ (Z[:, :, None] * Z[:, None, :]).reshape(n, k * k)).reshape(-1, k, k)
         d = np.sqrt(np.diagonal(C, axis1=1, axis2=2))
         if np.any(d == 0.0) or np.any(np.linalg.eigvalsh(

@@ -44,12 +44,13 @@ from .mixtures import (
     mixture_quantile,
 )
 from .sample import DiagnosticSample, FpfGrid, split_groups, standardise
-from .smoothing import _in_group, kernel_cdf, kernel_pdf, lscv_bandwidth, silverman_bandwidth
+from .smoothing import _in_group, lscv_bandwidth, silverman_bandwidth
 from .streams import RngStream, dirichlet, parallel_map
 from .summaries import (
     Interval,
     ThresholdResult,
     _ranks,
+    _take,
     ecdf_eval,
     ecdf_quantile,
     estimate,
@@ -70,6 +71,8 @@ from .summaries import (
 
 _BOOT_STREAM_BASE = 100
 _MEMBER_BLOCK = 64  # members per ChunkedStack part: bootstrap replicates or Dirichlet draws
+_KERNEL_TERMS = 1 << 18  # kernel terms per temporary block of a KernelStack's weighted sums
+_TABLE_POINTS = 8193  # most points of a kernel table grid: h/8 spacing over 1,024 bandwidths
 _CHAIN_H, _CHAIN_D, _WEIGHTS_STREAM = 1, 2, 3
 
 
@@ -176,12 +179,15 @@ def case_bootstrap(fn, stream: RngStream, B: int, sizes, workers: int = 1) -> li
     return parallel_map(one_block, range(0, B, _MEMBER_BLOCK), workers)
 
 
-# -- CDF stacks ----------------------------------------------------------------
+def _draw_counts(idx) -> np.ndarray:
+    """Draw counts bincount(i) of each row i of a (b, n) index block: a case resample is the
+    original sample with point j drawn c_j times."""
+    b, n = idx.shape
+    return np.bincount((idx + n * np.arange(b)[:, None]).ravel(),
+                       minlength=b * n).reshape(b, n).astype(float)
 
-def _per_member(fn, count: int, x) -> np.ndarray:
-    """Stack fn(b, x_b) over members; x is shared (1-d) or one row per member."""
-    x = np.asarray(x, dtype=float)
-    return np.array([fn(b, x if x.ndim == 1 else x[b]) for b in range(count)])
+
+# -- CDF stacks ----------------------------------------------------------------
 
 
 class StepStack:
@@ -242,33 +248,71 @@ class DirichletBlock:
 
 
 class KernelStack:
-    """Gaussian-kernel CDFs with one bandwidth and closed-form densities.
+    """Gaussian-kernel CDFs with bandwidth h over one sample, one member per row of counts.
 
-    data is one sample (n,) or one resample per member (M, n); lo and hi
-    bracket every quantile (scalars, or one per member). Quantiles are
-    found by safeguarded Newton from the sample quantile.
+    counts (M, n) weighs the sample by each member's bootstrap draw counts; None makes the
+    sample itself the one member (shape ()). `F` and `f` tabulate every member's CDF and
+    density on the grid, by one matmul of the counts against the Phi and phi tables of the
+    sample. A quantile starts at the root of the cubic Hermite interpolant of F on its table
+    cell and finishes in one `invert_cdf` call on the exact count-weighted CDF, bracketed by
+    the grid's ends for the whole member.
     """
 
-    def __init__(self, data, h, lo, hi):
-        self.data, self.h, self.lo, self.hi = data, h, lo, hi
-        self.shape = data.shape[:-1]
+    def __init__(self, data, h, grid, counts=None):
+        order = np.argsort(data, kind="stable")  # ndtr is faster along monotone rows
+        self.data, self.h, self.grid = data[order], h, grid
+        self.shape = () if counts is None else counts.shape[:-1]
+        self.counts = np.ones((1, data.size)) if counts is None else counts[:, order]
+        self.F, self.f = self._sums(ndtr, grid), self._sums(_gauss, grid) / h
+
+    def _sums(self, fn, x, rows=None) -> np.ndarray:
+        """sum_j c_j fn((x - y_j) / h) / n per member at shared points x, or with rows (like x)
+        at each point under its member row, summed over the points that member drew."""
+        n = self.data.size
+        if rows is None:
+            step = max(1, _KERNEL_TERMS // n)
+            return np.concatenate([self.counts @ fn((x[s:s + step, None] - self.data) / self.h).T
+                                   for s in range(0, x.size, step)], axis=1) / n
+        out = np.empty(x.size)
+        by = np.argsort(rows, kind="stable")
+        for part in np.split(by, np.flatnonzero(np.diff(rows[by])) + 1):
+            c = self.counts[rows[part[0]]]
+            drawn = np.flatnonzero(c)
+            step = max(1, _KERNEL_TERMS // drawn.size)
+            for at in (part[s:s + step] for s in range(0, part.size, step)):
+                out[at] = fn((x[at, None] - self.data[drawn]) / self.h) @ c[drawn]
+        return out / n
 
     def cdf(self, x):
-        if not self.shape:
-            return kernel_cdf(x, self.data, self.h)
-        return _per_member(lambda b, xb: kernel_cdf(xb, self.data[b], self.h), self.shape[0], x)
-
-    def pdf(self, x):
-        if not self.shape:
-            return kernel_pdf(x, self.data, self.h)
-        return _per_member(lambda b, xb: kernel_pdf(xb, self.data[b], self.h), self.shape[0], x)
+        x = np.asarray(x, dtype=float)
+        if self.shape and x.ndim == 2:  # one row of points per member
+            rows = np.repeat(np.arange(x.shape[0]), x.shape[1])
+            return self._sums(ndtr, x.ravel(), rows).reshape(x.shape)
+        out = self._sums(ndtr, x.ravel()).reshape((len(self.counts),) + x.shape)
+        return out if self.shape else out[0]
 
     def quantile(self, q):
-        if not self.shape:
-            return invert_cdf(lambda x, _: self.cdf(x), q, self.lo, self.hi,
-                              pdf=lambda x, _: self.pdf(x), start=np.quantile(self.data, q))
-        return np.array([KernelStack(self.data[b], self.h, self.lo[b], self.hi[b]).quantile(q)
-                         for b in range(self.shape[0])])
+        q = np.asarray(q, dtype=float)
+        M, P, G = len(self.counts), q.size, self.grid
+        target = np.broadcast_to(q.ravel(), (M, P))
+        # the Hermite cubic F0 + d0 t + a t^2 + b t^3 on the cell [G_k, G_k+1] with
+        # F_k < q <= F_k+1, solved by Newton steps in t from the linear interpolant's root
+        k = np.clip(_ranks(self.F, target, "left"), 1, G.size - 1) - 1
+        dx = G[k + 1] - G[k]
+        F0, F1, d0, d1 = (_take(self.F, k), _take(self.F, k + 1), dx * _take(self.f, k),
+                          dx * _take(self.f, k + 1))
+        a, b = 3.0 * (F1 - F0) - 2.0 * d0 - d1, d0 + d1 - 2.0 * (F1 - F0)
+        t = np.clip((target - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0, 1.0)
+        for _ in range(3):
+            slope = d0 + t * (2.0 * a + 3.0 * b * t)
+            step = (F0 + t * (d0 + t * (a + b * t)) - target) / np.where(slope > 0, slope, np.inf)
+            t = np.clip(t - step, 0.0, 1.0)
+
+        c = invert_cdf(lambda x, pos: self._sums(ndtr, x, pos // P), target,
+                       np.full((M, 1), G[0]), np.full((M, 1), G[-1]),
+                       pdf=lambda x, pos: self._sums(_gauss, x, pos // P) / self.h,
+                       start=G[k] + dx * t)
+        return c.reshape((M,) + q.shape) if self.shape else c.reshape(q.shape)
 
 
 class MixtureStack:
@@ -559,21 +603,48 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
 
 # -- kernel ------------------------------------------------------------------
 
-def _kernel_stacks(y_h, y_d, h_h, h_d):
-    """Kernel stacks of both groups, bracketed 10 bandwidths past either group's data."""
-    lo = np.minimum(y_h.min(axis=-1) - 10 * h_h, y_d.min(axis=-1) - 10 * h_d)
-    hi = np.maximum(y_h.max(axis=-1) + 10 * h_h, y_d.max(axis=-1) + 10 * h_d)
-    return KernelStack(y_h, h_h, lo, hi), KernelStack(y_d, h_d, lo, hi)
+def _gauss(z):
+    return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+
+
+def _kernel_grid(y_h, y_d, h_h, h_d) -> np.ndarray:
+    """The table grid of a kernel stack pair: the points within 10 bandwidths of either
+    group's data, one uniform piece per run of overlapping reaches (so a far outlier adds a
+    piece, not a stretch of empty grid), at spacing at most min(h_h, h_d)/8, or coarser where
+    that would pass _TABLE_POINTS points."""
+    reach = np.concatenate([np.column_stack([y - 10 * h, y + 10 * h])
+                            for y, h in ((y_h, h_h), (y_d, h_d))])
+    reach = reach[np.argsort(reach[:, 0], kind="stable")]
+    top = np.maximum.accumulate(reach[:, 1])
+    first = np.flatnonzero(np.r_[True, reach[1:, 0] > top[:-1]])
+    lo, hi = reach[first, 0], top[np.r_[first[1:] - 1, top.size - 1]]
+    dx = max(min(h_h, h_d) / 8, np.sum(hi - lo) / max(1, _TABLE_POINTS - 2 * lo.size))
+    return np.concatenate([np.linspace(a, b, int(np.ceil((b - a) / dx)) + 1)
+                           for a, b in zip(lo, hi)])
+
+
+def _kernel_auc(H, D) -> np.ndarray:
+    """Each member's AUC: the trapezoid rule for the integral of F_H f_D on the table grid.
+
+    The integral is the kernel pair probability, the mean of Phi((y_d - y_h) / sqrt(h_h^2 +
+    h_d^2)) over the member's pairs. The integrand is a sum of Gaussians, so the rule's error
+    falls like exp(-2 pi^2 (h / dx)^2) (Trefethen and Weideman 2014): 6e-12 at dx = h and
+    rounding from h/2 on the seed-2026 study, so the AUC is the pair probability to rounding.
+    """
+    return np.trapezoid(H.F * D.f, H.grid, axis=-1)
 
 
 def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
                   pauc: PaucControl | None = None, B: int = 500, rng=None,
                   workers: int = 1) -> RocResult:
-    """Normal-kernel CDF plug-ins, quantiles by safeguarded Newton, areas by Simpson.
+    """Normal-kernel CDF plug-ins, exact pair-probability AUCs, partial areas by Simpson.
 
     bw picks the bandwidth rule per group: 'srt' (normal-reference) or
     'lscv' (leave-one-out CV on the integrated squared CDF error).
-    Bootstrap replicates keep the original bandwidths.
+    Bootstrap replicates keep the original bandwidths; each is the
+    original sample weighted by its draw counts (`KernelStack`), and its
+    AUC is the closed form `_kernel_auc`. Curves invert each member's
+    kernel CDF by safeguarded Newton from its table.
     """
     if bw not in ("srt", "lscv"):
         raise ConfigError("bw must be 'srt' or 'lscv'")
@@ -589,13 +660,21 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     else:
         h_h = _in_group("healthy", lscv_bandwidth, y_h, y_h, target="cdf").value
         h_d = _in_group("diseased", lscv_bandwidth, y_d, y_d, target="cdf").value
+    table = _kernel_grid(y_h, y_d, h_h, h_d)
 
-    plugin = _kernel_stacks(y_h, y_d, h_h, h_d)
-    blocks = case_bootstrap(lambda h_idx, d_idx: (y_h[h_idx], y_d[d_idx]), stream, B,
-                            (split.n_h, split.n_d), workers)
-    ensemble = _kernel_stacks(*map(np.concatenate, zip(*blocks)), h_h, h_d) if blocks else None
-    return _pooled_result("kernel", split, grid, pauc, plugin, ensemble,
-                          np.concatenate([y_h, y_d]))
+    def block(h_idx, d_idx):  # a block's stacks, curves and AUCs
+        H, D = (KernelStack(y, h, table, _draw_counts(i))
+                for y, h, i in ((y_h, h_h, h_idx), (y_d, h_d, d_idx)))
+        return H, D, roc_rows(H, D, grid), _kernel_auc(H, D)
+
+    plugin = (KernelStack(y_h, h_h, table), KernelStack(y_d, h_d, table))
+    blocks = case_bootstrap(block, stream, B, (split.n_h, split.n_d), workers)
+    H, D, curves, aucs = zip(*blocks) if blocks else (None,) * 4
+    return _pooled_result("kernel", split, grid, pauc, plugin,
+                          (ChunkedStack(H), ChunkedStack(D)) if blocks else None,
+                          np.concatenate([y_h, y_d]),
+                          np.concatenate([_kernel_auc(*plugin), *(aucs or ())]),
+                          curves=np.concatenate(curves) if blocks else None)
 
 
 # -- Dirichlet-weight resampling ---------------------------------------------

@@ -1,4 +1,4 @@
-"""Gaussian-kernel CDF smoothing, local polynomial regression, bandwidths.
+"""Gaussian-kernel local polynomial regression and bandwidths.
 
 The location-scale machinery follows a sequential scheme: fit the
 regression function first, then fit the variance function on squared
@@ -46,7 +46,6 @@ from .errors import (
 )
 
 _VAR_FLOOR = 1e-10
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 64  # evaluation rows per block of kernel weights
 _REACH = 40.0  # in bandwidths; exp(-0.5 * 40**2) = exp(-800) is exactly 0.0
 _SCAN_BYTES = 64e6  # accumulator memory past which the scan walks candidates in groups
@@ -99,74 +98,64 @@ def silverman_bandwidth(y) -> Bandwidth:
     return Bandwidth(0.9 * scale * y.size ** (-0.2), "srt")
 
 
-def kernel_cdf(y0, data, h) -> np.ndarray | float:
-    """Gaussian-smoothed CDF: mean of Phi((y0 - y_i)/h)."""
-    hv = _bw_value(h)
-    data = np.asarray(data, dtype=float)
-    y0_arr = np.asarray(y0, dtype=float)
-    out = ndtr((y0_arr[..., None] - data) / hv).mean(axis=-1)
-    return float(out) if np.ndim(y0) == 0 else out
-
-
-def kernel_pdf(y0, data, h) -> np.ndarray | float:
-    """Gaussian kernel density: mean of phi((y0 - y_i)/h) / h."""
-    hv = _bw_value(h)
-    data = np.asarray(data, dtype=float)
-    z = (np.asarray(y0, dtype=float)[..., None] - data) / hv
-    out = np.exp(-0.5 * z * z).mean(axis=-1) / (hv * _SQRT_2PI)
-    return float(out) if np.ndim(y0) == 0 else out
-
-
-def _moments(w, d, cols, order):
+def _moments(w, d, cols, order, mass=None):
     """Kernel moment sums of one block of rows: the rows s0, t0 and, for order 1, s1, t1, s2.
 
     w holds the block's weights (overwritten), d its distances x0 - x_j
     and cols the matching data columns [1, y_j], one y column per
-    response, so t0 and t1 have one row per response.
+    response, so t0 and t1 have one row per response. Under count rows
+    the columns are [c_j, c_j y_j] with `mass` count columns first, and
+    s0, s1 and s2 get one row per count row too.
     """
     sums = (w @ cols).T
     if order == 0:
         return sums
     w *= d
-    return np.concatenate([sums, (w @ cols).T, np.einsum("ij,ij->i", w, d)[None]])
+    s2 = np.einsum("ij,ij->i", w, d)[None] if mass is None else ((w * d) @ cols[:, :mass]).T
+    return np.concatenate([sums, (w @ cols).T, s2])
 
 
-def _kernel_sums(x, y, h, x0, order):
+def _kernel_sums(x, y, h, x0, order, counts=None):
     """Gaussian-kernel moment sums at each evaluation point x0, for responses y (n,) or (b, n).
 
     Returns s0 = sum w_j and the rows t0 = sum w_j y_j, plus
     s1 = sum w_j d_j, the rows t1 = sum w_j d_j y_j and s2 = sum w_j d_j^2
     for order 1, where d_j = x0 - x_j and w_j = exp(-d_j^2 / (2 h^2)):
-    t0 and t1 one row per response, the others one row.
+    t0 and t1 one row per response, the others one row. Count rows
+    counts (b, n) weigh point j by c_j in every sum, each of the five
+    then having one row per count row: a block of case resamples summed
+    under one set of kernel weights.
     """
     xs_order = np.argsort(x, kind="stable")
     xs = x[xs_order]
-    cols = np.column_stack([np.ones(x.size), y[..., xs_order].T])
-    r = cols.shape[1]
+    c = np.ones((1, x.size)) if counts is None else counts[:, xs_order]
+    cols = np.column_stack([c.T, (c * y[..., xs_order]).T])
+    m, r, mass = len(c), cols.shape[1], None if counts is None else len(c)
     x0 = np.asarray(x0, dtype=float).ravel()
     rows = np.argsort(x0, kind="stable")
-    sums = np.empty((x0.size, r if order == 0 else 2 * r + 1))
+    sums = np.empty((x0.size, r if order == 0 else 2 * r + m))
     for start in range(0, x0.size, _BLOCK):
         idx = rows[start:start + _BLOCK]
         p = x0[idx]
         lo = np.searchsorted(xs, p[0] - _REACH * h, side="left")
         hi = np.searchsorted(xs, p[-1] + _REACH * h, side="right")
         d = p[:, None] - xs[lo:hi]
-        sums[idx] = _moments(np.exp(d * d * (-0.5 / (h * h))), d, cols[lo:hi], order).T
+        sums[idx] = _moments(np.exp(d * d * (-0.5 / (h * h))), d, cols[lo:hi], order, mass).T
     sums = sums.T
-    return (sums[0], sums[1:r], sums[r:r + 1], sums[r + 1:-1], sums[-1])[:2 + 3 * order]
+    return (sums[:m], sums[m:r], sums[r:r + m], sums[r + m:2 * r], sums[2 * r:])[:2 + 3 * order]
 
 
-def local_poly_regression(x, y, h, x0, order: int = 1) -> np.ndarray | float:
+def local_poly_regression(x, y, h, x0, order: int = 1, counts=None) -> np.ndarray | float:
     """Local constant (order 0) or local linear (order 1) fit at x0.
 
     y is one response (n,) or a block of responses (b, n) on the same x;
     a block gives one row of fits per response, from one set of weights.
+    Count rows counts (b, n) give one row of fits per count row.
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     y = np.asarray(y, dtype=float)
-    s0, t0, *rest = _kernel_sums(np.asarray(x, dtype=float), y, _bw_value(h), x0, order)
+    s0, t0, *rest = _kernel_sums(np.asarray(x, dtype=float), y, _bw_value(h), x0, order, counts)
     if np.any(s0 <= 1e-300):
         raise NoLocalDataError("no kernel mass at some evaluation points")
     if order == 0:
@@ -178,7 +167,7 @@ def local_poly_regression(x, y, h, x0, order: int = 1) -> np.ndarray | float:
         # local constant estimate
         safe = denom > 1e-300 * np.maximum(1.0, s2)
         out = np.where(safe, (s2 * t0 - s1 * t1) / np.where(safe, denom, 1.0), t0 / s0)
-    out = out.reshape(y.shape[:-1] + np.shape(x0))
+    out = out.reshape((y if counts is None else counts).shape[:-1] + np.shape(x0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -321,8 +310,9 @@ def lscv_bandwidth(x, y, target: str, order: int = 1) -> Bandwidth:
 class LocationScaleFit:
     """Sequential mean/variance kernel fit with standardised residuals.
 
-    A block fit (y of shape (b, n)) has one row of each array, and of mu, sigma2 and `at`,
-    per response."""
+    A block fit (y of shape (b, n), or count rows `counts`) has one row of each array, and
+    of mu, sigma2 and `at`, per response or count row. A count-weighted fit's residual CDFs
+    are `ecdf_eval(residuals, t, cumw)`."""
 
     x: np.ndarray
     y: np.ndarray
@@ -331,13 +321,17 @@ class LocationScaleFit:
     order: int
     sq_resid: np.ndarray  # squared mean-fit residuals, aligned with x
     residuals: np.ndarray  # (y - mu(x)) / sigma(x), sorted ascending
+    counts: np.ndarray | None = None  # (b, n) draw counts of a count-weighted block fit
+    cumw: np.ndarray | None = None  # cumulative counts / n, aligned with residuals
 
     def mu(self, x0):
-        return local_poly_regression(self.x, self.y, self.bw_mean, x0, order=self.order)
+        return local_poly_regression(self.x, self.y, self.bw_mean, x0, order=self.order,
+                                     counts=self.counts)
 
     def sigma2(self, x0):
         """Nadaraya-Watson estimate of the variance function, clamped below."""
-        est = np.asarray(local_poly_regression(self.x, self.sq_resid, self.bw_var, x0, order=0))
+        est = np.asarray(local_poly_regression(self.x, self.sq_resid, self.bw_var, x0, order=0,
+                                               counts=self.counts))
         if np.any(est < _VAR_FLOOR):
             warnings.warn("variance estimate clamped at %g" % _VAR_FLOOR, ClampWarning)
             est = np.maximum(est, _VAR_FLOOR)
@@ -350,29 +344,36 @@ class LocationScaleFit:
 
 
 def fit_location_scale(x, y, order: int = 1, bw_mean: Bandwidth | None = None,
-                       bw_var: Bandwidth | None = None) -> LocationScaleFit:
+                       bw_var: Bandwidth | None = None, counts=None) -> LocationScaleFit:
     """Fit mu then sigma^2 (on squared residuals), both bandwidths by LSCV.
 
     Pre-selected bandwidths may be passed in (bootstrap replicates keep
     the original fit's bandwidths). y is one response (n,) or, with both
     bandwidths given, a block of responses (b, n) on the same x, fitted
-    together as one block fit.
+    together as one block fit. Count rows counts (b, n), with both
+    bandwidths, fit the case resamples that repeat point j c_kj times.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if bw_mean is None:
         bw_mean = lscv_bandwidth(x, y, "regression", order=order)
-    mu_hat = local_poly_regression(x, y, bw_mean, x, order=order)
+    mu_hat = local_poly_regression(x, y, bw_mean, x, order=order, counts=counts)
     sq = (y - mu_hat) ** 2
     if bw_var is None:
         bw_var = lscv_bandwidth(x, sq, "variance")
     var_hat = np.maximum(
-        np.asarray(local_poly_regression(x, sq, bw_var, x, order=0), dtype=float), _VAR_FLOOR
+        np.asarray(local_poly_regression(x, sq, bw_var, x, order=0, counts=counts), dtype=float),
+        _VAR_FLOOR,
     )
-    resid = np.sort((y - mu_hat) / np.sqrt(var_hat))
-    return LocationScaleFit(
-        x=x, y=y, bw_mean=bw_mean, bw_var=bw_var, order=order, sq_resid=sq, residuals=resid
-    )
+    resid, cumw = (y - mu_hat) / np.sqrt(var_hat), None
+    if counts is None:
+        resid = np.sort(resid)
+    else:
+        by = np.argsort(resid, axis=-1, kind="stable")
+        resid = np.take_along_axis(resid, by, axis=-1)
+        cumw = np.cumsum(np.take_along_axis(counts, by, axis=-1), axis=-1) / x.size
+    return LocationScaleFit(x=x, y=y, bw_mean=bw_mean, bw_var=bw_var, order=order, sq_resid=sq,
+                            residuals=resid, counts=counts, cumw=cumw)
 
 
 def fit_by_rule(x, y, bw: str, group: str) -> LocationScaleFit:

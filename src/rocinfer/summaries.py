@@ -124,7 +124,7 @@ def invert_cdf(cdf, q, lo, hi, pdf=None, start=None):
         if pdf is None:
             c = mid
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 step = c - (f - qa) / np.asarray(pdf(c, act), dtype=float)
             c = np.where((step > lo_a) & (step < hi_a), step, mid)
     else:

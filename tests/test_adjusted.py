@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
 
+from rocinfer import adjusted
 from rocinfer.adjusted import (
     _placement_rows,
     aroc_bnp,
@@ -255,3 +256,34 @@ def test_workers_do_not_change_results(variant):
     assert np.array_equal(a.aroc_lo, b.aroc_lo)
     assert np.array_equal(a.aroc_hi, b.aroc_hi)
     assert a.aauc == b.aauc and a.yi == b.yi
+
+
+class _ReplicateFits:
+    """The per-replicate reference of a count-weighted kernel block fit: each count row's
+    case resample (data point j repeated c_j times) fitted alone."""
+
+    def __init__(self, x, y, counts, **bandwidths):
+        rows = [np.repeat(np.arange(x.size), c.astype(int)) for c in counts]
+        self.fits = [fit_location_scale(x[i], y[i], **bandwidths) for i in rows]
+        self.residuals, self.cumw = np.array([f.residuals for f in self.fits]), None
+
+    def at(self, x0):
+        return tuple(np.array(a) for a in zip(*(f.at(x0) for f in self.fits)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_block_fits_match_each_replicate_fit_alone(monkeypatch, workers):
+    """B = 70 is one full block of 64 replicates and a partial one of 6."""
+    s = covariate_sample(n_h=150, n_d=120, seed=79)
+    kw = dict(covariate="x", variant="kernel", bw="srt", B=70, rng=80, workers=workers,
+              pauc=PaucControl(True, "tpf", 0.7))
+    block = aroc_frequentist(s, **kw)
+    monkeypatch.setattr(adjusted, "fit_location_scale", _ReplicateFits)
+    alone = aroc_frequentist(s, **kw)
+    for name in ("aroc_est", "aroc_lo", "aroc_hi", "placements"):
+        np.testing.assert_allclose(getattr(block, name), getattr(alone, name), rtol=0,
+                                   atol=1e-12)
+    for name in ("aauc", "pauc", "yi", "p_star"):
+        got, want = getattr(block, name), getattr(alone, name)
+        np.testing.assert_allclose([got.est, got.lo, got.hi], [want.est, want.lo, want.hi],
+                                   rtol=0, atol=1e-12)

@@ -11,8 +11,11 @@ from rocinfer.pooled import (
     MixtureStack,
     PaucControl,
     PaucSummary,
+    KernelStack,
     StepStack,
-    _kernel_stacks,
+    _draw_counts,
+    _kernel_auc,
+    _kernel_grid,
     case_bootstrap,
     pooled_bb,
     pooled_dpm,
@@ -25,7 +28,7 @@ from rocinfer.pooled import (
     tnf_rows,
 )
 from rocinfer.sample import DiagnosticSample
-from rocinfer.smoothing import kernel_cdf, silverman_bandwidth
+from rocinfer.smoothing import silverman_bandwidth
 from rocinfer.streams import RngStream, dirichlet
 from rocinfer.summaries import (
     band,
@@ -379,24 +382,69 @@ def test_dpm_without_standardisation_still_fits():
     assert 0.5 < res.auc.est < 1.0
 
 
+def _kernel_cdf(x, sample, h):
+    """The per-member reference: the kernel CDF of one resample, mean of Phi((x - y_i) / h)."""
+    return ndtr((np.asarray(x)[..., None] - sample) / h).mean(axis=-1)
+
+
 def _kernel_inverter_cases():
     g = np.random.default_rng(11)
     for n in (2, 3, 10, 137, 3000):
-        yield "normal-%d" % n, g.normal(size=n) * g.uniform(0.1, 10) + g.normal()
-    yield "ties", np.round(g.normal(size=500), 0)
-    yield "skew", g.lognormal(0.0, 1.5, size=400)
+        yield "normal-%d" % n, g.normal(size=n) * g.uniform(0.1, 10) + g.normal(), None
+    yield "ties", np.round(g.normal(size=500), 0), None
+    yield "skew", g.lognormal(0.0, 1.5, size=400), None
+    yield "outlier", np.r_[g.normal(size=300), 1e6], None
     base = g.normal(size=300)
-    yield "bootstrap", base[g.integers(0, base.size, (5, base.size))]
+    yield "bootstrap", base, g.integers(0, base.size, (5, base.size))
 
 
-@pytest.mark.parametrize("name,data", list(_kernel_inverter_cases()))
-def test_kernel_quantiles_meet_the_stopping_rule_and_are_monotone(name, data):
-    h = silverman_bandwidth(data.ravel()).value
-    stack, _ = _kernel_stacks(data, data, h, h)
+@pytest.mark.parametrize("name,data,idx", list(_kernel_inverter_cases()))
+def test_kernel_quantiles_meet_the_stopping_rule_and_are_monotone(name, data, idx):
+    """Every quantile meets |F_b(c) - q| <= 1e-8 under the exact kernel CDF of its
+    resample, for the plug-in stack and for count-weighted members."""
+    h = silverman_bandwidth(data).value
+    stack = KernelStack(data, h, _kernel_grid(data, data, h, h),
+                        None if idx is None else _draw_counts(idx))
     area = odd_grid(0.0, 1.0, 201)
     q = np.sort(1.0 - area[1:-1])  # every interior point, ends 0.005 and 0.995 included
     c = np.atleast_2d(stack.quantile(q))
-    members = np.atleast_2d(data)
+    members = [data] if idx is None else data[idx]
+    assert c.shape == (len(members), q.size)
     for row, sample in zip(c, members):
-        assert np.max(np.abs(kernel_cdf(row, sample, h) - q)) <= 1e-8
+        assert np.max(np.abs(_kernel_cdf(row, sample, h) - q)) <= 1e-8
         assert np.all(np.diff(row) >= 0.0)
+
+
+@pytest.mark.parametrize("name,data", [(name, data) for name, data, idx in _kernel_inverter_cases()
+                                       if name in ("normal-2", "normal-3", "normal-137", "ties",
+                                                   "skew", "outlier")])
+def test_kernel_member_aucs_equal_the_pair_mean_of_each_resample(name, data):
+    """The table AUC of each member is mean Phi((y_d - y_h) / sqrt(h_h^2 + h_d^2)) over the
+    pairs of its resample, the plug-in and count-weighted members alike."""
+    g = np.random.default_rng(12)
+    y_h, y_d = data, 1.3 * g.permutation(data) + 0.5
+    h_h, h_d = silverman_bandwidth(y_h).value, silverman_bandwidth(y_d).value
+    grid = _kernel_grid(y_h, y_d, h_h, h_d)
+    idx_h, idx_d = (g.integers(0, y.size, (4, y.size)) for y in (y_h, y_d))
+    members = _kernel_auc(*(KernelStack(y, h, grid, _draw_counts(i))
+                            for y, h, i in ((y_h, h_h, idx_h), (y_d, h_d, idx_d))))
+    plugin = _kernel_auc(KernelStack(y_h, h_h, grid), KernelStack(y_d, h_d, grid))
+    s = np.hypot(h_h, h_d)
+    want = [ndtr((yd[None, :] - yh[:, None]) / s).mean()
+            for yh, yd in [(y_h, y_d)] + list(zip(y_h[idx_h], y_d[idx_d]))]
+    np.testing.assert_allclose(np.concatenate([plugin, members]), want, rtol=0, atol=1e-12)
+
+
+def test_pooled_kernel_aucs_are_the_closed_form_and_workers_do_not_change_results():
+    """pooled_kernel's plug-in AUC is the pair probability, B = 70 spans a full and a partial
+    block, and two workers give the same numbers bitwise."""
+    s = binormal_sample(n_h=150, n_d=120, shift=1.0, seed=31)
+    a, b = (pooled_kernel(s, B=70, rng=32, workers=w, pauc=PaucControl(True, "tpf", 0.6))
+            for w in (1, 2))
+    y_h, y_d = s.marker[s.disease == 0], s.marker[s.disease == 1]
+    h = np.hypot(silverman_bandwidth(y_h).value, silverman_bandwidth(y_d).value)
+    assert a.auc.est == pytest.approx(ndtr((y_d[None, :] - y_h[:, None]) / h).mean(), abs=1e-12)
+    assert a.ensemble.shape == (70, a.p.size)
+    for name in ("roc_est", "roc_lo", "roc_hi", "ensemble"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert (a.auc, a.pauc) == (b.auc, b.pauc)

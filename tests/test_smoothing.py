@@ -7,16 +7,21 @@ from scipy.special import ndtr
 
 from rocinfer import smoothing
 from rocinfer.errors import DegenerateGridWarning
+from rocinfer.pooled import KernelStack, _kernel_grid
 from rocinfer.smoothing import (
     _candidate_grid,
     _loo_cv_regression,
     _scan_reach,
     fit_location_scale,
-    kernel_cdf,
     local_poly_regression,
     lscv_bandwidth,
     silverman_bandwidth,
 )
+
+
+def kernel_cdf(x, data, h):
+    """The plug-in kernel CDF of data at x, from its `KernelStack`."""
+    return KernelStack(data, h, _kernel_grid(data, data, h, h)).cdf(x)
 
 
 def _full_weights(x, x0, h):
