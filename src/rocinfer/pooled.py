@@ -28,6 +28,7 @@ normal-mixture posteriors.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,6 +265,15 @@ class KernelStack:
         self.shape = () if counts is None else counts.shape[:-1]
         self.counts = np.ones((1, data.size)) if counts is None else counts[:, order]
         self.F, self.f = self._sums(ndtr, grid), self._sums(_gauss, grid) / h
+
+    def part(self, start, stop=None) -> "KernelStack":
+        """Members [start, stop) as a stack on the same tables, or member start alone with
+        member shape () when stop is None."""
+        part = copy.copy(self)
+        rows = slice(start, start + 1 if stop is None else stop)
+        part.counts, part.F, part.f = self.counts[rows], self.F[rows], self.f[rows]
+        part.shape = () if stop is None else part.counts.shape[:-1]
+        return part
 
     def _sums(self, fn, x, rows=None) -> np.ndarray:
         """sum_j c_j fn((x - y_j) / h) / n per member at shared points x, or with rows (like x)
@@ -642,9 +652,10 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     bw picks the bandwidth rule per group: 'srt' (normal-reference) or
     'lscv' (leave-one-out CV on the integrated squared CDF error).
     Bootstrap replicates keep the original bandwidths; each is the
-    original sample weighted by its draw counts (`KernelStack`), and its
-    AUC is the closed form `_kernel_auc`. Curves invert each member's
-    kernel CDF by safeguarded Newton from its table.
+    original sample weighted by its draw counts, a member of the group's
+    one `KernelStack`, and its AUC is the closed form `_kernel_auc`.
+    Curves invert each member's kernel CDF by safeguarded Newton from its
+    table, one block of members at a time.
     """
     if bw not in ("srt", "lscv"):
         raise ConfigError("bw must be 'srt' or 'lscv'")
@@ -661,20 +672,18 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
         h_h = _in_group("healthy", lscv_bandwidth, y_h, y_h, target="cdf").value
         h_d = _in_group("diseased", lscv_bandwidth, y_d, y_d, target="cdf").value
     table = _kernel_grid(y_h, y_d, h_h, h_d)
-
-    def block(h_idx, d_idx):  # a block's stacks, curves and AUCs
-        H, D = (KernelStack(y, h, table, _draw_counts(i))
-                for y, h, i in ((y_h, h_h, h_idx), (y_d, h_d, d_idx)))
-        return H, D, roc_rows(H, D, grid), _kernel_auc(H, D)
-
-    plugin = (KernelStack(y_h, h_h, table), KernelStack(y_d, h_d, table))
-    blocks = case_bootstrap(block, stream, B, (split.n_h, split.n_d), workers)
-    H, D, curves, aucs = zip(*blocks) if blocks else (None,) * 4
-    return _pooled_result("kernel", split, grid, pauc, plugin,
-                          (ChunkedStack(H), ChunkedStack(D)) if blocks else None,
-                          np.concatenate([y_h, y_d]),
-                          np.concatenate([_kernel_auc(*plugin), *(aucs or ())]),
-                          curves=np.concatenate(curves) if blocks else None)
+    blocks = case_bootstrap(lambda *idx: tuple(map(_draw_counts, idx)), stream, B,
+                            (split.n_h, split.n_d), workers)
+    # one stack per group, member 0 the plug-in (every count 1), members 1..B the replicates
+    H, D = (KernelStack(y, h, table, np.concatenate([np.ones((1, y.size))] + list(counts)))
+            for y, h, counts in zip((y_h, y_d), (h_h, h_d), zip(*blocks) if blocks else ((), ())))
+    parts = [(H.part(a, a + _MEMBER_BLOCK), D.part(a, a + _MEMBER_BLOCK))
+             for a in range(1, B + 1, _MEMBER_BLOCK)]
+    curves = parallel_map(lambda pair: roc_rows(*pair, grid), parts, workers)
+    return _pooled_result("kernel", split, grid, pauc, (H.part(0), D.part(0)),
+                          tuple(map(ChunkedStack, zip(*parts))) or None,
+                          np.concatenate([y_h, y_d]), _kernel_auc(H, D),
+                          curves=np.concatenate(curves) if parts else None)
 
 
 # -- Dirichlet-weight resampling ---------------------------------------------

@@ -17,6 +17,7 @@ from rocinfer.smoothing import (
     lscv_bandwidth,
     silverman_bandwidth,
 )
+from rocinfer.summaries import ecdf_eval
 
 
 def kernel_cdf(x, data, h):
@@ -235,6 +236,32 @@ def test_block_fits_match_each_response_fit_alone():
         _close_rows(block.sigma2(x0), [f.sigma2(x0) for f in alone])
         for got, want in zip(block.at(x0), zip(*(f.at(x0) for f in alone))):
             _close_rows(got, want)
+
+
+def test_count_row_fits_match_each_case_resample_fit_alone():
+    """Count rows weigh the data by each case resample's draw counts under one set of kernel
+    weights; each row must equal the fit to that resample's repeated data (to 1e-12), and
+    its residual CDF under cumulative counts the resample's own step CDF."""
+    g = np.random.default_rng(10)
+    x = np.round(g.uniform(0, 60, 400), 1)  # unsorted, with ties
+    y = np.cos(x / 9.0) + (0.5 + x / 60.0) * g.normal(size=x.size)
+    idx = g.integers(0, x.size, (6, x.size))
+    counts = np.array([np.bincount(i, minlength=x.size) for i in idx], dtype=float)
+    x0 = np.concatenate([g.choice(x, 100), [0.5, 59.5]])
+    t = np.linspace(-3.0, 3.0, 41)
+    for order in (0, 1):
+        _close_rows(local_poly_regression(x, y, 2.5, x0, order=order, counts=counts),
+                    [local_poly_regression(x[i], y[i], 2.5, x0, order=order) for i in idx])
+        block = fit_location_scale(x, y, order=order, bw_mean=2.5, bw_var=4.0, counts=counts)
+        alone = [fit_location_scale(x[i], y[i], order=order, bw_mean=2.5, bw_var=4.0)
+                 for i in idx]
+        _close_rows(block.mu(x0), [f.mu(x0) for f in alone])
+        _close_rows(block.sigma2(x0), [f.sigma2(x0) for f in alone])
+        for got, want in zip(block.at(x0), zip(*(f.at(x0) for f in alone))):
+            _close_rows(got, want)
+        assert np.array_equal(ecdf_eval(block.residuals, np.tile(t, (6, 1)), block.cumw),
+                              np.array([ecdf_eval(f.residuals, t) for f in alone]))
+    assert local_poly_regression(x, y, 2.5, 30.0, counts=counts).shape == (6,)
 
 
 def test_local_fits_keep_the_shape_of_x0():
