@@ -251,19 +251,19 @@ class DirichletBlock:
 class KernelStack:
     """Gaussian-kernel CDFs with bandwidth h over one sample, one member per row of counts.
 
-    counts (M, n) weighs the sample by each member's bootstrap draw counts; None makes the
-    sample itself the one member (shape ()). `F` and `f` tabulate every member's CDF and
+    data is the sample in ascending order (ndtr is faster along monotone rows of kernel
+    terms); counts (M, n) weighs it by each member's bootstrap draw counts, and None makes
+    the sample itself the one member (shape ()). `F` and `f` tabulate every member's CDF and
     density on the grid, by one matmul of the counts against the Phi and phi tables of the
     sample. A quantile starts at the root of the cubic Hermite interpolant of F on its table
     cell and finishes in one `invert_cdf` call on the exact count-weighted CDF, bracketed by
-    the grid's ends for the whole member.
+    the grid's ends for the whole member. `part` views a run of members on the same tables.
     """
 
     def __init__(self, data, h, grid, counts=None):
-        order = np.argsort(data, kind="stable")  # ndtr is faster along monotone rows
-        self.data, self.h, self.grid = data[order], h, grid
+        self.data, self.h, self.grid = data, h, grid
         self.shape = () if counts is None else counts.shape[:-1]
-        self.counts = np.ones((1, data.size)) if counts is None else counts[:, order]
+        self.counts = np.ones((1, data.size)) if counts is None else counts
         self.F, self.f = self._sums(ndtr, grid), self._sums(_gauss, grid) / h
 
     def part(self, start, stop=None) -> "KernelStack":
@@ -285,11 +285,11 @@ class KernelStack:
                                    for s in range(0, x.size, step)], axis=1) / n
         out = np.empty(x.size)
         by = np.argsort(rows, kind="stable")
-        for part in np.split(by, np.flatnonzero(np.diff(rows[by])) + 1):
-            c = self.counts[rows[part[0]]]
+        for seg in np.split(by, np.flatnonzero(np.diff(rows[by])) + 1):  # one member each
+            c = self.counts[rows[seg[0]]]
             drawn = np.flatnonzero(c)
             step = max(1, _KERNEL_TERMS // drawn.size)
-            for at in (part[s:s + step] for s in range(0, part.size, step)):
+            for at in (seg[s:s + step] for s in range(0, seg.size, step)):
                 out[at] = fn((x[at, None] - self.data[drawn]) / self.h) @ c[drawn]
         return out / n
 
@@ -672,11 +672,17 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
         h_h = _in_group("healthy", lscv_bandwidth, y_h, y_h, target="cdf").value
         h_d = _in_group("diseased", lscv_bandwidth, y_d, y_d, target="cdf").value
     table = _kernel_grid(y_h, y_d, h_h, h_d)
-    blocks = case_bootstrap(lambda *idx: tuple(map(_draw_counts, idx)), stream, B,
-                            (split.n_h, split.n_d), workers)
-    # one stack per group, member 0 the plug-in (every count 1), members 1..B the replicates
-    H, D = (KernelStack(y, h, table, np.concatenate([np.ones((1, y.size))] + list(counts)))
-            for y, h, counts in zip((y_h, y_d), (h_h, h_d), zip(*blocks) if blocks else ((), ())))
+    # each group sorted, with its bootstrap draws counted at their sorted positions
+    order = [np.argsort(y, kind="stable") for y in (y_h, y_d)]
+    rank = [np.argsort(o) for o in order]
+    blocks = case_bootstrap(lambda *idx: [_draw_counts(r[i]) for r, i in zip(rank, idx)],
+                            stream, B, (split.n_h, split.n_d), workers)
+    # one stack per group: member 0 the plug-in (every count 1), members 1..B the replicates
+    counts = [np.concatenate([np.ones((1, o.size))] + [b[g] for b in blocks])
+              for g, o in enumerate(order)]
+    del blocks  # before the tables are formed
+    H, D = (KernelStack(y[o], h, table, c)
+            for y, o, h, c in zip((y_h, y_d), order, (h_h, h_d), counts))
     parts = [(H.part(a, a + _MEMBER_BLOCK), D.part(a, a + _MEMBER_BLOCK))
              for a in range(1, B + 1, _MEMBER_BLOCK)]
     curves = parallel_map(lambda pair: roc_rows(*pair, grid), parts, workers)

@@ -403,8 +403,9 @@ def test_kernel_quantiles_meet_the_stopping_rule_and_are_monotone(name, data, id
     """Every quantile meets |F_b(c) - q| <= 1e-8 under the exact kernel CDF of its
     resample, for the plug-in stack and for count-weighted members."""
     h = silverman_bandwidth(data).value
-    stack = KernelStack(data, h, _kernel_grid(data, data, h, h),
-                        None if idx is None else _draw_counts(idx))
+    order = np.argsort(data)
+    stack = KernelStack(data[order], h, _kernel_grid(data, data, h, h),
+                        None if idx is None else _draw_counts(idx)[:, order])
     area = odd_grid(0.0, 1.0, 201)
     q = np.sort(1.0 - area[1:-1])  # every interior point, ends 0.005 and 0.995 included
     c = np.atleast_2d(stack.quantile(q))
@@ -426,9 +427,11 @@ def test_kernel_member_aucs_equal_the_pair_mean_of_each_resample(name, data):
     h_h, h_d = silverman_bandwidth(y_h).value, silverman_bandwidth(y_d).value
     grid = _kernel_grid(y_h, y_d, h_h, h_d)
     idx_h, idx_d = (g.integers(0, y.size, (4, y.size)) for y in (y_h, y_d))
-    members = _kernel_auc(*(KernelStack(y, h, grid, _draw_counts(i))
-                            for y, h, i in ((y_h, h_h, idx_h), (y_d, h_d, idx_d))))
-    plugin = _kernel_auc(KernelStack(y_h, h_h, grid), KernelStack(y_d, h_d, grid))
+    order_h, order_d = np.argsort(y_h), np.argsort(y_d)
+    members = _kernel_auc(*(KernelStack(y[o], h, grid, _draw_counts(i)[:, o])
+                            for y, h, i, o in ((y_h, h_h, idx_h, order_h),
+                                               (y_d, h_d, idx_d, order_d))))
+    plugin = _kernel_auc(KernelStack(np.sort(y_h), h_h, grid), KernelStack(np.sort(y_d), h_d, grid))
     s = np.hypot(h_h, h_d)
     want = [ndtr((yd[None, :] - yh[:, None]) / s).mean()
             for yh, yd in [(y_h, y_d)] + list(zip(y_h[idx_h], y_d[idx_d]))]

@@ -22,7 +22,7 @@ from rocinfer.summaries import ecdf_eval
 
 def kernel_cdf(x, data, h):
     """The plug-in kernel CDF of data at x, from its `KernelStack`."""
-    return KernelStack(data, h, _kernel_grid(data, data, h, h)).cdf(x)
+    return KernelStack(np.sort(data), h, _kernel_grid(data, data, h, h)).cdf(x)
 
 
 def _full_weights(x, x0, h):
