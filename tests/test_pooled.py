@@ -388,20 +388,22 @@ def _kernel_cdf(x, sample, h):
 
 
 def _kernel_inverter_cases():
+    """(name, sample) for a plug-in stack, or (name, (sample, index rows)) for count rows."""
     g = np.random.default_rng(11)
     for n in (2, 3, 10, 137, 3000):
-        yield "normal-%d" % n, g.normal(size=n) * g.uniform(0.1, 10) + g.normal(), None
-    yield "ties", np.round(g.normal(size=500), 0), None
-    yield "skew", g.lognormal(0.0, 1.5, size=400), None
-    yield "outlier", np.r_[g.normal(size=300), 1e6], None
+        yield "normal-%d" % n, g.normal(size=n) * g.uniform(0.1, 10) + g.normal()
+    yield "ties", np.round(g.normal(size=500), 0)
+    yield "skew", g.lognormal(0.0, 1.5, size=400)
     base = g.normal(size=300)
-    yield "bootstrap", base, g.integers(0, base.size, (5, base.size))
+    yield "bootstrap", (base, g.integers(0, base.size, (5, base.size)))
+    yield "outlier", np.r_[g.normal(size=300), 1e6]
 
 
-@pytest.mark.parametrize("name,data,idx", list(_kernel_inverter_cases()))
-def test_kernel_quantiles_meet_the_stopping_rule_and_are_monotone(name, data, idx):
+@pytest.mark.parametrize("name,data", list(_kernel_inverter_cases()))
+def test_kernel_quantiles_meet_the_stopping_rule_and_are_monotone(name, data):
     """Every quantile meets |F_b(c) - q| <= 1e-8 under the exact kernel CDF of its
     resample, for the plug-in stack and for count-weighted members."""
+    data, idx = data if isinstance(data, tuple) else (data, None)
     h = silverman_bandwidth(data).value
     order = np.argsort(data)
     stack = KernelStack(data[order], h, _kernel_grid(data, data, h, h),
@@ -416,7 +418,7 @@ def test_kernel_quantiles_meet_the_stopping_rule_and_are_monotone(name, data, id
         assert np.all(np.diff(row) >= 0.0)
 
 
-@pytest.mark.parametrize("name,data", [(name, data) for name, data, idx in _kernel_inverter_cases()
+@pytest.mark.parametrize("name,data", [(name, data) for name, data in _kernel_inverter_cases()
                                        if name in ("normal-2", "normal-3", "normal-137", "ties",
                                                    "skew", "outlier")])
 def test_kernel_member_aucs_equal_the_pair_mean_of_each_resample(name, data):
