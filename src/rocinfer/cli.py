@@ -499,21 +499,19 @@ def _payload_of(cfg: RunConfig, sample, fit, thr=None, thr_frame=None) -> dict:
         return out
 
     out["p"] = fit.p
-    if fam == "pooled":
-        out["roc"] = {"est": fit.roc_est, "lo": fit.roc_lo, "hi": fit.roc_hi}
-        out["auc"] = fit.auc
-    elif fam == "croc":
+    if fam == "croc":
         out["newdata"] = _frame_echo(fit.newdata)
-        out["roc"] = {"est": fit.roc_est, "lo": fit.roc_lo, "hi": fit.roc_hi}
-        out["auc"] = fit.auc
-        if fit.coefficients is not None:
-            out["coefficients"] = fit.coefficients
-    else:
+    if fam == "aroc":
         out["roc"] = {"est": fit.aroc_est, "lo": fit.aroc_lo, "hi": fit.aroc_hi}
         out["aauc"] = fit.aauc
         out["yi"] = fit.yi
         out["p_star"] = fit.p_star
         out["placements"] = fit.placements
+    else:
+        out["roc"] = {"est": fit.roc_est, "lo": fit.roc_lo, "hi": fit.roc_hi}
+        out["auc"] = fit.auc
+    if getattr(fit, "coefficients", None) is not None:
+        out["coefficients"] = fit.coefficients
     if fit.pauc is not None:
         out["pauc"] = fit.pauc
     if getattr(fit, "densities", None) is not None:
@@ -596,20 +594,13 @@ def _summary_lines(cfg: RunConfig, sample, fit, thr=None, thr_frame=None) -> lis
     return lines
 
 
-def _write_curves_csv(path: str, cfg: RunConfig, fit):
-    fam = cfg.family()
-    rows = ["row,p,est,lo,hi"]
-    if fam == "croc":
-        for r in range(fit.roc_est.shape[0]):
-            for j, pj in enumerate(fit.p):
-                rows.append("%d,%.10g,%.10g,%.10g,%.10g"
-                            % (r, pj, fit.roc_est[r, j], fit.roc_lo[r, j], fit.roc_hi[r, j]))
-    else:
-        est = fit.roc_est if fam == "pooled" else fit.aroc_est
-        lo = fit.roc_lo if fam == "pooled" else fit.aroc_lo
-        hi = fit.roc_hi if fam == "pooled" else fit.aroc_hi
-        for j, pj in enumerate(fit.p):
-            rows.append("0,%.10g,%.10g,%.10g,%.10g" % (pj, est[j], lo[j], hi[j]))
+def _write_curves_csv(path: str, payload: dict):
+    """Tidy curve rows (row, p, est, lo, hi) of a payload's `roc` block, one row per newdata
+    row for croc and row 0 otherwise."""
+    est, lo, hi = (np.atleast_2d(payload["roc"][key]) for key in ("est", "lo", "hi"))
+    rows = ["row,p,est,lo,hi"] + ["%d,%.10g,%.10g,%.10g,%.10g" % (r, pj, *ends)
+                                  for r in range(len(est))
+                                  for pj, *ends in zip(payload["p"], est[r], lo[r], hi[r])]
     with open(path, "wb") as fh:
         fh.write(("\n".join(rows) + "\n").encode("utf-8"))
 
@@ -649,18 +640,19 @@ def run(cfg: RunConfig, echo: bool = True) -> ResultEnvelope:
     notes = sorted({str(w.message) for w in caught})
     if cfg.curves_csv and cfg.subcommand == "threshold":
         notes.append("curves CSV skipped: threshold results carry no curve")
+    payload = _payload_of(cfg, sample, fit, thr, thr_frame)
     envelope = ResultEnvelope(
         schema_version=SCHEMA_VERSION,
         config=_jsonable(dataclasses.asdict(cfg)),
         timing={"seconds": elapsed},
         warnings=notes,
-        payload=_jsonable(_payload_of(cfg, sample, fit, thr, thr_frame)),
+        payload=_jsonable(payload),
     )
     if cfg.out:
         with open(cfg.out, "wb") as fh:
             fh.write((envelope.to_json() + "\n").encode("utf-8"))
     if cfg.curves_csv and cfg.subcommand != "threshold":
-        _write_curves_csv(cfg.curves_csv, cfg, fit)
+        _write_curves_csv(cfg.curves_csv, payload)
     if echo:
         print("\n".join(_summary_lines(cfg, sample, fit, thr, thr_frame)))
     return envelope

@@ -12,11 +12,12 @@ functions of one continuous covariate, and the Bayesian engine puts a
 shared-weights normal-mixture posterior over regression surfaces. All
 three report curves, AUC and optional partial areas per prediction row.
 
-Each fit keeps one function from a prediction frame to pairs of
-healthy/diseased CDF stacks (see `pooled`) whose members end in a
-prediction-row axis: location-scale stacks over a normal or
-residual-step error law for the induced models (all rows in one pair),
-conditional mixtures for the Bayesian one (one pair per row). Curves,
+Each fit keeps one function from a prediction frame to (plug-in pair,
+ensemble) fits, an ensemble being a list of healthy/diseased CDF stack
+pairs (see `pooled`) whose members end in a prediction-row axis:
+location-scale stacks over a normal or residual-step error law for the
+induced models (all rows in one fit, one pair per bootstrap block),
+conditional mixtures for the Bayesian one (one fit per row). Curves,
 areas, reverse curves and thresholds are all read off those stacks.
 """
 
@@ -43,7 +44,6 @@ from .mixtures import McmcControl, fit_ddp
 from .pooled import (
     _CHAIN_D,
     _CHAIN_H,
-    ChunkedStack,
     DensityControl,
     LocScaleStack,
     NormalStack,
@@ -190,8 +190,8 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
     of responses Y (b, n), the fitted means plus the fitted scales times
     resampled residuals, as a block fit (one row per replicate). Returns
     the block fits (a tuple per block, blocks on `workers` threads) and
-    stacks(frame): the plug-in pair and the ensemble pair (ChunkedStack
-    parts, or None) over all prediction rows, whose inputs per group are
+    stacks(frame): the plug-in pair and the ensemble, one stack pair per
+    block (or None), over all prediction rows, whose inputs per group are
     inputs_of(frame). base(residuals) gives the error-law stack.
     """
     fitted = [(X, refit, *fit.at(X), fit.residuals) for fit, X, refit in groups]
@@ -207,10 +207,20 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
 
     def stacks(frame):
         inputs = inputs_of(frame)
-        ensemble = tuple(map(ChunkedStack, zip(*(pair(block, inputs) for block in boot))))
-        return [(pair([fit for fit, _, _ in groups], inputs), ensemble or None)]
+        return [(pair([fit for fit, _, _ in groups], inputs),
+                 [pair(block, inputs) for block in boot] or None)]
 
     return boot, stacks
+
+
+def _induced_result(method, stacks, newdata, grid, ctrl, split, coefficients=None) -> CRocResult:
+    """An induced model's result: its one (plug-in, ensemble) fit on the prediction rows."""
+    (fit,) = stacks(newdata)
+    return CRocResult(method=method, p=grid, newdata=newdata,
+                      **_summarise_rows(*fit, grid, ctrl)[0], coefficients=coefficients,
+                      sample_sizes=(split.n_h, split.n_d),
+                      internals={"stacks": stacks,
+                                 "y": np.concatenate([split.healthy, split.diseased])})
 
 
 # -- linear induced model ------------------------------------------------------
@@ -263,15 +273,7 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
             and fitted_h.levels == fitted_d.levels):
         coefficients.update(_induced_tables(labels_h, bh, bd, sh, sd_, plugin=True))
 
-    (pair,) = stacks(newdata)
-    return CRocResult(
-        method="sp-" + est_cdf,
-        p=grid, newdata=newdata,
-        **_summarise_rows(*pair, grid, ctrl)[0],
-        coefficients=coefficients,
-        sample_sizes=(split.n_h, split.n_d),
-        internals={"stacks": stacks, "y": np.concatenate([split.healthy, split.diseased])},
-    )
+    return _induced_result("sp-" + est_cdf, stacks, newdata, grid, ctrl, split, coefficients)
 
 
 # -- kernel induced model ------------------------------------------------------
@@ -321,15 +323,7 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
                                B, stream, workers)
 
-    (pair,) = stacks(newdata)
-    return CRocResult(
-        method="kernel",
-        p=grid, newdata=newdata,
-        **_summarise_rows(*pair, grid, ctrl)[0],
-        coefficients=None,
-        sample_sizes=(split.n_h, split.n_d),
-        internals={"stacks": stacks, "y": np.concatenate([split.healthy, split.diseased])},
-    )
+    return _induced_result("kernel", stacks, newdata, grid, ctrl, split)
 
 
 # -- Bayesian dependent-mixture model -------------------------------------------
@@ -443,8 +437,8 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
                 for r in range(len(zh))]
 
     def row_pair(means):
-        return None, tuple(mixture_stack(d.weights, mu[:, None, :], d.sigma2, std)
-                           for d, mu in zip((draws_h, draws_d), means))
+        return None, [tuple(mixture_stack(d.weights, mu[:, None, :], d.sigma2, std)
+                            for d, mu in zip((draws_h, draws_d), means))]
 
     def stacks(frame):
         """One pair per prediction row, which bounds the (draws, grid) arrays."""
@@ -463,7 +457,7 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
             draws_d.weights, means[1], np.sqrt(draws_d.sigma2),
         ))
         # each group's marker density (est, lo, hi) on the density grid
-        dens = density.compute and [summarise(s.pdf(dens_grid)[:, 0]) for s in pair[1]]
+        dens = density.compute and [summarise(s.pdf(dens_grid)[:, 0]) for s in pair[1][0]]
         return _summarise_rows(*pair, grid, ctrl, aucs[:, None])[0], dens
 
     rows = parallel_map(one_row, row_means(newdata), workers=workers)

@@ -11,14 +11,15 @@ written once against that interface (`roc_rows`, `tnf_rows`,
 `simpson_area`, `threshold_result`), summarised once per prediction row
 (`_summarise_rows`, under the `summaries.summarise` rule) and reused by
 the conditional and adjusted estimators. A step stack, plain or
-Dirichlet-weighted, is the two views `ecdf_eval` and `ecdf_quantile` of
-the one rank search over sorted rows in `summaries`.
+weighted, is the two views `ecdf_eval` and `ecdf_quantile` of the one
+rank search over sorted rows in `summaries`.
 
-Large ensembles are `ChunkedStack`s of at most _MEMBER_BLOCK members a
-part, walked part by part. The Dirichlet-weight ensemble keeps each
-part's generator state instead of its weights (`DirichletBlock`) and
-redraws the weights at every query, so its memory does not grow with
-the member count times the sample size.
+A fit's ensemble is a list of (healthy, diseased) stack pairs of at
+most _MEMBER_BLOCK members each, walked pair by pair, or None. The
+resampled step CDFs of emp and bb are `WeightBlock`s: the one sorted
+sample under each member's weights, emp's bootstrap draw counts held as
+integers, bb's Dirichlet weights redrawn from a saved generator state at
+every query, so neither holds a resampled copy of the sample.
 
 The four pooled estimators share one result shape: empirical step curves
 with a within-group bootstrap, kernel-smoothed CDF plug-ins, the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -71,7 +73,7 @@ from .summaries import (
 )
 
 _BOOT_STREAM_BASE = 100
-_MEMBER_BLOCK = 64  # members per ChunkedStack part: bootstrap replicates or Dirichlet draws
+_MEMBER_BLOCK = 64  # members per ensemble pair: bootstrap replicates or Dirichlet draws
 _KERNEL_TERMS = 1 << 18  # kernel terms per temporary block of a KernelStack's weighted sums
 _TABLE_POINTS = 8193  # most points of a kernel table grid: h/8 spacing over 1,024 bandwidths
 _CHAIN_H, _CHAIN_D, _WEIGHTS_STREAM = 1, 2, 3
@@ -181,11 +183,11 @@ def case_bootstrap(fn, stream: RngStream, B: int, sizes, workers: int = 1) -> li
 
 
 def _draw_counts(idx) -> np.ndarray:
-    """Draw counts bincount(i) of each row i of a (b, n) index block: a case resample is the
-    original sample with point j drawn c_j times."""
+    """Draw counts bincount(i) of each row i of a (b, n) index block, as int32: a case
+    resample is the original sample with point j drawn c_j times."""
     b, n = idx.shape
     return np.bincount((idx + n * np.arange(b)[:, None]).ravel(),
-                       minlength=b * n).reshape(b, n).astype(float)
+                       minlength=b * n).reshape(b, n).astype(np.int32)
 
 
 # -- CDF stacks ----------------------------------------------------------------
@@ -195,9 +197,8 @@ class StepStack:
     """Right-continuous step CDFs with the inf-type inverse (`ecdf_eval`, `ecdf_quantile`).
 
     values is one ascending sample (n,) or one per member (M, n). With
-    cumw (M, n), each member is a Dirichlet-weighted step CDF holding its
-    cumulative weights; without, every value weighs 1/n. Pooled bb holds
-    weighted stacks one member block at a time (`DirichletBlock`).
+    cumw (M, n), each member is a weighted step CDF holding its
+    cumulative weights; without, every value weighs 1/n.
     """
 
     def __init__(self, values, cumw=None):
@@ -211,41 +212,28 @@ class StepStack:
         return ecdf_quantile(self.values, q, self.cumw)
 
 
-class DirichletBlock:
-    """Flat-Dirichlet-weighted step CDFs of one sample, redrawn at every query.
+class WeightBlock:
+    """Weighted step CDFs of one ascending sample, one member per weight row, drawn on demand.
 
-    One block of pooled bb's ensemble: count members over the ascending
-    values = sample[order], whose weights are drawn in the sample's own
-    order from the PCG64 state saved at the block's first draw. It keeps
-    that state, not the (count, n) weights; `Generator` fills draws in
-    row-major order, so a replay is bitwise the original block.
+    draw() returns the members' weight rows (count, n), aligned with
+    values, and their total: emp's int32 bootstrap draw counts with
+    total n, or bb's flat Dirichlet weights with total 1, replayed from a
+    saved generator state. steps(drawn) is the block under weights drawn
+    so, a `StepStack` with cumw = cumsum(weights) / total; counts are
+    summed as integers, so every emp step is k/n bitwise.
     """
 
-    def __init__(self, values, order, state, count):
-        self.values, self.order, self.state = values, order, state
-        self.shape = (count,)
+    def __init__(self, values, draw, count):
+        self.values, self.draw, self.shape = values, draw, (count,)
 
-    def draw(self, gen) -> np.ndarray:
-        """The members' weights (count, n), aligned with values, drawn from gen."""
-        return np.take(dirichlet(np.ones(self.values.size), gen, size=self.shape[0]), self.order,
-                       axis=1)
-
-    def weights(self) -> np.ndarray:
-        """The members' weights, redrawn from the saved state."""
-        gen = np.random.Generator(np.random.PCG64())
-        gen.bit_generator.state = self.state
-        return self.draw(gen)
-
-    def steps(self) -> StepStack:
-        """The block as a weighted StepStack, holding its cumulative weights."""
-        w = self.weights()
-        return StepStack(self.values, np.cumsum(w, axis=1, out=w))
+    def steps(self, drawn) -> StepStack:
+        return StepStack(self.values, np.cumsum(drawn[0], axis=1) / drawn[1])
 
     def cdf(self, x):
-        return self.steps().cdf(x)
+        return self.steps(self.draw()).cdf(x)
 
     def quantile(self, q):
-        return self.steps().quantile(q)
+        return self.steps(self.draw()).quantile(q)
 
 
 class KernelStack:
@@ -396,25 +384,6 @@ class LocScaleStack:
         return self.loc[..., None] + self.scale[..., None] * bq
 
 
-class ChunkedStack:
-    """One stack held as parts of at most _MEMBER_BLOCK members along its leading axis.
-
-    roc_rows, simpson_area and threshold_result walk the parts of a
-    chunked pair together, which keeps the (members, rows, points)
-    intermediates of a large ensemble cache-sized; cdf takes points
-    shared by all members. Pooled bb's parts are `DirichletBlock`s, so
-    its ensemble holds generator states, not weights, and each query
-    redraws every block once.
-    """
-
-    def __init__(self, parts):
-        self.parts = parts
-        self.shape = (sum(part.shape[0] for part in parts),) + parts[0].shape[1:]
-
-    def cdf(self, x):
-        return np.concatenate([part.cdf(x) for part in self.parts])
-
-
 def mixture_stack(weights, means, sigma2, std) -> MixtureStack | LocScaleStack:
     """Raw-marker-scale stack of mixtures fit on the (possibly) standardised marker."""
     stack = MixtureStack(weights, means, sigma2)
@@ -425,8 +394,6 @@ def mixture_stack(weights, means, sigma2, std) -> MixtureStack | LocScaleStack:
 
 def roc_rows(H, D, p) -> np.ndarray:
     """ROC(p) = 1 - F_D(F_H^{-1}(1-p)) per member, exact 0/1 endpoints."""
-    if isinstance(H, ChunkedStack):
-        return np.concatenate([roc_rows(h, d, p) for h, d in zip(H.parts, D.parts)])
     p = np.asarray(p, dtype=float)
     out = np.empty(H.shape + p.shape)
     interior = (p > 0.0) & (p < 1.0)
@@ -452,11 +419,8 @@ def simpson_area(H, D, pauc: PaucControl | None = None):
     """Simpson AUC per member on 201 points, or the normalised partial area.
 
     FPF focus integrates the curve over [0, value], TPF focus the reverse
-    curve over [value, 1]. An empty range has area 0. Chunked pairs are
-    integrated part by part, like `roc_rows`.
+    curve over [value, 1]. An empty range has area 0.
     """
-    if isinstance(H, ChunkedStack):
-        return np.concatenate([simpson_area(h, d, pauc) for h, d in zip(H.parts, D.parts)])
     if pauc is None or pauc.focus == "fpf":
         g, curve = odd_grid(0.0, 1.0 if pauc is None else pauc.value, 201), roc_rows
     else:
@@ -469,6 +433,7 @@ def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=
                     curves=None):
     """Curve and area summaries of a fit per prediction row, by `summarise`.
 
+    plugin is one stack pair and ensemble a list of them, either None.
     The rows are the stacks' last member axis; a stack without one
     counts as one row. aucs and paucs hold member areas known in closed
     form, (members[, rows]) with the plug-in at member 0 when there is
@@ -480,16 +445,16 @@ def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=
     """
     m = grid.size
     if ensemble and curves is None:
-        curves = roc_rows(*ensemble, grid)
-    curves = None if curves is None else curves.reshape(ensemble[0].shape[0], -1, m)
+        curves = np.concatenate([roc_rows(H, D, grid) for H, D in ensemble])
+    curves = None if curves is None else curves.reshape(len(curves), -1, m)
     point = roc_rows(*plugin, grid).reshape(-1, m) if plugin else None
 
     def area(closed, area_ctrl) -> dict:
         """`summarise` keywords of one area, each value with a row axis."""
         if closed is not None:
             return plugin_first(closed.reshape(closed.shape[0], -1), bool(plugin))
-        return {"draws": None if curves is None else
-                simpson_area(*ensemble, area_ctrl).reshape(curves.shape[:2]),
+        return {"draws": None if curves is None else np.concatenate(
+                    [simpson_area(H, D, area_ctrl) for H, D in ensemble]).reshape(curves.shape[:2]),
                 "point": None if point is None else np.reshape(simpson_area(*plugin, area_ctrl), -1)}
 
     est, lo, hi = summarise(curves, point)
@@ -536,7 +501,7 @@ def _criterion_rows(fh, fd, grid, criterion, target_fpf) -> tuple:
 
 
 def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult:
-    """Optimal thresholds on a grid from (plug-in, ensemble) stack pairs.
+    """Optimal thresholds on a grid from (plug-in pair, ensemble list) fits.
 
     Stacks whose members end in a prediction-row axis give one entry
     per row, others one entry. 'yi' maximises |F_H - F_D| (smallest
@@ -549,23 +514,21 @@ def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult
         "threshold", "fpf", "tpf")
     out = {name: [] for name in names}
 
-    def criterion_rows(pair, count=None):
-        """Per prediction row, the criterion values of each member of a stack pair, or None.
-
-        A chunked pair is walked part by part, like `roc_rows`.
-        """
-        if not pair:
+    def criterion_rows(ensemble, count=None):
+        """Per prediction row, the criterion values of each member of a list of stack pairs,
+        or None."""
+        if not ensemble:
             return None
-        if isinstance(pair[0], ChunkedStack):
-            parts = [criterion_rows(part) for part in zip(pair[0].parts, pair[1].parts)]
-            return [tuple(np.concatenate(col) for col in zip(*rows)) for rows in zip(*parts)]
-        # F_H and F_D as (members, rows, grid)
-        fh, fd = (s.cdf(grid).reshape(count or s.shape[0], -1, grid.size) for s in pair)
-        return [_criterion_rows(fh[:, r], fd[:, r], grid, criterion, target_fpf)
-                for r in range(fh.shape[1])]
+        parts = []
+        for pair in ensemble:
+            # F_H and F_D as (members, rows, grid)
+            fh, fd = (s.cdf(grid).reshape(count or s.shape[0], -1, grid.size) for s in pair)
+            parts.append([_criterion_rows(fh[:, r], fd[:, r], grid, criterion, target_fpf)
+                          for r in range(fh.shape[1])])
+        return [tuple(np.concatenate(col) for col in zip(*rows)) for rows in zip(*parts)]
 
     for plugin, ensemble in pairs:
-        points, draws = criterion_rows(plugin, 1), criterion_rows(ensemble)
+        points, draws = criterion_rows(plugin and [plugin], 1), criterion_rows(ensemble)
         for r in range(len(points or draws)):
             for i, name in enumerate(names):
                 pt = points[r][i][0] if points else None
@@ -578,7 +541,51 @@ def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult
     )
 
 
-# -- empirical ---------------------------------------------------------------
+# -- weighted step estimators: empirical and Dirichlet-weight --------------------
+
+def _counted_bootstrap(split, stream: RngStream, B: int, workers: int):
+    """Each group's ascending sample, and its B bootstrap replicates as (healthy, diseased)
+    `WeightBlock` pairs holding their int32 draw counts at the sorted positions, total n."""
+    groups = (split.healthy, split.diseased)
+    order = [np.argsort(y, kind="stable") for y in groups]
+    rank, ys = [np.argsort(o) for o in order], [y[o] for y, o in zip(groups, order)]
+
+    def counted(*idx):
+        return [WeightBlock(y, lambda c=_draw_counts(r[i]), n=y.size: (c, n), len(i))
+                for y, r, i in zip(ys, rank, idx)]
+
+    return ys, case_bootstrap(counted, stream, B, (split.n_h, split.n_d), workers)
+
+
+def _step_result(method, split, grid, ctrl, plugin, pairs, sides) -> RocResult:
+    """A step estimator's result from its `WeightBlock` pairs, walked one pair at a time.
+
+    pairs yields each healthy and diseased block with the weights just
+    drawn for it, ((h, drawn_h), (d, drawn_d)). The members' closed-form
+    areas come from two placements: the diseased values in each healthy
+    member (ties on sides[0]) and the healthy values in each diseased
+    member (sides[1]). A plug-in pair, every value weighing 1/n, is
+    member 0.
+    """
+    tpf = ctrl.compute and ctrl.focus == "tpf"
+    ensemble, curves, rows = [], [], []
+    if plugin:
+        h, d = (s.values for s in plugin)
+        rows.append(placement_areas(placements(h, d, side=sides[0])[None], None, ctrl,
+                                    placements(d, h, side=sides[1])[None] if tpf else None))
+    for (h, drawn_h), (d, drawn_d) in pairs:
+        H, D = h.steps(drawn_h), d.steps(drawn_d)
+        U = placements(h.values, d.values, H.cumw, sides[0])  # (block, n_d)
+        U_rev = placements(d.values, h.values, D.cumw, sides[1]) if tpf else None
+        curves.append(roc_rows(H, D, grid))
+        rows.append(placement_areas(U, drawn_d[0] / drawn_d[1], ctrl, U_rev,
+                                    drawn_h[0] / drawn_h[1]))
+        ensemble.append((h, d))
+    aucs, paucs = (None if col[0] is None else np.concatenate(col) for col in zip(*rows))
+    return _pooled_result(method, split, grid, ctrl, plugin, ensemble or None,
+                          np.concatenate([s.values for s in plugin or ensemble[0]]), aucs, paucs,
+                          np.concatenate(curves) if curves else None)
+
 
 def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None = None,
                      B: int = 500, rng=None, workers: int = 1) -> RocResult:
@@ -586,29 +593,19 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
 
     The curve uses right-continuous empirical CDFs and the inf-inverse;
     AUC is the tie-halved Mann-Whitney statistic and partial areas come
-    from the matching placement-value closed forms, reduced per member
-    block so that no (B+1, n) placement stack is built.
+    from the matching placement-value closed forms. Each replicate is
+    the sorted sample under its int32 draw counts, walked one member
+    block at a time, so no resampled values and no (B+1, n) placement
+    stack are built.
     """
     stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
     pauc = pauc or PaucControl()
     split = split_groups(sample)
-    h_sorted = np.sort(split.healthy)
-    d_sorted = np.sort(split.diseased)
-
-    plugin = (StepStack(h_sorted), StepStack(d_sorted))
-    tpf = pauc.compute and pauc.focus == "tpf"
-    blocks = case_bootstrap(lambda h_idx, d_idx: (np.sort(split.healthy[h_idx], axis=1),
-                                                  np.sort(split.diseased[d_idx], axis=1)),
-                            stream, B, (split.n_h, split.n_d), workers)
-    ensemble = tuple(ChunkedStack(list(map(StepStack, rows))) for rows in zip(*blocks)) or None
-    # member 0 is the plug-in, members 1..B the bootstrap replicates; the
-    # placements are reduced to areas one member block at a time
-    areas = [placement_areas(placements(h, d), None, pauc, placements(d, h) if tpf else None)
-             for h, d in [(h_sorted[None], d_sorted[None])] + blocks]
-    aucs, paucs = (None if col[0] is None else np.concatenate(col) for col in zip(*areas))
-    return _pooled_result("empirical", split, grid, pauc, plugin, ensemble,
-                          np.concatenate([h_sorted, d_sorted]), aucs, paucs)
+    sorted_, blocks = _counted_bootstrap(split, stream, B, workers)
+    pairs = ([(b, b.draw()) for b in pair] for pair in blocks)
+    return _step_result("empirical", split, grid, pauc, tuple(map(StepStack, sorted_)), pairs,
+                        ("half", "half"))
 
 
 # -- kernel ------------------------------------------------------------------
@@ -672,38 +669,46 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
         h_h = _in_group("healthy", lscv_bandwidth, y_h, y_h, target="cdf").value
         h_d = _in_group("diseased", lscv_bandwidth, y_d, y_d, target="cdf").value
     table = _kernel_grid(y_h, y_d, h_h, h_d)
-    # each group sorted, with its bootstrap draws counted at their sorted positions
-    order = [np.argsort(y, kind="stable") for y in (y_h, y_d)]
-    rank = [np.argsort(o) for o in order]
-    blocks = case_bootstrap(lambda *idx: [_draw_counts(r[i]) for r, i in zip(rank, idx)],
-                            stream, B, (split.n_h, split.n_d), workers)
+    sorted_, blocks = _counted_bootstrap(split, stream, B, workers)
     # one stack per group: member 0 the plug-in (every count 1), members 1..B the replicates
-    counts = [np.concatenate([np.ones((1, o.size))] + [b[g] for b in blocks])
-              for g, o in enumerate(order)]
+    counts = [np.concatenate([np.ones((1, y.size))] + [b[g].draw()[0] for b in blocks])
+              for g, y in enumerate(sorted_)]
     del blocks  # before the tables are formed
-    H, D = (KernelStack(y[o], h, table, c)
-            for y, o, h, c in zip((y_h, y_d), order, (h_h, h_d), counts))
+    H, D = (KernelStack(y, h, table, c) for y, h, c in zip(sorted_, (h_h, h_d), counts))
     parts = [(H.part(a, a + _MEMBER_BLOCK), D.part(a, a + _MEMBER_BLOCK))
              for a in range(1, B + 1, _MEMBER_BLOCK)]
     curves = parallel_map(lambda pair: roc_rows(*pair, grid), parts, workers)
-    return _pooled_result("kernel", split, grid, pauc, (H.part(0), D.part(0)),
-                          tuple(map(ChunkedStack, zip(*parts))) or None,
+    return _pooled_result("kernel", split, grid, pauc, (H.part(0), D.part(0)), parts or None,
                           np.concatenate([y_h, y_d]), _kernel_auc(H, D),
                           curves=np.concatenate(curves) if parts else None)
 
 
 # -- Dirichlet-weight resampling ---------------------------------------------
 
-def _dirichlet_blocks(values, order, gen, S: int):
-    """S members' flat-Dirichlet blocks over one sample, drawn from gen in turn.
+def _dirichlet_blocks(y, gen, S: int):
+    """S members' flat-Dirichlet `WeightBlock`s over the sample y, drawn from gen in turn.
 
-    Yields each `DirichletBlock`, with its start state saved, and the
-    weights just drawn for it.
+    The weights are drawn in y's own order and aligned with y sorted. A
+    block keeps the PCG64 state of its first draw, not its weights, and
+    replays them from it; `Generator` fills draws in row-major order, so
+    a replay is bitwise the original. Yields each block with the weights
+    just drawn for it.
     """
+    order = np.argsort(y, kind="stable")
+    values = y[order]
+
+    def draw(gen, count):
+        return np.take(dirichlet(np.ones(y.size), gen, size=count), order, axis=1), 1.0
+
+    def replay(state, count):
+        gen = np.random.Generator(np.random.PCG64())
+        gen.bit_generator.state = state
+        return draw(gen, count)
+
     for start in range(0, S, _MEMBER_BLOCK):
-        block = DirichletBlock(values, order, gen.bit_generator.state,
-                               min(_MEMBER_BLOCK, S - start))
-        yield block, block.draw(gen)
+        count = min(_MEMBER_BLOCK, S - start)
+        block = WeightBlock(values, partial(replay, gen.bit_generator.state, count), count)
+        yield block, draw(gen, count)
 
 
 def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
@@ -724,30 +729,14 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
     split = split_groups(sample)
     gen = stream.stream(_WEIGHTS_STREAM).generator
 
-    order_h = np.argsort(split.healthy, kind="stable")
-    order_d = np.argsort(split.diseased, kind="stable")
-    h_sorted = split.healthy[order_h]
-    d_sorted = split.diseased[order_d]
-    tpf = pauc.compute and pauc.focus == "tpf"
-
     # all S healthy draws precede the diseased ones in the stream: the
     # first pass only saves the healthy blocks' states, the second
-    # redraws each healthy block beside its diseased block
-    H = [block for block, _ in _dirichlet_blocks(h_sorted, order_h, gen, S)]
-    D, rows = [], []
-    for h_block, (d_block, q2) in zip(H, _dirichlet_blocks(d_sorted, order_d, gen, S)):
-        q1 = h_block.weights()
-        h = StepStack(h_sorted, np.cumsum(q1, axis=1))
-        d = StepStack(d_sorted, np.cumsum(q2, axis=1))
-        # placements with ties counted whole, so the AUC is P(H < D); the
-        # reverse V_i = P_D(D > h_i) is strict like it
-        U = placements(h_sorted, d_sorted, h.cumw, side="left")  # (block, n_d)
-        U_rev = placements(d_sorted, h_sorted, d.cumw, side="right") if tpf else None
-        rows.append((roc_rows(h, d, grid), *placement_areas(U, q2, pauc, U_rev, q1)))
-        D.append(d_block)
-    curves, aucs, paucs = (None if col[0] is None else np.concatenate(col) for col in zip(*rows))
-    return _pooled_result("bb", split, grid, pauc, None, (ChunkedStack(H), ChunkedStack(D)),
-                          np.concatenate([h_sorted, d_sorted]), aucs, paucs, curves)
+    # replays each healthy block beside its diseased block
+    H = [block for block, _ in _dirichlet_blocks(split.healthy, gen, S)]
+    pairs = (((h, h.draw()), d) for h, d in zip(H, _dirichlet_blocks(split.diseased, gen, S)))
+    # placements with ties counted whole, so the AUC is P(H < D); the
+    # reverse V_i = P_D(D > h_i) is strict like it
+    return _step_result("bb", split, grid, pauc, None, pairs, ("left", "right"))
 
 
 # -- normal-mixture posterior --------------------------------------------------
@@ -790,19 +779,16 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
         [(split.healthy, prior_h, _CHAIN_H), (split.diseased, prior_d, _CHAIN_D)],
         workers=min(workers, 2),
     )
-    ensemble = tuple(mixture_stack(d.weights, d.means, d.sigma2, std) for d in (draws_h, draws_d))
+    pair = tuple(mixture_stack(d.weights, d.means, d.sigma2, std) for d in (draws_h, draws_d))
     aucs = np.atleast_1d(mixture_auc_closed(
         draws_h.weights, draws_h.means, np.sqrt(draws_h.sigma2),
         draws_d.weights, draws_d.means, np.sqrt(draws_d.sigma2),
     ))
 
-    densities = None
-    if density.compute:
-        densities = {
-            "healthy": _density_block(ensemble[0], split_raw.healthy, density.grid_length),
-            "diseased": _density_block(ensemble[1], split_raw.diseased, density.grid_length),
-        }
-    return _pooled_result("dpm", split, grid, pauc, None, ensemble,
+    densities = {name: _density_block(stack, y, density.grid_length) for name, stack, y in
+                 zip(("healthy", "diseased"), pair, (split_raw.healthy, split_raw.diseased))
+                 } if density.compute else None
+    return _pooled_result("dpm", split, grid, pauc, None, [pair],
                           np.concatenate([split_raw.healthy, split_raw.diseased]), aucs,
                           densities=densities, fit=raw_scale_criteria(std, draws_h, draws_d),
                           internals={"draws_h": draws_h, "draws_d": draws_d})
@@ -811,7 +797,7 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
 # -- reverse-orientation curve and thresholds ---------------------------------
 
 def _fit_pairs(result, frame=None) -> list:
-    """A fit's (plug-in, ensemble) stack pairs; conditional fits give them for a frame."""
+    """A fit's (plug-in pair, ensemble list) fits; conditional fits give them for a frame."""
     if not result.internals:
         raise MissingDrawsError("result carries no fitted internals")
     ints = result.internals
@@ -822,7 +808,8 @@ def _reverse_curve(result, p=None, frame=None) -> np.ndarray:
     """The reverse curve's point estimate per stack pair, by `estimate`."""
     grid = _grid_of(p) if p is not None else result.p
     return np.concatenate([
-        tnf_rows(*plugin, grid) if plugin else estimate(tnf_rows(*ensemble, grid))
+        tnf_rows(*plugin, grid) if plugin
+        else estimate(np.concatenate([tnf_rows(H, D, grid) for H, D in ensemble]))
         for plugin, ensemble in _fit_pairs(result, frame)
     ])
 

@@ -289,10 +289,11 @@ def _ranks(rows: np.ndarray, x, side: str) -> np.ndarray:
 
 
 def _take(table: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """table at positions i: per member row when both hold one row per member, else shared."""
+    """table at positions i: per member row when both hold one row per member, else shared.
+    C-ordered, so a member's row sums alike in a block and alone (sums follow the layout)."""
     if table.ndim == 2 and i.ndim >= 2:
         return np.take_along_axis(table, i.reshape(i.shape[0], -1), axis=1).reshape(i.shape)
-    return table[..., i]
+    return np.take(table, i, axis=-1)
 
 
 def ecdf_eval(sorted_y: np.ndarray, x, cumw=None, side: str = "right") -> np.ndarray | float:

@@ -108,6 +108,22 @@ def test_curves_csv(study_csv, tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
 
+    # every family's rows are its payload's roc entries: one row block per newdata row
+    newdata = tmp_path / "newdata.csv"
+    newdata.write_text("age\n32.5\n45.0\n51.0\n", encoding="utf-8")
+    common = ["--data", study_csv, "--marker", "bmi", "--group", "cvd_idf", "--tag", "0",
+              "--B", "10", "--formula-h", "bmi ~ age"]
+    for run, rows in ((_pooled_args(study_csv, ["--B", "10"]), 1),
+                      (["croc", *common, "--formula-d", "bmi ~ age", "--newdata", str(newdata)], 3),
+                      (["aroc", *common], 1)):
+        pay = _run_json(run + ["--curves-csv", str(csv_path)], tmp_path / "o.json")["payload"]
+        roc = {key: np.atleast_2d(pay["roc"][key]) for key in ("est", "lo", "hi")}
+        assert roc["est"].shape == (rows, len(pay["p"]))
+        want = ["row,p,est,lo,hi"] + [
+            "%d,%.10g,%.10g,%.10g,%.10g" % (r, pj, roc["est"][r, j], roc["lo"][r, j], roc["hi"][r, j])
+            for r in range(rows) for j, pj in enumerate(pay["p"])]
+        assert csv_path.read_text(encoding="utf-8").split("\n") == want + [""]
+
 
 def test_grid_length_flag(study_csv, tmp_path):
     env = _run_json(_pooled_args(study_csv, ["--B", "10", "--grid-length", "33"]),

@@ -224,7 +224,7 @@ def test_bnp_closed_form_auc_matches_simpson_per_draw(standardise):
         mcmc=McmcControl(nsave=60, nburn=60), rng=47, standardise_marker=standardise,
     )
     grid = odd_grid(0.0, 1.0, 2001)
-    for r, (_, (H, D)) in enumerate(res.internals["stacks"](res.newdata)):
+    for r, (_, [(H, D)]) in enumerate(res.internals["stacks"](res.newdata)):
         # the raw-scale stacks' Simpson areas against the fitting-scale closed form
         fine = simpson(roc_rows(H, D, grid)[:, 0], grid[1] - grid[0])
         h, d = (getattr(st, "base", st) for st in (H, D))

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
+from rocinfer import pooled
 from rocinfer.mixtures import DpmPrior, McmcControl
 from rocinfer.pooled import (
     _WEIGHTS_STREAM,
@@ -40,6 +42,7 @@ from rocinfer.summaries import (
     placement_areas,
     placements,
     simpson,
+    youden_grid,
 )
 
 from conftest import binormal_sample
@@ -198,6 +201,32 @@ def test_location_scale_invariance_frequentist():
         assert thr2.yi[0].est == pytest.approx(thr1.yi[0].est, abs=1e-8)
 
 
+# strictly increasing on the integer grid below, with distinct images for distinct values
+_INCREASING = [lambda y: np.exp(y / 2.0), lambda y: y ** 3 + 2.0 * y, lambda y: 10.0 * y - 3.0,
+               lambda y: np.log1p(y + 7.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=40),
+       st.lists(st.integers(-6, 6), min_size=1, max_size=40),
+       st.sampled_from(range(len(_INCREASING))), st.integers(0, 2 ** 16))
+def test_step_estimators_are_rank_invariant(y_h, y_d, transform, seed):
+    """Emp and bb read the markers only through their ranks: an increasing map of tied
+    integer-grid markers keeps their curves, AUC and both partial areas bitwise."""
+    y = np.array(y_h + y_d, dtype=float)
+    lab = np.array([0] * len(y_h) + [1] * len(y_d))
+    s, t = (DiagnosticSample(marker=m, disease=lab, nondiseased_tag=0)
+            for m in (y, _INCREASING[transform](y)))
+    for ctrl in (PaucControl(compute=True, focus="fpf", value=0.3),
+                 PaucControl(compute=True, focus="tpf", value=0.7)):
+        for fit in (lambda x: pooled_empirical(x, B=70, pauc=ctrl, rng=seed),
+                    lambda x: pooled_bb(x, S=70, pauc=ctrl, rng=seed)):
+            r1, r2 = fit(s), fit(t)
+            for name in ("roc_est", "roc_lo", "roc_hi", "ensemble"):
+                assert np.array_equal(getattr(r1, name), getattr(r2, name))
+            assert r1.auc == r2.auc and r1.pauc == r2.pauc
+
+
 def test_location_scale_invariance_dpm():
     s = binormal_sample(n_h=100, n_d=100, shift=1.0, seed=17)
     t = _affine_sample(s, 3.0, 7.0)
@@ -275,7 +304,8 @@ def test_bb_tpf_partial_area_matches_the_curve_integral_with_ties():
     bb = pooled_bb(s, S=6, pauc=ctrl, rng=13)
     # the area between each draw's curve and TPF = value, where the curve lies above it
     g = odd_grid(0.0, 1.0, 200001)
-    above = np.maximum(roc_rows(*bb.internals["ensemble"], g) - ctrl.value, 0.0)
+    curves = np.concatenate([roc_rows(H, D, g) for H, D in bb.internals["ensemble"]])
+    above = np.maximum(curves - ctrl.value, 0.0)
     ref = pauc_normalise(simpson(above, g[1] - g[0]), "tpf", ctrl.value)
     lo, hi = band(ref)
     assert bb.pauc.est == pytest.approx(float(ref.mean()), abs=1e-5)
@@ -294,46 +324,61 @@ def test_step_reverse_curve_integrates_to_p_h_le_d_with_ties():
     assert area == pytest.approx(1.0 - placements(h, d, side="right").mean(), abs=1e-5)
     assert area - emp.auc.est > 1e-3
     bb = pooled_bb(s, S=6, rng=13)
-    H, D = bb.internals["ensemble"]
+    pairs = bb.internals["ensemble"]
     # each draw's diseased weights and healthy cumulative weights, replayed block by block
-    q = np.concatenate([block.weights() for block in D.parts])
-    cum_h = np.concatenate([block.steps().cumw for block in H.parts])
+    q = np.concatenate([w / total for w, total in (D.draw() for _, D in pairs)])
+    cum_h = np.concatenate([H.steps(H.draw()).cumw for H, _ in pairs])
     per_draw = 1.0 - np.einsum("sj,sj->s", q, placements(h, d, cum_h, side="right"))
-    np.testing.assert_allclose(simpson(tnf_rows(H, D, g), g[1] - g[0]), per_draw, atol=1e-5)
+    tnf = np.concatenate([tnf_rows(H, D, g) for H, D in pairs])
+    np.testing.assert_allclose(simpson(tnf, g[1] - g[0]), per_draw, atol=1e-5)
     assert simpson(pooled_tnf(bb, g), g[1] - g[0]) == pytest.approx(per_draw.mean(), abs=1e-5)
     assert per_draw.mean() - bb.auc.est > 1e-3
 
 
 @pytest.mark.parametrize("S", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("focus", ["fpf", "tpf"])
-def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus):
+def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus, monkeypatch):
     """The block ensemble, its curves and its areas equal a stack built from
-    one (S, n) Dirichlet draw per group off the same stream."""
+    one (S, n) Dirichlet draw per group off the same stream. The fit draws
+    each healthy block twice and each diseased block once, a query each once."""
+    rows = []
+
+    def counted(alpha, rng, size):
+        rows.append(size)
+        return dirichlet(alpha, rng, size)
+
+    monkeypatch.setattr(pooled, "dirichlet", counted)
     s = _sample_with_ties(n=90, seed=21)
     ctrl = PaucControl(compute=True, focus=focus, value=0.3 if focus == "fpf" else 0.8)
     res = pooled_bb(s, S=S, pauc=ctrl, rng=22)
+    assert sum(rows) == 3 * S
+    pooled_threshold(res)
+    assert sum(rows) == 5 * S
 
     y_h, y_d = s.marker[s.disease == 0], s.marker[s.disease != 0]
     o_h, o_d = np.argsort(y_h, kind="stable"), np.argsort(y_d, kind="stable")
     h, d = y_h[o_h], y_d[o_d]
     gen = RngStream(22).stream(_WEIGHTS_STREAM).generator
-    q1 = dirichlet(np.ones(h.size), gen, size=S)[:, o_h]
-    q2 = dirichlet(np.ones(d.size), gen, size=S)[:, o_d]
+    # C-ordered like the fit's own weight rows: einsum's summation order follows the layout
+    q1 = np.take(dirichlet(np.ones(h.size), gen, size=S), o_h, axis=1)
+    q2 = np.take(dirichlet(np.ones(d.size), gen, size=S), o_d, axis=1)
     ref = StepStack(h, np.cumsum(q1, axis=1)), StepStack(d, np.cumsum(q2, axis=1))
 
-    H, D = res.internals["ensemble"]
+    pairs = res.internals["ensemble"]  # one (healthy, diseased) block pair per 64 draws
+    assert [(H.shape, D.shape) for H, D in pairs] == [((min(64, S - c),),) * 2
+                                                      for c in range(0, S, 64)]
     x, q = np.linspace(-3.0, 4.0, 57), np.linspace(0.0, 1.0, 33)
-    for got, want in zip((H, D), ref):
-        assert got.shape == want.shape == (S,)
-        assert np.array_equal(got.cdf(x), want.cdf(x))
-        assert np.array_equal(np.concatenate([part.quantile(q) for part in got.parts]),
+    for g, want in enumerate(ref):
+        assert np.array_equal(np.concatenate([pair[g].cdf(x) for pair in pairs]), want.cdf(x))
+        assert np.array_equal(np.concatenate([pair[g].quantile(q) for pair in pairs]),
                               want.quantile(q))
-    assert np.array_equal(roc_rows(H, D, res.p), roc_rows(*ref, res.p))
+    assert np.array_equal(np.concatenate([roc_rows(H, D, res.p) for H, D in pairs]),
+                          roc_rows(*ref, res.p))
     assert np.array_equal(res.ensemble, roc_rows(*ref, res.p))
     grid = np.linspace(-3.0, 4.0, 41)
     for criterion, target in (("yi", None), ("fpf", 0.1)):
-        assert (threshold_result(grid, criterion, target, [(None, (H, D))])
-                == threshold_result(grid, criterion, target, [(None, ref)]))
+        assert (threshold_result(grid, criterion, target, [(None, pairs)])
+                == threshold_result(grid, criterion, target, [(None, [ref])]))
     U = placements(h, d, ref[0].cumw, side="left")
     U_rev = placements(d, h, ref[1].cumw, side="right")
     aucs, paucs = placement_areas(U, q2, ctrl, U_rev, q1)
@@ -344,18 +389,51 @@ def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus):
 @pytest.mark.parametrize("B", [1, 64, 65, 130])
 @pytest.mark.parametrize("focus", ["fpf", "tpf"])
 def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus):
+    """Emp's count blocks against the sorted value rows of each replicate (replicate k
+    drawn from stream 100 + k and sorted): curves and thresholds bitwise, areas to
+    summation order. Each block's areas equal its count rows reduced one at a time."""
     s = _sample_with_ties(n=80, seed=23)
     ctrl = PaucControl(compute=True, focus=focus, value=0.3 if focus == "fpf" else 0.8)
     res = pooled_empirical(s, B=B, pauc=ctrl, rng=24)
-    # the ensemble's replicate rows, block by block
-    rows_h, rows_d = ([row for part in S.parts for row in part.values]
-                      for S in res.internals["ensemble"])
-    one = [placement_areas(placements(h, d)[None], None, ctrl, placements(d, h)[None])
-           for h, d in zip([np.sort(s.marker[s.disease == 0]), *rows_h],
-                           [np.sort(s.marker[s.disease != 0]), *rows_d])]
+    y_h, y_d = s.marker[s.disease == 0], s.marker[s.disease != 0]
+    h, d = np.sort(y_h), np.sort(y_d)
+    gens = [RngStream(24, 100 + k).generator for k in range(B)]
+    idx = [(g.integers(0, y_h.size, y_h.size), g.integers(0, y_d.size, y_d.size)) for g in gens]
+    ref = tuple(StepStack(np.sort(y[np.array(i)], axis=1)) for y, i in zip((y_h, y_d), zip(*idx)))
+
+    pairs = res.internals["ensemble"]
+    assert np.array_equal(res.ensemble, roc_rows(*ref, res.p))
+    assert np.array_equal(np.concatenate([roc_rows(H, D, res.p) for H, D in pairs]),
+                          roc_rows(*ref, res.p))
+    grid = youden_grid(res.internals["y"])
+    for g, want in enumerate(ref):
+        assert np.array_equal(np.concatenate([pair[g].cdf(grid) for pair in pairs]),
+                              want.cdf(grid))
+    for criterion, target in (("yi", None), ("fpf", 0.2)):
+        assert (pooled_threshold(res, criterion, target)
+                == threshold_result(grid, criterion, target, [(res.internals["plugin"], [ref])]))
+
+    # the blocks hold their int32 count rows, total n, and a query reads them, not a redraw;
+    # each member's areas are its count rows reduced alone
+    one = [placement_areas(placements(h, d)[None], None, ctrl, placements(d, h)[None])]
+    for H, D in pairs:
+        (c_h, n_h), (c_d, n_d) = H.draw(), D.draw()
+        assert c_h.dtype == c_d.dtype == np.int32 and H.draw()[0] is c_h
+        assert np.all(c_h.sum(axis=1) == n_h) and np.all(c_d.sum(axis=1) == n_d)
+        for row_h, row_d in zip(c_h, c_d):
+            U = placements(h, d, np.cumsum(row_h)[None] / n_h)
+            U_rev = placements(d, h, np.cumsum(row_d)[None] / n_d)
+            one.append(placement_areas(U, row_d[None] / n_d, ctrl, U_rev, row_h[None] / n_h))
     aucs, paucs = (np.concatenate(col) for col in zip(*one))
     assert res.auc == interval_from(aucs[0], aucs[1:])
     assert res.pauc == PaucSummary.of(interval_from(paucs[0], paucs[1:]), ctrl)
+
+    # the value-row areas: a weighted sum replaces a mean, so only the summation order moves
+    rows = [placement_areas(placements(hr, dr)[None], None, ctrl, placements(dr, hr)[None])
+            for hr, dr in zip(ref[0].values, ref[1].values)]
+    ref_aucs, ref_paucs = (np.concatenate(col) for col in zip(*rows))
+    np.testing.assert_allclose(aucs[1:], ref_aucs, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(paucs[1:], ref_paucs, rtol=0, atol=1e-14)
 
 
 def test_bb_fit_memory_does_not_grow_with_full_weight_arrays():

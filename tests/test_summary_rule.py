@@ -96,7 +96,7 @@ def test_bands_collapse_without_replicates_and_follow_one_replicate(family, meth
     if family == "pooled":
         assert np.array_equal(lo, res.ensemble[0])
     elif family == "croc":
-        H, D = res.internals["stacks"](res.newdata)[0][1]
+        [(H, D)] = res.internals["stacks"](res.newdata)[0][1]  # one replicate, one block
         assert np.array_equal(lo, roc_rows(H, D, res.p)[0])
     for iv in ivs:
         assert iv.lo == iv.hi
