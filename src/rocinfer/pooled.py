@@ -218,9 +218,9 @@ class WeightBlock:
     draw() returns the members' weight rows (count, n), aligned with
     values, and their total: emp's int32 bootstrap draw counts with
     total n, or bb's flat Dirichlet weights with total 1, replayed from a
-    saved generator state. steps(drawn) is the block under weights drawn
-    so, a `StepStack` with cumw = cumsum(weights) / total; counts are
-    summed as integers, so every emp step is k/n bitwise.
+    saved generator state. steps(drawn) is the block under one draw, a
+    `StepStack` with cumw = cumsum(weights) / total; counts are summed
+    as integers, so every emp step is k/n bitwise.
     """
 
     def __init__(self, values, draw, count):
