@@ -14,11 +14,12 @@ three report curves, AUC and optional partial areas per prediction row.
 
 Each fit keeps one function from a prediction frame to (plug-in pair,
 ensemble) fits, an ensemble being a list of healthy/diseased CDF stack
-pairs (see `pooled`) whose members end in a prediction-row axis:
-location-scale stacks over a normal or residual-step error law for the
-induced models (all rows in one fit, one pair per bootstrap block),
-conditional mixtures for the Bayesian one (one fit per row). Curves,
-areas, reverse curves and thresholds are all read off those stacks.
+pairs (see `pooled`): location-scale stacks over a normal or
+residual-step error law whose members end in a prediction-row axis for
+the induced models (all rows in one fit, one pair per bootstrap block),
+one pair of conditional mixture stacks per row for the Bayesian one (one
+fit per row). Curves, areas, reverse curves and thresholds are all read
+off those stacks.
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
                 for r in range(len(zh))]
 
     def row_pair(means):
-        return None, [tuple(mixture_stack(d.weights, mu[:, None, :], d.sigma2, std)
+        return None, [tuple(mixture_stack(d.weights, mu, d.sigma2, std)
                             for d, mu in zip((draws_h, draws_d), means))]
 
     def stacks(frame):
@@ -452,13 +453,11 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
         pair = row_pair(means)
         # a shared location-scale map leaves the AUC unchanged, so the
         # fitting-scale mixtures give it
-        aucs = np.atleast_1d(mixture_auc_closed(
-            draws_h.weights, means[0], np.sqrt(draws_h.sigma2),
-            draws_d.weights, means[1], np.sqrt(draws_d.sigma2),
-        ))
+        aucs = mixture_auc_closed(draws_h.weights, means[0], np.sqrt(draws_h.sigma2),
+                                  draws_d.weights, means[1], np.sqrt(draws_d.sigma2))
         # each group's marker density (est, lo, hi) on the density grid
-        dens = density.compute and [summarise(s.pdf(dens_grid)[:, 0]) for s in pair[1][0]]
-        return _summarise_rows(*pair, grid, ctrl, aucs[:, None])[0], dens
+        dens = density.compute and [summarise(s.pdf(dens_grid)) for s in pair[1][0]]
+        return _summarise_rows(*pair, grid, ctrl, aucs)[0], dens
 
     rows = parallel_map(one_row, row_means(newdata), workers=workers)
     parts = [r[0] for r in rows]
@@ -504,7 +503,7 @@ def croc_tnf(result: CRocResult, p=None) -> np.ndarray:
 
     Plug-in fits give it directly; the Bayesian fit averages the draws.
     """
-    return _reverse_curve(result, p, result.newdata)
+    return _reverse_curve(result, p, result.newdata).reshape(result.newdata.n, -1)
 
 
 def croc_threshold(result: CRocResult, criterion: str = "yi",

@@ -2,14 +2,16 @@
 
 Columns are typed by inference: a column whose retained values all parse
 as numbers becomes continuous, anything else becomes categorical with
-levels in first-appearance order. Group labels and the healthy tag are
-compared as text, so a numeric 0/1 label column and --tag 0 line up.
-Rows with a missing value in any used column are dropped and counted.
+levels in first-appearance order; a numeric column holding inf, -inf or
+a number past the double range is rejected. Group labels and the healthy
+tag are compared as text, so a numeric 0/1 label column and --tag 0 line
+up. Rows with a missing value in any used column are dropped and counted.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 from .errors import BadTagError, DataError, MissingColumnError, NonNumericMarkerError
 from .sample import Column, DiagnosticSample, PredictionFrame, column_from_values
@@ -42,11 +44,15 @@ def _cell(row: list, idx: int) -> str:
     return row[idx].strip() if idx < len(row) else ""
 
 
-def _typed_column(values: list) -> Column:
+def _typed_column(values: list, name: str, path) -> Column:
     try:
-        return Column([float(v) for v in values])
+        numbers = [float(v) for v in values]
     except ValueError:
         return column_from_values(values)
+    bad = next((v for v, x in zip(values, numbers) if not math.isfinite(x)), None)
+    if bad is not None:
+        raise DataError("column %r in %s has the non-finite value %r" % (name, path, bad))
+    return Column(numbers)
 
 
 def ingest_csv(path, marker: str, group: str, tag, covariates=None) -> DiagnosticSample:
@@ -86,7 +92,7 @@ def ingest_csv(path, marker: str, group: str, tag, covariates=None) -> Diagnosti
     tag_text = str(tag)
     if tag_text not in kept_group:
         raise BadTagError("tag %r does not occur in group column %r" % (tag_text, group))
-    columns = {name: _typed_column(vals) for name, vals in kept_cov.items()}
+    columns = {name: _typed_column(vals, name, path) for name, vals in kept_cov.items()}
     return DiagnosticSample(
         marker=kept_marker,
         disease=kept_group,
@@ -108,4 +114,4 @@ def read_newdata(path) -> PredictionFrame:
             if v in _MISSING:
                 raise DataError("missing value in %s row %d column %r" % (path, i + 1, name))
             cols[name].append(v)
-    return PredictionFrame({name: _typed_column(vals) for name, vals in cols.items()})
+    return PredictionFrame({name: _typed_column(vals, name, path) for name, vals in cols.items()})

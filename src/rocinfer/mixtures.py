@@ -3,9 +3,11 @@
 Two samplers: a location-scale normal mixture for a single sample
 (fit_dpm), and its regression extension where component means are linear
 in a design matrix while the stick weights are shared across covariates
-(fit_ddp). Both save weights, atoms, the concentration parameter, and a
+(fit_ddp). Both run the one sweep loop `_gibbs_sweeps` with their own
+atom updates, and save weights, atoms, the concentration parameter, and a
 per-observation log-likelihood matrix for the fit criteria, read off the
-allocation step's log-densities at each saved state.
+allocation step's log-densities at each saved state. The mixture helpers
+take (S, L) arrays of draws.
 """
 
 from __future__ import annotations
@@ -52,26 +54,7 @@ class DpmPrior:
     L: int = 10
 
     def resolved(self, y) -> "DpmPrior":
-        y = np.asarray(y, dtype=float)
-        var = float(np.var(y, ddof=1)) if y.size > 1 else 1.0
-        var = max(var, 1e-12)
-        out = self
-        if out.m0 is None:
-            out = replace(out, m0=float(np.mean(y)))
-        if out.S0 is None:
-            out = replace(out, S0=10.0 * var)
-        if out.b is None:
-            out = replace(out, b=out.a * var)
-        out.validate()
-        return out
-
-    def validate(self):
-        if self.L < 1:
-            raise ConfigError("L must be at least 1")
-        for name in ("S0", "a", "b", "a_alpha", "b_alpha"):
-            val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise ConfigError("%s must be positive" % name)
+        return _resolved(self, y)
 
 
 @dataclass(frozen=True)
@@ -93,39 +76,37 @@ class DdpPrior:
     L: int = 10
 
     def resolved(self, y, q: int) -> "DdpPrior":
-        y = np.asarray(y, dtype=float)
-        var = float(np.var(y, ddof=1)) if y.size > 1 else 1.0
-        var = max(var, 1e-12)
-        out = self
-        if out.m0 is None:
-            m0 = np.zeros(q)
-            m0[0] = float(np.mean(y))
-            out = replace(out, m0=m0)
-        if out.S0 is None:
-            out = replace(out, S0=10.0 * var * np.eye(q))
-        if out.nu is None:
-            out = replace(out, nu=q + 2.0)
-        if out.Psi is None:
-            out = replace(out, Psi=var * np.eye(q))
-        if out.b is None:
-            out = replace(out, b=out.a * var)
-        out.validate(q)
+        out = _resolved(self, y, q)
+        if (np.shape(out.m0), np.shape(out.S0), np.shape(out.Psi)) != ((q,), (q, q), (q, q)):
+            raise DimMismatchError("prior dimensions do not match the design matrix")
+        if not out.nu > q - 1:
+            raise ConfigError("nu must exceed q - 1")
         return out
 
-    def validate(self, q: int):
-        if self.L < 1:
-            raise ConfigError("L must be at least 1")
-        for name in ("a", "b", "a_alpha", "b_alpha"):
-            val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise ConfigError("%s must be positive" % name)
-        m0 = np.asarray(self.m0, dtype=float)
-        S0 = np.asarray(self.S0, dtype=float)
-        Psi = np.asarray(self.Psi, dtype=float)
-        if m0.shape != (q,) or S0.shape != (q, q) or Psi.shape != (q, q):
-            raise DimMismatchError("prior dimensions do not match the design matrix")
-        if not self.nu > q - 1:
-            raise ConfigError("nu must exceed q - 1")
+
+def _resolved(prior, y, q: int | None = None):
+    """The prior with its None fields filled from the sample y, then checked.
+
+    The fills are m0 = mean(y), S0 = 10 var(y) and b = a var(y); with a
+    design of q columns m0 is (mean(y), 0, ..., 0), S0 is 10 var(y) I,
+    Psi = var(y) I and nu = q + 2. L must be at least 1 and every scalar
+    scale or shape field positive.
+    """
+    y = np.asarray(y, dtype=float)
+    var = max(float(np.var(y, ddof=1)) if y.size > 1 else 1.0, 1e-12)
+    mean = float(np.mean(y))
+    fills = {"m0": mean, "S0": 10.0 * var, "b": prior.a * var}
+    if q is not None:
+        fills.update(m0=np.r_[mean, np.zeros(q - 1)], S0=10.0 * var * np.eye(q),
+                     nu=q + 2.0, Psi=var * np.eye(q))
+    out = replace(prior, **{k: v for k, v in fills.items() if getattr(prior, k) is None})
+    if out.L < 1:
+        raise ConfigError("L must be at least 1")
+    for name in ("S0", "a", "b", "a_alpha", "b_alpha"):
+        val = getattr(out, name)
+        if np.ndim(val) == 0 and not val > 0:
+            raise ConfigError("%s must be positive" % name)
+    return out
 
 
 @dataclass(frozen=True)
@@ -209,20 +190,12 @@ class DdpDraws:
         return out
 
 
-def _as_sl(arr) -> np.ndarray:
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 1:
-        a = a[None, :]
-    return a
-
-
 def mixture_cdf(weights, means, sigma2, y0) -> np.ndarray:
     """F(y0) of a normal mixture, evaluated per draw.
 
-    weights/means/sigma2 are (S, L) (a single (L,) draw is promoted);
-    y0 may be scalar, a vector shared by all draws, or an (S, m) matrix
-    with one row of points per draw. Returns (S, m), or (m,) for a
-    single draw, or a scalar for a single draw and scalar y0.
+    weights/means/sigma2 are (S, L); y0 may be scalar, a vector shared by
+    all draws, or an (S, m) matrix with one row of points per draw.
+    Returns (S, m).
     """
     return _per_draw(lambda z, s2: ndtr(z), weights, means, sigma2, y0)
 
@@ -235,26 +208,18 @@ def mixture_pdf(weights, means, sigma2, y0) -> np.ndarray:
 
 def _per_draw(kernel, weights, means, sigma2, y0):
     """sum_l w_l kernel(z, sigma2_l), z = (y0 - mean_l) / sd_l, per draw and point."""
-    w, mu, s2 = _as_sl(weights), _as_sl(means), _as_sl(sigma2)
+    w, mu, s2 = (np.asarray(a, dtype=float) for a in (weights, means, sigma2))
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     rows = y if y.ndim == 2 else y[None, :]
     z = (rows[:, :, None] - mu[:, None, :]) / np.sqrt(s2)[:, None, :]
-    out = np.einsum("sml,sl->sm", kernel(z, s2[:, None, :]), w)
-    if np.ndim(weights) == 1:
-        out = out[0]
-        if np.ndim(y0) == 0:
-            return float(out[0])
-    return out
+    return np.einsum("sml,sl->sm", kernel(z, s2[:, None, :]), w)
 
 
 def mixture_mean_variance(weights, means, sigma2):
-    """Mean and variance of the mixture, per draw (law of total variance)."""
-    w, mu, s2 = _as_sl(weights), _as_sl(means), _as_sl(sigma2)
-    scalar_draw = np.asarray(weights).ndim == 1
-    m = np.einsum("sl,sl->s", w, mu)
-    v = np.einsum("sl,sl->s", w, s2) + np.einsum("sl,sl->s", w, mu * mu) - m * m
-    if scalar_draw:
-        return float(m[0]), float(v[0])
+    """Mean and variance of the mixture per draw of (S, L) arrays (law of total variance)."""
+    m = np.einsum("sl,sl->s", weights, means)
+    v = (np.einsum("sl,sl->s", weights, sigma2)
+         + np.einsum("sl,sl->s", weights, means * means) - m * m)
     return m, v
 
 
@@ -315,29 +280,19 @@ def sample_atoms_prior(prior: DpmPrior, size: int, rng):
     return mu, 1.0 / np.asarray(prec, dtype=float)
 
 
-def _check_state(sigma2):
-    if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
-        raise NumericalCollapseError("a component variance left the feasible range")
-
-
 def _update_sticks(counts, alpha, gen):
-    L = counts.size
-    if L == 1:
-        return np.ones(1)
+    """Stick proportions given the allocation counts; the last is 1 (none to draw when L = 1)."""
     tail = counts.sum() - np.cumsum(counts)
-    v = gen.beta(1.0 + counts[: L - 1], alpha + tail[: L - 1])
-    v = np.clip(v, 1e-12, 1.0 - 1e-12)
+    v = np.clip(gen.beta(1.0 + counts[:-1], alpha + tail[:-1]), 1e-12, 1.0 - 1e-12)
     return np.concatenate([v, [1.0]])
 
 
 def _update_alpha(v, prior_a, prior_b, gen):
-    L = v.size
-    if L == 1:
-        return float(gamma_shape_rate(prior_a, prior_b, gen))
-    rate = prior_b - np.sum(np.log1p(-v[: L - 1]))
+    """Concentration given the stick proportions (its gamma prior when L = 1)."""
+    rate = prior_b - np.sum(np.log1p(-v[:-1]))
     if not rate > 0:
         raise NumericalCollapseError("concentration update produced a nonpositive rate")
-    return float(gamma_shape_rate(prior_a + L - 1, rate, gen))
+    return float(gamma_shape_rate(prior_a + v.size - 1, rate, gen))
 
 
 def _update_components(Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, a, b, gen):
@@ -383,135 +338,121 @@ def _collect(mcmc: McmcControl, sweeps) -> list:
     return out
 
 
-def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
-            rng=None) -> DpmDraws:
-    """Blocked Gibbs for the truncated stick-breaking normal mixture.
-
-    Sweep order: allocations, sticks, atoms (mu given sigma2, then sigma2
-    given the new mu), concentration. Empty components are refreshed from
-    the base measure. Draws are saved every nskip sweeps after nburn.
-    Each sweep ends by evaluating the next allocation step's log-densities
-    at its new state; their column log-sum-exps are the saved draw's
-    log-likelihood row.
-    """
+def _observations(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise TooFewPointsError("need at least two observations")
     if not np.all(np.isfinite(y)):
         raise TooFewPointsError("observations must be finite")
+    return y
+
+
+def _gibbs_sweeps(y, prior, gen, atoms, update, means):
+    """Yield (w, *atoms, alpha, loglik) after every blocked Gibbs sweep.
+
+    This is the blocked Gibbs sampler for truncated stick-breaking priors
+    (Ishwaran and James 2001, JASA). atoms holds the component parameters
+    drawn from the base measure, variances last; means(atoms[0]) gives
+    the component means, (L,) or (L, n). Sweep order: allocations,
+    sticks, atoms by update(z, counts, atoms), concentration. The initial
+    sticks are drawn after the atoms. Each sweep ends by evaluating the
+    next allocation step's log-densities at its new state; their column
+    log-sum-exps are the sweep's log-likelihood row.
+    """
+    L = prior.L
+    alpha = prior.a_alpha / prior.b_alpha
+    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
+    cum, _ = _allocation_cdf(_component_logdens(y, w, means(atoms[0]), atoms[-1]))
+    while True:
+        z = _allocate(cum, gen)
+        counts = np.bincount(z, minlength=L)
+        v = _update_sticks(counts, alpha, gen)
+        w = stick_breaking(v)
+        atoms = update(z, counts, atoms)
+        if not np.all(np.isfinite(atoms[-1])) or np.any(atoms[-1] <= 0):
+            raise NumericalCollapseError("a component variance left the feasible range")
+        alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
+        cum, ll = _allocation_cdf(_component_logdens(y, w, means(atoms[0]), atoms[-1]))
+        yield (w, *atoms, alpha, ll)
+
+
+def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
+            rng=None) -> DpmDraws:
+    """Blocked Gibbs for the truncated stick-breaking normal mixture (`_gibbs_sweeps`).
+
+    The atom update draws mu given sigma2, then sigma2 given the new mu;
+    empty components are refreshed from the base measure. Draws are
+    saved every nskip sweeps after nburn.
+    """
+    y = _observations(y)
     prior = (prior or DpmPrior()).resolved(y)
     mcmc = mcmc or McmcControl()
-    w, mu, s2, alpha, ll = _collect(mcmc, _dpm_sweeps(y, prior, _gen(rng)))
+    gen = _gen(rng)
+
+    def update(z, counts, atoms):
+        sigma2 = atoms[1]
+        sum_y = np.bincount(z, weights=y, minlength=prior.L)
+        post_prec = 1.0 / prior.S0 + counts / sigma2
+        post_mean = (prior.m0 / prior.S0 + sum_y / sigma2) / post_prec
+        mu = post_mean + gen.standard_normal(prior.L) / np.sqrt(post_prec)
+        ss = np.bincount(z, weights=(y - mu[z]) ** 2, minlength=prior.L)
+        rate = prior.b + 0.5 * ss
+        sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a + 0.5 * counts, rate, gen), dtype=float)
+        empty = counts == 0
+        if np.any(empty):
+            mu[empty], sigma2[empty] = sample_atoms_prior(prior, int(empty.sum()), gen)
+        return mu, sigma2
+
+    sweeps = _gibbs_sweeps(y, prior, gen, sample_atoms_prior(prior, prior.L, gen), update,
+                           lambda mu: mu)
+    w, mu, s2, alpha, ll = _collect(mcmc, sweeps)
     return DpmDraws(weights=w, means=mu, sigma2=s2, alpha=alpha, loglik=ll,
                     y=y.copy(), prior=prior, mcmc=mcmc)
 
 
-def _dpm_sweeps(y, prior: DpmPrior, gen):
-    """Yield (w, mu, sigma2, alpha, loglik) after every sweep of fit_dpm."""
-    L = prior.L
-    alpha = prior.a_alpha / prior.b_alpha
-    mu, sigma2 = sample_atoms_prior(prior, L, gen)
-    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
-    cum, _ = _allocation_cdf(_component_logdens(y, w, mu, sigma2))
-    while True:
-        # (i) allocations
-        z = _allocate(cum, gen)
-        counts = np.bincount(z, minlength=L)
-
-        # (ii) sticks and weights
-        v = _update_sticks(counts, alpha, gen)
-        w = stick_breaking(v)
-
-        # (iii) atoms
-        sum_y = np.bincount(z, weights=y, minlength=L)
-        post_prec = 1.0 / prior.S0 + counts / sigma2
-        post_mean = (prior.m0 / prior.S0 + sum_y / sigma2) / post_prec
-        mu = post_mean + gen.standard_normal(L) / np.sqrt(post_prec)
-        ss = np.bincount(z, weights=(y - mu[z]) ** 2, minlength=L)
-        shape = prior.a + 0.5 * counts
-        rate = prior.b + 0.5 * ss
-        sigma2 = 1.0 / np.asarray(gamma_shape_rate(shape, rate, gen), dtype=float)
-        empty = counts == 0
-        if np.any(empty):
-            mu_e, s2_e = sample_atoms_prior(prior, int(empty.sum()), gen)
-            mu[empty] = mu_e
-            sigma2[empty] = s2_e
-        _check_state(sigma2)
-
-        # (iv) concentration
-        alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
-
-        cum, ll = _allocation_cdf(_component_logdens(y, w, mu, sigma2))
-        yield w, mu, sigma2, alpha, ll
-
-
 def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None,
             rng=None) -> DdpDraws:
-    """Blocked Gibbs for the shared-weights regression mixture.
+    """Blocked Gibbs for the shared-weights regression mixture (`_gibbs_sweeps`).
 
     Component means are z'beta_l; the weights do not depend on covariates.
-    beta_l and sigma2_l get conjugate updates (_update_components); the
-    base-measure mean m and covariance S get normal and Wishart updates.
-    Saved log-likelihood rows come from the allocation step, as in fit_dpm.
+    The atom update draws beta_l and sigma2_l by conjugate updates
+    (_update_components), then the base-measure mean m and precision
+    S^-1 by normal and Wishart updates.
     """
     y = np.asarray(y, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] != y.size:
         raise DimMismatchError("design matrix rows must match the response length")
-    if y.size < 2:
-        raise TooFewPointsError("need at least two observations")
+    y = _observations(y)
     prior = (prior or DdpPrior()).resolved(y, Z.shape[1])
     mcmc = mcmc or McmcControl()
-    w, beta, s2, alpha, ll = _collect(mcmc, _ddp_sweeps(y, Z, prior, _gen(rng)))
-    return DdpDraws(weights=w, beta=beta, sigma2=s2, alpha=alpha, loglik=ll,
-                    y=y.copy(), Z=Z.copy(), prior=prior, mcmc=mcmc)
-
-
-def _ddp_sweeps(y, Z, prior: DdpPrior, gen):
-    """Yield (w, beta, sigma2, alpha, loglik) after every sweep of fit_ddp."""
+    gen = _gen(rng)
     (n, q), L = Z.shape, prior.L
     m0 = np.asarray(prior.m0, dtype=float)
     S0_inv = np.linalg.inv(np.asarray(prior.S0, dtype=float))
     nu, Psi = float(prior.nu), np.asarray(prior.Psi, dtype=float)
-    nuPsi = nu * Psi
     ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, q * q)
     Zy = Z * y[:, None]
+    m, S_inv = m0.copy(), np.linalg.inv(Psi)  # E[S^-1] under the Wishart prior
 
-    alpha = prior.a_alpha / prior.b_alpha
-    m = m0.copy()
-    S_inv = np.linalg.inv(Psi)  # E[S^-1] under the Wishart prior
-    S_chol = np.linalg.cholesky(np.linalg.inv(S_inv))
-    beta = m[None, :] + (S_chol @ gen.standard_normal((q, L))).T
-    sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float)
-    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
-    cum, _ = _allocation_cdf(_component_logdens(y, w, beta @ Z.T, sigma2))
-    while True:
-        z = _allocate(cum, gen)
-        counts = np.bincount(z, minlength=L)
-
-        v = _update_sticks(counts, alpha, gen)
-        w = stick_breaking(v)
-
-        beta, sigma2 = _update_components(
-            Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, prior.a, prior.b, gen
-        )[:2]
-        _check_state(sigma2)
-
-        # base-measure mean
+    def update(z, counts, atoms):
+        nonlocal m, S_inv
+        beta, sigma2 = _update_components(Z, y, z, counts, ZZ, Zy, S_inv, m, atoms[1],
+                                          prior.a, prior.b, gen)[:2]
         chol_m = np.linalg.cholesky(S0_inv + L * S_inv)
         half = np.linalg.solve(chol_m, S0_inv @ m0 + S_inv @ beta.sum(axis=0))
         m = np.linalg.solve(chol_m.T, half + gen.standard_normal(q))
-
-        # base-measure covariance (precision is Wishart-conjugate)
         dev = beta - m[None, :]
-        scale = np.linalg.inv(nuPsi + dev.T @ dev)
-        scale = 0.5 * (scale + scale.T)
-        S_inv = wishart(nu + L, scale, gen)
+        scale = np.linalg.inv(nu * Psi + dev.T @ dev)
+        S_inv = wishart(nu + L, 0.5 * (scale + scale.T), gen)
+        return beta, sigma2
 
-        alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
-
-        cum, ll = _allocation_cdf(_component_logdens(y, w, beta @ Z.T, sigma2))
-        yield w, beta, sigma2, alpha, ll
+    beta = m[None, :] + (np.linalg.cholesky(np.linalg.inv(S_inv)) @ gen.standard_normal((q, L))).T
+    sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float)
+    sweeps = _gibbs_sweeps(y, prior, gen, (beta, sigma2), update, lambda beta: beta @ Z.T)
+    w, beta, s2, alpha, ll = _collect(mcmc, sweeps)
+    return DdpDraws(weights=w, beta=beta, sigma2=s2, alpha=alpha, loglik=ll,
+                    y=y.copy(), Z=Z.copy(), prior=prior, mcmc=mcmc)
 
 
 def _mixture_callbacks(weights, means, sd, m: int):
@@ -554,13 +495,11 @@ def mixture_quantile(weights, means, sigma2, q) -> np.ndarray:
     mixture density. Draws are inverted in chunks of about 4e6
     (point, component) elements.
     """
-    w, mu, s2 = _as_sl(weights), _as_sl(means), _as_sl(sigma2)
+    w, mu, s2 = (np.asarray(a, dtype=float) for a in (weights, means, sigma2))
     sd = np.sqrt(s2)
     S = w.shape[0]
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        q = np.broadcast_to(q, (S, q.size))
-    q = np.clip(q, 1e-12, 1.0 - 1e-12)
+    q = np.clip(np.broadcast_to(q, (S, q.shape[-1])), 1e-12, 1.0 - 1e-12)
     if w.shape[1] == 1:
         return mu[:, :1] + sd[:, :1] * ndtri(q)
     m = q.shape[1]

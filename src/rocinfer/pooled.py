@@ -216,18 +216,17 @@ class WeightBlock:
     """Weighted step CDFs of one ascending sample, one member per weight row, drawn on demand.
 
     draw() returns the members' weight rows (count, n), aligned with
-    values, and their total: emp's int32 bootstrap draw counts with
-    total n, or bb's flat Dirichlet weights with total 1, replayed from a
-    saved generator state. steps(drawn) is the block under one draw, a
-    `StepStack` with cumw = cumsum(weights) / total; counts are summed
-    as integers, so every emp step is k/n bitwise.
+    values, and their cumulative sums: emp's from its held int32
+    bootstrap draw counts (`_count_weights`), bb's flat Dirichlet weights
+    replayed from a saved generator state. steps(drawn) is the block
+    under one draw, a `StepStack` with those cumulative weights.
     """
 
     def __init__(self, values, draw, count):
         self.values, self.draw, self.shape = values, draw, (count,)
 
     def steps(self, drawn) -> StepStack:
-        return StepStack(self.values, np.cumsum(drawn[0], axis=1) / drawn[1])
+        return StepStack(self.values, drawn[1])
 
     def cdf(self, x):
         return self.steps(self.draw()).cdf(x)
@@ -314,31 +313,20 @@ class KernelStack:
 
 
 class MixtureStack:
-    """Normal-mixture CDFs, one per draw: weights and variances (S, L).
-
-    means is (S, L), or (S, R, L) for mixtures conditional on R design
-    rows; the members are then (S, R) and each row is evaluated apart.
-    """
+    """Normal-mixture CDFs, one per draw: weights, means and variances (S, L)."""
 
     def __init__(self, weights, means, sigma2):
         self.weights, self.means, self.sigma2 = weights, means, sigma2
         self.shape = means.shape[:-1]
 
-    def _by_row(self, fn, x):
-        if self.means.ndim == 2:
-            return fn(self.weights, self.means, self.sigma2, x)
-        x = np.asarray(x, dtype=float)
-        return np.stack([fn(self.weights, self.means[:, r], self.sigma2,
-                            x if x.ndim == 1 else x[:, r]) for r in range(self.shape[1])], axis=1)
-
     def cdf(self, x):
-        return self._by_row(mixture_cdf, x)
+        return mixture_cdf(self.weights, self.means, self.sigma2, x)
 
     def pdf(self, x):
-        return self._by_row(mixture_pdf, x)
+        return mixture_pdf(self.weights, self.means, self.sigma2, x)
 
     def quantile(self, q):
-        return self._by_row(mixture_quantile, q)
+        return mixture_quantile(self.weights, self.means, self.sigma2, q)
 
 
 class NormalStack:
@@ -545,16 +533,21 @@ def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult
 
 def _counted_bootstrap(split, stream: RngStream, B: int, workers: int):
     """Each group's ascending sample, and its B bootstrap replicates as (healthy, diseased)
-    `WeightBlock` pairs holding their int32 draw counts at the sorted positions, total n."""
+    blocks of int32 draw counts at the sorted positions."""
     groups = (split.healthy, split.diseased)
     order = [np.argsort(y, kind="stable") for y in groups]
     rank, ys = [np.argsort(o) for o in order], [y[o] for y, o in zip(groups, order)]
 
     def counted(*idx):
-        return [WeightBlock(y, lambda c=_draw_counts(r[i]), n=y.size: (c, n), len(i))
-                for y, r, i in zip(ys, rank, idx)]
+        return [_draw_counts(r[i]) for r, i in zip(rank, idx)]
 
     return ys, case_bootstrap(counted, stream, B, (split.n_h, split.n_d), workers)
+
+
+def _count_weights(counts):
+    """Weight rows c / n and cumulative weights cumsum(c) / n of int32 draw counts; the counts
+    are summed as integers, so every step is k/n bitwise."""
+    return counts / counts.shape[1], np.cumsum(counts, axis=1) / counts.shape[1]
 
 
 def _step_result(method, split, grid, ctrl, plugin, pairs, sides) -> RocResult:
@@ -578,8 +571,7 @@ def _step_result(method, split, grid, ctrl, plugin, pairs, sides) -> RocResult:
         U = placements(h.values, d.values, H.cumw, sides[0])  # (block, n_d)
         U_rev = placements(d.values, h.values, D.cumw, sides[1]) if tpf else None
         curves.append(roc_rows(H, D, grid))
-        rows.append(placement_areas(U, drawn_d[0] / drawn_d[1], ctrl, U_rev,
-                                    drawn_h[0] / drawn_h[1]))
+        rows.append(placement_areas(U, drawn_d[0], ctrl, U_rev, drawn_h[0]))
         ensemble.append((h, d))
     aucs, paucs = (None if col[0] is None else np.concatenate(col) for col in zip(*rows))
     return _pooled_result(method, split, grid, ctrl, plugin, ensemble or None,
@@ -602,7 +594,9 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
     grid = _grid_of(p)
     pauc = pauc or PaucControl()
     split = split_groups(sample)
-    sorted_, blocks = _counted_bootstrap(split, stream, B, workers)
+    sorted_, counts = _counted_bootstrap(split, stream, B, workers)
+    blocks = ([WeightBlock(y, partial(_count_weights, c), len(c)) for y, c in zip(sorted_, pair)]
+              for pair in counts)
     pairs = ([(b, b.draw()) for b in pair] for pair in blocks)
     return _step_result("empirical", split, grid, pauc, tuple(map(StepStack, sorted_)), pairs,
                         ("half", "half"))
@@ -671,7 +665,7 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     table = _kernel_grid(y_h, y_d, h_h, h_d)
     sorted_, blocks = _counted_bootstrap(split, stream, B, workers)
     # one stack per group: member 0 the plug-in (every count 1), members 1..B the replicates
-    counts = [np.concatenate([np.ones((1, y.size))] + [b[g].draw()[0] for b in blocks])
+    counts = [np.concatenate([np.ones((1, y.size))] + [b[g] for b in blocks])
               for g, y in enumerate(sorted_)]
     del blocks  # before the tables are formed
     H, D = (KernelStack(y, h, table, c) for y, h, c in zip(sorted_, (h_h, h_d), counts))
@@ -698,7 +692,8 @@ def _dirichlet_blocks(y, gen, S: int):
     values = y[order]
 
     def draw(gen, count):
-        return np.take(dirichlet(np.ones(y.size), gen, size=count), order, axis=1), 1.0
+        w = np.take(dirichlet(np.ones(y.size), gen, size=count), order, axis=1)
+        return w, np.cumsum(w, axis=1)
 
     def replay(state, count):
         gen = np.random.Generator(np.random.PCG64())
@@ -780,10 +775,8 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
         workers=min(workers, 2),
     )
     pair = tuple(mixture_stack(d.weights, d.means, d.sigma2, std) for d in (draws_h, draws_d))
-    aucs = np.atleast_1d(mixture_auc_closed(
-        draws_h.weights, draws_h.means, np.sqrt(draws_h.sigma2),
-        draws_d.weights, draws_d.means, np.sqrt(draws_d.sigma2),
-    ))
+    aucs = mixture_auc_closed(draws_h.weights, draws_h.means, np.sqrt(draws_h.sigma2),
+                              draws_d.weights, draws_d.means, np.sqrt(draws_d.sigma2))
 
     densities = {name: _density_block(stack, y, density.grid_length) for name, stack, y in
                  zip(("healthy", "diseased"), pair, (split_raw.healthy, split_raw.diseased))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import BadGridError, BracketFailError
+from .errors import BadGridError, BracketFailError, TooFewPointsError, ZeroVarianceError
 
 
 def simpson(values, spacing: float) -> np.ndarray | float:
@@ -49,20 +49,12 @@ def mw_auc(y_h, y_d, weights_h=None, weights_d=None) -> float:
     return float(placement_areas(U.reshape(1, -1), wd)[0][0])
 
 
-def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray | float:
-    """Closed-form AUC between two normal mixtures.
-
-    Accepts single mixtures (vectors) or batches (draw-by-component
-    matrices); returns a scalar or a per-draw vector.
-    """
-    w_h, mu_h, sd_h, w_d, mu_d, sd_d = (
-        np.atleast_2d(np.asarray(a, dtype=float)) for a in (w_h, mu_h, sd_h, w_d, mu_d, sd_d)
-    )
+def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray:
+    """Closed-form AUC between two normal mixtures per draw of (S, L) arrays: an (S,) vector."""
     b = (mu_d[:, None, :] - mu_h[:, :, None]) / sd_d[:, None, :]
     a = sd_h[:, :, None] / sd_d[:, None, :]
     cell = ndtr(b / np.sqrt(1.0 + a * a))
-    out = np.einsum("sk,sl,skl->s", w_h, w_d, cell)
-    return float(out[0]) if out.size == 1 else out
+    return np.einsum("sk,sl,skl->s", w_h, w_d, cell)
 
 
 def invert_cdf(cdf, q, lo, hi, pdf=None, start=None):
@@ -154,7 +146,7 @@ def youden_grid(y_all, n_points: int = 500) -> np.ndarray:
     y_all = np.asarray(y_all, dtype=float)
     try:
         h = silverman_bandwidth(y_all).value
-    except Exception:
+    except (TooFewPointsError, ZeroVarianceError):
         h = 1.0 if np.ptp(y_all) == 0 else 0.05 * np.ptp(y_all)
     return np.linspace(y_all.min() - h, y_all.max() + h, int(n_points))
 

@@ -530,3 +530,36 @@ def test_aroc_sp_constant_healthy_marker_exits_3(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err.startswith("rocinfer: ")
     assert not (tmp_path / "out.json").exists()
+
+
+_CROC_SP = ["croc", "--method", "sp", "--formula-h", "bmi ~ age", "--formula-d", "bmi ~ age",
+            "--B", "5"]
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+@pytest.mark.parametrize("where,run", [
+    ("data", _CROC_SP),
+    ("data", ["aroc", "--method", "kernel", "--covariate", "age", "--B", "5"]),
+    ("newdata", ["croc", "--method", "bnp", "--formula-h", "bmi ~ age",
+                 "--formula-d", "bmi ~ age", "--nsave", "5", "--nburn", "5"]),
+    ("newdata", ["threshold", "--approach", "croc"] + _CROC_SP[1:]),
+])
+def test_non_finite_covariate_exits_3(study_csv, tmp_path, capsys, where, run, cell):
+    """A non-finite age in the study or the prediction file is a data error that names
+    the column and the file, raised before any fit."""
+    study, new = tmp_path / "study.csv", tmp_path / "new.csv"
+    lines = Path(study_csv).read_text(encoding="utf-8").splitlines()
+    age = lines[0].split(",").index("age")
+    if where == "data":
+        cells = lines[5].split(",")
+        cells[age] = cell
+        lines[5] = ",".join(cells)
+    study.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    new.write_text("age\n40\n%s\n" % (cell if where == "newdata" else "50"), encoding="utf-8")
+    rc = main(run + ["--data", str(study), "--marker", "bmi", "--group", "cvd_idf", "--tag", "0",
+                     "--newdata", str(new), "--out", str(tmp_path / "out.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("rocinfer: ") and "'age'" in err
+    assert str(study if where == "data" else new) in err
+    assert not (tmp_path / "out.json").exists()

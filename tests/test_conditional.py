@@ -226,10 +226,10 @@ def test_bnp_closed_form_auc_matches_simpson_per_draw(standardise):
     grid = odd_grid(0.0, 1.0, 2001)
     for r, (_, [(H, D)]) in enumerate(res.internals["stacks"](res.newdata)):
         # the raw-scale stacks' Simpson areas against the fitting-scale closed form
-        fine = simpson(roc_rows(H, D, grid)[:, 0], grid[1] - grid[0])
+        fine = simpson(roc_rows(H, D, grid), grid[1] - grid[0])
         h, d = (getattr(st, "base", st) for st in (H, D))
-        closed = mixture_auc_closed(h.weights, h.means[:, 0], np.sqrt(h.sigma2),
-                                    d.weights, d.means[:, 0], np.sqrt(d.sigma2))
+        closed = mixture_auc_closed(h.weights, h.means, np.sqrt(h.sigma2),
+                                    d.weights, d.means, np.sqrt(d.sigma2))
         assert np.max(np.abs(closed - fine)) <= 1e-5
         lo, hi = np.percentile(closed, [2.5, 97.5])
         assert (res.auc[r].est, res.auc[r].lo, res.auc[r].hi) == pytest.approx(

@@ -4,7 +4,13 @@ import scipy.linalg
 from scipy.special import logsumexp, ndtr, ndtri
 
 from rocinfer.diagnostics import effective_sample_size
-from rocinfer.errors import ConfigError, DimMismatchError, NumericalCollapseError
+from rocinfer import mixtures
+from rocinfer.errors import (
+    ConfigError,
+    DimMismatchError,
+    NumericalCollapseError,
+    TooFewPointsError,
+)
 from rocinfer.mixtures import (
     DdpPrior,
     DpmDraws,
@@ -12,7 +18,11 @@ from rocinfer.mixtures import (
     McmcControl,
     _allocate,
     _allocation_cdf,
+    _collect,
+    _component_logdens,
+    _update_alpha,
     _update_components,
+    _update_sticks,
     fit_ddp,
     fit_dpm,
     loglik_at_posterior_mean,
@@ -22,7 +32,7 @@ from rocinfer.mixtures import (
     mixture_quantile,
     sample_atoms_prior,
 )
-from rocinfer.streams import RngStream, gamma_shape_rate
+from rocinfer.streams import RngStream, gamma_shape_rate, stick_breaking, wishart
 
 
 def test_dpm_prior_resolves_from_data():
@@ -72,22 +82,24 @@ def test_sample_atoms_prior_moments():
 
 
 def test_mixture_cdf_single_component_is_normal():
-    val = mixture_cdf([1.0], [0.5], [4.0], np.array([0.5, 2.5]))
-    assert np.allclose(val, ndtr(np.array([0.0, 1.0])))
-    dens = mixture_pdf([1.0], [0.0], [1.0], np.array([0.0]))
-    assert dens[0] == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
-    assert mixture_cdf([1.0], [0.0], [1.0], 0.0) == pytest.approx(0.5)
+    val = mixture_cdf(np.array([[1.0]]), np.array([[0.5]]), np.array([[4.0]]),
+                      np.array([0.5, 2.5]))
+    assert np.allclose(val, ndtr(np.array([[0.0, 1.0]])))
+    one = np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]])
+    dens = mixture_pdf(*one, np.array([0.0]))
+    assert dens[0, 0] == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
+    assert mixture_cdf(*one, 0.0)[0, 0] == pytest.approx(0.5)
 
 
 def test_mixture_mean_variance_hand_case():
-    m, v = mixture_mean_variance([0.5, 0.5], [0.0, 2.0], [1.0, 1.0])
-    assert isinstance(m, float)
-    assert m == pytest.approx(1.0) and v == pytest.approx(2.0)
+    m, v = mixture_mean_variance(np.array([[0.5, 0.5]]), np.array([[0.0, 2.0]]),
+                                 np.array([[1.0, 1.0]]))
+    assert m[0] == pytest.approx(1.0) and v[0] == pytest.approx(2.0)
 
 
 def test_mixture_quantile_single_component_fast_path():
     q = np.array([0.1, 0.5, 0.9])
-    out = mixture_quantile([[1.0]], [[2.0]], [[9.0]], q)
+    out = mixture_quantile(np.array([[1.0]]), np.array([[2.0]]), np.array([[9.0]]), q)
     assert np.allclose(out[0], 2.0 + 3.0 * ndtri(q), atol=1e-12)
 
 
@@ -154,8 +166,10 @@ def test_mixture_quantile_meets_the_stopping_rule_and_matches_bisection(name):
     width = (mu + 10.0 * sd).max(axis=1) - (mu - 10.0 * sd).min(axis=1)
     floor = 1e-10 * max(1.0, float(width.max()))
     for s in range(c.shape[0]):
-        def F(x, s=s):
-            return mixture_cdf(w[s], mu[s], s2[s], x)
+        one = slice(s, s + 1)
+
+        def F(x, one=one):
+            return mixture_cdf(w[one], mu[one], s2[one], x)[0]
 
         # |F(c) - q| <= 1e-8, or c lies within the width floor of the root
         hit = np.abs(F(c[s]) - qq[s]) <= 1e-8
@@ -167,7 +181,8 @@ def test_mixture_quantile_meets_the_stopping_rule_and_matches_bisection(name):
         # 1e-8 / pdf is small next to the bracket (not in a gap between
         # modes or far in a tail, where F is flat to within 1e-8)
         assert np.all(np.abs(F(c[s]) - F(old[s])) <= 2e-8 + np.abs(F(c[s] + floor) - F(c[s] - floor)))
-        narrow = 1e-8 / np.maximum(mixture_pdf(w[s], mu[s], s2[s], old[s]), 1e-300) <= 1e-7 * width[s]
+        pdf = mixture_pdf(w[one], mu[one], s2[one], old[s])[0]
+        narrow = 1e-8 / np.maximum(pdf, 1e-300) <= 1e-7 * width[s]
         assert np.all(np.abs(c[s] - old[s])[narrow] <= 1e-6 * width[s]), (name, s)
 
 
@@ -369,3 +384,131 @@ def test_saved_loglik_is_the_saved_draws_log_sum_exp(nskip, nsave, L):
                          + _normal_logpdf(y, ddp.beta[s] @ Z.T, ddp.sigma2[s][:, None]),
                          axis=0)
         assert np.allclose(ddp.loglik[s], want, rtol=0, atol=1e-12)
+
+
+# -- the two samplers' sweep loops before they shared `_gibbs_sweeps`, kept as the oracle --
+
+def _check_state(sigma2):
+    if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
+        raise NumericalCollapseError("a component variance left the feasible range")
+
+
+def _reference_dpm_sweeps(y, prior, gen):
+    """Yield (w, mu, sigma2, alpha, loglik) after every sweep of fit_dpm."""
+    L = prior.L
+    alpha = prior.a_alpha / prior.b_alpha
+    mu, sigma2 = sample_atoms_prior(prior, L, gen)
+    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
+    cum, _ = _allocation_cdf(_component_logdens(y, w, mu, sigma2))
+    while True:
+        z = _allocate(cum, gen)
+        counts = np.bincount(z, minlength=L)
+        v = _update_sticks(counts, alpha, gen)
+        w = stick_breaking(v)
+        sum_y = np.bincount(z, weights=y, minlength=L)
+        post_prec = 1.0 / prior.S0 + counts / sigma2
+        post_mean = (prior.m0 / prior.S0 + sum_y / sigma2) / post_prec
+        mu = post_mean + gen.standard_normal(L) / np.sqrt(post_prec)
+        ss = np.bincount(z, weights=(y - mu[z]) ** 2, minlength=L)
+        shape = prior.a + 0.5 * counts
+        rate = prior.b + 0.5 * ss
+        sigma2 = 1.0 / np.asarray(gamma_shape_rate(shape, rate, gen), dtype=float)
+        empty = counts == 0
+        if np.any(empty):
+            mu_e, s2_e = sample_atoms_prior(prior, int(empty.sum()), gen)
+            mu[empty] = mu_e
+            sigma2[empty] = s2_e
+        _check_state(sigma2)
+        alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
+        cum, ll = _allocation_cdf(_component_logdens(y, w, mu, sigma2))
+        yield w, mu, sigma2, alpha, ll
+
+
+def _reference_ddp_sweeps(y, Z, prior, gen):
+    """Yield (w, beta, sigma2, alpha, loglik) after every sweep of fit_ddp."""
+    (n, q), L = Z.shape, prior.L
+    m0 = np.asarray(prior.m0, dtype=float)
+    S0_inv = np.linalg.inv(np.asarray(prior.S0, dtype=float))
+    nu, Psi = float(prior.nu), np.asarray(prior.Psi, dtype=float)
+    nuPsi = nu * Psi
+    ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, q * q)
+    Zy = Z * y[:, None]
+    alpha = prior.a_alpha / prior.b_alpha
+    m = m0.copy()
+    S_inv = np.linalg.inv(Psi)
+    S_chol = np.linalg.cholesky(np.linalg.inv(S_inv))
+    beta = m[None, :] + (S_chol @ gen.standard_normal((q, L))).T
+    sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float)
+    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
+    cum, _ = _allocation_cdf(_component_logdens(y, w, beta @ Z.T, sigma2))
+    while True:
+        z = _allocate(cum, gen)
+        counts = np.bincount(z, minlength=L)
+        v = _update_sticks(counts, alpha, gen)
+        w = stick_breaking(v)
+        beta, sigma2 = _update_components(
+            Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, prior.a, prior.b, gen
+        )[:2]
+        _check_state(sigma2)
+        chol_m = np.linalg.cholesky(S0_inv + L * S_inv)
+        half = np.linalg.solve(chol_m, S0_inv @ m0 + S_inv @ beta.sum(axis=0))
+        m = np.linalg.solve(chol_m.T, half + gen.standard_normal(q))
+        dev = beta - m[None, :]
+        scale = np.linalg.inv(nuPsi + dev.T @ dev)
+        scale = 0.5 * (scale + scale.T)
+        S_inv = wishart(nu + L, scale, gen)
+        alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
+        cum, ll = _allocation_cdf(_component_logdens(y, w, beta @ Z.T, sigma2))
+        yield w, beta, sigma2, alpha, ll
+
+
+def _oracle_data(q):
+    gen = RngStream(808, 0).generator
+    x = gen.uniform(0.0, 1.0, 40)
+    y = np.where(x < 0.5, -1.0, 2.0) + x + 0.3 * gen.standard_normal(40)
+    return y, np.column_stack([np.ones_like(x), x, x ** 2])[:, :q]
+
+
+@pytest.mark.parametrize("nskip", [1, 2])
+@pytest.mark.parametrize("L", [1, 10])
+def test_dpm_sweeps_match_the_reference_loop_bitwise(L, nskip, monkeypatch):
+    y, _ = _oracle_data(1)
+    calls = []
+
+    def counted(prior, size, rng):
+        calls.append(size)
+        return sample_atoms_prior(prior, size, rng)
+
+    monkeypatch.setattr(mixtures, "sample_atoms_prior", counted)
+    mcmc = McmcControl(nsave=6, nburn=4, nskip=nskip)
+    got = fit_dpm(y, prior=DpmPrior(L=L), mcmc=mcmc, rng=RngStream(808, 1))
+    var = float(np.var(y, ddof=1))
+    assert (got.prior.m0, got.prior.S0, got.prior.b) == (float(np.mean(y)), 10.0 * var, 2.0 * var)
+    want = _collect(mcmc, _reference_dpm_sweeps(y, got.prior, RngStream(808, 1).generator))
+    for name, a in zip(("weights", "means", "sigma2", "alpha", "loglik"), want):
+        assert np.array_equal(getattr(got, name), a), name
+    # the initial atoms, then (L = 10) empty components refreshed from the base measure
+    assert calls[0] == L and (len(calls) > 1) == (L == 10)
+
+
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("nskip", [1, 2])
+@pytest.mark.parametrize("L", [1, 10])
+def test_ddp_sweeps_match_the_reference_loop_bitwise(L, nskip, q):
+    y, Z = _oracle_data(q)
+    mcmc = McmcControl(nsave=6, nburn=4, nskip=nskip)
+    got = fit_ddp(y, Z, prior=DdpPrior(L=L), mcmc=mcmc, rng=RngStream(808, 2))
+    var = float(np.var(y, ddof=1))
+    assert np.array_equal(got.prior.m0, np.r_[np.mean(y), np.zeros(q - 1)])
+    assert np.array_equal(got.prior.S0, 10.0 * var * np.eye(q))
+    assert np.array_equal(got.prior.Psi, var * np.eye(q)) and got.prior.nu == q + 2.0
+    want = _collect(mcmc, _reference_ddp_sweeps(y, Z, got.prior, RngStream(808, 2).generator))
+    for name, a in zip(("weights", "beta", "sigma2", "alpha", "loglik"), want):
+        assert np.array_equal(getattr(got, name), a), name
+
+
+def test_ddp_rejects_non_finite_observations():
+    y, Z = _oracle_data(2)
+    y[3] = np.nan
+    with pytest.raises(TooFewPointsError, match="finite"):
+        fit_ddp(y, Z, mcmc=McmcControl(nsave=2, nburn=0))

@@ -326,7 +326,7 @@ def test_step_reverse_curve_integrates_to_p_h_le_d_with_ties():
     bb = pooled_bb(s, S=6, rng=13)
     pairs = bb.internals["ensemble"]
     # each draw's diseased weights and healthy cumulative weights, replayed block by block
-    q = np.concatenate([w / total for w, total in (D.draw() for _, D in pairs)])
+    q = np.concatenate([D.draw()[0] for _, D in pairs])
     cum_h = np.concatenate([H.steps(H.draw()).cumw for H, _ in pairs])
     per_draw = 1.0 - np.einsum("sj,sj->s", q, placements(h, d, cum_h, side="right"))
     tnf = np.concatenate([tnf_rows(H, D, g) for H, D in pairs])
@@ -388,7 +388,7 @@ def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus, monkeypatch):
 
 @pytest.mark.parametrize("B", [1, 64, 65, 130])
 @pytest.mark.parametrize("focus", ["fpf", "tpf"])
-def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus):
+def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus, monkeypatch):
     """Emp's count blocks against the sorted value rows of each replicate (replicate k
     drawn from stream 100 + k and sorted): curves and thresholds bitwise, areas to
     summation order. Each block's areas equal its count rows reduced one at a time."""
@@ -402,6 +402,12 @@ def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus):
     ref = tuple(StepStack(np.sort(y[np.array(i)], axis=1)) for y, i in zip((y_h, y_d), zip(*idx)))
 
     pairs = res.internals["ensemble"]
+
+    def no_redraw(*args):
+        raise AssertionError("a query redrew a bootstrap replicate")
+
+    # every query below reads the held counts; none draws from a replicate stream
+    monkeypatch.setattr(RngStream, "stream", no_redraw)
     assert np.array_equal(res.ensemble, roc_rows(*ref, res.p))
     assert np.array_equal(np.concatenate([roc_rows(H, D, res.p) for H, D in pairs]),
                           roc_rows(*ref, res.p))
@@ -413,13 +419,18 @@ def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus):
         assert (pooled_threshold(res, criterion, target)
                 == threshold_result(grid, criterion, target, [(res.internals["plugin"], [ref])]))
 
-    # the blocks hold their int32 count rows, total n, and a query reads them, not a redraw;
-    # each member's areas are its count rows reduced alone
+    # the blocks hold their int32 count rows, each summing to n, and draw() gives their
+    # weights c / n and cumulative weights cumsum(c) / n; each member's areas are its count
+    # rows reduced alone
     one = [placement_areas(placements(h, d)[None], None, ctrl, placements(d, h)[None])]
+    n_h, n_d = h.size, d.size
     for H, D in pairs:
-        (c_h, n_h), (c_d, n_d) = H.draw(), D.draw()
-        assert c_h.dtype == c_d.dtype == np.int32 and H.draw()[0] is c_h
+        c_h, c_d = H.draw.args[0], D.draw.args[0]
+        assert c_h.dtype == c_d.dtype == np.int32
         assert np.all(c_h.sum(axis=1) == n_h) and np.all(c_d.sum(axis=1) == n_d)
+        for block, c, n in ((H, c_h, n_h), (D, c_d, n_d)):
+            w, cumw = block.draw()
+            assert np.array_equal(w, c / n) and np.array_equal(cumw, np.cumsum(c, axis=1) / n)
         for row_h, row_d in zip(c_h, c_d):
             U = placements(h, d, np.cumsum(row_h)[None] / n_h)
             U_rev = placements(d, h, np.cumsum(row_d)[None] / n_d)

@@ -63,8 +63,9 @@ def test_mw_auc_is_rank_based(h, d):
 
 
 def test_single_normal_auc_closed_form():
-    got = mixture_auc_closed([1.0], [0.0], [1.0], [1.0], [1.0], [1.0])
-    assert got == pytest.approx(0.7602499389065233, abs=1e-12)
+    one = np.array([[1.0]])
+    got = mixture_auc_closed(one, np.array([[0.0]]), one, one, one, one)
+    assert got.shape == (1,) and got[0] == pytest.approx(0.7602499389065233, abs=1e-12)
 
 
 def test_invert_cdf_matches_normal_quantiles():
