@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .conditional import _frame_of, _ols_fit, _spec_of, _standardised_frame
+from .conditional import _frame_of, _ols_fit, _spec_of
 from .design import build_design
 from .diagnostics import FitCriteria, raw_scale_criteria
 from .errors import ConfigError, MissingColumnError, MissingDrawsError
-from .mixtures import McmcControl, fit_ddp, mixture_quantile
+from .mixtures import McmcControl, fit_ddp
 from .pooled import (
     _CHAIN_H,
     _WEIGHTS_STREAM,
@@ -35,6 +35,7 @@ from .pooled import (
     _grid_of,
     _stream_of,
     case_bootstrap,
+    mixture_stack,
 )
 from .sample import DiagnosticSample, split_groups, standardise
 from .smoothing import fit_by_rule, fit_location_scale
@@ -170,7 +171,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
             raise ConfigError("the sp variants need a healthy-model formula")
         spec = _spec_of(formula)
         X_h, _, fitted = build_design(split.healthy_cov, spec)
-        X_d, _, _ = build_design(split.diseased_cov, spec, fitted)
+        X_d = fitted.rows(split.diseased_cov)
         fit0 = _ols_fit(X_h, y_h)
 
         def block(h_idx, d_idx):  # the block's healthy refits solved together
@@ -200,7 +201,6 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         **_summary_fields(_placement_rows(U, None, grid, ctrl), ctrl, plugin=True),
         placements=U0,
         sample_sizes=(split.n_h, split.n_d),
-        internals={"variant": variant, "U": U0},
     )
 
 
@@ -224,9 +224,9 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
     spec = _spec_of(formula)
 
     std_sample, std = standardise(sample, enable=standardise_marker)
-    split_std = split_groups(std_sample)
-    Zh, _, fitted = build_design(split_std.healthy_cov, spec, scales=std.covariates)
-    zd_rows, _, _ = build_design(split_std.diseased_cov, spec, fitted, std.covariates)
+    split_std, split_raw = split_groups(std_sample), split_groups(sample)
+    Zh, _, fitted = build_design(split_raw.healthy_cov, spec, scales=std.covariates)
+    zd_rows = fitted.rows(split_raw.diseased_cov)
 
     draws = fit_ddp(split_std.healthy, Zh, prior=prior, mcmc=mcmc,
                     rng=stream.stream(_CHAIN_H))
@@ -237,7 +237,6 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
     members = _placement_rows(U, q, grid, ctrl)
     crit = raw_scale_criteria(std, draws)
 
-    split_raw = split_groups(sample)
     return ArocResult(
         method="aroc-bnp",
         p=grid,
@@ -245,12 +244,8 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
         placements=estimate(U),
         sample_sizes=(split_std.n_h, split_std.n_d),
         fit=crit,
-        internals={
-            "draws_h": draws, "std": std,
-            "spec": spec, "fitted": fitted,
-            "U": U, "q": q, "p_star_draws": members[4], "yi_draws": members[3],
-            "y_h": split_raw.healthy, "y_d": split_raw.diseased,
-        },
+        internals={"draws_h": draws, "std": std, "fitted": fitted, "q": q,
+                   "p_star_draws": members[4], "yi_draws": members[3]},
     )
 
 
@@ -266,30 +261,18 @@ def aroc_threshold(result: ArocResult, newdata) -> ThresholdResult:
     if "draws_h" not in ints:
         raise MissingDrawsError("covariate-specific thresholds need a Bayesian fit")
     draws, std = ints["draws_h"], ints["std"]
-    frame = _frame_of(newdata)
-    z_rows, _, _ = build_design(
-        _standardised_frame(frame, std), ints["spec"], ints["fitted"], std.covariates
-    )
-    ps = ints["p_star_draws"]
-    yi = ints["yi_draws"]
+    ps, yi = ints["p_star_draws"], ints["yi_draws"]
     q_levels = np.clip(1.0 - ps, 0.0, 1.0)[:, None]  # (S, 1)
+    thresholds = [interval_from(None, mixture_stack(draws.weights, draws.conditional_means(z),
+                                                    draws.sigma2, std).quantile(q_levels)[:, 0])
+                  for z in ints["fitted"].rows(_frame_of(newdata))]
 
-    thresholds = []
-    for r in range(len(z_rows)):
-        mu = draws.conditional_means(z_rows[r])
-        c_std = mixture_quantile(draws.weights, mu, draws.sigma2, q_levels)[:, 0]
-        c_raw = std.marker_to_raw(c_std) if std.enabled else c_std
-        thresholds.append(interval_from(None, c_raw))
-
-    fpf_iv = interval_from(None, ps)
-    tpf_iv = interval_from(None, ps + yi)
-    yi_iv = interval_from(None, yi)
-    n_rows = len(z_rows)
+    n_rows = len(thresholds)
     return ThresholdResult(
         criterion="yi",
         threshold=thresholds,
-        fpf=[fpf_iv] * n_rows,
-        tpf=[tpf_iv] * n_rows,
-        yi=[yi_iv] * n_rows,
+        fpf=[interval_from(None, ps)] * n_rows,
+        tpf=[interval_from(None, ps + yi)] * n_rows,
+        yi=[interval_from(None, yi)] * n_rows,
         sign=[1] * n_rows,
     )

@@ -174,10 +174,8 @@ class RunConfig:
 
 # -- config assembly ----------------------------------------------------------
 
-_INT_KEYS = ("grid_length", "density_grid_length", "nsave", "nburn", "nskip", "B", "seed", "workers", "n")
-_FLOAT_KEYS = ("pauc_value", "target_fpf")
-_BOOL_KEYS = ("pauc", "density", "standardise")
-_DICT_KEYS = ("prior", "prior_h", "prior_d", "params")
+# each field's value type, read off its annotation: int, float, bool, dict or str
+_KINDS = {f.name: f.type.split(" |")[0] for f in dataclasses.fields(RunConfig)}
 
 
 def _pairs(text_or_list) -> dict:
@@ -222,21 +220,22 @@ def _ini_section(path: str, section: str) -> dict:
 def _coerce(name: str, value):
     if not isinstance(value, str):
         return value
+    kind = _KINDS[name]
     try:
-        if name in _INT_KEYS:
+        if kind == "int":
             return int(value)
-        if name in _FLOAT_KEYS:
+        if kind == "float":
             return float(value)
     except ValueError:
         raise ConfigError("key %r needs a number, got %r" % (name, value)) from None
-    if name in _BOOL_KEYS:
+    if kind == "bool":
         low = value.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError("key %r needs a boolean, got %r" % (name, value))
-    if name in _DICT_KEYS:
+    if kind == "dict":
         return _pairs(value)
     return value
 
@@ -248,7 +247,7 @@ def _merge_config(subcommand: str, args: argparse.Namespace) -> RunConfig:
         if f.name == "subcommand":
             continue
         cli_val = getattr(args, f.name, None)
-        if f.name in _DICT_KEYS:
+        if _KINDS[f.name] == "dict":
             merged = dict(_coerce(f.name, ini[f.name])) if f.name in ini else {}
             if cli_val:
                 merged.update(_pairs(cli_val))

@@ -43,8 +43,6 @@ from .errors import (
 )
 from .mixtures import McmcControl, fit_ddp
 from .pooled import (
-    _CHAIN_D,
-    _CHAIN_H,
     DensityControl,
     LocScaleStack,
     NormalStack,
@@ -52,6 +50,7 @@ from .pooled import (
     StepStack,
     _bootstrap_stream,
     _draw_counts,
+    _fit_groups,
     _grid_of,
     _reverse_curve,
     _stream_of,
@@ -214,14 +213,27 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
     return boot, stacks
 
 
-def _induced_result(method, stacks, newdata, grid, ctrl, split, coefficients=None) -> CRocResult:
-    """An induced model's result: its one (plug-in, ensemble) fit on the prediction rows."""
-    (fit,) = stacks(newdata)
-    return CRocResult(method=method, p=grid, newdata=newdata,
-                      **_summarise_rows(*fit, grid, ctrl)[0], coefficients=coefficients,
+def _conditional_result(method, stacks, newdata, grid, ctrl, split, workers=1, fits=None,
+                        aucs=None, coefficients=None, **extra) -> CRocResult:
+    """A conditional fit's result on its prediction rows.
+
+    fits, by default stacks(newdata), are (plug-in, ensemble) fits whose
+    rows follow one another. Each is summarised by `_summarise_rows` on
+    `workers` threads, with aucs[i], when given, as fit i's closed-form
+    member AUCs, and the rows are concatenated. split gives the sample
+    sizes and the marker values of the threshold grid.
+    """
+    fits = stacks(newdata) if fits is None else fits
+    parts = parallel_map(lambda i: _summarise_rows(*fits[i], grid, ctrl, aucs and aucs[i])[0],
+                         range(len(fits)), workers)
+    fields = {key: np.concatenate([f[key] for f in parts])
+              for key in ("roc_est", "roc_lo", "roc_hi")}
+    fields["auc"] = [iv for f in parts for iv in f["auc"]]
+    fields["pauc"] = [iv for f in parts for iv in f["pauc"]] if ctrl.compute else None
+    return CRocResult(method=method, p=grid, newdata=newdata, **fields, coefficients=coefficients,
                       sample_sizes=(split.n_h, split.n_d),
                       internals={"stacks": stacks,
-                                 "y": np.concatenate([split.healthy, split.diseased])})
+                                 "y": np.concatenate([split.healthy, split.diseased])}, **extra)
 
 
 # -- linear induced model ------------------------------------------------------
@@ -251,7 +263,7 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     Zd, labels_d, fitted_d = build_design(split.diseased_cov, spec_d)
 
     def design_rows(frame):
-        return build_design(frame, spec_h, fitted_h)[0], build_design(frame, spec_d, fitted_d)[0]
+        return fitted_h.rows(frame), fitted_d.rows(frame)
 
     design_rows(newdata)  # reject unusable prediction rows before fitting
     fit_h, fit_d = _ols_fit(Zh, split.healthy), _ols_fit(Zd, split.diseased)
@@ -274,7 +286,8 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
             and fitted_h.levels == fitted_d.levels):
         coefficients.update(_induced_tables(labels_h, bh, bd, sh, sd_, plugin=True))
 
-    return _induced_result("sp-" + est_cdf, stacks, newdata, grid, ctrl, split, coefficients)
+    return _conditional_result("sp-" + est_cdf, stacks, newdata, grid, ctrl, split,
+                               coefficients=coefficients)
 
 
 # -- kernel induced model ------------------------------------------------------
@@ -324,20 +337,10 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
                                B, stream, workers)
 
-    return _induced_result("kernel", stacks, newdata, grid, ctrl, split)
+    return _conditional_result("kernel", stacks, newdata, grid, ctrl, split)
 
 
 # -- Bayesian dependent-mixture model -------------------------------------------
-
-def _standardised_frame(frame: PredictionFrame, std) -> dict:
-    cols = {}
-    for name, col in frame.columns.items():
-        if col.is_categorical or not std.enabled:
-            cols[name] = col
-        else:
-            cols[name] = Column(std.cov_to_std(name, col.values))
-    return cols
-
 
 def _destandardise_map(Z_raw, Z_std):
     """Matrix A with Z_std ~= Z_raw @ A, plus the worst reconstruction error."""
@@ -346,16 +349,15 @@ def _destandardise_map(Z_raw, Z_std):
     return A, err
 
 
-def _bnp_coefficients(sample, std, spec_h, spec_d, fitted_h, fitted_d,
-                      labels_h, labels_d, Zh, Zd, draws_h, draws_d) -> dict:
+def _bnp_coefficients(split_raw, std, fitted_h, fitted_d, Zh, Zd, draws_h, draws_d) -> dict:
+    labels_h, labels_d = fitted_h.labels, fitted_d.labels
     beta_h, beta_d = draws_h.beta[:, 0, :], draws_d.beta[:, 0, :]
     sig_h, sig_d = np.sqrt(draws_h.sigma2[:, 0]), np.sqrt(draws_d.sigma2[:, 0])
     gam_h, gam_d, sraw_h, sraw_d, ind_map = beta_h, beta_d, sig_h, sig_d, None
     basis = "original"
     if std.enabled:
-        split_raw = split_groups(sample)
-        Zraw_h, _, _ = build_design(split_raw.healthy_cov, spec_h, fitted_h)
-        Zraw_d, _, _ = build_design(split_raw.diseased_cov, spec_d, fitted_d)
+        Zraw_h = build_design(split_raw.healthy_cov, fitted_h.spec, fitted_h, scales={})[0]
+        Zraw_d = build_design(split_raw.diseased_cov, fitted_d.spec, fitted_d, scales={})[0]
         A_h, err_h = _destandardise_map(Zraw_h, Zh)
         A_d, err_d = _destandardise_map(Zraw_d, Zd)
         if max(err_h, err_d) <= 1e-8:
@@ -408,92 +410,53 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
     spec_h, spec_d = _spec_of(formula_h), _spec_of(formula_d)
 
     std_sample, std = standardise(sample, enable=standardise_marker)
-    split_std = split_groups(std_sample)
-    split_raw = split_groups(sample)
-    Zh, labels_h, fitted_h = build_design(split_std.healthy_cov, spec_h, scales=std.covariates)
-    Zd, labels_d, fitted_d = build_design(split_std.diseased_cov, spec_d, scales=std.covariates)
+    split_std, split_raw = split_groups(std_sample), split_groups(sample)
+    Zh, _, fitted_h = build_design(split_raw.healthy_cov, spec_h, scales=std.covariates)
+    Zd, _, fitted_d = build_design(split_raw.diseased_cov, spec_d, scales=std.covariates)
+    zh, zd = fitted_h.rows(newdata), fitted_d.rows(newdata)  # rejects unusable rows before fitting
+    draws = draws_h, draws_d = _fit_groups(fit_ddp, [((split_std.healthy, Zh), prior_h),
+                                                     ((split_std.diseased, Zd), prior_d)],
+                                           mcmc, stream, workers)
 
-    def design_rows(frame):
-        nd = _standardised_frame(frame, std)
-        return (build_design(nd, spec_h, fitted_h, std.covariates)[0],
-                build_design(nd, spec_d, fitted_d, std.covariates)[0])
-
-    design_rows(newdata)  # reject unusable prediction rows before fitting
-
-    def fit_group(args):
-        y, Z, prior, sid = args
-        return fit_ddp(y, Z, prior=prior, mcmc=mcmc, rng=stream.stream(sid))
-
-    draws_h, draws_d = parallel_map(
-        fit_group,
-        [(split_std.healthy, Zh, prior_h, _CHAIN_H),
-         (split_std.diseased, Zd, prior_d, _CHAIN_D)],
-        workers=min(workers, 2),
-    )
-
-    def row_means(frame):
+    def row_means(zh, zd):
         """Per prediction row, each group's (draws, components) conditional means."""
-        zh, zd = design_rows(frame)
-        return [(draws_h.conditional_means(zh[r]), draws_d.conditional_means(zd[r]))
-                for r in range(len(zh))]
+        return [(draws_h.conditional_means(a), draws_d.conditional_means(b))
+                for a, b in zip(zh, zd)]
 
-    def row_pair(means):
-        return None, [tuple(mixture_stack(d.weights, mu, d.sigma2, std)
-                            for d, mu in zip((draws_h, draws_d), means))]
+    def fits_of(means):
+        """One fit per prediction row, which bounds the (draws, grid) arrays."""
+        return [(None, [tuple(mixture_stack(d.weights, mu, d.sigma2, std)
+                              for d, mu in zip(draws, m))]) for m in means]
 
     def stacks(frame):
-        """One pair per prediction row, which bounds the (draws, grid) arrays."""
-        return [row_pair(means) for means in row_means(frame)]
+        return fits_of(row_means(fitted_h.rows(frame), fitted_d.rows(frame)))
 
-    dens_grid = np.linspace(
-        float(sample.marker.min()), float(sample.marker.max()), density.grid_length
-    )
-
-    def one_row(means):
-        pair = row_pair(means)
-        # a shared location-scale map leaves the AUC unchanged, so the
-        # fitting-scale mixtures give it
-        aucs = mixture_auc_closed(draws_h.weights, means[0], np.sqrt(draws_h.sigma2),
-                                  draws_d.weights, means[1], np.sqrt(draws_d.sigma2))
-        # each group's marker density (est, lo, hi) on the density grid
-        dens = density.compute and [summarise(s.pdf(dens_grid)) for s in pair[1][0]]
-        return _summarise_rows(*pair, grid, ctrl, aucs)[0], dens
-
-    rows = parallel_map(one_row, row_means(newdata), workers=workers)
-    parts = [r[0] for r in rows]
-    fields = {key: np.concatenate([f[key] for f in parts])
-              for key in ("roc_est", "roc_lo", "roc_hi")}
-    fields["auc"] = [f["auc"][0] for f in parts]
-    fields["pauc"] = [f["pauc"][0] for f in parts] if ctrl.compute else None
+    means = row_means(zh, zd)
+    fits = fits_of(means)
+    # a shared location-scale map leaves the AUC unchanged, so the fitting-scale mixtures give it
+    sd_h, sd_d = np.sqrt(draws_h.sigma2), np.sqrt(draws_d.sigma2)
+    aucs = [mixture_auc_closed(draws_h.weights, mh, sd_h, draws_d.weights, md, sd_d)
+            for mh, md in means]
 
     densities = None
     if density.compute:
-        densities = {"grid": dens_grid}
-        for g, name in enumerate(("healthy", "diseased")):
-            densities[name] = {key: np.stack([r[1][g][i] for r in rows])
-                               for i, key in enumerate(("est", "lo", "hi"))}
-
-    crit = raw_scale_criteria(std, draws_h, draws_d)
+        dens_grid = np.linspace(float(sample.marker.min()), float(sample.marker.max()),
+                                density.grid_length)
+        # per row, each group's marker density (est, lo, hi) on the density grid
+        rows = parallel_map(lambda fit: [summarise(s.pdf(dens_grid)) for s in fit[1][0]],
+                            fits, workers)
+        densities = {"grid": dens_grid, **{
+            name: dict(zip(("est", "lo", "hi"), map(np.stack, zip(*(r[g] for r in rows)))))
+            for g, name in enumerate(("healthy", "diseased"))}}
 
     coefficients = None
     if (draws_h.prior.L == 1 and draws_d.prior.L == 1
             and spec_is_linear(spec_h) and spec_is_linear(spec_d)):
-        coefficients = _bnp_coefficients(
-            sample, std, spec_h, spec_d, fitted_h, fitted_d,
-            labels_h, labels_d, Zh, Zd, draws_h, draws_d,
-        )
+        coefficients = _bnp_coefficients(split_raw, std, fitted_h, fitted_d, Zh, Zd, *draws)
 
-    return CRocResult(
-        method="bnp",
-        p=grid, newdata=newdata,
-        **fields,
-        coefficients=coefficients,
-        sample_sizes=(split_std.n_h, split_std.n_d),
-        fit=crit,
-        densities=densities,
-        internals={"stacks": stacks,
-                   "y": np.concatenate([split_raw.healthy, split_raw.diseased])},
-    )
+    return _conditional_result("bnp", stacks, newdata, grid, ctrl, split_raw, workers, fits=fits,
+                               aucs=aucs, coefficients=coefficients, densities=densities,
+                               fit=raw_scale_criteria(std, draws_h, draws_d))
 
 
 # -- reverse-orientation curves and thresholds ----------------------------------

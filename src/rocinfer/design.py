@@ -273,6 +273,11 @@ class FittedDesign:
     levels: dict  # categorical name -> level tuple
     splines: dict  # smooth key -> list of (level or None, SplineSpec)
     labels: tuple = field(default=())
+    scales: dict = field(default_factory=dict)  # standardised covariate -> (mean, sd)
+
+    def rows(self, frame) -> np.ndarray:
+        """The design of raw prediction rows: standardised and encoded as in training."""
+        return build_design(frame, self.spec, self)[0]
 
 
 def _get_column(frame: dict, name: str) -> Column:
@@ -289,6 +294,9 @@ def _encode_simple(frame, name, fitted_levels):
     col = _get_column(frame, name)
     if name in fitted_levels:
         levels = fitted_levels[name]
+        if len(levels) < 2:
+            raise DataError("factor %r has the one level %r; contrasts need 2 or more levels"
+                            % (name, levels[0]))
         vals = col.values
         for v in vals:
             if str(v) not in levels:
@@ -311,11 +319,18 @@ def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None,
 
     When fitted is supplied (prediction), training levels, knots, and
     boundaries are reused, so a frame equal to a training row reproduces
-    that design row exactly. scales maps each standardised covariate to
-    its (mean, sd), so that extrapolation warnings give raw values.
+    that design row exactly. scales (by default fitted's) maps each
+    covariate to standardise to its (mean, sd): its continuous column
+    enters as (x - mean) / sd, and extrapolation warnings give raw values.
     """
     if hasattr(frame, "columns"):
         frame = frame.columns
+    if scales is None:
+        scales = fitted.scales if fitted is not None else {}
+    frame = dict(frame)
+    for name, (mean, sd) in scales.items():
+        if name in frame and not _get_column(frame, name).is_categorical:
+            frame[name] = Column((_get_column(frame, name).values - mean) / sd)
     n = None
     for col in frame.values():
         n = len(col.values if isinstance(col, Column) else col)
@@ -324,7 +339,6 @@ def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None,
         # intercept-only designs never look at the frame width
         raise DataError("cannot size an intercept-only design from an empty frame")
 
-    scales = scales or {}
     training = fitted is None
     if training:
         levels = {}
@@ -419,5 +433,6 @@ def build_design(frame, spec: DesignSpec, fitted: FittedDesign | None = None,
             warnings.warn(
                 "design matrix has exactly collinear columns; kept as is", CollinearityWarning
             )
-    out_fitted = FittedDesign(spec=spec, levels=levels, splines=splines, labels=tuple(labels))
+    out_fitted = FittedDesign(spec=spec, levels=levels, splines=splines, labels=tuple(labels),
+                              scales=scales)
     return z, list(labels), out_fitted

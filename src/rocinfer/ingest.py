@@ -89,6 +89,10 @@ def ingest_csv(path, marker: str, group: str, tag, covariates=None) -> Diagnosti
         for name, c in zip(cov_names, cells[2:]):
             kept_cov[name].append(c)
 
+    if rows and not kept_group:
+        raise DataError("no row of %s is complete in the used columns (%s): all %d rows were "
+                        "dropped for missing values" % (path, ", ".join([marker, group] + cov_names),
+                                                         missing))
     tag_text = str(tag)
     if tag_text not in kept_group:
         raise BadTagError("tag %r does not occur in group column %r" % (tag_text, group))

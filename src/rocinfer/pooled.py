@@ -743,6 +743,16 @@ def _density_block(stack, y_raw: np.ndarray, grid_length: int) -> dict:
     return {"grid": grid_raw, "est": est, "lo": lo, "hi": hi, "draws": dens}
 
 
+def _fit_groups(fit, groups, mcmc, stream: RngStream, workers: int) -> list:
+    """Both groups' posterior draws: fit(*data, prior=prior) for the healthy and diseased
+    (data, prior), on chains _CHAIN_H and _CHAIN_D, on up to two threads."""
+    def one(job):
+        (data, prior), chain = job
+        return fit(*data, prior=prior, mcmc=mcmc, rng=stream.stream(chain))
+
+    return parallel_map(one, zip(groups, (_CHAIN_H, _CHAIN_D)), workers=min(workers, 2))
+
+
 def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None,
                prior_d: DpmPrior | None = None, mcmc: McmcControl | None = None,
                pauc: PaucControl | None = None, density: DensityControl | None = None,
@@ -765,15 +775,8 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
     split_raw = split_groups(sample)
     split = split_groups(std_sample)
 
-    def fit_group(args):
-        y, prior, sid = args
-        return fit_dpm(y, prior=prior, mcmc=mcmc, rng=stream.stream(sid))
-
-    draws_h, draws_d = parallel_map(
-        fit_group,
-        [(split.healthy, prior_h, _CHAIN_H), (split.diseased, prior_d, _CHAIN_D)],
-        workers=min(workers, 2),
-    )
+    draws_h, draws_d = _fit_groups(fit_dpm, [((split.healthy,), prior_h),
+                                             ((split.diseased,), prior_d)], mcmc, stream, workers)
     pair = tuple(mixture_stack(d.weights, d.means, d.sigma2, std) for d in (draws_h, draws_d))
     aucs = mixture_auc_closed(draws_h.weights, draws_h.means, np.sqrt(draws_h.sigma2),
                               draws_d.weights, draws_d.means, np.sqrt(draws_d.sigma2))

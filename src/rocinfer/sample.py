@@ -149,15 +149,6 @@ class StandardisationParams:
     covariates: dict = field(default_factory=dict)  # name -> (mean, sd)
     enabled: bool = False
 
-    def marker_to_raw(self, y):
-        return np.asarray(y, dtype=float) * self.marker_sd + self.marker_mean
-
-    def cov_to_std(self, name: str, x):
-        if name not in self.covariates:
-            return np.asarray(x, dtype=float)
-        m, s = self.covariates[name]
-        return (np.asarray(x, dtype=float) - m) / s
-
 
 def standardise(sample: DiagnosticSample, enable: bool = True):
     """Centre/scale marker and continuous covariates over the combined sample.

@@ -563,3 +563,84 @@ def test_non_finite_covariate_exits_3(study_csv, tmp_path, capsys, where, run, c
     assert err.startswith("rocinfer: ") and "'age'" in err
     assert str(study if where == "data" else new) in err
     assert not (tmp_path / "out.json").exists()
+
+
+def _one_column_value(study_csv, tmp_path, column, value) -> str:
+    """The study with every cell of `column` set to `value`."""
+    lines = Path(study_csv).read_text(encoding="utf-8").splitlines()
+    at = lines[0].split(",").index(column)
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        cells[at] = value
+        out.append(",".join(cells))
+    path = tmp_path / "study.csv"
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    return str(path)
+
+
+_GENDER_AGE = "bmi ~ gender + age"
+_BNP_SHORT = ["--nsave", "5", "--nburn", "5"]
+
+
+@pytest.mark.parametrize("run", [
+    ["croc", "--method", "sp", "--formula-h", _GENDER_AGE, "--formula-d", _GENDER_AGE, "--B", "5"],
+    ["croc", "--method", "bnp", "--formula-h", _GENDER_AGE, "--formula-d", _GENDER_AGE,
+     *_BNP_SHORT],
+    ["aroc", "--method", "sp", "--formula-h", _GENDER_AGE, "--B", "5"],
+    ["aroc", "--method", "bnp", "--formula-h", _GENDER_AGE, *_BNP_SHORT],
+    ["threshold", "--approach", "aroc", "--method", "bnp", "--formula-h", _GENDER_AGE,
+     *_BNP_SHORT],
+    ["croc", "--method", "sp", "--formula-h", "bmi ~ gender:age", "--formula-d",
+     "bmi ~ gender:age", "--B", "5"],
+], ids=["croc-sp", "croc-bnp", "aroc-sp", "aroc-bnp", "threshold-aroc-bnp", "croc-sp-interaction"])
+def test_single_level_factor_exits_3(study_csv, tmp_path, capsys, run):
+    """A factor with one level has no contrasts: a data error naming it, raised at training."""
+    study = _one_column_value(study_csv, tmp_path, "gender", "Men")
+    new = tmp_path / "new.csv"
+    new.write_text("gender,age\nMen,40\n", encoding="utf-8")
+    rc = main(run + ["--data", study, "--marker", "bmi", "--group", "cvd_idf", "--tag", "0",
+                     "--newdata", str(new), "--out", str(tmp_path / "out.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("rocinfer: ") and "'gender'" in err and "2 or more levels" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_every_row_dropped_is_named(study_csv, tmp_path, capsys):
+    """With one used column all missing, the error says every row was dropped, not that the
+    healthy tag is absent."""
+    study = _one_column_value(study_csv, tmp_path, "age", "NA")
+    new = tmp_path / "new.csv"
+    new.write_text("gender,age\nMen,40\n", encoding="utf-8")
+    rc = main(_CROC_SP[:3] + ["--formula-h", _GENDER_AGE, "--formula-d", _GENDER_AGE,
+                              "--B", "5", "--data", study, "--marker", "bmi",
+                              "--group", "cvd_idf", "--tag", "0", "--newdata", str(new)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("rocinfer: ") and "all 260 rows were dropped" in err
+
+
+def test_ini_values_take_their_field_types(tmp_path):
+    """INI text is typed by the RunConfig field's annotation: int, float, bool, dict or str."""
+    ini = tmp_path / "config.ini"
+    ini.write_text("[pooled]\nmethod = dpm\nnsave = 12\npauc-value = 0.25\ndensity = yes\n"
+                   "standardise = off\nprior = L=3,aalpha=2\n", encoding="utf-8")
+    cfg = _merge_config("pooled", build_parser().parse_args(
+        ["pooled", "--config", str(ini), "--data", "d.csv", "--marker", "bmi",
+         "--group", "cvd_idf", "--tag", "0", "--prior", "L=4"]))
+    assert (cfg.method, cfg.nsave, cfg.pauc_value, cfg.density, cfg.standardise) == (
+        "dpm", 12, 0.25, True, False)
+    assert cfg.prior == {"L": "4", "aalpha": "2"}  # a flag's pairs update the file's
+
+
+@pytest.mark.parametrize("line, message", [
+    ("nsave = many", "key 'nsave' needs a number, got 'many'"),
+    ("target-fpf = x", "key 'target_fpf' needs a number, got 'x'"),
+    ("density = maybe", "key 'density' needs a boolean, got 'maybe'"),
+])
+def test_ini_value_of_the_wrong_type_exits_2(study_csv, tmp_path, capsys, line, message):
+    ini = tmp_path / "config.ini"
+    ini.write_text("[pooled]\n%s\n" % line, encoding="utf-8")
+    assert main(_pooled_args(study_csv, ["--config", str(ini)])) == 2
+    assert capsys.readouterr().err == "rocinfer: %s\n" % message

@@ -100,11 +100,19 @@ def test_prediction_reuses_training_encodings():
     frame = {"x": Column(np.linspace(0.0, 4.0, 20)),
              "g": column_from_values(["A", "B"] * 10)}
     spec = parse_formula("y ~ x + g")
-    _, _, fitted = build_design(frame, spec)
     newdata = PredictionFrame({"x": Column([2.0]), "g": column_from_values(["B"])})
-    Z, labels, _ = build_design(newdata, spec, fitted=fitted)
-    assert Z.shape == (1, 3)
-    assert Z[0, 2] == 1.0
+    for scales in (None, {"x": (1.5, 0.75)}):
+        Z_train, _, fitted = build_design(frame, spec, scales=scales)
+        assert fitted.scales == (scales or {})
+        # the fitted design standardises raw rows as in training: its rows are the training design
+        assert np.array_equal(fitted.rows(frame), Z_train)
+        mean, sd = (scales or {"x": (0.0, 1.0)})["x"]
+        np.testing.assert_array_equal(Z_train[:, 1], (frame["x"].values - mean) / sd)
+        Z, labels, _ = build_design(newdata, spec, fitted=fitted)
+        assert Z.shape == (1, 3)
+        assert Z[0, 1] == (2.0 - mean) / sd
+        assert Z[0, 2] == 1.0
+        assert np.array_equal(fitted.rows(newdata), Z)
 
 
 def test_unknown_level_in_prediction_is_rejected():
