@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 from .errors import MissingDrawsError, NegativePenaltyWarning
-from .mixtures import DdpDraws, DpmDraws, loglik_at_posterior_mean
+from .mixtures import DdpDraws, DpmDraws, LoglikFold, loglik_at_posterior_mean
 from .streams import _gen
 
 
@@ -25,13 +25,7 @@ class GroupCriteria:
     lpml: float
 
     def as_dict(self) -> dict:
-        return {
-            "waic": self.waic,
-            "waic_penalty": self.waic_penalty,
-            "dic": self.dic,
-            "dic_penalty": self.dic_penalty,
-            "lpml": self.lpml,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -40,43 +34,28 @@ class FitCriteria:
     diseased: GroupCriteria | None = None
 
     def as_dict(self) -> dict:
-        out = {}
-        if self.healthy is not None:
-            out["healthy"] = self.healthy.as_dict()
-        if self.diseased is not None:
-            out["diseased"] = self.diseased.as_dict()
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-_BLOCK_ELEMENTS = 1 << 20
-
-
-def _by_columns(fn, ll) -> np.ndarray:
-    """fn of each block of about _BLOCK_ELEMENTS entries (whole columns) of
-    ll, joined into one (n,) vector: fn's temporaries stay near 8 MB."""
-    step = max(1, _BLOCK_ELEMENTS // ll.shape[0])
-    return np.concatenate([fn(ll[:, j:j + step]) for j in range(0, ll.shape[1], step)])
-
-
-def _check_ll(ll) -> np.ndarray:
-    ll = np.asarray(ll, dtype=float)
-    if ll.ndim != 2 or ll.size == 0:
-        raise MissingDrawsError("need a draws-by-observations log-likelihood matrix")
-    if not np.all(_by_columns(lambda b: np.isfinite(b).all(axis=0), ll)):
+def _folded(ll) -> LoglikFold:
+    """ll's fold: a LoglikFold as it is, a draws-by-observations matrix folded by rows."""
+    fold = ll if isinstance(ll, LoglikFold) else LoglikFold.of(ll)
+    if not fold.finite:
         raise MissingDrawsError("log-likelihood matrix has non-finite entries")
-    return ll
+    return fold
 
 
 def waic(ll) -> tuple:
     """Widely applicable information criterion from per-draw log densities.
 
-    lppd uses a log-sum-exp stabilised Monte Carlo average; the penalty is
-    the sum over observations of the across-draw variance.
+    ll is a LoglikFold or an (S, n) matrix. lppd uses a log-sum-exp
+    stabilised Monte Carlo average; the penalty is the sum over
+    observations of the across-draw variance.
     """
-    ll = _check_ll(ll)
-    S = ll.shape[0]
-    lppd = float(np.sum(_by_columns(lambda b: logsumexp(b, axis=0), ll) - np.log(S)))
-    penalty = float(np.sum(_by_columns(lambda b: np.var(b, axis=0, ddof=1), ll))) if S > 1 else 0.0
+    fold = _folded(ll)
+    S = fold.count
+    lppd = float(np.sum(fold.lse - np.log(S)))
+    penalty = float(np.sum(fold.m2 / (S - 1))) if S > 1 else 0.0
     return -2.0 * (lppd - penalty), penalty
 
 
@@ -87,11 +66,11 @@ def dic(ll, ll_at_posterior_mean) -> tuple:
     the mixture parameters. A negative penalty is reported as is (mixture
     plug-ins can beat the average); it signals poor identification.
     """
-    ll = _check_ll(ll)
+    fold = _folded(ll)
     ll_hat = np.asarray(ll_at_posterior_mean, dtype=float)
-    if ll_hat.shape != (ll.shape[1],):
+    if ll_hat.shape != (fold.n,):
         raise MissingDrawsError("plug-in log-likelihood length must match observations")
-    dbar = float(np.mean(-2.0 * np.sum(ll, axis=1)))
+    dbar = float(np.mean(-2.0 * fold.sums))
     dhat = float(-2.0 * np.sum(ll_hat))
     penalty = dbar - dhat
     if penalty < 0:
@@ -108,27 +87,26 @@ def lpml(ll) -> tuple:
     CPO_i is the harmonic mean of the per-draw densities, computed through
     a shifted log-sum-exp so extreme draws cannot overflow.
     """
-    ll = _check_ll(ll)
-    S = ll.shape[0]
+    fold = _folded(ll)
     # log CPO_i = -log mean_s exp(-ll_si)
-    log_cpo = -(_by_columns(lambda b: logsumexp(-b, axis=0), ll) - np.log(S))
+    log_cpo = -(fold.lse_neg - np.log(fold.count))
     return float(np.sum(log_cpo)), np.exp(log_cpo)
 
 
 def criteria_from_draws(draws, loglik=None, ll_hat=None) -> GroupCriteria:
     """Bundle WAIC, DIC, and LPML for one group's saved draws.
 
-    loglik overrides the matrix stored in the draws (the plug-in then
+    loglik, an (S, n) matrix, overrides the draws' fold (the plug-in then
     moves by the change in its mean); ll_hat overrides the plug-in.
     """
-    ll = draws.loglik if loglik is None else np.asarray(loglik, dtype=float)
+    fold = draws.fold if loglik is None else _folded(loglik)
     if ll_hat is None:
         ll_hat = loglik_at_posterior_mean(draws)
         if loglik is not None:
-            ll_hat = ll_hat + float(np.mean(loglik) - np.mean(draws.loglik))
-    w, wp = waic(ll)
-    d, dp = dic(ll, ll_hat)
-    lp, _ = lpml(ll)
+            ll_hat = ll_hat + float(np.mean(fold.mean) - np.mean(draws.fold.mean))
+    w, wp = waic(fold)
+    d, dp = dic(fold, ll_hat)
+    lp, _ = lpml(fold)
     return GroupCriteria(waic=w, waic_penalty=wp, dic=d, dic_penalty=dp, lpml=lp)
 
 
@@ -147,30 +125,28 @@ def raw_scale_criteria(std, draws_h, draws_d=None) -> FitCriteria:
         if draws is None:
             return None
         crit = criteria_from_draws(draws)
-        shift = draws.loglik.shape[1] * log_s
+        shift = draws.y.size * log_s
         return replace(crit, waic=crit.waic + 2.0 * shift, dic=crit.dic + 2.0 * shift,
                        lpml=crit.lpml - shift)
 
     return FitCriteria(healthy=group(draws_h), diseased=group(draws_d))
 
 
-def moment_skewness(x) -> float:
+def _standard_moment(x, k: int) -> float:
+    """m_k / m2^(k/2) of the sample x (0 when it is constant)."""
     x = np.asarray(x, dtype=float)
     m = x.mean()
     m2 = np.mean((x - m) ** 2)
-    if m2 == 0:
-        return 0.0
-    return float(np.mean((x - m) ** 3) / m2 ** 1.5)
+    return 0.0 if m2 == 0 else float(np.mean((x - m) ** k) / m2 ** (k / 2))
+
+
+def moment_skewness(x) -> float:
+    return _standard_moment(x, 3)
 
 
 def moment_kurtosis(x) -> float:
     """m4/m2^2 (normal reference value 3, not excess)."""
-    x = np.asarray(x, dtype=float)
-    m = x.mean()
-    m2 = np.mean((x - m) ** 2)
-    if m2 == 0:
-        return 0.0
-    return float(np.mean((x - m) ** 4) / m2 ** 2)
+    return _standard_moment(x, 4)
 
 
 _STAT_FUNCS = {"skewness": moment_skewness, "kurtosis": moment_kurtosis}
@@ -187,11 +163,7 @@ class PredictiveCheck:
 def _simulate_replicates(draws, rng) -> np.ndarray:
     """One posterior predictive dataset per saved draw, shape (S, n)."""
     gen = _gen(rng)
-    S = draws.nsave
-    if isinstance(draws, DdpDraws):
-        n = draws.Z.shape[0]
-    else:
-        n = draws.y.size
+    S, n = draws.nsave, draws.y.size
     out = np.empty((S, n))
     for s in range(S):
         w = draws.weights[s]

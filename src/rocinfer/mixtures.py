@@ -4,10 +4,10 @@ Two samplers: a location-scale normal mixture for a single sample
 (fit_dpm), and its regression extension where component means are linear
 in a design matrix while the stick weights are shared across covariates
 (fit_ddp). Both run the one sweep loop `_gibbs_sweeps` with their own
-atom updates, and save weights, atoms, the concentration parameter, and a
-per-observation log-likelihood matrix for the fit criteria, read off the
-allocation step's log-densities at each saved state. The mixture helpers
-take (S, L) arrays of draws.
+atom updates, and save weights, atoms and the concentration parameter;
+each saved per-observation log-likelihood row is folded into O(n) sums for
+the fit criteria (`LoglikFold`). The mixture helpers take (S, L) arrays of
+draws in blocks of about _BLOCK_ELEMENTS temporaries (`_draw_blocks`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from scipy.special import ndtr, ndtri
 from .errors import (
     ConfigError,
     DimMismatchError,
+    MissingDrawsError,
     NumericalCollapseError,
     TooFewPointsError,
 )
@@ -34,6 +35,13 @@ from .streams import (
 from .summaries import invert_cdf
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _draw_blocks(S: int, per_draw: int) -> list:
+    """Slices of S draws, each holding about _BLOCK_ELEMENTS elements at per_draw a draw."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, per_draw))
+    return [slice(start, min(S, start + step)) for start in range(0, S, step)]
 
 
 @dataclass(frozen=True)
@@ -120,52 +128,103 @@ class McmcControl:
             raise ConfigError("need nsave >= 1, nburn >= 0, nskip >= 1")
 
 
-@dataclass(frozen=True)
-class DpmDraws:
-    """Saved Gibbs output for the no-covariate mixture.
+class LoglikFold:
+    """Running sums over the rows of an (S, n) log-likelihood matrix, in O(n) memory.
 
-    loglik[s, i] is log f_s(y_i), the column log-sum-exp of the allocation
-    log-densities the sampler evaluates at saved state s.
-    """
+    merge() folds a block of rows: their sums extend the (S,) chain sums; down
+    each column, their max-shifted log-sum-exps of ll and -ll join lse and
+    lse_neg by logaddexp, and their means and squared deviations join mean and
+    m2 by Chan, Golub and LeVeque's pairwise update of Welford's recurrence.
+    After a non-finite entry (finite is then False) only sums grows."""
+
+    def __init__(self, n: int):
+        self.n, self.count, self.finite, self.sums = n, 0, True, np.empty(0)
+        self.lse, self.lse_neg = np.full(n, -np.inf), np.full(n, -np.inf)
+        self.mean, self.m2 = np.zeros(n), np.zeros(n)
+
+    @classmethod
+    def of(cls, ll) -> "LoglikFold":
+        """The fold of a draws-by-observations matrix, 64 rows at a time."""
+        ll = np.asarray(ll, dtype=float)
+        if ll.ndim != 2 or ll.size == 0:
+            raise MissingDrawsError("need a draws-by-observations log-likelihood matrix")
+        fold = cls(ll.shape[1])
+        for start in range(0, ll.shape[0], 64):
+            fold.merge(ll[start:start + 64])
+        return fold
+
+    def merge(self, b) -> None:
+        self.finite = self.finite and bool(np.isfinite(b).all())
+        with np.errstate(invalid="ignore"):
+            self.sums = np.concatenate([self.sums, b.sum(axis=1)])
+        if not self.finite:
+            return
+        k, top, low, mean = b.shape[0], b.max(axis=0), b.min(axis=0), b.mean(axis=0)
+        t = np.exp(b - top)
+        self.lse = np.logaddexp(self.lse, top + np.log(t.sum(axis=0)))
+        t = np.exp(np.subtract(low, b, out=t), out=t)
+        self.lse_neg = np.logaddexp(self.lse_neg, np.log(t.sum(axis=0)) - low)
+        t = np.square(np.subtract(b, mean, out=t), out=t)
+        delta, total = mean - self.mean, self.count + k
+        self.m2 += t.sum(axis=0) + delta * delta * (self.count * k / total)
+        self.mean += delta * (k / total)
+        self.count = total
+
+
+class _SavedDraws:
+    """Saved Gibbs output. fold holds the running sums of the saved log-likelihood
+    rows, log f_s(y_i) on the scale y was fit on; loglik rebuilds that (S, n)
+    matrix from the draws in blocks, bitwise the rows the sampler folded."""
+
+    @property
+    def nsave(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def loglik(self) -> np.ndarray:
+        out = np.empty((self.nsave, self.y.size))
+        for b in _draw_blocks(self.nsave, self.weights[0].size * self.y.size):
+            lp = _component_logdens(self.y, self.weights[b], self._means(b), self.sigma2[b])
+            out[b] = _allocation_cdf(lp)[1]
+        return out
+
+
+@dataclass(frozen=True)
+class DpmDraws(_SavedDraws):
+    """Saved Gibbs output for the no-covariate mixture."""
 
     weights: np.ndarray  # (S, L)
     means: np.ndarray    # (S, L)
     sigma2: np.ndarray   # (S, L)
     alpha: np.ndarray    # (S,)
-    loglik: np.ndarray   # (S, n), on the scale y was fit on
+    fold: LoglikFold
     y: np.ndarray
     prior: DpmPrior
     mcmc: McmcControl
 
-    @property
-    def nsave(self) -> int:
-        return self.weights.shape[0]
+    def _means(self, b):
+        return self.means[b]
 
     def cdf(self, y0) -> np.ndarray:
         return mixture_cdf(self.weights, self.means, self.sigma2, y0)
 
 
 @dataclass(frozen=True)
-class DdpDraws:
-    """Saved Gibbs output for the shared-weights regression mixture.
-
-    loglik[s, i] is log f_s(y_i | z_i), read off the allocation step as in
-    DpmDraws.
-    """
+class DdpDraws(_SavedDraws):
+    """Saved Gibbs output for the shared-weights regression mixture (rows log f_s(y_i | z_i))."""
 
     weights: np.ndarray  # (S, L)
     beta: np.ndarray     # (S, L, q)
     sigma2: np.ndarray   # (S, L)
     alpha: np.ndarray    # (S,)
-    loglik: np.ndarray   # (S, n)
+    fold: LoglikFold
     y: np.ndarray
     Z: np.ndarray
     prior: DdpPrior
     mcmc: McmcControl
 
-    @property
-    def nsave(self) -> int:
-        return self.weights.shape[0]
+    def _means(self, b):
+        return self.beta[b] @ self.Z.T
 
     def conditional_means(self, zrow) -> np.ndarray:
         """Per-draw component means z'beta_l, shape (S, L)."""
@@ -173,21 +232,9 @@ class DdpDraws:
         return self.beta @ z
 
     def cdf_at(self, y, Z) -> np.ndarray:
-        """(S, n) matrix of F^(s)(y_i | z_i), each point under its own design row.
-
-        Evaluated in chunks of draws so the (draws, points, components)
-        intermediate stays near 4e6 elements.
-        """
-        S, L, _ = self.beta.shape
-        out = np.empty((S, y.size))
-        sd = np.sqrt(self.sigma2)
-        chunk = max(1, int(4_000_000 / max(1, y.size * L)))
-        for start in range(0, S, chunk):
-            stop = min(S, start + chunk)
-            means = np.einsum("slq,nq->snl", self.beta[start:stop], Z)
-            zs = (y[None, :, None] - means) / sd[start:stop, None, :]
-            out[start:stop] = np.einsum("snl,sl->sn", ndtr(zs), self.weights[start:stop])
-        return out
+        """(S, n) matrix of F^(s)(y_i | z_i), each point under its own design row."""
+        return mixture_cdf(self.weights, lambda b: np.einsum("slq,nq->snl", self.beta[b], Z),
+                           self.sigma2, y)
 
 
 def mixture_cdf(weights, means, sigma2, y0) -> np.ndarray:
@@ -197,7 +244,7 @@ def mixture_cdf(weights, means, sigma2, y0) -> np.ndarray:
     all draws, or an (S, m) matrix with one row of points per draw.
     Returns (S, m).
     """
-    return _per_draw(lambda z, s2: ndtr(z), weights, means, sigma2, y0)
+    return _per_draw(lambda z, s2: ndtr(z, out=z), weights, means, sigma2, y0)
 
 
 def mixture_pdf(weights, means, sigma2, y0) -> np.ndarray:
@@ -207,12 +254,20 @@ def mixture_pdf(weights, means, sigma2, y0) -> np.ndarray:
 
 
 def _per_draw(kernel, weights, means, sigma2, y0):
-    """sum_l w_l kernel(z, sigma2_l), z = (y0 - mean_l) / sd_l, per draw and point."""
-    w, mu, s2 = (np.asarray(a, dtype=float) for a in (weights, means, sigma2))
+    """sum_l w_l kernel(z, sigma2_l), z = (y0 - mean_l) / sd_l, per draw and point, by blocks;
+    means is (S, L), or a function of a block b of draws giving its (B, m, L) means."""
+    w, s2 = np.asarray(weights, dtype=float), np.asarray(sigma2, dtype=float)
+    mu = None if callable(means) else np.asarray(means, dtype=float)
+    mean_of = means if mu is None else (lambda b: mu[b, None, :])
     y = np.atleast_1d(np.asarray(y0, dtype=float))
-    rows = y if y.ndim == 2 else y[None, :]
-    z = (rows[:, :, None] - mu[:, None, :]) / np.sqrt(s2)[:, None, :]
-    return np.einsum("sml,sl->sm", kernel(z, s2[:, None, :]), w)
+    rows = np.broadcast_to(y, (w.shape[0], y.shape[-1]))
+    out = np.empty(rows.shape)
+    for b in _draw_blocks(w.shape[0], w.shape[1] * rows.shape[1]):
+        z = np.subtract(rows[b, :, None], mean_of(b))
+        z /= np.sqrt(s2[b])[:, None, :]
+        np.einsum("sml,sl->sm", kernel(z, s2[b, None, :]), w[b], out=out[b])
+        del z  # before the next block's
+    return out
 
 
 def mixture_mean_variance(weights, means, sigma2):
@@ -224,30 +279,30 @@ def mixture_mean_variance(weights, means, sigma2):
 
 
 def _component_logdens(y, weights, means, sigma2) -> np.ndarray:
-    """(L, n) matrix of log w_l + log N(y_i; mean_li, sigma2_l).
+    """(L, n) matrix of log w_l + log N(y_i; mean_li, sigma2_l); (B, L, n) for B draws.
 
     means is (L,) for the location mixture or (L, n) for the regression
     mixture (one row of z_i'beta_l per component). Component-major, so
     the reductions over components run down contiguous columns.
     """
     lead = np.log(np.maximum(weights, 1e-300)) - 0.5 * (_LOG_2PI + np.log(sigma2))
-    lp = y - np.reshape(means, (sigma2.size, -1))
+    lp = y - np.reshape(means, sigma2.shape + (-1,))
     np.square(lp, out=lp)
     lp *= 0.5
-    lp /= sigma2[:, None]
-    return np.subtract(lead[:, None], lp, out=lp)
+    lp /= sigma2[..., None]
+    return np.subtract(lead[..., None], lp, out=lp)
 
 
 def _allocation_cdf(lp):
     """Cumulative component masses down each column of an (L, n) log-density
     matrix (in place, max-shifted), and each column's log-sum-exp: the
-    observation's mixture log-likelihood."""
-    top = lp.max(axis=0)
-    lp -= top
+    observation's mixture log-likelihood. A (B, L, n) block works per draw."""
+    top = lp.max(axis=-2)
+    lp -= top[..., None, :]
     cum = np.exp(lp, out=lp)
-    for l in range(1, cum.shape[0]):  # row adds: cumsum down axis 0 is slower
-        cum[l] += cum[l - 1]
-    return cum, top + np.log(cum[-1])
+    for l in range(1, cum.shape[-2]):  # row adds: cumsum down the component axis is slower
+        cum[..., l, :] += cum[..., l - 1, :]
+    return cum, top + np.log(cum[..., -1, :])
 
 
 def _allocate(cum, gen):
@@ -256,19 +311,15 @@ def _allocate(cum, gen):
     return np.minimum((cum < u * cum[-1]).sum(axis=0), cum.shape[0] - 1)
 
 
-def loglik_at_posterior_mean(draws, y=None, Z=None) -> np.ndarray:
+def loglik_at_posterior_mean(draws) -> np.ndarray:
     """Per-observation log-likelihood at componentwise posterior means.
 
     Plug-in used by the deviance criterion: average weights, atoms, and
-    variances over draws, then evaluate the mixture once.
+    variances over draws, then evaluate the mixture once at the fitted data.
     """
-    yy = draws.y if y is None else np.asarray(y, dtype=float)
-    if isinstance(draws, DdpDraws):
-        zmat = draws.Z if Z is None else np.asarray(Z, dtype=float)
-        means = draws.beta.mean(axis=0) @ zmat.T  # (L, n)
-    else:
-        means = draws.means.mean(axis=0)
-    lp = _component_logdens(yy, draws.weights.mean(axis=0), means, draws.sigma2.mean(axis=0))
+    means = (draws.beta.mean(axis=0) @ draws.Z.T if isinstance(draws, DdpDraws)
+             else draws.means.mean(axis=0))
+    lp = _component_logdens(draws.y, draws.weights.mean(axis=0), means, draws.sigma2.mean(axis=0))
     return _allocation_cdf(lp)[1]
 
 
@@ -327,15 +378,21 @@ def _update_components(Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, a, b, gen):
 
 
 def _collect(mcmc: McmcControl, sweeps) -> list:
-    """Stack every nskip-th state after nburn of an endless sweep generator."""
-    out = None
+    """Stack every nskip-th state after nburn of an endless sweep generator, but
+    fold the last element, the log-likelihood row, 64 rows at a time (`LoglikFold`)."""
+    out, fold, rows = None, None, []
     for saved in range(mcmc.nsave):
         for _ in range(mcmc.nskip if saved else mcmc.nburn + mcmc.nskip):
             state = next(sweeps)
-        out = out or [np.empty((mcmc.nsave,) + np.shape(a)) for a in state]
+        out = out or [np.empty((mcmc.nsave,) + np.shape(a)) for a in state[:-1]]
+        fold = fold or LoglikFold(np.size(state[-1]))
         for o, a in zip(out, state):
             o[saved] = a
-    return out
+        rows.append(state[-1])
+        if len(rows) == 64 or saved == mcmc.nsave - 1:
+            fold.merge(np.array(rows))
+            rows = []
+    return out + [fold]
 
 
 def _observations(y) -> np.ndarray:
@@ -405,8 +462,8 @@ def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
 
     sweeps = _gibbs_sweeps(y, prior, gen, sample_atoms_prior(prior, prior.L, gen), update,
                            lambda mu: mu)
-    w, mu, s2, alpha, ll = _collect(mcmc, sweeps)
-    return DpmDraws(weights=w, means=mu, sigma2=s2, alpha=alpha, loglik=ll,
+    w, mu, s2, alpha, fold = _collect(mcmc, sweeps)
+    return DpmDraws(weights=w, means=mu, sigma2=s2, alpha=alpha, fold=fold,
                     y=y.copy(), prior=prior, mcmc=mcmc)
 
 
@@ -450,8 +507,8 @@ def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None
     beta = m[None, :] + (np.linalg.cholesky(np.linalg.inv(S_inv)) @ gen.standard_normal((q, L))).T
     sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float)
     sweeps = _gibbs_sweeps(y, prior, gen, (beta, sigma2), update, lambda beta: beta @ Z.T)
-    w, beta, s2, alpha, ll = _collect(mcmc, sweeps)
-    return DdpDraws(weights=w, beta=beta, sigma2=s2, alpha=alpha, loglik=ll,
+    w, beta, s2, alpha, fold = _collect(mcmc, sweeps)
+    return DdpDraws(weights=w, beta=beta, sigma2=s2, alpha=alpha, fold=fold,
                     y=y.copy(), Z=Z.copy(), prior=prior, mcmc=mcmc)
 
 
@@ -492,8 +549,8 @@ def mixture_quantile(weights, means, sigma2, q) -> np.ndarray:
     q strictly inside (0, 1) is straddled; q is clipped to [1e-12, 1-1e-12].
     Each quantile starts from the moment-matched normal quantile
     m + sqrt(v) Phi^{-1}(q) and takes Newton steps on the closed-form
-    mixture density. Draws are inverted in chunks of about 4e6
-    (point, component) elements.
+    mixture density. Draws are inverted in blocks (`_draw_blocks`); a
+    point holds L elements in the callbacks and about 20 in the inverter.
     """
     w, mu, s2 = (np.asarray(a, dtype=float) for a in (weights, means, sigma2))
     sd = np.sqrt(s2)
@@ -504,9 +561,7 @@ def mixture_quantile(weights, means, sigma2, q) -> np.ndarray:
         return mu[:, :1] + sd[:, :1] * ndtri(q)
     m = q.shape[1]
     out = np.empty((S, m))
-    chunk = max(1, int(4_000_000 / max(1, m * w.shape[1])))
-    for start in range(0, S, chunk):
-        rows = slice(start, min(S, start + chunk))
+    for rows in _draw_blocks(S, m * (w.shape[1] + 20)):
         cdf, pdf = _mixture_callbacks(w[rows], mu[rows], sd[rows], m)
         mean, var = mixture_mean_variance(w[rows], mu[rows], s2[rows])
         out[rows] = invert_cdf(

@@ -50,11 +50,14 @@ def mw_auc(y_h, y_d, weights_h=None, weights_d=None) -> float:
 
 
 def mixture_auc_closed(w_h, mu_h, sd_h, w_d, mu_d, sd_d) -> np.ndarray:
-    """Closed-form AUC between two normal mixtures per draw of (S, L) arrays: an (S,) vector."""
-    b = (mu_d[:, None, :] - mu_h[:, :, None]) / sd_d[:, None, :]
-    a = sd_h[:, :, None] / sd_d[:, None, :]
-    cell = ndtr(b / np.sqrt(1.0 + a * a))
-    return np.einsum("sk,sl,skl->s", w_h, w_d, cell)
+    """Closed-form AUC between two normal mixtures per draw of (S, L) arrays, by blocks: (S,)."""
+    from .mixtures import _draw_blocks  # mixtures imports this module
+    out = np.empty(w_h.shape[0])
+    for s in _draw_blocks(w_h.shape[0], w_h.shape[1] * w_d.shape[1]):
+        b = (mu_d[s, None, :] - mu_h[s, :, None]) / sd_d[s, None, :]
+        a = sd_h[s, :, None] / sd_d[s, None, :]
+        out[s] = np.einsum("sk,sl,skl->s", w_h[s], w_d[s], ndtr(b / np.sqrt(1.0 + a * a)))
+    return out
 
 
 def invert_cdf(cdf, q, lo, hi, pdf=None, start=None):

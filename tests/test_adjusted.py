@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,9 +13,10 @@ from rocinfer.adjusted import (
     aroc_threshold,
 )
 from rocinfer.errors import ConfigError, MissingColumnError, MissingDrawsError
-from rocinfer.mixtures import DdpPrior, McmcControl
+from rocinfer.mixtures import DdpPrior, McmcControl, fit_ddp
 from rocinfer.pooled import PaucControl
 from rocinfer.smoothing import fit_location_scale, silverman_bandwidth
+from rocinfer.streams import RngStream
 from rocinfer.summaries import ecdf_eval, odd_grid, simpson
 
 from conftest import covariate_sample
@@ -194,6 +197,27 @@ def test_bnp_agrees_with_frequentist():
     assert bnp.fit.diseased is None
     assert all(np.isfinite(v) for v in bnp.fit.as_dict()["healthy"].values())
     assert bnp.sample_sizes == (200, 200)
+
+
+def test_bnp_fit_and_placements_memory_stay_below_one_loglik_matrix():
+    """aroc_bnp's healthy fit and diseased placements (`cdf_at`) at S = 2330 draws
+    over 2149 + 691 markers: the healthy (S, n_h) log-likelihood matrix alone
+    would be 40 MB; the fit folds it and `cdf_at` walks the draws in blocks."""
+    g = np.random.default_rng(34)
+    x = g.uniform(0.0, 1.0, 2840)
+    y = x + g.normal(size=2840) + np.r_[np.zeros(2149), np.full(691, 1.5)]
+    Z = np.column_stack([np.ones_like(x), x])
+    S = 2330
+    tracemalloc.start()
+    try:
+        draws = fit_ddp(y[:2149], Z[:2149], prior=DdpPrior(L=2),
+                        mcmc=McmcControl(nsave=S, nburn=0), rng=RngStream(35, 0))
+        U = 1.0 - draws.cdf_at(y[2149:], Z[2149:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S * 2149 * 8
+    assert U.shape == (S, 691) and draws.fold.count == S
 
 
 def test_bnp_threshold_rows_follow_the_covariate():

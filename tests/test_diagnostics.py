@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import logsumexp, ndtr
 
-from rocinfer import diagnostics
+from rocinfer import mixtures
 
 from rocinfer.diagnostics import (
     criteria_from_draws,
@@ -20,7 +20,7 @@ from rocinfer.diagnostics import (
     waic,
 )
 from rocinfer.errors import MissingDrawsError, NegativePenaltyWarning
-from rocinfer.mixtures import DpmDraws, DpmPrior, McmcControl
+from rocinfer.mixtures import DpmDraws, DpmPrior, LoglikFold, McmcControl
 from rocinfer.streams import RngStream
 
 # three draws, two observations; reference values computed by hand
@@ -135,7 +135,7 @@ def _toy_draws(S=40, n=60, seed=5):
         means=means,
         sigma2=sigma2,
         alpha=np.ones(S),
-        loglik=np.zeros((S, n)),
+        fold=LoglikFold.of(np.zeros((S, n))),
         y=y,
         prior=DpmPrior().resolved(y),
         mcmc=McmcControl(nsave=S, nburn=0),
@@ -195,7 +195,7 @@ def test_criteria_from_draws_bundles_the_three():
 
 def test_criteria_reduce_over_column_blocks(monkeypatch):
     # 1000 draws x 2000 observations (16 MB) in blocks of 64 columns
-    monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", 1 << 16)
+    monkeypatch.setattr(mixtures, "_BLOCK_ELEMENTS", 1 << 16)
     ll = -1.0 - RngStream(4, 0).generator.gamma(2.0, 1.0, size=(1000, 2000))
     S = ll.shape[0]
     lppd = np.sum(logsumexp(ll, axis=0) - np.log(S))
@@ -216,3 +216,38 @@ def test_criteria_reduce_over_column_blocks(monkeypatch):
     ll[700, 1999] = np.nan
     with pytest.raises(MissingDrawsError):
         waic(ll)
+
+
+def _matrix_criteria(ll, ll_hat):
+    """WAIC, DIC and LPML straight from the (S, n) matrix (the formulas the fold replaced)."""
+    S = ll.shape[0]
+    lppd = np.sum(logsumexp(ll, axis=0) - np.log(S))
+    waic_pen = np.sum(np.var(ll, axis=0, ddof=1)) if S > 1 else 0.0
+    dbar, dhat = np.mean(-2.0 * np.sum(ll, axis=1)), -2.0 * np.sum(ll_hat)
+    log_cpo = -(logsumexp(-ll, axis=0) - np.log(S))
+    return ((-2.0 * (lppd - waic_pen), waic_pen), (dhat + 2.0 * (dbar - dhat), dbar - dhat),
+            (np.sum(log_cpo), np.exp(log_cpo)))
+
+
+@pytest.mark.parametrize("S", [1, 2, 63, 64, 65, 130])
+def test_fold_matches_the_matrix_formulas(S):
+    # rows spanning about +-700: exp(ll) and exp(-ll) overflow without the max shift
+    g = RngStream(40 + S, 0).generator
+    ll = 700.0 * g.uniform(-1.0, 1.0, (S, 37)) + g.normal(0.0, 3.0, 37)
+    ll_hat = ll.max(axis=0)
+    fold = LoglikFold.of(ll)
+    assert fold.count == S and np.array_equal(fold.sums, ll.sum(axis=1))
+    want_waic, want_dic, want_lpml = _matrix_criteria(ll, ll_hat)
+    for got in (fold, ll):
+        np.testing.assert_allclose(waic(got), want_waic, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dic(got, ll_hat), want_dic, rtol=1e-12, atol=0)
+        total, cpo = lpml(got)
+        np.testing.assert_allclose(total, want_lpml[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cpo, want_lpml[1], rtol=1e-12, atol=0)
+    if S == 1:
+        assert waic(fold)[1] == 0.0
+    ll[S // 2, 5] = np.inf
+    for bad in (ll, LoglikFold.of(ll)):
+        for criterion in (waic, lpml, lambda x: dic(x, ll_hat)):
+            with pytest.raises(MissingDrawsError, match="non-finite entries"):
+                criterion(bad)

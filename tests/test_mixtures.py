@@ -15,10 +15,10 @@ from rocinfer.mixtures import (
     DdpPrior,
     DpmDraws,
     DpmPrior,
+    LoglikFold,
     McmcControl,
     _allocate,
     _allocation_cdf,
-    _collect,
     _component_logdens,
     _update_alpha,
     _update_components,
@@ -33,6 +33,7 @@ from rocinfer.mixtures import (
     sample_atoms_prior,
 )
 from rocinfer.streams import RngStream, gamma_shape_rate, stick_breaking, wishart
+from rocinfer.summaries import mixture_auc_closed
 
 
 def test_dpm_prior_resolves_from_data():
@@ -256,7 +257,7 @@ def test_loglik_at_posterior_mean_single_draw_identity():
         means=np.array([[0.0, 1.0]]),
         sigma2=np.array([[1.0, 2.0]]),
         alpha=np.array([1.0]),
-        loglik=np.zeros((1, 3)),
+        fold=LoglikFold.of(np.zeros((1, 3))),
         y=y,
         prior=prior,
         mcmc=McmcControl(nsave=1, nburn=0),
@@ -462,6 +463,22 @@ def _reference_ddp_sweeps(y, Z, prior, gen):
         yield w, beta, sigma2, alpha, ll
 
 
+def _stacked(mcmc, sweeps):
+    """Every nskip-th state after nburn of the sweep generator, each element stacked."""
+    kept = []
+    for saved in range(mcmc.nsave):
+        for _ in range(mcmc.nskip if saved else mcmc.nburn + mcmc.nskip):
+            state = next(sweeps)
+        kept.append([np.array(a) for a in state])
+    return [np.array(col) for col in zip(*kept)]
+
+
+def _assert_same_fold(got, want):
+    for name in ("sums", "lse", "lse_neg", "mean", "m2"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.n, got.count, got.finite) == (want.n, want.count, want.finite)
+
+
 def _oracle_data(q):
     gen = RngStream(808, 0).generator
     x = gen.uniform(0.0, 1.0, 40)
@@ -484,9 +501,10 @@ def test_dpm_sweeps_match_the_reference_loop_bitwise(L, nskip, monkeypatch):
     got = fit_dpm(y, prior=DpmPrior(L=L), mcmc=mcmc, rng=RngStream(808, 1))
     var = float(np.var(y, ddof=1))
     assert (got.prior.m0, got.prior.S0, got.prior.b) == (float(np.mean(y)), 10.0 * var, 2.0 * var)
-    want = _collect(mcmc, _reference_dpm_sweeps(y, got.prior, RngStream(808, 1).generator))
+    want = _stacked(mcmc, _reference_dpm_sweeps(y, got.prior, RngStream(808, 1).generator))
     for name, a in zip(("weights", "means", "sigma2", "alpha", "loglik"), want):
         assert np.array_equal(getattr(got, name), a), name
+    _assert_same_fold(got.fold, LoglikFold.of(want[-1]))
     # the initial atoms, then (L = 10) empty components refreshed from the base measure
     assert calls[0] == L and (len(calls) > 1) == (L == 10)
 
@@ -502,9 +520,10 @@ def test_ddp_sweeps_match_the_reference_loop_bitwise(L, nskip, q):
     assert np.array_equal(got.prior.m0, np.r_[np.mean(y), np.zeros(q - 1)])
     assert np.array_equal(got.prior.S0, 10.0 * var * np.eye(q))
     assert np.array_equal(got.prior.Psi, var * np.eye(q)) and got.prior.nu == q + 2.0
-    want = _collect(mcmc, _reference_ddp_sweeps(y, Z, got.prior, RngStream(808, 2).generator))
+    want = _stacked(mcmc, _reference_ddp_sweeps(y, Z, got.prior, RngStream(808, 2).generator))
     for name, a in zip(("weights", "beta", "sigma2", "alpha", "loglik"), want):
         assert np.array_equal(getattr(got, name), a), name
+    _assert_same_fold(got.fold, LoglikFold.of(want[-1]))
 
 
 def test_ddp_rejects_non_finite_observations():
@@ -512,3 +531,31 @@ def test_ddp_rejects_non_finite_observations():
     y[3] = np.nan
     with pytest.raises(TooFewPointsError, match="finite"):
         fit_ddp(y, Z, mcmc=McmcControl(nsave=2, nburn=0))
+
+
+@pytest.mark.parametrize("budget", [1, 300])
+def test_blocked_draws_match_one_block(budget, monkeypatch):
+    # 130 draws, L = 4: the default budget takes them in one block; 1 gives a
+    # block per draw, 300 blocks of 3 draws (or 1, where a draw's points outgrow it)
+    gen = RngStream(91, 0).generator
+    y, Z = _oracle_data(2)
+    mcmc = McmcControl(nsave=130, nburn=5)
+    dpm = fit_dpm(y, prior=DpmPrior(L=4), mcmc=mcmc, rng=RngStream(91, 1))
+    ddp = fit_ddp(y, Z, prior=DdpPrior(L=4), mcmc=mcmc, rng=RngStream(91, 2))
+    w, mu, s2 = dpm.weights, dpm.means, dpm.sigma2
+    pts, rows = np.linspace(-3.0, 4.0, 23), gen.normal(0.5, 2.0, (130, 23))
+    q = gen.uniform(0.01, 0.99, (130, 11))
+    run = lambda: [mixture_cdf(w, mu, s2, pts), mixture_cdf(w, mu, s2, rows),
+                   mixture_pdf(w, mu, s2, pts), mixture_pdf(w, mu, s2, rows),
+                   ddp.cdf_at(y, Z), mixture_quantile(w, mu, s2, q),
+                   mixture_quantile(w, mu, s2, q[0]),
+                   mixture_auc_closed(w, mu, np.sqrt(s2), ddp.weights, ddp.beta[:, :, 0],
+                                      np.sqrt(ddp.sigma2)),
+                   dpm.loglik, ddp.loglik]
+    whole = run()
+    # the samplers folded, 64 rows at a time, exactly the rows loglik rebuilds
+    _assert_same_fold(dpm.fold, LoglikFold.of(whole[-2]))
+    _assert_same_fold(ddp.fold, LoglikFold.of(whole[-1]))
+    monkeypatch.setattr(mixtures, "_BLOCK_ELEMENTS", budget)
+    for got, want in zip(run(), whole):
+        assert np.array_equal(got, want)

@@ -462,6 +462,24 @@ def test_bb_fit_memory_does_not_grow_with_full_weight_arrays():
     assert peak < 32e6
 
 
+def test_dpm_fit_memory_does_not_grow_with_the_loglik_matrix():
+    """S = 2330 draws over 2149 + 691 markers: the healthy group's (S, n_h)
+    log-likelihood matrix alone would be 40 MB, and the fit folds it instead."""
+    g = np.random.default_rng(32)
+    s = DiagnosticSample(marker=np.concatenate([g.normal(0, 1, 2149), g.normal(1, 1, 691)]),
+                         disease=np.array([0] * 2149 + [1] * 691), nondiseased_tag=0)
+    S = 2330
+    tracemalloc.start()
+    try:
+        res = pooled_dpm(s, prior_h=DpmPrior(L=2), prior_d=DpmPrior(L=2),
+                         mcmc=McmcControl(nsave=S, nburn=0), rng=33)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S * 2149 * 8
+    assert np.isfinite(res.fit.healthy.waic) and res.internals["draws_h"].fold.count == S
+
+
 def test_dpm_without_standardisation_still_fits():
     s = binormal_sample(n_h=80, n_d=80, shift=1.0, seed=23)
     res = pooled_dpm(s, prior_h=DpmPrior(L=1), prior_d=DpmPrior(L=1),
