@@ -244,7 +244,7 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
         placements=estimate(U),
         sample_sizes=(split_std.n_h, split_std.n_d),
         fit=crit,
-        internals={"draws_h": draws, "std": std, "fitted": fitted, "q": q,
+        internals={"draws_h": draws, "std": std, "fitted": fitted,
                    "p_star_draws": members[4], "yi_draws": members[3]},
     )
 

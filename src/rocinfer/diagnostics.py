@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import MissingDrawsError, NegativePenaltyWarning
-from .mixtures import DdpDraws, DpmDraws, LoglikFold, loglik_at_posterior_mean
+from .errors import MissingDrawsError
+from .mixtures import DdpDraws, DpmDraws, LoglikFold
 from .streams import _gen
 
 
@@ -59,26 +58,20 @@ def waic(ll) -> tuple:
     return -2.0 * (lppd - penalty), penalty
 
 
-def dic(ll, ll_at_posterior_mean) -> tuple:
-    """Deviance information criterion with a plug-in at posterior means.
+def dic(ll) -> tuple:
+    """Deviance information criterion with the posterior mean density as plug-in.
 
-    penalty = mean deviance minus the deviance at the posterior means of
-    the mixture parameters. A negative penalty is reported as is (mixture
-    plug-ins can beat the average); it signals poor identification.
+    ll is a LoglikFold or an (S, n) matrix. The plug-in density at y_i is
+    (1/S) sum_s p(y_i | theta_s), the DIC_3 of Celeux, Forbes, Robert and
+    Titterington (2006, Bayesian Analysis 1(4)), which no relabelling of
+    mixture components moves. Its deviance is -2 lppd; the penalty, mean
+    deviance minus it, sums 2 (log mean_s p - mean_s log p) over
+    observations, each term nonnegative by Jensen's inequality.
     """
     fold = _folded(ll)
-    ll_hat = np.asarray(ll_at_posterior_mean, dtype=float)
-    if ll_hat.shape != (fold.n,):
-        raise MissingDrawsError("plug-in log-likelihood length must match observations")
-    dbar = float(np.mean(-2.0 * fold.sums))
-    dhat = float(-2.0 * np.sum(ll_hat))
-    penalty = dbar - dhat
-    if penalty < 0:
-        warnings.warn(
-            "DIC penalty is negative (plug-in beats the average deviance)",
-            NegativePenaltyWarning,
-        )
-    return dhat + 2.0 * penalty, penalty
+    log_mean_p = fold.lse - np.log(fold.count)
+    penalty = 2.0 * float(np.sum(log_mean_p - fold.mean))
+    return -2.0 * float(np.sum(log_mean_p)) + 2.0 * penalty, penalty
 
 
 def lpml(ll) -> tuple:
@@ -93,20 +86,11 @@ def lpml(ll) -> tuple:
     return float(np.sum(log_cpo)), np.exp(log_cpo)
 
 
-def criteria_from_draws(draws, loglik=None, ll_hat=None) -> GroupCriteria:
-    """Bundle WAIC, DIC, and LPML for one group's saved draws.
-
-    loglik, an (S, n) matrix, overrides the draws' fold (the plug-in then
-    moves by the change in its mean); ll_hat overrides the plug-in.
-    """
-    fold = draws.fold if loglik is None else _folded(loglik)
-    if ll_hat is None:
-        ll_hat = loglik_at_posterior_mean(draws)
-        if loglik is not None:
-            ll_hat = ll_hat + float(np.mean(fold.mean) - np.mean(draws.fold.mean))
-    w, wp = waic(fold)
-    d, dp = dic(fold, ll_hat)
-    lp, _ = lpml(fold)
+def criteria_from_draws(draws) -> GroupCriteria:
+    """Bundle WAIC, DIC, and LPML for one group's saved draws, all read off its fold."""
+    w, wp = waic(draws.fold)
+    d, dp = dic(draws.fold)
+    lp, _ = lpml(draws.fold)
     return GroupCriteria(waic=w, waic_penalty=wp, dic=d, dic_penalty=dp, lpml=lp)
 
 

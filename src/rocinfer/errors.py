@@ -122,7 +122,3 @@ class ExtrapolationWarning(RocinferWarning):
 
 class ClampWarning(RocinferWarning):
     """A variance estimate was clamped at its lower floor."""
-
-
-class NegativePenaltyWarning(RocinferWarning):
-    """DIC penalty came out negative (possible under label switching)."""

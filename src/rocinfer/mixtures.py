@@ -311,18 +311,6 @@ def _allocate(cum, gen):
     return np.minimum((cum < u * cum[-1]).sum(axis=0), cum.shape[0] - 1)
 
 
-def loglik_at_posterior_mean(draws) -> np.ndarray:
-    """Per-observation log-likelihood at componentwise posterior means.
-
-    Plug-in used by the deviance criterion: average weights, atoms, and
-    variances over draws, then evaluate the mixture once at the fitted data.
-    """
-    means = (draws.beta.mean(axis=0) @ draws.Z.T if isinstance(draws, DdpDraws)
-             else draws.means.mean(axis=0))
-    lp = _component_logdens(draws.y, draws.weights.mean(axis=0), means, draws.sigma2.mean(axis=0))
-    return _allocation_cdf(lp)[1]
-
-
 def sample_atoms_prior(prior: DpmPrior, size: int, rng):
     """(mu, sigma2) draws from the base measure, used for empty components."""
     gen = _gen(rng)

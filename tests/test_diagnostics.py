@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,13 +20,12 @@ from rocinfer.diagnostics import (
     quantile_residuals,
     waic,
 )
-from rocinfer.errors import MissingDrawsError, NegativePenaltyWarning
+from rocinfer.errors import MissingDrawsError
 from rocinfer.mixtures import DpmDraws, DpmPrior, LoglikFold, McmcControl
 from rocinfer.streams import RngStream
 
 # three draws, two observations; reference values computed by hand
 LL = np.array([[-1.2, -0.7], [-0.9, -1.1], [-1.4, -0.5]])
-LL_HAT = np.array([-1.0, -0.6])
 
 
 def test_waic_matches_hand_computation():
@@ -35,9 +35,9 @@ def test_waic_matches_hand_computation():
 
 
 def test_dic_matches_hand_computation():
-    val, penalty = dic(LL, LL_HAT)
-    assert penalty == pytest.approx(0.6666666666666665, abs=1e-12)
-    assert val == pytest.approx(4.533333333333333, abs=1e-12)
+    val, penalty = dic(LL)
+    assert penalty == pytest.approx(0.10249552371496451, abs=1e-12)
+    assert val == pytest.approx(3.969162190381631, abs=1e-12)
 
 
 def test_lpml_matches_hand_computation():
@@ -50,15 +50,7 @@ def test_criteria_ignore_draw_order():
     perm = LL[[2, 0, 1]]
     assert waic(perm) == pytest.approx(waic(LL))
     assert lpml(perm)[0] == pytest.approx(lpml(LL)[0])
-    assert dic(perm, LL_HAT) == pytest.approx(dic(LL, LL_HAT))
-
-
-def test_negative_dic_penalty_warns_but_reports():
-    ll = np.full((2, 2), -1.0)
-    with pytest.warns(NegativePenaltyWarning):
-        val, penalty = dic(ll, np.array([-3.0, -3.0]))
-    assert penalty == pytest.approx(-8.0)
-    assert val == pytest.approx(12.0 + 2.0 * penalty)
+    assert dic(perm) == pytest.approx(dic(LL))
 
 
 def test_ll_matrix_validation():
@@ -66,8 +58,6 @@ def test_ll_matrix_validation():
         waic(np.array([-1.0, -2.0]))
     with pytest.raises(MissingDrawsError):
         waic(np.array([[-1.0, np.inf]]))
-    with pytest.raises(MissingDrawsError):
-        dic(LL, np.array([-1.0]))
 
 
 @given(
@@ -83,6 +73,37 @@ def test_lpml_never_exceeds_lppd(rows):
     S = ll.shape[0]
     lppd = float(np.sum(np.log(np.mean(np.exp(ll), axis=0))))
     assert lpml(ll)[0] <= lppd + 1e-9
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(lambda n: st.lists(
+        st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=n, max_size=n),
+        min_size=1,
+        max_size=8,
+    ))
+)
+def test_dic_penalty_is_nonnegative(rows):
+    # log of the mean density >= mean of the log densities, observation by observation
+    ll = np.array(rows)
+    for got in (LoglikFold.of(ll), ll):
+        assert dic(got)[1] >= -1e-9 * ll.shape[1]
+
+
+def test_dic_ignores_component_labels():
+    # two draws of one mixture; in the second its components trade labels
+    y = RngStream(12, 0).generator.standard_normal(30)
+    w, mu, s2 = np.array([0.3, 0.7]), np.array([-1.0, 1.5]), np.array([0.5, 2.0])
+
+    def criteria(order):
+        weights, means, sigma2 = (np.stack([a, a[order]]) for a in (w, mu, s2))
+        draws = DpmDraws(weights=weights, means=means, sigma2=sigma2, alpha=np.ones(2),
+                         fold=LoglikFold(y.size), y=y, prior=DpmPrior().resolved(y),
+                         mcmc=McmcControl(nsave=2, nburn=0))
+        return criteria_from_draws(replace(draws, fold=LoglikFold.of(draws.loglik)))
+
+    same, swapped = criteria([0, 1]), criteria([1, 0])
+    assert swapped.dic == pytest.approx(same.dic, rel=1e-12)
+    assert swapped.dic_penalty == pytest.approx(same.dic_penalty, abs=1e-12)
 
 
 def test_moment_statistics_hand_values():
@@ -184,10 +205,9 @@ def test_criteria_from_draws_bundles_the_three():
     ll = np.repeat(ll, 40, axis=0) + 0.01 * RngStream(9, 0).generator.standard_normal(
         (40, draws.y.size)
     )
-    ll_hat = ll.mean(axis=0)
-    crit = criteria_from_draws(draws, loglik=ll, ll_hat=ll_hat)
+    crit = criteria_from_draws(replace(draws, fold=LoglikFold.of(ll)))
     assert crit.waic == pytest.approx(waic(ll)[0])
-    assert crit.dic == pytest.approx(dic(ll, ll_hat)[0])
+    assert crit.dic == pytest.approx(dic(ll)[0])
     assert crit.lpml == pytest.approx(lpml(ll)[0])
     d = crit.as_dict()
     assert set(d) == {"waic", "waic_penalty", "dic", "dic_penalty", "lpml"}
@@ -218,12 +238,12 @@ def test_criteria_reduce_over_column_blocks(monkeypatch):
         waic(ll)
 
 
-def _matrix_criteria(ll, ll_hat):
+def _matrix_criteria(ll):
     """WAIC, DIC and LPML straight from the (S, n) matrix (the formulas the fold replaced)."""
     S = ll.shape[0]
     lppd = np.sum(logsumexp(ll, axis=0) - np.log(S))
     waic_pen = np.sum(np.var(ll, axis=0, ddof=1)) if S > 1 else 0.0
-    dbar, dhat = np.mean(-2.0 * np.sum(ll, axis=1)), -2.0 * np.sum(ll_hat)
+    dbar, dhat = np.mean(-2.0 * np.sum(ll, axis=1)), -2.0 * lppd
     log_cpo = -(logsumexp(-ll, axis=0) - np.log(S))
     return ((-2.0 * (lppd - waic_pen), waic_pen), (dhat + 2.0 * (dbar - dhat), dbar - dhat),
             (np.sum(log_cpo), np.exp(log_cpo)))
@@ -234,13 +254,12 @@ def test_fold_matches_the_matrix_formulas(S):
     # rows spanning about +-700: exp(ll) and exp(-ll) overflow without the max shift
     g = RngStream(40 + S, 0).generator
     ll = 700.0 * g.uniform(-1.0, 1.0, (S, 37)) + g.normal(0.0, 3.0, 37)
-    ll_hat = ll.max(axis=0)
     fold = LoglikFold.of(ll)
     assert fold.count == S and np.array_equal(fold.sums, ll.sum(axis=1))
-    want_waic, want_dic, want_lpml = _matrix_criteria(ll, ll_hat)
+    want_waic, want_dic, want_lpml = _matrix_criteria(ll)
     for got in (fold, ll):
         np.testing.assert_allclose(waic(got), want_waic, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(dic(got, ll_hat), want_dic, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dic(got), want_dic, rtol=1e-12, atol=0)
         total, cpo = lpml(got)
         np.testing.assert_allclose(total, want_lpml[0], rtol=1e-12, atol=0)
         np.testing.assert_allclose(cpo, want_lpml[1], rtol=1e-12, atol=0)
@@ -248,6 +267,6 @@ def test_fold_matches_the_matrix_formulas(S):
         assert waic(fold)[1] == 0.0
     ll[S // 2, 5] = np.inf
     for bad in (ll, LoglikFold.of(ll)):
-        for criterion in (waic, lpml, lambda x: dic(x, ll_hat)):
+        for criterion in (waic, dic, lpml):
             with pytest.raises(MissingDrawsError, match="non-finite entries"):
                 criterion(bad)

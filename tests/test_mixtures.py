@@ -13,7 +13,6 @@ from rocinfer.errors import (
 )
 from rocinfer.mixtures import (
     DdpPrior,
-    DpmDraws,
     DpmPrior,
     LoglikFold,
     McmcControl,
@@ -25,7 +24,6 @@ from rocinfer.mixtures import (
     _update_sticks,
     fit_ddp,
     fit_dpm,
-    loglik_at_posterior_mean,
     mixture_cdf,
     mixture_mean_variance,
     mixture_pdf,
@@ -247,27 +245,6 @@ def test_dpm_same_stream_is_deterministic():
 def test_dpm_rejects_degenerate_input():
     with pytest.raises(Exception):
         fit_dpm(np.array([1.0]))
-
-
-def test_loglik_at_posterior_mean_single_draw_identity():
-    y = np.array([-0.3, 0.1, 1.2])
-    prior = DpmPrior().resolved(y)
-    draws = DpmDraws(
-        weights=np.array([[0.6, 0.4]]),
-        means=np.array([[0.0, 1.0]]),
-        sigma2=np.array([[1.0, 2.0]]),
-        alpha=np.array([1.0]),
-        fold=LoglikFold.of(np.zeros((1, 3))),
-        y=y,
-        prior=prior,
-        mcmc=McmcControl(nsave=1, nburn=0),
-    )
-    ll = loglik_at_posterior_mean(draws)
-    direct = np.log(
-        0.6 * np.exp(-0.5 * y ** 2) / np.sqrt(2 * np.pi)
-        + 0.4 * np.exp(-0.5 * (y - 1.0) ** 2 / 2.0) / np.sqrt(4 * np.pi)
-    )
-    assert np.allclose(ll, direct, atol=1e-12)
 
 
 def test_ddp_recovers_linear_regression():

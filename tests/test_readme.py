@@ -4,7 +4,7 @@ Each command line of the README's CLI block goes through `cli.main`
 with its file names moved into a temporary directory and short chains
 or bootstraps appended, on `simulate --n 2840 --seed 2026` output and a
 newdata file inside that study's covariate range. Each must exit 0 and
-write an envelope with no null number.
+write an envelope with no null number and no negative fit penalty.
 """
 
 import csv
@@ -73,6 +73,9 @@ def test_readme_command_exits_0_with_finite_output(argv, study_dir, capsys):
     with open(argv[argv.index("--out") + 1], encoding="utf-8") as fh:
         envelope = json.load(fh)
     assert _nulls(envelope["payload"]) == []
+    for group in envelope["payload"].get("fit", {}).values():
+        assert group["waic_penalty"] >= 0 and group["dic_penalty"] >= 0, group
+    assert not [w for w in envelope["warnings"] if "DIC penalty" in w]
 
 
 def test_readme_aroc_bnp_reports_extrapolation_in_age_units(study_dir):

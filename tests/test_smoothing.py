@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 from rocinfer import smoothing
-from rocinfer.errors import DegenerateGridWarning
+from rocinfer.errors import ClampWarning, DegenerateGridWarning
 from rocinfer.pooled import KernelStack, _kernel_grid
 from rocinfer.smoothing import (
     _candidate_grid,
@@ -128,6 +128,14 @@ def test_local_linear_reproduces_lines_exactly():
     fit = fit_location_scale(x, y, order=1, bw_mean=0.7, bw_var=0.7)
     x0 = np.array([0.5, 2.0, 3.5])
     np.testing.assert_allclose(fit.mu(x0), 2.0 + 3.0 * x0, atol=1e-8)
+
+
+def test_variance_of_an_exact_line_is_clamped():
+    x = np.linspace(0.0, 4.0, 40)
+    fit = fit_location_scale(x, 2.0 + 3.0 * x, order=1, bw_mean=0.7, bw_var=0.7)
+    with pytest.warns(ClampWarning, match="variance estimate clamped"):
+        v = fit.sigma2(np.array([1.0, 3.0]))
+    np.testing.assert_array_equal(v, smoothing._VAR_FLOOR)
 
 
 def test_variance_function_tracks_heteroskedastic_noise():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 
-from rocinfer.errors import BadGridError
+from rocinfer.errors import BadGridError, BracketFailError
 from rocinfer.pooled import LocScaleStack, NormalStack, PaucControl, roc_rows, tnf_rows
 from rocinfer.summaries import (
     band,
@@ -72,6 +72,12 @@ def test_invert_cdf_matches_normal_quantiles():
     q = np.array([0.1, 0.5, 0.9])
     got = invert_cdf(lambda t, _: ndtr(t), q, -10.0, 10.0)
     np.testing.assert_allclose(got, ndtri(q), atol=1e-7)
+
+
+def test_invert_cdf_rejects_a_bracket_that_misses_q():
+    with pytest.raises(BracketFailError, match="does not straddle") as err:
+        invert_cdf(lambda t, _: ndtr(t), 0.5, 1.0, 2.0)  # F(1) > 0.5 already
+    assert err.value.exit_code == 4
 
 
 def _binormal_stacks():
