@@ -4,9 +4,10 @@ A definition counts as used when its name appears in `src/rocinfer`
 outside the definition itself: as a name, an attribute, an imported
 name or a string (`hasattr(x, "as_dict")`). Names listed in an
 `__all__` and dunders are exempt, since callers outside the package or
-the language itself use them, and so are the few members that only a
-caller outside the package reads, each named with its reader in
-`_READ_OUTSIDE`.
+the language itself use them. `_READ_OUTSIDE` names, each by its place
+in the package, the members that only a reader outside the package
+keeps; an entry must still be unused in the package and still be read
+by its reader, so it lapses with its reason.
 
 Since an import counts as a use there, a stale import could keep a
 deleted helper's name alive; so every name a module imports must also
@@ -20,9 +21,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rocinfer"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# member -> its reader outside the package
+ROOT = SRC.parents[1]
+
+# module:class:member -> (its reader outside the package, the text it reads it by)
 _READ_OUTSIDE = {
-    "loglik": "perfbench/spans.py, the saved draws' summed log-likelihood chain for its ESS",
+    # the benchmark tracer sums the saved draws' rows for the log-likelihood ESS
+    "mixtures.py:_SavedDraws:loglik": ("perfbench/spans.py", "out.loglik"),
 }
 
 
@@ -63,10 +67,12 @@ def test_every_definition_is_named_elsewhere():
     assert defs
     unused = [
         "%s:%s" % (where, node.name) for where, node in defs
-        if node.name not in exported | set(_READ_OUTSIDE) and not node.name.startswith("__")
+        if node.name not in exported and not node.name.startswith("__")
         and not any(name == node.name and id(node) not in inside for name, inside in uses)
     ]
-    assert unused == []
+    assert sorted(unused) == sorted(_READ_OUTSIDE)
+    for reader, text in _READ_OUTSIDE.values():
+        assert text in (ROOT / reader).read_text(encoding="utf-8"), reader
 
 
 def test_every_import_is_used():
