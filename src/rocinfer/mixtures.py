@@ -27,7 +27,7 @@ from .errors import (
 )
 from .streams import (
     _gen,
-    check_shape_rate,
+    _stick_weights,
     gamma_shape_rate,
     stick_breaking,
     wishart,
@@ -233,8 +233,14 @@ class DdpDraws(_SavedDraws):
 
     def cdf_at(self, y, Z) -> np.ndarray:
         """(S, n) matrix of F^(s)(y_i | z_i), each point under its own design row."""
-        return mixture_cdf(self.weights, lambda b: np.einsum("slq,nq->snl", self.beta[b], Z),
-                           self.sigma2, y)
+        Z = np.asarray(Z, dtype=float)
+        return mixture_cdf(self.weights, lambda b: _point_means(self.beta[b], Z), self.sigma2, y)
+
+
+def _point_means(beta, Z) -> np.ndarray:
+    """(B, n, L) component means z_i'beta_l of B draws' (B, L, q) coefficients at n design
+    rows, as one batched matmul (within an ulp or so of the per-term einsum sums)."""
+    return Z @ np.swapaxes(beta, 1, 2)
 
 
 def mixture_cdf(weights, means, sigma2, y0) -> np.ndarray:
@@ -307,8 +313,11 @@ def _allocation_cdf(lp):
 
 def _allocate(cum, gen):
     """Column i takes the first component whose mass reaches u_i times the total."""
+    L = cum.shape[0]
     u = gen.random(cum.shape[1])
-    return np.minimum((cum < u * cum[-1]).sum(axis=0), cum.shape[0] - 1)
+    # a uint8 count (faster than the default int64 one) is exact only up to 255 components
+    below = (cum < u * cum[-1]).sum(axis=0, dtype=np.uint8 if L <= 255 else np.intp)
+    return np.minimum(below, L - 1).astype(np.intp, copy=False)
 
 
 def sample_atoms_prior(prior: DpmPrior, size: int, rng):
@@ -322,7 +331,7 @@ def sample_atoms_prior(prior: DpmPrior, size: int, rng):
 def _update_sticks(counts, alpha, gen):
     """Stick proportions given the allocation counts; the last is 1 (none to draw when L = 1)."""
     tail = counts.sum() - np.cumsum(counts)
-    v = np.clip(gen.beta(1.0 + counts[:-1], alpha + tail[:-1]), 1e-12, 1.0 - 1e-12)
+    v = np.minimum(np.maximum(gen.beta(1.0 + counts[:-1], alpha + tail[:-1]), 1e-12), 1.0 - 1e-12)
     return np.concatenate([v, [1.0]])
 
 
@@ -331,20 +340,22 @@ def _update_alpha(v, prior_a, prior_b, gen):
     rate = prior_b - np.sum(np.log1p(-v[:-1]))
     if not rate > 0:
         raise NumericalCollapseError("concentration update produced a nonpositive rate")
-    return float(gamma_shape_rate(prior_a + v.size - 1, rate, gen))
+    return float(gen.gamma(prior_a + v.size - 1, 1.0 / rate))  # the shape is at least a_alpha > 0
 
 
 def _update_components(Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, a, b, gen):
     """Conjugate draws of all regression components' (beta_l, sigma2_l) at once.
 
-    Z_l'Z_l and Z_l'y come from one-hot sums of the row outer products ZZ
-    (n, q*q) and Z*y; one batched Cholesky and two batched solves follow.
+    Z_l'Z_l and Z_l'y are the products of the (L, n) one-hot allocation
+    matrix with the row outer products ZZ (n, q*q) and with Z*y; one
+    batched Cholesky and two batched solves follow.
     Draws keep the per-component order (q normals, then a standard gamma
     scaled by 1/rate, as gamma(shape, 1/rate) does). Returns beta (L, q),
     sigma2 (L,), the posterior means and the precisions' Cholesky factors.
     """
     L, q = sigma2.size, Z.shape[1]
-    onehot = (z == np.arange(L)[:, None]).astype(float)
+    onehot = np.zeros((L, z.size))
+    onehot[z, np.arange(z.size)] = 1.0
     prec = S_inv + (onehot @ ZZ).reshape(L, q, q) / sigma2[:, None, None]
     rhs = S_inv @ m + (onehot @ Zy) / sigma2[:, None]
     try:
@@ -359,9 +370,8 @@ def _update_components(Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, a, b, gen):
     half = np.linalg.solve(chol, rhs[:, :, None])
     both = np.linalg.solve(np.swapaxes(chol, 1, 2), np.concatenate([half, half + eps], axis=2))
     mean, beta = both[:, :, 0], both[:, :, 1]
-    resid = y - np.einsum("ij,ij->i", Z, beta[z])
-    rate = b + 0.5 * np.bincount(z, weights=resid * resid, minlength=L)
-    check_shape_rate(shape, rate)
+    resid = y - np.einsum("ij,ij->i", Z, np.take(beta, z, axis=0))
+    rate = b + 0.5 * np.bincount(z, weights=resid * resid, minlength=L)  # positive as b > 0
     return beta, 1.0 / ((1.0 / rate) * g), mean, chol
 
 
@@ -412,9 +422,9 @@ def _gibbs_sweeps(y, prior, gen, atoms, update, means):
         z = _allocate(cum, gen)
         counts = np.bincount(z, minlength=L)
         v = _update_sticks(counts, alpha, gen)
-        w = stick_breaking(v)
+        w = _stick_weights(v)  # v is clamped into [1e-12, 1 - 1e-12] and ends in 1
         atoms = update(z, counts, atoms)
-        if not np.all(np.isfinite(atoms[-1])) or np.any(atoms[-1] <= 0):
+        if not (np.isfinite(atoms[-1]) & (atoms[-1] > 0)).all():
             raise NumericalCollapseError("a component variance left the feasible range")
         alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
         cum, ll = _allocation_cdf(_component_logdens(y, w, means(atoms[0]), atoms[-1]))
@@ -440,11 +450,11 @@ def fit_dpm(y, prior: DpmPrior | None = None, mcmc: McmcControl | None = None,
         post_prec = 1.0 / prior.S0 + counts / sigma2
         post_mean = (prior.m0 / prior.S0 + sum_y / sigma2) / post_prec
         mu = post_mean + gen.standard_normal(prior.L) / np.sqrt(post_prec)
-        ss = np.bincount(z, weights=(y - mu[z]) ** 2, minlength=prior.L)
+        ss = np.bincount(z, weights=(y - np.take(mu, z)) ** 2, minlength=prior.L)
         rate = prior.b + 0.5 * ss
-        sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a + 0.5 * counts, rate, gen), dtype=float)
+        sigma2 = 1.0 / gen.gamma(prior.a + 0.5 * counts, 1.0 / rate)  # positive as a, b > 0
         empty = counts == 0
-        if np.any(empty):
+        if empty.any():
             mu[empty], sigma2[empty] = sample_atoms_prior(prior, int(empty.sum()), gen)
         return mu, sigma2
 

@@ -10,6 +10,7 @@ scheduling.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 from .errors import BadAlphaError, BadStickError, DimMismatchError, NotSPDError
@@ -95,9 +96,21 @@ def stick_breaking(v) -> np.ndarray:
         raise BadStickError("stick proportions must lie in [0,1]")
     if not np.abs(v[..., -1] - 1.0).max() <= 1e-12:
         raise BadStickError("last stick proportion must equal 1")
+    return _stick_weights(v)
+
+
+def _stick_weights(v) -> np.ndarray:
+    """stick_breaking's weights without its checks, for a float array v already in [0, 1]
+    with last entries 1 (the Gibbs sweeps' own sticks)."""
     ones = np.ones(v.shape[:-1] + (1,))
     surv = np.cumprod(1.0 - v[..., :-1], axis=-1)
     return v * np.concatenate([ones, surv], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _strict_lower(d: int) -> tuple:
+    """np.tril_indices(d, -1), built once per dimension (it costs a third of a q = 3 draw)."""
+    return np.tril_indices(d, -1)
 
 
 def wishart(nu: float, scale: np.ndarray, rng) -> np.ndarray:
@@ -122,7 +135,7 @@ def wishart(nu: float, scale: np.ndarray, rng) -> np.ndarray:
     dof = nu - np.arange(d)
     bart[np.diag_indices(d)] = np.sqrt(g.gamma(dof / 2.0, 2.0))
     if d > 1:
-        idx = np.tril_indices(d, -1)
+        idx = _strict_lower(d)
         bart[idx] = g.standard_normal(len(idx[0]))
     root = lower @ bart
     return root @ root.T

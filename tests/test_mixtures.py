@@ -1,16 +1,23 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import logsumexp, ndtr, ndtri
 
+from rocinfer.design import build_design, parse_formula
 from rocinfer.diagnostics import effective_sample_size
 from rocinfer import mixtures
 from rocinfer.errors import (
     ConfigError,
     DimMismatchError,
     NumericalCollapseError,
+    RocinferWarning,
     TooFewPointsError,
 )
+from rocinfer.generate import simulate_endosyn_like
+from rocinfer.ingest import ingest_csv
 from rocinfer.mixtures import (
     DdpPrior,
     DpmPrior,
@@ -18,10 +25,7 @@ from rocinfer.mixtures import (
     McmcControl,
     _allocate,
     _allocation_cdf,
-    _component_logdens,
-    _update_alpha,
     _update_components,
-    _update_sticks,
     fit_ddp,
     fit_dpm,
     mixture_cdf,
@@ -30,7 +34,8 @@ from rocinfer.mixtures import (
     mixture_quantile,
     sample_atoms_prior,
 )
-from rocinfer.streams import RngStream, gamma_shape_rate, stick_breaking, wishart
+from rocinfer.sample import split_groups, standardise
+from rocinfer.streams import RngStream, gamma_shape_rate, stick_breaking
 from rocinfer.summaries import mixture_auc_closed
 
 
@@ -365,6 +370,83 @@ def test_saved_loglik_is_the_saved_draws_log_sum_exp(nskip, nsave, L):
 
 
 # -- the two samplers' sweep loops before they shared `_gibbs_sweeps`, kept as the oracle --
+# The oracle runs its own frozen copies of the sweep helpers (their bodies before the
+# sweeps were sped up), so a rewrite of a package helper that moves a bit fails here.
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _frozen_component_logdens(y, weights, means, sigma2):
+    lead = np.log(np.maximum(weights, 1e-300)) - 0.5 * (_LOG_2PI + np.log(sigma2))
+    lp = y - np.reshape(means, sigma2.shape + (-1,))
+    np.square(lp, out=lp)
+    lp *= 0.5
+    lp /= sigma2[..., None]
+    return np.subtract(lead[..., None], lp, out=lp)
+
+
+def _frozen_allocation_cdf(lp):
+    top = lp.max(axis=-2)
+    lp -= top[..., None, :]
+    cum = np.exp(lp, out=lp)
+    for l in range(1, cum.shape[-2]):
+        cum[..., l, :] += cum[..., l - 1, :]
+    return cum, top + np.log(cum[..., -1, :])
+
+
+def _frozen_allocate(cum, gen):
+    u = gen.random(cum.shape[1])
+    return np.minimum((cum < u * cum[-1]).sum(axis=0), cum.shape[0] - 1)
+
+
+def _frozen_update_sticks(counts, alpha, gen):
+    tail = counts.sum() - np.cumsum(counts)
+    v = np.clip(gen.beta(1.0 + counts[:-1], alpha + tail[:-1]), 1e-12, 1.0 - 1e-12)
+    return np.concatenate([v, [1.0]])
+
+
+def _frozen_update_alpha(v, prior_a, prior_b, gen):
+    rate = prior_b - np.sum(np.log1p(-v[:-1]))
+    if not rate > 0:
+        raise NumericalCollapseError("concentration update produced a nonpositive rate")
+    return float(gamma_shape_rate(prior_a + v.size - 1, rate, gen))
+
+
+def _frozen_update_components(Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, a, b, gen):
+    L, q = sigma2.size, Z.shape[1]
+    onehot = (z == np.arange(L)[:, None]).astype(float)
+    prec = S_inv + (onehot @ ZZ).reshape(L, q, q) / sigma2[:, None, None]
+    rhs = S_inv @ m + (onehot @ Zy) / sigma2[:, None]
+    try:
+        chol = np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalCollapseError("component precision lost definiteness") from exc
+    shape = a + 0.5 * counts
+    eps, g = np.empty((L, q, 1)), np.empty(L)
+    for l in range(L):
+        eps[l, :, 0] = gen.standard_normal(q)
+        g[l] = gen.standard_gamma(shape[l])
+    half = np.linalg.solve(chol, rhs[:, :, None])
+    both = np.linalg.solve(np.swapaxes(chol, 1, 2), np.concatenate([half, half + eps], axis=2))
+    mean, beta = both[:, :, 0], both[:, :, 1]
+    resid = y - np.einsum("ij,ij->i", Z, beta[z])
+    rate = b + 0.5 * np.bincount(z, weights=resid * resid, minlength=L)
+    return beta, 1.0 / ((1.0 / rate) * g), mean, chol
+
+
+def _frozen_wishart(nu, scale, gen):
+    """Bartlett draw of `streams.wishart`, its input checks left out."""
+    d = scale.shape[0]
+    lower = np.linalg.cholesky(scale)
+    bart = np.zeros((d, d))
+    dof = nu - np.arange(d)
+    bart[np.diag_indices(d)] = np.sqrt(gen.gamma(dof / 2.0, 2.0))
+    if d > 1:
+        idx = np.tril_indices(d, -1)
+        bart[idx] = gen.standard_normal(len(idx[0]))
+    root = lower @ bart
+    return root @ root.T
+
 
 def _check_state(sigma2):
     if not np.all(np.isfinite(sigma2)) or np.any(sigma2 <= 0):
@@ -376,12 +458,12 @@ def _reference_dpm_sweeps(y, prior, gen):
     L = prior.L
     alpha = prior.a_alpha / prior.b_alpha
     mu, sigma2 = sample_atoms_prior(prior, L, gen)
-    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
-    cum, _ = _allocation_cdf(_component_logdens(y, w, mu, sigma2))
+    w = stick_breaking(_frozen_update_sticks(np.zeros(L, dtype=int), alpha, gen))
+    cum, _ = _frozen_allocation_cdf(_frozen_component_logdens(y, w, mu, sigma2))
     while True:
-        z = _allocate(cum, gen)
+        z = _frozen_allocate(cum, gen)
         counts = np.bincount(z, minlength=L)
-        v = _update_sticks(counts, alpha, gen)
+        v = _frozen_update_sticks(counts, alpha, gen)
         w = stick_breaking(v)
         sum_y = np.bincount(z, weights=y, minlength=L)
         post_prec = 1.0 / prior.S0 + counts / sigma2
@@ -397,8 +479,8 @@ def _reference_dpm_sweeps(y, prior, gen):
             mu[empty] = mu_e
             sigma2[empty] = s2_e
         _check_state(sigma2)
-        alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
-        cum, ll = _allocation_cdf(_component_logdens(y, w, mu, sigma2))
+        alpha = _frozen_update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
+        cum, ll = _frozen_allocation_cdf(_frozen_component_logdens(y, w, mu, sigma2))
         yield w, mu, sigma2, alpha, ll
 
 
@@ -417,14 +499,14 @@ def _reference_ddp_sweeps(y, Z, prior, gen):
     S_chol = np.linalg.cholesky(np.linalg.inv(S_inv))
     beta = m[None, :] + (S_chol @ gen.standard_normal((q, L))).T
     sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float)
-    w = stick_breaking(_update_sticks(np.zeros(L, dtype=int), alpha, gen))
-    cum, _ = _allocation_cdf(_component_logdens(y, w, beta @ Z.T, sigma2))
+    w = stick_breaking(_frozen_update_sticks(np.zeros(L, dtype=int), alpha, gen))
+    cum, _ = _frozen_allocation_cdf(_frozen_component_logdens(y, w, beta @ Z.T, sigma2))
     while True:
-        z = _allocate(cum, gen)
+        z = _frozen_allocate(cum, gen)
         counts = np.bincount(z, minlength=L)
-        v = _update_sticks(counts, alpha, gen)
+        v = _frozen_update_sticks(counts, alpha, gen)
         w = stick_breaking(v)
-        beta, sigma2 = _update_components(
+        beta, sigma2 = _frozen_update_components(
             Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, prior.a, prior.b, gen
         )[:2]
         _check_state(sigma2)
@@ -434,9 +516,9 @@ def _reference_ddp_sweeps(y, Z, prior, gen):
         dev = beta - m[None, :]
         scale = np.linalg.inv(nuPsi + dev.T @ dev)
         scale = 0.5 * (scale + scale.T)
-        S_inv = wishart(nu + L, scale, gen)
-        alpha = _update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
-        cum, ll = _allocation_cdf(_component_logdens(y, w, beta @ Z.T, sigma2))
+        S_inv = _frozen_wishart(nu + L, scale, gen)
+        alpha = _frozen_update_alpha(v, prior.a_alpha, prior.b_alpha, gen)
+        cum, ll = _frozen_allocation_cdf(_frozen_component_logdens(y, w, beta @ Z.T, sigma2))
         yield w, beta, sigma2, alpha, ll
 
 
@@ -501,6 +583,79 @@ def test_ddp_sweeps_match_the_reference_loop_bitwise(L, nskip, q):
     for name, a in zip(("weights", "beta", "sigma2", "alpha", "loglik"), want):
         assert np.array_equal(getattr(got, name), a), name
     _assert_same_fold(got.fold, LoglikFold.of(want[-1]))
+
+
+@pytest.fixture(scope="module")
+def benchmark_study(tmp_path_factory):
+    """The healthy group of `simulate --n 2840 --seed 2026`, standardised as aroc_bnp fits it,
+    with its linear (q = 3) and README spline designs."""
+    path = tmp_path_factory.mktemp("study") / "study.csv"
+    path.write_text(simulate_endosyn_like(2840, 2026))
+    sample = ingest_csv(path, "bmi", "cvd_idf", "0", covariates=["gender", "age"])
+    std_sample, std = standardise(sample)
+    split_std, split_raw = split_groups(std_sample), split_groups(sample)
+    designs = {}
+    for name, formula in (("linear", "bmi ~ gender + age"),
+                          ("spline", "bmi ~ gender + f(age, by=gender, K=(0,0))")):
+        with warnings.catch_warnings():  # the spline basis is collinear and extrapolates
+            warnings.simplefilter("ignore", RocinferWarning)
+            designs[name] = build_design(split_raw.healthy_cov, parse_formula(formula),
+                                         scales=std.covariates)[0]
+    return split_std.healthy, designs
+
+
+def _assert_matches_oracle(y, Z, L, seed):
+    """fit_dpm (Z None) or fit_ddp against the frozen reference loop: every saved draw, the
+    rebuilt log-likelihood rows and the fold, bitwise."""
+    mcmc = McmcControl(nsave=15, nburn=5)
+    if Z is None:
+        got = fit_dpm(y, prior=DpmPrior(L=L), mcmc=mcmc, rng=RngStream(seed, 1))
+        want = _stacked(mcmc, _reference_dpm_sweeps(y, got.prior, RngStream(seed, 1).generator))
+    else:
+        got = fit_ddp(y, Z, prior=DdpPrior(L=L), mcmc=mcmc, rng=RngStream(seed, 1))
+        want = _stacked(mcmc, _reference_ddp_sweeps(y, Z, got.prior, RngStream(seed, 1).generator))
+    atoms = "means" if Z is None else "beta"
+    for name, a in zip(("weights", atoms, "sigma2", "alpha", "loglik"), want):
+        assert np.array_equal(getattr(got, name), a), name
+    _assert_same_fold(got.fold, LoglikFold.of(want[-1]))
+
+
+@pytest.mark.parametrize("design", [None, "linear", "spline"])
+def test_sweeps_match_the_reference_loop_bitwise_at_benchmark_size(benchmark_study, design):
+    y, designs = benchmark_study
+    Z = designs.get(design)
+    assert y.size == 2149 and (Z is None or Z.shape[1] == {"linear": 3, "spline": 10}[design])
+    _assert_matches_oracle(y, Z, 10, 2026)
+
+
+def test_allocate_counts_past_255_components():
+    # mass on components 256 and up, where a uint8 count would wrap
+    L, n = 300, 500
+    gen = RngStream(12, 0).generator
+    lp = np.full((L, n), -50.0)
+    lp[250:] = gen.normal(0.0, 1.0, (L - 250, n))
+    got = _allocate(_allocation_cdf(lp.copy())[0], RngStream(12, 1).generator)
+    want = _frozen_allocate(_frozen_allocation_cdf(lp.copy())[0], RngStream(12, 1).generator)
+    assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert got.max() > 255
+
+
+@pytest.mark.parametrize("L", [255, 256, 300])
+@pytest.mark.parametrize("sampler", ["dpm", "ddp"])
+def test_sweeps_match_the_reference_loop_bitwise_past_255_components(L, sampler):
+    y, Z = _oracle_data(3)
+    _assert_matches_oracle(y, Z if sampler == "ddp" else None, L, 808)
+
+
+def test_conditional_cdfs_match_the_einsum_means():
+    y, Z = _oracle_data(3)
+    ddp = fit_ddp(y, Z, prior=DdpPrior(L=6), mcmc=McmcControl(nsave=50, nburn=5),
+                  rng=RngStream(808, 3))
+    pts, rows = np.linspace(-3.0, 4.0, 40), RngStream(808, 4).generator.uniform(0.0, 1.0, (40, 3))
+    ref_means = np.einsum("slq,nq->snl", ddp.beta, rows)
+    assert np.allclose(mixtures._point_means(ddp.beta, rows), ref_means, rtol=0, atol=1e-12)
+    want = mixture_cdf(ddp.weights, lambda b: ref_means[b], ddp.sigma2, pts)
+    assert np.allclose(ddp.cdf_at(pts, rows), want, rtol=0, atol=1e-12)
 
 
 def test_ddp_rejects_non_finite_observations():
