@@ -38,7 +38,7 @@ from .pooled import (
     mixture_stack,
 )
 from .sample import DiagnosticSample, split_groups, standardise
-from .smoothing import fit_by_rule, fit_location_scale
+from .smoothing import bandwidth_block, fit_by_rule, fit_location_scale
 from .streams import dirichlet
 from .summaries import (
     Interval,
@@ -72,6 +72,7 @@ class ArocResult:
     placements: np.ndarray  # one per diseased subject (posterior mean for bnp)
     sample_sizes: tuple
     fit: FitCriteria | None = None
+    bandwidths: dict | None = None  # kernel variant: `smoothing.bandwidth_block`
     internals: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -166,6 +167,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         U = 1.0 - (ndtr(t) if variant == "sp_normal" else ecdf_eval(fit.residuals, t, fit.cumw))
         return np.take_along_axis(U, d_idx, axis=-1)
 
+    bandwidths = None
     if variant in ("sp_normal", "sp_empirical"):
         if formula is None:
             raise ConfigError("the sp variants need a healthy-model formula")
@@ -186,6 +188,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         X_h = np.asarray(split.healthy_cov[covariate].values, dtype=float)
         X_d = np.asarray(split.diseased_cov[covariate].values, dtype=float)
         fit0 = fit_by_rule(X_h, y_h, bw, "healthy")
+        bandwidths = bandwidth_block({"healthy": fit0})
 
         def block(h_idx, d_idx):  # the block's healthy refits weighted by their draw counts
             return placements(fit_location_scale(X_h, y_h, bw_mean=fit0.bw_mean,
@@ -201,6 +204,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         **_summary_fields(_placement_rows(U, None, grid, ctrl), ctrl, plugin=True),
         placements=U0,
         sample_sizes=(split.n_h, split.n_d),
+        bandwidths=bandwidths,
     )
 
 

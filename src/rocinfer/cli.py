@@ -515,6 +515,8 @@ def _payload_of(cfg: RunConfig, sample, fit, thr=None, thr_frame=None) -> dict:
         out["pauc"] = fit.pauc
     if getattr(fit, "densities", None) is not None:
         out["densities"] = fit.densities
+    if getattr(fit, "bandwidths", None) is not None:
+        out["bandwidths"] = fit.bandwidths
     if fit.fit is not None:
         out["fit"] = fit.fit
     return out

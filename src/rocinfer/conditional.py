@@ -60,7 +60,7 @@ from .pooled import (
     mixture_stack,
 )
 from .sample import Column, DiagnosticSample, PredictionFrame, column_from_values, split_groups, standardise
-from .smoothing import fit_by_rule, fit_location_scale
+from .smoothing import bandwidth_block, fit_by_rule, fit_location_scale
 from .streams import parallel_map
 from .summaries import (
     ThresholdResult,
@@ -87,6 +87,7 @@ class CRocResult:
     sample_sizes: tuple
     fit: FitCriteria | None = None
     densities: dict | None = None
+    bandwidths: dict | None = None  # kernel fits: `smoothing.bandwidth_block`
     internals: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -329,15 +330,15 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
         return x0
 
     points(newdata)  # reject unusable prediction rows before fitting
-    groups = []
-    for name, x, y in (("healthy", x_h, split.healthy), ("diseased", x_d, split.diseased)):
-        fit = fit_by_rule(x, y, bw, name)
-        groups.append((fit, x, partial(fit_location_scale, bw_mean=fit.bw_mean,
-                                       bw_var=fit.bw_var)))
+    fits = {name: fit_by_rule(x, y, bw, name)
+            for name, x, y in (("healthy", x_h, split.healthy), ("diseased", x_d, split.diseased))}
+    groups = [(fit, x, partial(fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var))
+              for fit, x in zip(fits.values(), (x_h, x_d))]
     _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
                                B, stream, workers)
 
-    return _conditional_result("kernel", stacks, newdata, grid, ctrl, split)
+    return _conditional_result("kernel", stacks, newdata, grid, ctrl, split,
+                               bandwidths=bandwidth_block(fits))
 
 
 # -- Bayesian dependent-mixture model -------------------------------------------

@@ -261,6 +261,33 @@ def test_croc_payload_and_summary(study_csv, newdata_csv, tmp_path, capsys):
     assert "AUC at row 0 (age=32.5):" in out
 
 
+def test_kernel_payloads_report_their_bandwidths(tmp_path):
+    """croc and aroc kernel payloads give each fitted group's mean and variance h and the
+    rule, and under lscv whether each scan stopped at a grid edge. On the benchmark study
+    (seed 2026) the healthy mean bandwidth stops at the edge, 20 x h_srt = 49.47."""
+    study, newdata = tmp_path / "study.csv", tmp_path / "newdata.csv"
+    assert main(["simulate", "--n", "2840", "--seed", "2026", "--out", str(study)]) == 0
+    newdata.write_text("age\n30\n45\n60\n", encoding="utf-8")
+    common = ["--data", str(study), "--marker", "bmi", "--group", "cvd_idf", "--tag", "0",
+              "--method", "kernel", "--covariate", "age", "--B", "2"]
+    croc = _run_json(["croc", *common, "--newdata", str(newdata)], tmp_path / "c.json")
+    aroc = _run_json(["aroc", *common], tmp_path / "a.json")
+    srt = _run_json(["aroc", *common, "--bw", "srt"], tmp_path / "s.json")
+    bws = croc["payload"]["bandwidths"]
+    assert set(bws) == {"rule", "healthy", "diseased"} and bws["rule"] == "lscv"
+    for group in ("healthy", "diseased"):
+        assert set(bws[group]) == {"mean", "variance", "mean_at_edge", "variance_at_edge"}
+        assert all(math.isfinite(bws[group][h]) and bws[group][h] > 0
+                   for h in ("mean", "variance"))
+    assert round(bws["healthy"]["mean"], 2) == 49.47 and bws["healthy"]["mean_at_edge"] is True
+    assert bws["healthy"]["variance_at_edge"] is False
+    # aroc fits the healthy group alone, as croc does
+    assert aroc["payload"]["bandwidths"] == {"rule": "lscv", "healthy": bws["healthy"]}
+    h = srt["payload"]["bandwidths"]["healthy"]["mean"]
+    assert srt["payload"]["bandwidths"] == {"rule": "srt", "healthy": {"mean": h, "variance": h}}
+    assert all(_nulls(env["payload"]) == [] for env in (croc, aroc, srt))
+
+
 def test_aroc_payload_and_summary(study_csv, tmp_path, capsys):
     env = _run_json(["aroc", "--data", study_csv, "--marker", "bmi", "--group",
                      "cvd_idf", "--tag", "0", "--formula-h", "bmi ~ age",

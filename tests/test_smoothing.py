@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import warnings
 
@@ -7,9 +9,11 @@ from scipy.special import ndtr
 
 from rocinfer import smoothing
 from rocinfer.errors import ClampWarning, DegenerateGridWarning
+from rocinfer.generate import simulate_endosyn_like
 from rocinfer.pooled import KernelStack, _kernel_grid
 from rocinfer.smoothing import (
     _candidate_grid,
+    _loo_cv_cdf,
     _loo_cv_regression,
     _scan_reach,
     fit_location_scale,
@@ -179,7 +183,10 @@ def test_blocked_lscv_scan_matches_full_matrix_scorer(kind, seed):
     order and both must score inf; where every row keeps a margin of
     1e-6 both must be finite and, from h_srt/10 up, agree to 1e-9. In
     between, the inf rule itself depends on summation order. The
-    selected bandwidth must always agree.
+    selected bandwidth must always agree. The `ages` sample runs both
+    branches of the order-1 scan: its blocks span about 2 years, so
+    candidates below about h = 1 take per-pair sums and the larger ones
+    block-centred sums.
     """
     x, y = _scan_sample(kind, seed)
     h0 = silverman_bandwidth(x).value
@@ -308,6 +315,112 @@ def test_scan_in_candidate_groups_matches_one_group(monkeypatch):
     monkeypatch.setattr(smoothing, "_SCAN_BYTES", 7 * 5 * 8 * x.size)
     for order, expected in zip((0, 1), whole):
         np.testing.assert_array_equal(_loo_cv_regression(x, y, candidates, order), expected)
+
+
+# -- the scans as they were before the block-centred order-1 sums, kept as the oracle --
+# Frozen copies: a rewrite of a package scan that moves a score past rounding fails below.
+# The regression scan is copied with all candidates in one group (the package's candidate
+# groups are checked bitwise against one group above).
+
+def _frozen_moments(w, d, cols, order):
+    sums = (w @ cols).T
+    if order == 0:
+        return sums
+    w *= d
+    return np.concatenate([sums, (w @ cols).T, np.einsum("ij,ij->i", w, d)[None]])
+
+
+def _frozen_loo_cv_regression(x, y, candidates, order):
+    xs_order = np.argsort(x, kind="stable")
+    xs, ys = x[xs_order], y[xs_order]
+    n = xs.size
+    cols = np.column_stack([np.ones(n), ys])
+    reach = _scan_reach(n) * candidates
+    sse = np.zeros(candidates.size)
+    failed = np.zeros(candidates.size, dtype=bool)
+    buf = np.empty((min(64, n), n))
+    acc = np.zeros((candidates.size, 2 if order == 0 else 5, n))
+    for start in range(0, n, 64):
+        end = min(start + 64, n)
+        r, yr, rows_t = xs[start:end], ys[start:end], cols[start:end].T
+        hi = np.searchsorted(xs, r[-1] + reach, side="right")
+        d = r[:, None] - xs[start:hi.max()]
+        d2 = d * d
+        for c in range(candidates.size):
+            if failed[c]:
+                continue
+            h, b, past = candidates[c], hi[c] - start, acc[c, :, end:hi[c]]
+            w = buf[:r.size, :b]
+            np.multiply(d2[:, :b], -0.5 / (h * h), out=w)
+            np.exp(w, out=w)
+            past[:2] += rows_t @ w[:, r.size:]
+            sums = acc[c, :, start:end]
+            sums += _frozen_moments(w, d[:, :b], cols[start:hi[c]], order)
+            if order == 0:
+                s0, t0 = sums
+                num, denom, floor = t0 - yr, s0 - 1.0, 1e-300
+            else:
+                past[2:4] -= rows_t @ w[:, r.size:]
+                past[4] += np.einsum("ij,ij->j", w[:, r.size:], d[:, r.size:b])
+                s0, t0, s1, t1, s2 = sums
+                num = s2 * (t0 - yr) - s1 * t1
+                denom, floor = (s0 - 1.0) * s2 - s1 * s1, 1e-300 * np.maximum(1.0, s2)
+            failed[c] = np.any(denom <= floor)
+            if not failed[c]:
+                sse[c] += np.sum((yr - num / denom) ** 2)
+    return np.where(failed, np.inf, sse / n)
+
+
+def _frozen_loo_cv_cdf(y, h, grid):
+    a = ndtr((grid[None, :] - y[:, None]) / h)
+    n = y.size
+    f_all = a.mean(axis=0)
+    f_loo = (n * f_all[None, :] - a) / (n - 1.0)
+    indic = (y[:, None] <= grid[None, :]).astype(float)
+    err = (indic - f_loo) ** 2
+    return float(np.mean(np.trapezoid(err, grid, axis=1)))
+
+
+def _study_groups(seed):
+    """(age, bmi) of the healthy and the diseased group of `simulate --n 2840 --seed seed`."""
+    rows = list(csv.DictReader(io.StringIO(simulate_endosyn_like(2840, seed))))
+    return [tuple(np.array([float(row[k]) for row in rows if row["cvd_idf"] == tag])
+                  for k in ("age", "bmi")) for tag in ("0", "1")]
+
+
+def _selected(scores):
+    return int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))
+
+
+@pytest.mark.parametrize("seed", [2026, 400, 700])
+def test_scan_matches_the_frozen_scan_at_benchmark_size(seed):
+    """Both groups' mean (order 1 and 0) and variance scans against the frozen scan: the
+    same inf pattern, every finite score within 1e-13 relative, the same selection. The
+    variance target smooths the squared residuals of the selected order-1 mean fit."""
+    for x, y in _study_groups(seed):
+        candidates = _candidate_grid(x)
+        mean_scores = _frozen_loo_cv_regression(x, y, candidates, 1)
+        h = candidates[_selected(mean_scores)]
+        sq = (y - local_poly_regression(x, y, h, x, order=1)) ** 2
+        for order, yy, want in ((1, y, mean_scores), (0, y, None), (0, sq, None)):
+            got = _loo_cv_regression(x, yy, candidates, order)
+            if want is None:
+                want = _frozen_loo_cv_regression(x, yy, candidates, order)
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0)
+            assert _selected(got) == _selected(want)
+
+
+def test_cdf_scan_matches_the_frozen_scan_bitwise():
+    """The pooled-kernel LSCV scores, with the indicators built once for all candidates,
+    equal the frozen per-candidate scan bit for bit (the healthy markers at seed 2026)."""
+    y = _study_groups(2026)[0][1]
+    candidates = _candidate_grid(y)
+    grid = np.linspace(y.min() - 3 * candidates[-1], y.max() + 3 * candidates[-1], 201)
+    indic = (y[:, None] <= grid[None, :]).astype(float)
+    assert [_loo_cv_cdf(y, h, grid, indic) for h in candidates] == \
+        [_frozen_loo_cv_cdf(y, h, grid) for h in candidates]
 
 
 def test_lscv_warns_when_it_stops_at_a_grid_edge():
