@@ -84,16 +84,17 @@ def _placement_rows(U, q, grid, ctrl: PaucControl):
     for equal weights 1/n. The curve is the right-continuous
     AROC(p) = sum q 1[U <= p] with exact 0/1 endpoints, the areas are the
     placement closed forms, and the Youden index max_p {AROC(p) - p}
-    sits at a jump, clamped at 0.
+    sits at a jump, clamped at 0. Rows sort by `np.sort` (tied placements
+    are equal), weighted rows by a stable argsort that fixes their cumsums.
     """
     n = U.shape[1]
-    order = np.argsort(U, axis=1, kind="stable")
-    u_sorted = np.take_along_axis(U, order, axis=1)
     if q is None:
-        cum = np.arange(1, n + 1) / n
+        u_sorted, cum = np.sort(U, axis=1), np.arange(1, n + 1) / n
     else:
+        order = np.argsort(U, axis=1, kind="stable")
+        u_sorted = np.take_along_axis(U, order, axis=1)
         cum = np.cumsum(np.take_along_axis(q, order, axis=1), axis=1)
-    del order
+        del order
 
     curves = ecdf_eval(u_sorted, grid, cum)
     curves[:, grid == 0.0] = 0.0
@@ -164,7 +165,11 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         or per replicate under a block fit, d_idx then holding one row per replicate."""
         mu, sd = fit.at(X_d)
         t = (y_d - mu) / sd
-        U = 1.0 - (ndtr(t) if variant == "sp_normal" else ecdf_eval(fit.residuals, t, fit.cumw))
+        if variant == "sp_normal":
+            return np.take_along_axis(1.0 - ndtr(t), d_idx, axis=-1)
+        by, U = np.argsort(t, axis=-1), np.empty_like(t)  # ascending keys search faster
+        F = ecdf_eval(fit.residuals, np.take_along_axis(t, by, axis=-1), fit.cumw)
+        np.put_along_axis(U, by, 1.0 - F, axis=-1)
         return np.take_along_axis(U, d_idx, axis=-1)
 
     bandwidths = None

@@ -134,6 +134,7 @@ class RocResult:
     ensemble: np.ndarray | None = None
     densities: dict | None = None
     fit: FitCriteria | None = None
+    bandwidths: dict | None = None  # kernel: each group's marker h and the rule
     internals: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -403,18 +404,16 @@ def tnf_rows(H, D, p) -> np.ndarray:
     return 1.0 - roc_rows(D, H, p)
 
 
-def simpson_area(H, D, pauc: PaucControl | None = None):
-    """Simpson AUC per member on 201 points, or the normalised partial area.
-
-    FPF focus integrates the curve over [0, value], TPF focus the reverse
-    curve over [value, 1]. An empty range has area 0.
-    """
-    if pauc is None or pauc.focus == "fpf":
-        g, curve = odd_grid(0.0, 1.0 if pauc is None else pauc.value, 201), roc_rows
-    else:
-        g, curve = odd_grid(pauc.value, 1.0, 201), tnf_rows
-    raw = simpson(curve(H, D, g), g[1] - g[0]) if g[-1] > g[0] else np.zeros(H.shape)
-    return raw if pauc is None else pauc_normalise(raw, pauc.focus, pauc.value)
+def simpson_area(H, D, pauc: PaucControl):
+    """The normalised partial area per member by Simpson's rule on 201 points: FPF focus
+    integrates the curve over [0, value], TPF focus the reverse curve over [value, 1]. An
+    empty range has area 0."""
+    fpf = pauc.focus == "fpf"
+    g = odd_grid(0.0, pauc.value, 201) if fpf else odd_grid(pauc.value, 1.0, 201)
+    if g[-1] == g[0]:
+        return np.zeros(H.shape)
+    raw = simpson((roc_rows if fpf else tnf_rows)(H, D, g), g[1] - g[0])
+    return pauc_normalise(raw, pauc.focus, pauc.value)
 
 
 def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=None,
@@ -425,31 +424,47 @@ def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=
     The rows are the stacks' last member axis; a stack without one
     counts as one row. aucs and paucs hold member areas known in closed
     form, (members[, rows]) with the plug-in at member 0 when there is
-    one; the other areas are Simpson's on each member's curve. curves
-    holds the ensemble's curves on grid when the fit has them already.
-    Returns the result fields (roc_est, roc_lo, roc_hi as (rows,
-    points), auc and pauc with one entry per row) and the ensemble
-    curves (members, rows, points), or None.
+    one; the others are Simpson's on each member's curve, the AUC from
+    the curve's own `roc_rows` pass on the union of grid and the 201-point
+    Simpson grid (at the default 101 points the Simpson grid, integrated
+    as evaluated: bitwise a separate pass's AUC). curves holds the
+    ensemble's curves on grid when the fit has them already (with
+    closed-form aucs). Returns the result fields (roc_est, roc_lo,
+    roc_hi as (rows, points), auc and pauc with one entry per row) and
+    the ensemble curves (members, rows, points), or None.
     """
-    m = grid.size
-    if ensemble and curves is None:
-        curves = np.concatenate([roc_rows(H, D, grid) for H, D in ensemble])
-    curves = None if curves is None else curves.reshape(len(curves), -1, m)
-    point = roc_rows(*plugin, grid).reshape(-1, m) if plugin else None
+    m, simp = grid.size, odd_grid(0.0, 1.0, 201)
+    pts = grid if aucs is not None else np.union1d(grid, simp)
 
-    def area(closed, area_ctrl) -> dict:
-        """`summarise` keywords of one area, each value with a row axis."""
-        if closed is not None:
-            return plugin_first(closed.reshape(closed.shape[0], -1), bool(plugin))
-        return {"draws": None if curves is None else np.concatenate(
-                    [simpson_area(H, D, area_ctrl) for H, D in ensemble]).reshape(curves.shape[:2]),
-                "point": None if point is None else np.reshape(simpson_area(*plugin, area_ctrl), -1)}
+    def curve_pass(H, D):
+        """A member pair's curves on grid and, when no AUC is closed, its Simpson AUCs."""
+        vals = roc_rows(H, D, pts)
+        if aucs is not None:
+            return vals, None
+        on_simp = vals if pts.size == simp.size else np.take(vals, np.searchsorted(pts, simp), -1)
+        return np.take(vals, np.searchsorted(pts, grid), -1), simpson(on_simp, simp[1] - simp[0])
+
+    point, simpson_aucs = None, []
+    if plugin:
+        point, auc = curve_pass(*plugin)
+        point, simpson_aucs = point.reshape(-1, m), [auc]
+    if ensemble and curves is None:
+        curves, member_aucs = zip(*[curve_pass(H, D) for H, D in ensemble])
+        curves, simpson_aucs = np.concatenate(curves), simpson_aucs + list(member_aucs)
+    curves = None if curves is None else curves.reshape(len(curves), -1, m)
+    rows = (point if curves is None else curves).shape[-2]
+
+    def area(closed, parts) -> list:
+        """One area's intervals per row: closed-form member values, else each pair's part."""
+        v = np.concatenate([np.reshape(a, (-1, rows)) for a in parts]) if closed is None else closed
+        return intervals(**plugin_first(v.reshape(len(v), -1), bool(plugin)))
 
     est, lo, hi = summarise(curves, point)
-    fields = {"roc_est": est, "roc_lo": lo, "roc_hi": hi, "auc": intervals(**area(aucs, None)),
+    fields = {"roc_est": est, "roc_lo": lo, "roc_hi": hi, "auc": area(aucs, simpson_aucs),
               "pauc": None}
     if ctrl.compute:
-        fields["pauc"] = [PaucSummary.of(iv, ctrl) for iv in intervals(**area(paucs, ctrl))]
+        parts = (simpson_area(H, D, ctrl) for H, D in [plugin] * bool(plugin) + (ensemble or []))
+        fields["pauc"] = [PaucSummary.of(iv, ctrl) for iv in area(paucs, parts)]
     return fields, curves
 
 
@@ -641,7 +656,9 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     """Normal-kernel CDF plug-ins, exact pair-probability AUCs, partial areas by Simpson.
 
     bw picks the bandwidth rule per group: 'srt' (normal-reference) or
-    'lscv' (leave-one-out CV on the integrated squared CDF error).
+    'lscv' (leave-one-out CV on the integrated squared CDF error); the
+    result's `bandwidths` reports each group's marker h, and under 'lscv'
+    whether its scan stopped at a grid edge.
     Bootstrap replicates keep the original bandwidths; each is the
     original sample weighted by its draw counts, a member of the group's
     one `KernelStack`, and its AUC is the closed form `_kernel_auc`.
@@ -656,12 +673,10 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     split = split_groups(sample)
     y_h, y_d = split.healthy, split.diseased
 
-    if bw == "srt":
-        h_h = silverman_bandwidth(y_h).value
-        h_d = silverman_bandwidth(y_d).value
-    else:
-        h_h = _in_group("healthy", lscv_bandwidth, y_h, y_h, target="cdf").value
-        h_d = _in_group("diseased", lscv_bandwidth, y_d, y_d, target="cdf").value
+    bws = {g: silverman_bandwidth(y) if bw == "srt" else
+           _in_group(g, lscv_bandwidth, y, y, target="cdf")
+           for g, y in (("healthy", y_h), ("diseased", y_d))}
+    h_h, h_d = (b.value for b in bws.values())
     table = _kernel_grid(y_h, y_d, h_h, h_d)
     sorted_, blocks = _counted_bootstrap(split, stream, B, workers)
     # one stack per group: member 0 the plug-in (every count 1), members 1..B the replicates
@@ -674,19 +689,23 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
     curves = parallel_map(lambda pair: roc_rows(*pair, grid), parts, workers)
     return _pooled_result("kernel", split, grid, pauc, (H.part(0), D.part(0)), parts or None,
                           np.concatenate([y_h, y_d]), _kernel_auc(H, D),
-                          curves=np.concatenate(curves) if parts else None)
+                          curves=np.concatenate(curves) if parts else None,
+                          bandwidths={"rule": bw, **{g: {"marker": b.value} | (
+                              {"at_edge": b.at_edge} if bw == "lscv" else {})
+                              for g, b in bws.items()}})
 
 
 # -- Dirichlet-weight resampling ---------------------------------------------
 
-def _dirichlet_blocks(y, gen, S: int):
+def _dirichlet_blocks(y, gen, S: int, weights: bool = True):
     """S members' flat-Dirichlet `WeightBlock`s over the sample y, drawn from gen in turn.
 
     The weights are drawn in y's own order and aligned with y sorted. A
     block keeps the PCG64 state of its first draw, not its weights, and
     replays them from it; `Generator` fills draws in row-major order, so
     a replay is bitwise the original. Yields each block with the weights
-    just drawn for it.
+    just drawn for it or, without weights, the block alone, gen advanced
+    past its draws by the gammas that `streams.dirichlet` draws.
     """
     order = np.argsort(y, kind="stable")
     values = y[order]
@@ -703,7 +722,8 @@ def _dirichlet_blocks(y, gen, S: int):
     for start in range(0, S, _MEMBER_BLOCK):
         count = min(_MEMBER_BLOCK, S - start)
         block = WeightBlock(values, partial(replay, gen.bit_generator.state, count), count)
-        yield block, draw(gen, count)
+        drawn = draw(gen, count) if weights else gen.standard_gamma(1.0, size=(count, y.size))
+        yield (block, drawn) if weights else block
 
 
 def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
@@ -725,9 +745,9 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
     gen = stream.stream(_WEIGHTS_STREAM).generator
 
     # all S healthy draws precede the diseased ones in the stream: the
-    # first pass only saves the healthy blocks' states, the second
-    # replays each healthy block beside its diseased block
-    H = [block for block, _ in _dirichlet_blocks(split.healthy, gen, S)]
+    # first pass only saves the healthy blocks' states and draws past their
+    # gammas, the second replays each healthy block beside its diseased block
+    H = list(_dirichlet_blocks(split.healthy, gen, S, weights=False))
     pairs = (((h, h.draw()), d) for h, d in zip(H, _dirichlet_blocks(split.diseased, gen, S)))
     # placements with ties counted whole, so the AUC is P(H < D); the
     # reverse V_i = P_D(D > h_i) is strict like it

@@ -15,9 +15,17 @@ from rocinfer.adjusted import (
 from rocinfer.errors import ConfigError, MissingColumnError, MissingDrawsError
 from rocinfer.mixtures import DdpPrior, McmcControl, fit_ddp
 from rocinfer.pooled import PaucControl
+from rocinfer.sample import Column
 from rocinfer.smoothing import fit_location_scale, silverman_bandwidth
 from rocinfer.streams import RngStream
-from rocinfer.summaries import ecdf_eval, odd_grid, simpson
+from rocinfer.summaries import (
+    ecdf_eval,
+    ecdf_quantile,
+    odd_grid,
+    pauc_normalise,
+    placement_areas,
+    simpson,
+)
 
 from conftest import covariate_sample
 
@@ -309,3 +317,80 @@ def test_kernel_block_fits_match_each_replicate_fit_alone(monkeypatch, workers):
         got, want = getattr(block, name), getattr(alone, name)
         np.testing.assert_allclose([got.est, got.lo, got.hi], [want.est, want.lo, want.hi],
                                    rtol=0, atol=1e-12)
+
+
+def _placement_rows_by_argsort(U, grid, ctrl):
+    """`_placement_rows` with equal weights as it was before `np.sort`: a stable argsort of
+    each row and a gather (frozen copy)."""
+    n = U.shape[1]
+    order = np.argsort(U, axis=1, kind="stable")
+    u_sorted = np.take_along_axis(U, order, axis=1)
+    cum = np.arange(1, n + 1) / n
+    del order
+    curves = ecdf_eval(u_sorted, grid, cum)
+    curves[:, grid == 0.0] = 0.0
+    curves[:, grid == 1.0] = 1.0
+    gaps = cum - u_sorted
+    k = np.argmax(gaps, axis=1)[:, None]
+    gap = np.take_along_axis(gaps, k, axis=1)[:, 0]
+    yi = np.where(gap > 0.0, gap, 0.0)
+    p_star = np.where(gap > 0.0, np.take_along_axis(u_sorted, k, axis=1)[:, 0], 0.0)
+    aauc, pauc = placement_areas(U, None, ctrl if ctrl.focus == "fpf" else None)
+    if ctrl.compute and ctrl.focus == "tpf":
+        v = ctrl.value
+        c = ecdf_quantile(u_sorted, v, cum)[:, None]
+        X = 1.0 - np.maximum(c, U) - (1.0 - c) * v
+        pauc = pauc_normalise(X.mean(axis=1), "tpf", v)
+    return curves, aauc, pauc, yi, p_star
+
+
+@pytest.mark.parametrize("pauc", [None, ("fpf", 0.3), ("tpf", 0.7)])
+def test_equal_weight_placement_rows_sort_like_the_stable_argsort(pauc):
+    """`np.sort` in place of the stable argsort and gather: all five outputs bitwise, on
+    placement rows full of ties (multiples of 1/16, with 0 and 1) and on untied rows."""
+    g = np.random.default_rng(81)
+    U = np.concatenate([np.floor(g.uniform(0.0, 17.0, (70, 90))) / 16.0, g.uniform(size=(5, 90))])
+    U = np.minimum(U, 1.0)
+    ctrl = PaucControl() if pauc is None else PaucControl(True, *pauc)
+    for got, want in zip(_placement_rows(U, None, _GRID, ctrl),
+                         _placement_rows_by_argsort(U, _GRID, ctrl)):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+class _KeysAsTheyCome:
+    """numpy with an identity argsort: the bootstrap placements then search each row of keys
+    in its own order, the direct `ecdf_eval` that the sorted search replaced."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def argsort(a, axis=-1, **kw):
+        return np.broadcast_to(np.arange(a.shape[axis]), a.shape)
+
+
+@pytest.mark.parametrize("variant", ["sp_empirical", "kernel"])
+def test_sorted_key_placements_equal_the_direct_search_bitwise(variant, monkeypatch):
+    """Each replicate's placements U = 1 - F(t) searched as ascending keys and scattered back
+    equal the direct search of the keys as they come, bitwise: U rows, curves and areas.
+    The kernel variant's residual CDFs are count-weighted (`cumw`). Markers and covariates
+    on coarse grids give tied keys; B = 70 is a full block of 64 replicates and a partial
+    one of 6."""
+    s = covariate_sample(n_h=150, n_d=120, seed=82)
+    s = type(s)(marker=np.round(2.0 * s.marker) / 2.0, disease=s.disease, nondiseased_tag=0,
+                covariates={"x": Column(np.round(4.0 * s.covariates["x"].values) / 4.0)})
+    rows = []
+    placement_rows = adjusted._placement_rows
+    monkeypatch.setattr(adjusted, "_placement_rows",
+                        lambda U, *a: rows.append(U.copy()) or placement_rows(U, *a))
+    kw = {"covariate": "x", "bw": "srt"} if variant == "kernel" else {"formula": "y ~ x"}
+    kw.update(variant=variant, B=70, rng=83, pauc=PaucControl(True, "tpf", 0.7))
+    sorted_keys = aroc_frequentist(s, **kw)
+    monkeypatch.setattr(adjusted, "np", _KeysAsTheyCome())
+    direct = aroc_frequentist(s, **kw)
+    assert np.unique(rows[0][0]).size < rows[0].shape[1]  # tied plug-in keys
+    assert np.array_equal(rows[0], rows[1])
+    for name in ("aroc_est", "aroc_lo", "aroc_hi", "placements"):
+        assert np.array_equal(getattr(sorted_keys, name), getattr(direct, name))
+    for name in ("aauc", "pauc", "yi", "p_star"):
+        assert getattr(sorted_keys, name) == getattr(direct, name)

@@ -3,6 +3,7 @@
 Every test drives ``rocinfer.cli.main`` in process and inspects the JSON
 envelope, the text summary, or the exit code.
 """
+import csv
 import json
 import math
 import re
@@ -24,6 +25,7 @@ from rocinfer.cli import (
 )
 from rocinfer.mixtures import DdpPrior, DpmPrior, McmcControl
 from rocinfer.pooled import DensityControl, PaucControl
+from rocinfer.smoothing import silverman_bandwidth
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -286,6 +288,29 @@ def test_kernel_payloads_report_their_bandwidths(tmp_path):
     h = srt["payload"]["bandwidths"]["healthy"]["mean"]
     assert srt["payload"]["bandwidths"] == {"rule": "srt", "healthy": {"mean": h, "variance": h}}
     assert all(_nulls(env["payload"]) == [] for env in (croc, aroc, srt))
+
+
+@pytest.mark.parametrize("bw", ["srt", "lscv"])
+def test_pooled_kernel_payload_reports_its_marker_bandwidths(study_csv, tmp_path, bw):
+    """pooled kernel gives the rule and each group's marker h, and under lscv whether its
+    cdf scan stopped at a grid edge; the srt h is the marker's Silverman bandwidth."""
+    env = _run_json(_pooled_args(study_csv, ["--method", "kernel", "--bw", bw, "--B", "3"]),
+                    tmp_path / "k.json")
+    bws = env["payload"]["bandwidths"]
+    assert set(bws) == {"rule", "healthy", "diseased"} and bws["rule"] == bw
+    keys = {"marker", "at_edge"} if bw == "lscv" else {"marker"}
+    with open(study_csv, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    for group in ("healthy", "diseased"):
+        assert set(bws[group]) == keys
+        h = bws[group]["marker"]
+        assert math.isfinite(h) and h > 0
+        if bw == "lscv":
+            assert isinstance(bws[group]["at_edge"], bool)
+        else:
+            y = [float(r["bmi"]) for r in rows if (r["cvd_idf"] == "0") == (group == "healthy")]
+            assert h == silverman_bandwidth(np.array(y)).value
+    assert _nulls(env["payload"]) == []
 
 
 def test_aroc_payload_and_summary(study_csv, tmp_path, capsys):

@@ -7,6 +7,7 @@ from scipy.special import ndtr, ndtri
 
 from rocinfer import conditional
 from rocinfer.conditional import (
+    _frame_of,
     _ols_fit,
     croc_bnp,
     croc_kernel,
@@ -22,10 +23,19 @@ from rocinfer.errors import (
     ZeroVarianceError,
 )
 from rocinfer.mixtures import DdpPrior, McmcControl
-from rocinfer.pooled import PaucControl, pooled_bb, pooled_dpm, pooled_threshold, roc_rows
-from rocinfer.sample import Column, DiagnosticSample
+from rocinfer.pooled import (
+    PaucControl,
+    PaucSummary,
+    _summarise_rows,
+    pooled_bb,
+    pooled_dpm,
+    pooled_threshold,
+    roc_rows,
+    simpson_area,
+)
+from rocinfer.sample import Column, DiagnosticSample, FpfGrid
 from rocinfer.smoothing import fit_location_scale
-from rocinfer.summaries import mixture_auc_closed, odd_grid, simpson
+from rocinfer.summaries import intervals, mixture_auc_closed, odd_grid, simpson, summarise
 
 from conftest import binormal_sample, covariate_sample
 
@@ -401,3 +411,51 @@ def test_threshold_intervals_are_finite_and_ordered(estimator, criterion, fresh)
     if criterion == "fpf":
         for iv in thr.fpf:
             assert iv.est == pytest.approx(0.2, abs=0.05)
+
+
+def _simpson_auc(H, D):
+    g = odd_grid(0.0, 1.0, 201)
+    return simpson(roc_rows(H, D, g), g[1] - g[0])
+
+
+def _separate_passes(plugin, ensemble, grid, ctrl):
+    """Curve bands, AUCs and partial areas from separate curve passes per stack pair: one on
+    grid, one on the 201-point Simpson grid for the AUC (as `_summarise_rows` did before the
+    two shared one) and one per partial area."""
+    point = roc_rows(*plugin, grid).reshape(-1, grid.size)
+    curves = None if not ensemble else np.concatenate(
+        [roc_rows(H, D, grid) for H, D in ensemble]).reshape(-1, len(point), grid.size)
+
+    def areas(area):
+        draws = None if not ensemble else np.concatenate(
+            [area(H, D) for H, D in ensemble]).reshape(curves.shape[:2])
+        return intervals(draws, np.reshape(area(*plugin), -1))
+
+    return (summarise(curves, point), areas(_simpson_auc),
+            areas(lambda H, D: simpson_area(H, D, ctrl)))
+
+
+@pytest.mark.parametrize("length, B", [(101, 70), (50, 70), (101, 0)])
+@pytest.mark.parametrize("fit", ["sp-normal", "sp-empirical", "kernel"])
+def test_one_curve_pass_gives_the_separate_curves_and_simpson_aucs_bitwise(fit, length, B):
+    """Croc sp and croc kernel read their curves and Simpson AUCs off one `roc_rows` pass on
+    the union of the report grid and the 201-point Simpson grid. At the default 101 points
+    the union is the Simpson grid; at 50 points, 48 of them off it, Simpson integrates a
+    contiguous gather of the union's Simpson points. Both are held to separate `roc_rows`
+    and `simpson` calls at tolerance 0. B = 70 is a full block of 64 replicates and a
+    partial one of 6; B = 0 is the plug-in alone."""
+    assert np.array_equal(FpfGrid.default(101).p, odd_grid(0.0, 1.0, 201)[::2])
+    s = covariate_sample(n_h=150, n_d=120, seed=57)
+    grid, ctrl = FpfGrid.default(length).p, PaucControl(True, "fpf", 0.3)
+    kw = dict(p=grid, pauc=ctrl, B=B, rng=58)
+    res = (croc_kernel(s, "x", NEW, bw="srt", **kw) if fit == "kernel"
+           else croc_sp("y ~ x", "y ~ x", s, NEW, est_cdf=fit[3:], **kw))
+    (plugin, ensemble), = res.internals["stacks"](_frame_of(NEW))
+    assert (ensemble is None) == (B == 0)
+    (est, lo, hi), aucs, paucs = _separate_passes(plugin, ensemble, grid, ctrl)
+    for got, want in ((res.roc_est, est), (res.roc_lo, lo), (res.roc_hi, hi)):
+        assert np.array_equal(got, want)
+    assert res.auc == aucs
+    assert res.pauc == [PaucSummary.of(iv, ctrl) for iv in paucs]
+    fields, _ = _summarise_rows(plugin, ensemble, grid, PaucControl())
+    assert fields["auc"] == aucs and fields["pauc"] is None

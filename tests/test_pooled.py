@@ -335,13 +335,39 @@ def test_step_reverse_curve_integrates_to_p_h_le_d_with_ties():
     assert per_draw.mean() - bb.auc.est > 1e-3
 
 
+class _GammaLog(RngStream):
+    """An `RngStream` whose sibling streams' generators log the size of each
+    `standard_gamma` call: every draw the fit makes from its own stream."""
+
+    def __init__(self, seed, log):
+        super().__init__(seed)
+        self.log = log
+
+    def stream(self, stream_id):
+        sibling, log = super().stream(stream_id), self.log
+        gen = sibling.generator
+
+        class Logged:
+            def __getattr__(self, name):
+                return getattr(gen, name)
+
+            def standard_gamma(self, shape, size):
+                log.append(size)
+                return gen.standard_gamma(shape, size)
+
+        sibling.generator = Logged()
+        return sibling
+
+
 @pytest.mark.parametrize("S", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("focus", ["fpf", "tpf"])
 def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus, monkeypatch):
     """The block ensemble, its curves and its areas equal a stack built from
-    one (S, n) Dirichlet draw per group off the same stream. The fit draws
-    each healthy block twice and each diseased block once, a query each once."""
-    rows = []
+    one (S, n) Dirichlet draw per group off the same stream. The fit's first
+    pass only advances the stream past each healthy block's gammas and saves
+    the state a drawing pass leaves; it then draws each diseased block once
+    and replays each healthy block once, and a query replays each block once."""
+    rows, gammas = [], []
 
     def counted(alpha, rng, size):
         rows.append(size)
@@ -350,23 +376,33 @@ def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus, monkeypatch):
     monkeypatch.setattr(pooled, "dirichlet", counted)
     s = _sample_with_ties(n=90, seed=21)
     ctrl = PaucControl(compute=True, focus=focus, value=0.3 if focus == "fpf" else 0.8)
-    res = pooled_bb(s, S=S, pauc=ctrl, rng=22)
-    assert sum(rows) == 3 * S
+    res = pooled_bb(s, S=S, pauc=ctrl, rng=_GammaLog(22, gammas))
+    assert sum(rows) == 2 * S
     pooled_threshold(res)
-    assert sum(rows) == 5 * S
+    assert sum(rows) == 4 * S
 
     y_h, y_d = s.marker[s.disease == 0], s.marker[s.disease != 0]
     o_h, o_d = np.argsort(y_h, kind="stable"), np.argsort(y_d, kind="stable")
     h, d = y_h[o_h], y_d[o_d]
+    counts = [min(64, S - c) for c in range(0, S, 64)]
+    # from the fit's stream: the healthy advance draws, then the diseased Dirichlet draws
+    assert gammas == [(c, h.size) for c in counts] + [(c, d.size) for c in counts]
+    gen = RngStream(22).stream(_WEIGHTS_STREAM).generator
+    states = []
+    for c, n in [(c, h.size) for c in counts] + [(c, d.size) for c in counts]:
+        states.append(gen.bit_generator.state)
+        dirichlet(np.ones(n), gen, size=c)  # a drawing pass, block by block
+    pairs = res.internals["ensemble"]  # one (healthy, diseased) block pair per 64 draws
+    assert [b.draw.args[0] for b in (H for H, _ in pairs)] == states[:len(counts)]
+    assert [b.draw.args[0] for b in (D for _, D in pairs)] == states[len(counts):]
+
     gen = RngStream(22).stream(_WEIGHTS_STREAM).generator
     # C-ordered like the fit's own weight rows: einsum's summation order follows the layout
     q1 = np.take(dirichlet(np.ones(h.size), gen, size=S), o_h, axis=1)
     q2 = np.take(dirichlet(np.ones(d.size), gen, size=S), o_d, axis=1)
     ref = StepStack(h, np.cumsum(q1, axis=1)), StepStack(d, np.cumsum(q2, axis=1))
 
-    pairs = res.internals["ensemble"]  # one (healthy, diseased) block pair per 64 draws
-    assert [(H.shape, D.shape) for H, D in pairs] == [((min(64, S - c),),) * 2
-                                                      for c in range(0, S, 64)]
+    assert [(H.shape, D.shape) for H, D in pairs] == [((c,),) * 2 for c in counts]
     x, q = np.linspace(-3.0, 4.0, 57), np.linspace(0.0, 1.0, 33)
     for g, want in enumerate(ref):
         assert np.array_equal(np.concatenate([pair[g].cdf(x) for pair in pairs]), want.cdf(x))

@@ -34,10 +34,10 @@ def _full_weights(x, x0, h):
     return np.exp(-0.5 * (d / h) ** 2), d
 
 
-def _loo_score_reference(x, y, h, order):
-    """Leave-one-out score of one candidate over the full n x n weight matrix."""
-    w, d = _full_weights(x, x, h)
-    diag = np.arange(x.size)
+def _loo_score_reference(w, d, y, order):
+    """Leave-one-out score of one candidate over its full n x n weights w and differences d
+    (`_full_weights` of the sample against itself)."""
+    diag = np.arange(y.size)
     s0 = w.sum(axis=1)
     t0 = w @ y
     wii = w[diag, diag]
@@ -47,9 +47,8 @@ def _loo_score_reference(x, y, h, order):
             return np.inf
         est = (t0 - wii * y) / denom
     else:
-        s1 = (w * d).sum(axis=1)
-        s2 = (w * d * d).sum(axis=1)
-        t1 = (w * d) @ y
+        wd = w * d
+        s1, s2, t1 = wd.sum(axis=1), (wd * d).sum(axis=1), wd @ y
         denom = (s0 - wii) * s2 - s1 * s1
         if np.any(denom <= 1e-300 * np.maximum(1.0, s2)):
             return np.inf
@@ -154,15 +153,15 @@ def test_variance_function_tracks_heteroskedastic_noise():
     assert v[1] > v[0]
 
 
-def _loo_margins(x, h):
+def _loo_margins(w, d):
     """Smallest leave-one-out kernel mass over rows, and the order-1 margin.
 
-    Both come from the weight matrix with its diagonal zeroed, so neither
+    Both come from the weight matrix w (with differences d, as in
+    `_loo_score_reference`) with its diagonal zeroed, in place, so neither
     suffers the s0 - 1 cancellation of the scorers. The order-1 margin is
     the leave-one-out denominator written as a sum of squares, over
     max(1, s2).
     """
-    w, d = _full_weights(x, x, h)
     np.fill_diagonal(w, 0.0)
     s0 = w.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -191,14 +190,17 @@ def test_blocked_lscv_scan_matches_full_matrix_scorer(kind, seed):
     x, y = _scan_sample(kind, seed)
     h0 = silverman_bandwidth(x).value
     candidates = _candidate_grid(x)
-    margins = np.array([_loo_margins(x, h) for h in candidates])
+    targets = (("regression", 1, y), ("regression", 0, y), ("variance", 0, (y - y.mean()) ** 2))
+    refs, margins = np.empty((len(targets), candidates.size)), np.empty((candidates.size, 2))
+    for k, h in enumerate(candidates):  # each candidate's n x n weights, formed once
+        w, d = _full_weights(x, x, h)
+        refs[:, k] = [_loo_score_reference(w, d, yy, order) for _, order, yy in targets]
+        margins[k] = _loo_margins(w, d)  # after the scores: it zeroes w's diagonal
     sure_inf = margins[:, 0] < 1e-17
     if kind == "gap":
         assert sure_inf[0]
-    for target, order, yy in (("regression", 1, y), ("regression", 0, y),
-                              ("variance", 0, (y - y.mean()) ** 2)):
+    for (target, order, yy), ref in zip(targets, refs):
         fast = _loo_cv_regression(x, yy, candidates, order)
-        ref = np.array([_loo_score_reference(x, yy, h, order) for h in candidates])
         sure_finite = margins[:, 1 if order == 1 else 0] >= 1e-6
         assert np.isinf(ref[sure_inf]).all() and np.isinf(fast[sure_inf]).all()
         assert np.isfinite(ref[sure_finite]).all() and np.isfinite(fast[sure_finite]).all()
