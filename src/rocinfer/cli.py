@@ -447,7 +447,8 @@ def _threshold_of(cfg: RunConfig, fit):
 # -- serialisation ------------------------------------------------------------
 
 def _jsonable(x):
-    """JSON-safe copy: arrays to lists, NaN and infinities to null."""
+    """JSON-safe copy: arrays to lists (a bool, integer or finite float array by one
+    `tolist()`), NaN and infinities to null."""
     if hasattr(x, "as_dict"):
         return _jsonable(x.as_dict())
     if isinstance(x, dict):
@@ -455,6 +456,8 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
+        if x.dtype.kind in "biu" or (x.dtype.kind == "f" and np.isfinite(x).all()):
+            return x.tolist()
         return _jsonable(x.tolist())
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
@@ -626,7 +629,8 @@ class ResultEnvelope:
         }
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self.as_dict()), indent=2, allow_nan=False)
+        """The envelope as JSON; `run` made its config and payload JSON-safe already."""
+        return json.dumps(self.as_dict(), indent=2, allow_nan=False)
 
 
 def run(cfg: RunConfig, echo: bool = True) -> ResultEnvelope:

@@ -30,6 +30,7 @@ normal-mixture posteriors.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -449,8 +450,13 @@ def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=
         point, auc = curve_pass(*plugin)
         point, simpson_aucs = point.reshape(-1, m), [auc]
     if ensemble and curves is None:
-        curves, member_aucs = zip(*[curve_pass(H, D) for H, D in ensemble])
-        curves, simpson_aucs = np.concatenate(curves), simpson_aucs + list(member_aucs)
+        # filled block by block: a list of blocks and its concatenation held the stack twice
+        ends = np.cumsum([0] + [H.shape[0] for H, _ in ensemble])
+        curves = np.empty((ends[-1], math.prod(ensemble[0][0].shape[1:]), m))
+        for (H, D), a, b in zip(ensemble, ends, ends[1:]):
+            block, auc = curve_pass(H, D)
+            curves[a:b] = block.reshape(b - a, -1, m)
+            simpson_aucs.append(auc)
     curves = None if curves is None else curves.reshape(len(curves), -1, m)
     rows = (point if curves is None else curves).shape[-2]
 

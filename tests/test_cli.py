@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from rocinfer.cli import (
+    ResultEnvelope,
     RunConfig,
     _density_of,
+    _jsonable,
     _mcmc_of,
     _merge_config,
     _override,
@@ -26,6 +28,7 @@ from rocinfer.cli import (
 from rocinfer.mixtures import DdpPrior, DpmPrior, McmcControl
 from rocinfer.pooled import DensityControl, PaucControl
 from rocinfer.smoothing import silverman_bandwidth
+from rocinfer.summaries import Interval
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -696,3 +699,97 @@ def test_ini_value_of_the_wrong_type_exits_2(study_csv, tmp_path, capsys, line, 
     ini.write_text("[pooled]\n%s\n" % line, encoding="utf-8")
     assert main(_pooled_args(study_csv, ["--config", str(ini)])) == 2
     assert capsys.readouterr().err == "rocinfer: %s\n" % message
+
+
+def _element_jsonable(x):
+    """The envelope converter as it was: every array element by element."""
+    if hasattr(x, "as_dict"):
+        return _element_jsonable(x.as_dict())
+    if isinstance(x, dict):
+        return {str(k): _element_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_element_jsonable(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return _element_jsonable(x.tolist())
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (float, np.floating)):
+        v = float(x)
+        return v if math.isfinite(v) else None
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return x
+
+
+def test_envelope_bytes_match_the_element_by_element_converter():
+    """One conversion of the payload, whole arrays by tolist(), writes the same bytes as the
+    element-by-element converter applied to the whole envelope: NaN and infinities become
+    null in the same places."""
+    payload = {
+        "curve": np.linspace(0.0, 1.0, 7).reshape(1, 7),
+        "holes": np.array([[0.5, np.nan], [np.inf, -np.inf]]),
+        "counts": np.arange(4, dtype=np.int32), "flags": np.array([True, False]),
+        "scalars": [np.float64(0.25), np.int64(3), np.bool_(True), float("nan"), -0.0],
+        "intervals": [Interval(0.7, 0.6, 0.8), Interval(np.float64(np.nan), 0.1, np.inf)],
+        "nested": {1: (np.float32(1.5), np.zeros((2, 0))), "s": "text", "none": None},
+        "zero_d": np.array(2.5), "empty": np.array([]),
+    }
+    config = {"data": "study.csv", "B": 20, "seed": None, "grid": np.array([0.1, 0.2])}
+    envelope = ResultEnvelope(schema_version=1, config=_jsonable(config),
+                              timing={"seconds": 0.5}, warnings=["w"],
+                              payload=_jsonable(payload))
+    frozen = dict(envelope.as_dict(), config=config, payload=payload)
+    assert envelope.to_json() == json.dumps(_element_jsonable(frozen), indent=2,
+                                            allow_nan=False)
+
+
+def _kernel_study(tmp_path, kind: str) -> str:
+    """A small study for the kernel fits' failure paths: 8 rows in each group ("few"),
+    a constant healthy age ("constant_age"), or ages rounded to tens ("tens")."""
+    g = np.random.default_rng(5)
+    n_h, n_d = (8, 8) if kind == "few" else (60, 30)
+    age = g.uniform(20.0, 70.0, n_h + n_d)
+    bmi = g.normal(25.0, 3.0, n_h + n_d) + 0.05 * age
+    if kind == "constant_age":
+        age[:n_h] = 45.0
+    elif kind == "tens":
+        age = np.round(age, -1)
+    path = tmp_path / (kind + ".csv")
+    path.write_text("age,bmi,cvd_idf\n" + "".join(
+        "%.1f,%.2f,%d\n" % (a, b, i >= n_h) for i, (a, b) in enumerate(zip(age, bmi))),
+        encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, subcommand, bw, rc, message", [
+    ("few", "croc", "lscv", 3, "cross-validation needs n >= 10"),
+    ("few", "aroc", "lscv", 3, "cross-validation needs n >= 10"),
+    ("few", "croc", "srt", 0, None),
+    ("few", "aroc", "srt", 0, None),
+    ("constant_age", "croc", "lscv", 3, "prediction points leave the healthy covariate range"),
+    ("constant_age", "aroc", "lscv", 3, "sample has zero variance"),
+    ("tens", "croc", "lscv", 0, None),
+    ("tens", "aroc", "lscv", 0, None),
+])
+def test_kernel_failure_paths(tmp_path, capsys, kind, subcommand, bw, rc, message):
+    """croc and aroc kernel on too few rows for cross-validation (the srt rule needs none),
+    a constant healthy covariate, and heavily tied covariates: an exit 3 with its message,
+    or a payload without nulls whose bandwidths are finite and positive."""
+    newdata = tmp_path / "newdata.csv"
+    newdata.write_text("age\n40\n45\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    args = [subcommand, "--data", _kernel_study(tmp_path, kind), "--marker", "bmi", "--group",
+            "cvd_idf", "--tag", "0", "--method", "kernel", "--covariate", "age", "--bw", bw,
+            "--B", "5", "--out", str(out)]
+    assert main(args + (["--newdata", str(newdata)] if subcommand == "croc" else [])) == rc
+    if rc:
+        assert capsys.readouterr().err.startswith("rocinfer: " + message)
+        assert not out.exists()
+        return
+    payload = json.loads(out.read_text(encoding="utf-8"))["payload"]
+    assert _nulls(payload) == []
+    bws = payload["bandwidths"]
+    assert bws["rule"] == bw and set(bws) == {"rule", "healthy"} | (
+        {"diseased"} if subcommand == "croc" else set())
+    assert all(math.isfinite(bws[g][h]) and bws[g][h] > 0 for g in set(bws) - {"rule"}
+               for h in ("mean", "variance"))

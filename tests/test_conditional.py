@@ -421,7 +421,7 @@ def _simpson_auc(H, D):
 def _separate_passes(plugin, ensemble, grid, ctrl):
     """Curve bands, AUCs and partial areas from separate curve passes per stack pair: one on
     grid, one on the 201-point Simpson grid for the AUC (as `_summarise_rows` did before the
-    two shared one) and one per partial area."""
+    two shared one) and one per partial area; last, the members' curves on grid."""
     point = roc_rows(*plugin, grid).reshape(-1, grid.size)
     curves = None if not ensemble else np.concatenate(
         [roc_rows(H, D, grid) for H, D in ensemble]).reshape(-1, len(point), grid.size)
@@ -432,7 +432,7 @@ def _separate_passes(plugin, ensemble, grid, ctrl):
         return intervals(draws, np.reshape(area(*plugin), -1))
 
     return (summarise(curves, point), areas(_simpson_auc),
-            areas(lambda H, D: simpson_area(H, D, ctrl)))
+            areas(lambda H, D: simpson_area(H, D, ctrl)), curves)
 
 
 @pytest.mark.parametrize("length, B", [(101, 70), (50, 70), (101, 0)])
@@ -443,7 +443,8 @@ def test_one_curve_pass_gives_the_separate_curves_and_simpson_aucs_bitwise(fit, 
     the union is the Simpson grid; at 50 points, 48 of them off it, Simpson integrates a
     contiguous gather of the union's Simpson points. Both are held to separate `roc_rows`
     and `simpson` calls at tolerance 0. B = 70 is a full block of 64 replicates and a
-    partial one of 6; B = 0 is the plug-in alone."""
+    partial one of 6; B = 0 is the plug-in alone. The returned member curves are the
+    blocks' curves in ensemble order."""
     assert np.array_equal(FpfGrid.default(101).p, odd_grid(0.0, 1.0, 201)[::2])
     s = covariate_sample(n_h=150, n_d=120, seed=57)
     grid, ctrl = FpfGrid.default(length).p, PaucControl(True, "fpf", 0.3)
@@ -452,10 +453,12 @@ def test_one_curve_pass_gives_the_separate_curves_and_simpson_aucs_bitwise(fit, 
            else croc_sp("y ~ x", "y ~ x", s, NEW, est_cdf=fit[3:], **kw))
     (plugin, ensemble), = res.internals["stacks"](_frame_of(NEW))
     assert (ensemble is None) == (B == 0)
-    (est, lo, hi), aucs, paucs = _separate_passes(plugin, ensemble, grid, ctrl)
+    (est, lo, hi), aucs, paucs, curves = _separate_passes(plugin, ensemble, grid, ctrl)
     for got, want in ((res.roc_est, est), (res.roc_lo, lo), (res.roc_hi, hi)):
         assert np.array_equal(got, want)
     assert res.auc == aucs
     assert res.pauc == [PaucSummary.of(iv, ctrl) for iv in paucs]
-    fields, _ = _summarise_rows(plugin, ensemble, grid, PaucControl())
+    fields, stack = _summarise_rows(plugin, ensemble, grid, PaucControl())
     assert fields["auc"] == aucs and fields["pauc"] is None
+    # the member curves, block by block in ensemble order
+    assert stack is curves is None or np.array_equal(stack, curves)

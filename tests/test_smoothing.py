@@ -414,6 +414,87 @@ def test_scan_matches_the_frozen_scan_at_benchmark_size(seed):
             assert _selected(got) == _selected(want)
 
 
+# -- the block-centred scan as it was with each weight tile a strided view of its buffer --
+# Laying the tiles out contiguously changes no operation or operand, so the scores must
+# stay bit for bit the same. Copied with all candidates in one group.
+
+def _frozen_recentre(m, v):
+    m[4] += v * (v * m[0] - 2.0 * m[2])
+    m[2:4] = v * m[:2] - m[2:4]
+    return m
+
+
+def _frozen_strided_tile_scan(x, y, candidates, order):
+    xs_order = np.argsort(x, kind="stable")
+    xs, ys = x[xs_order], y[xs_order]
+    n = xs.size
+    cols = np.column_stack([np.ones(n), ys])
+    reach = _scan_reach(n) * candidates
+    sse = np.zeros(candidates.size)
+    failed = np.zeros(candidates.size, dtype=bool)
+    buf = np.empty((min(64, n), n))
+    acc = np.zeros((candidates.size, 2 if order == 0 else 5, n))
+    for start in range(0, n, 64):
+        end = min(start + 64, n)
+        r, yr, rows_t = xs[start:end], ys[start:end], cols[start:end].T
+        hi = np.searchsorted(xs, r[-1] + reach, side="right")
+        stop = hi.max()
+        d = r[:, None] - xs[start:stop]
+        d2 = d * d
+        if order == 1:
+            u = xs[start:stop] - 0.5 * (r[0] + r[-1])
+            about = np.column_stack([cols[start:stop], u, u * ys[start:stop], u * u])
+            half = 0.5 * (r[-1] - r[0])
+        for c in range(candidates.size):
+            if failed[c]:
+                continue
+            h, b, past = candidates[c], hi[c] - start, acc[c, :, end:hi[c]]
+            w = buf[:r.size, :b]
+            np.multiply(d2[:, :b], -0.5 / (h * h), out=w)
+            np.exp(w, out=w)
+            sums = acc[c, :, start:end]
+            if order == 1 and half <= h:
+                sums += _frozen_recentre((w @ about[:b]).T, u[:r.size])
+                past += _frozen_recentre(about[:r.size].T @ w[:, r.size:], u[r.size:b])
+            else:
+                past[:2] += rows_t @ w[:, r.size:]
+                sums += _frozen_moments(w, d[:, :b], cols[start:hi[c]], order)
+                if order == 1:
+                    past[2:4] -= rows_t @ w[:, r.size:]
+                    past[4] += np.einsum("ij,ij->j", w[:, r.size:], d[:, r.size:b])
+        live = np.flatnonzero(~failed)
+        sums = acc[live, :, start:end].transpose(1, 0, 2)
+        if order == 0:
+            s0, t0 = sums
+            num, denom, floor = t0 - yr, s0 - 1.0, 1e-300
+        else:
+            s0, t0, s1, t1, s2 = sums
+            num = s2 * (t0 - yr) - s1 * t1
+            denom, floor = (s0 - 1.0) * s2 - s1 * s1, 1e-300 * np.maximum(1.0, s2)
+        low = denom <= floor
+        bad = np.any(low, axis=1)
+        failed[live[bad]] = True
+        err = (yr - num / np.where(low, 1.0, denom)) ** 2
+        sse[live[~bad]] += np.sum(err[~bad], axis=1)
+    return np.where(failed, np.inf, sse / n)
+
+
+@pytest.mark.parametrize("seed", [2026, 400, 700])
+def test_scan_equals_the_strided_tile_scan_bitwise(seed):
+    """Both groups' mean (order 1 and 0) and variance scans equal the frozen strided-tile
+    scan bit for bit, inf pattern included. The variance target smooths the squared
+    residuals of the selected order-1 mean fit."""
+    for x, y in _study_groups(seed):
+        candidates = _candidate_grid(x)
+        mean_scores = _loo_cv_regression(x, y, candidates, 1)
+        assert np.array_equal(mean_scores, _frozen_strided_tile_scan(x, y, candidates, 1))
+        h = candidates[_selected(mean_scores)]
+        sq = (y - local_poly_regression(x, y, h, x, order=1)) ** 2
+        for yy in (y, sq):
+            assert np.array_equal(_loo_cv_regression(x, yy, candidates, 0),
+                                  _frozen_strided_tile_scan(x, yy, candidates, 0))
+
+
 def test_cdf_scan_matches_the_frozen_scan_bitwise():
     """The pooled-kernel LSCV scores, with the indicators built once for all candidates,
     equal the frozen per-candidate scan bit for bit (the healthy markers at seed 2026)."""

@@ -154,6 +154,20 @@ def test_band_takes_central_95():
     assert hi == pytest.approx(976.0, abs=1.0)
 
 
+@pytest.mark.parametrize("shape", [(1000, 24, 101), (1, 7), (3000,), (64, 1, 1)])
+@pytest.mark.parametrize("tied", [False, True])
+def test_band_equals_percentile_bitwise(shape, tied):
+    """The chunk-sorted band reads the same order statistics as np.percentile's partition
+    of the whole stack, so both ends are bitwise its band, in its shapes and types."""
+    values = np.random.default_rng(3).normal(size=shape)
+    if tied:
+        values = np.round(values, 1)
+    want = np.percentile(values, (2.5, 97.5), axis=0)
+    for got, ref in zip(band(values), want):
+        assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref)
+
+
 def test_interval_degenerates_without_draws():
     iv = interval_from(0.4, None)
     assert (iv.est, iv.lo, iv.hi) == (0.4, 0.4, 0.4)
