@@ -332,8 +332,9 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     points(newdata)  # reject unusable prediction rows before fitting
     fits = {name: fit_by_rule(x, y, bw, name)
             for name, x, y in (("healthy", x_h, split.healthy), ("diseased", x_d, split.diseased))}
-    groups = [(fit, x, partial(fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var))
-              for fit, x in zip(fits.values(), (x_h, x_d))]
+    # each group's own x, at which its plug-in fit returns the mean and scale it kept
+    groups = [(fit, fit.x, partial(fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var))
+              for fit in fits.values()]
     _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
                                B, stream, workers)
 

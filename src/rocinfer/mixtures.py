@@ -28,7 +28,6 @@ from .errors import (
 from .streams import (
     _gen,
     _stick_weights,
-    gamma_shape_rate,
     stick_breaking,
     wishart,
 )
@@ -324,8 +323,7 @@ def sample_atoms_prior(prior: DpmPrior, size: int, rng):
     """(mu, sigma2) draws from the base measure, used for empty components."""
     gen = _gen(rng)
     mu = prior.m0 + math.sqrt(prior.S0) * gen.standard_normal(size)
-    prec = gamma_shape_rate(prior.a, prior.b, gen, size=size)
-    return mu, 1.0 / np.asarray(prec, dtype=float)
+    return mu, 1.0 / gen.gamma(prior.a, 1.0 / prior.b, size=size)
 
 
 def _update_sticks(counts, alpha, gen):
@@ -503,7 +501,7 @@ def fit_ddp(y, Z, prior: DdpPrior | None = None, mcmc: McmcControl | None = None
         return beta, sigma2
 
     beta = m[None, :] + (np.linalg.cholesky(np.linalg.inv(S_inv)) @ gen.standard_normal((q, L))).T
-    sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float)
+    sigma2 = 1.0 / gen.gamma(prior.a, 1.0 / prior.b, size=L)
     sweeps = _gibbs_sweeps(y, prior, gen, (beta, sigma2), update, lambda beta: beta @ Z.T)
     w, beta, s2, alpha, fold = _collect(mcmc, sweeps)
     return DdpDraws(weights=w, beta=beta, sigma2=s2, alpha=alpha, fold=fold,

@@ -6,38 +6,41 @@ residuals with its own bandwidth. Mean and variance bandwidths are
 selected independently by leave-one-out least squares cross-validation
 over a fixed candidate grid, which keeps selection deterministic.
 
-Local fits never form an n x n weight matrix. They walk the x-sorted
-evaluation points in blocks of _BLOCK rows and weigh each block only
-against the sorted data within _REACH bandwidths of it (found by
-`searchsorted`); every weight outside that window underflows to exactly
-0.0, so the sums are the full sums taken in another order. A block of
-responses (b, n) on the same x (a bootstrap block's refits) is fitted
-in the same pass: each block of weights multiplies all b response
-columns at once, and every response row gets the sums of its own fit.
+Local sums never form an n x n weight matrix. At the data, one block walk
+(`_pair_sums`) serves the LSCV scores and the fits alike: the mean fit on y
+and the variance fit on squared residuals, of one response, a (b, n) block
+of responses on the same x (a bootstrap block's refits) or count rows. It
+walks the x-sorted data in blocks of _BLOCK rows and forms each unordered
+pair's weight once (w_ij = w_ji): a block's own rows take the row sums over
+its window and the window's later rows the column sums. Each block's
+distances serve every bandwidth, and each (block, bandwidth) weight tile
+sits contiguously at the head of one flat buffer (as a strided view of a
+(64, n) buffer its multiply and exp took about 1.6 times as long).
 
-The cross-validation scan walks the x-sorted data in the same blocks,
-but its window reaches R(n) = sqrt(2 ln((n - 1) 2^54)) bandwidths
-(_scan_reach): the at most n - 1 weights it drops from a row sum to less
-than 2^-54, half an ulp of s0 >= 1, so the s0 - 1 each score divides by
-moves by at most one rounding. It also forms each unordered pair's
-weight once (w_ij = w_ji): a block is weighed against the columns from
-its first row to its window's end, its own rows take the row sums and
-the later rows the column sums. Each block's distances are computed
-once for all 50 candidates. Each (block, candidate) weight tile is laid
-out contiguously at the head of one flat buffer: as a strided view of a
-(64, n) buffer its multiply and exp took about 1.6 times as long per
-element, and the products that read it took a leading dimension of n.
+The window's reach follows the bound each case allows:
+- responses: R(n) = sqrt(2 ln((n - 1) 2^54)) bandwidths (_scan_reach).
+  A row drops at most n - 1 weights, each below 2^-54 / (n - 1), so s0
+  moves by less than 2^-54, half an ulp of s0 >= 1 (the point's own
+  weight), t0 by less than 2^-54 max|y|, s1 by 2^-54 R h and s2 by
+  2^-54 (R h)^2; the scores' s0 - 1 moves by at most one rounding.
+- count rows: a point's own count can be 0, so s0 has no floor. The
+  window reaches _REACH = 40 bandwidths, past which every weight is
+  exactly 0.0, so the sums are the full sums in another order.
+Points off the data (newdata, diseased covariates, grids) take
+`_kernel_sums`, which weighs blocks of sorted points against the data
+within _REACH bandwidths on both sides, its sums exact in the same way.
 
-The local-linear scan forms a block's five moment sums about the
+The local-linear walk forms a block's five moment sums about the
 block's centre c (the mid-point of its first and last x) wherever the
-block's half-span is at most the candidate's h: one product
+block's half-span is at most the bandwidth h: one product
 w @ [1, y, u, u y, u^2] over the window's u = x_j - c gives the row
 sums, one product [1, y, a, a y, a^2]' @ w over the block's
 a = x_i - c the column sums, and s1, t1, s2 in d = a - u follow by the
 binomial shifts of `_recentre`. A shift cancels terms of size
 (|a| + |u|)^2 against d^2, so it adds about eps (h^2 s0 + s2) to s2
 and eps (h s0 + sum w |d|) to s1 once |a| <= h; wider blocks (the
-smallest candidates, whose windows are narrow) keep per-pair d products.
+smallest candidates) and blocks of more than one response or count row
+keep per-pair d products.
 On the benchmark study, centring every candidate moved the smallest
 candidates' scores by up to 1e-2 relative; with the switch, every finite
 score stays within 2e-15 of the per-pair scan.
@@ -133,6 +136,20 @@ def _moments(w, d, cols, order, mass=None):
     return np.concatenate([sums, (w @ cols).T, s2])
 
 
+def _columns(x, y, counts):
+    """x's stable sort order, its sorted columns [c, c y] (c ones or the count rows), len(c)."""
+    by = np.argsort(x, kind="stable")
+    c = np.ones((1, x.size)) if counts is None else counts[:, by]
+    return by, np.column_stack([c.T, (c * y[..., by]).T]), len(c)
+
+
+def _split(sums, m, r, order):
+    """Rows s0, t0 (and s1, t1, s2) of stacked moment sums over r data columns, m of them c."""
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    return (sums[:m], sums[m:r], sums[r:r + m], sums[r + m:2 * r], sums[2 * r:])[:2 + 3 * order]
+
+
 def _kernel_sums(x, y, h, x0, order, counts=None):
     """Gaussian-kernel moment sums at each evaluation point x0, for responses y (n,) or (b, n).
 
@@ -144,11 +161,8 @@ def _kernel_sums(x, y, h, x0, order, counts=None):
     then having one row per count row: a block of case resamples summed
     under one set of kernel weights.
     """
-    xs_order = np.argsort(x, kind="stable")
-    xs = x[xs_order]
-    c = np.ones((1, x.size)) if counts is None else counts[:, xs_order]
-    cols = np.column_stack([c.T, (c * y[..., xs_order]).T])
-    m, r, mass = len(c), cols.shape[1], None if counts is None else len(c)
+    by, cols, m = _columns(x, y, counts)
+    xs, r, mass = x[by], cols.shape[1], None if counts is None else m
     x0 = np.asarray(x0, dtype=float).ravel()
     rows = np.argsort(x0, kind="stable")
     sums = np.empty((x0.size, r if order == 0 else 2 * r + m))
@@ -159,8 +173,21 @@ def _kernel_sums(x, y, h, x0, order, counts=None):
         hi = np.searchsorted(xs, p[-1] + _REACH * h, side="right")
         d = p[:, None] - xs[lo:hi]
         sums[idx] = _moments(np.exp(d * d * (-0.5 / (h * h))), d, cols[lo:hi], order, mass).T
-    sums = sums.T
-    return (sums[:m], sums[m:r], sums[r:r + m], sums[r + m:2 * r], sums[2 * r:])[:2 + 3 * order]
+    return _split(sums.T, m, r, order)
+
+
+def _ratio(s0, t0, *rest):
+    """The local constant fit t0 / s0, or from order-1 sums the local linear fit."""
+    if np.any(s0 <= 1e-300):
+        raise NoLocalDataError("no kernel mass at some evaluation points")
+    if not rest:
+        return t0 / s0
+    s1, t1, s2 = rest
+    denom = s0 * s2 - s1 * s1
+    # a degenerate local design (single support point) reduces to the
+    # local constant estimate
+    safe = denom > 1e-300 * np.maximum(1.0, s2)
+    return np.where(safe, (s2 * t0 - s1 * t1) / np.where(safe, denom, 1.0), t0 / s0)
 
 
 def local_poly_regression(x, y, h, x0, order: int = 1, counts=None) -> np.ndarray | float:
@@ -170,23 +197,23 @@ def local_poly_regression(x, y, h, x0, order: int = 1, counts=None) -> np.ndarra
     a block gives one row of fits per response, from one set of weights.
     Count rows counts (b, n) give one row of fits per count row.
     """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
     y = np.asarray(y, dtype=float)
-    s0, t0, *rest = _kernel_sums(np.asarray(x, dtype=float), y, _bw_value(h), x0, order, counts)
-    if np.any(s0 <= 1e-300):
-        raise NoLocalDataError("no kernel mass at some evaluation points")
-    if order == 0:
-        out = t0 / s0
-    else:
-        s1, t1, s2 = rest
-        denom = s0 * s2 - s1 * s1
-        # a degenerate local design (single support point) reduces to the
-        # local constant estimate
-        safe = denom > 1e-300 * np.maximum(1.0, s2)
-        out = np.where(safe, (s2 * t0 - s1 * t1) / np.where(safe, denom, 1.0), t0 / s0)
+    out = _ratio(*_kernel_sums(np.asarray(x, dtype=float), y, _bw_value(h), x0, order, counts))
     out = out.reshape((y if counts is None else counts).shape[:-1] + np.shape(x0))
     return float(out) if out.ndim == 0 else out
+
+
+def _fit_at_data(x, y, h, order, counts=None) -> np.ndarray:
+    """local_poly_regression(x, y, h, x, order, counts) from one walk of `_pair_sums`."""
+    by, cols, m = _columns(x, y, counts)
+    r, reach = cols.shape[1], _scan_reach(max(x.size, 2)) if counts is None else _REACH
+    sums = _pair_sums(x[by], cols, np.array([_bw_value(h)]), order, reach,
+                      None if counts is None else m)[0]
+    del cols  # before the ratio's temporaries
+    fit = _ratio(*_split(sums, m, r, order))
+    out = np.empty_like(fit)
+    out[:, by] = fit
+    return out.reshape((y if counts is None else counts).shape)
 
 
 def _candidate_grid(scale_sample) -> np.ndarray:
@@ -208,101 +235,106 @@ def _recentre(m, v):
     """Order-1 moment sums from sums about a centre, in place.
 
     m holds, per column, [sum w, sum w y, sum w u, sum w u y, sum w u^2]
-    over points at u = x - c from the centre c, and v the column's own
-    offset x0 - c. With d = x0 - x = v - u, s1 = v s0 - sum w u,
-    t1 = v t0 - sum w u y and s2 = v^2 s0 - 2 v sum w u + sum w u^2.
+    (w times c under a count row) over points at u = x - c0 from the centre
+    c0, and v the column's own offset x0 - c0. With d = v - u: s1 = v s0 -
+    sum w u, t1 = v t0 - sum w u y, s2 = v^2 s0 - 2 v sum w u + sum w u^2.
     """
     m[4] += v * (v * m[0] - 2.0 * m[2])
     m[2:4] = v * m[:2] - m[2:4]
     return m
 
 
+def _pair_sums(xs, cols, hs, order, reach, mass=None) -> np.ndarray:
+    """Moment sums at every data point under each bandwidth in hs, each pair's weight formed once.
+
+    xs is the sorted data and cols its columns from `_columns`, `mass`
+    count columns first (one column of ones when None). Returns (hs.size,
+    k, n): per bandwidth, the rows of `_kernel_sums` at x0 = xs. Each block
+    of _BLOCK rows is weighed against the columns from its first row to
+    `reach` bandwidths past its last, the later ones taking the column
+    sums with s1 and t1 negated (d_ji = -d_ij). Order 1 on two data
+    columns takes the centred products (module docstring) where a block's
+    half-span is at most h; other pairs, and wider column sets, whose
+    products outweigh the per-pair work on the tile, take the per-pair d
+    products of `_moments`.
+    """
+    n, r = cols.shape
+    k = 1 if mass is None else mass
+    acc = np.zeros((hs.size, r if order == 0 else 2 * r + k, n))
+    scale = -0.5 / (hs * hs)
+    buf = np.empty(min(_BLOCK, n) * n)  # each weight tile, laid out contiguously
+    for start in range(0, n, _BLOCK):
+        end = min(start + _BLOCK, n)
+        nb, rows_t = end - start, cols[start:end].T
+        hi = np.searchsorted(xs, xs[end - 1] + reach * hs, side="right")
+        stop = hi.max()
+        d = xs[start:end, None] - xs[start:stop]
+        d2 = d * d if hs.size > 1 else None  # the squares all candidates' tiles share
+        half = 0.5 * (xs[end - 1] - xs[start]) if order == 1 and r == 2 else np.inf
+        if half < np.inf:
+            # the window's columns [c, c y, c u, c u y, c u^2] about the block's centre
+            u = xs[start:stop] - 0.5 * (xs[start] + xs[end - 1])
+            window = cols[start:stop]
+            about = np.column_stack([window, u[:, None] * window, u * u * window[:, 0]])
+        for a, h in enumerate(hs):
+            b, past = hi[a] - start, acc[a, :, end:hi[a]]
+            w = buf[:nb * b].reshape(nb, b)
+            if d2 is None:
+                np.multiply(d[:, :b], d[:, :b], out=w)
+                w *= scale[a]
+            else:
+                np.multiply(d2[:, :b], scale[a], out=w)
+            np.exp(w, out=w)
+            sums = acc[a, :, start:end]  # the block's rows
+            if half <= h:
+                sums += _recentre((w @ about[:b]).T, u[:nb])
+                past += _recentre(about[:nb].T @ w[:, nb:], u[nb:b])
+            else:
+                for j in range(0, r, _BLOCK):  # products of at most _BLOCK rows
+                    past[j:min(j + _BLOCK, r)] += rows_t[j:j + _BLOCK] @ w[:, nb:]
+                sums += _moments(w, d[:, :b], cols[start:hi[a]], order, mass)
+                if order == 1:
+                    # _moments left w * d in w
+                    for j in range(0, r, _BLOCK):
+                        past[r + j:r + min(j + _BLOCK, r)] -= rows_t[j:j + _BLOCK] @ w[:, nb:]
+                    if mass is None:
+                        past[2 * r:] += np.einsum("ij,ij->j", w[:, nb:], d[:, nb:b])
+                    else:
+                        w[:, nb:] *= d[:, nb:b]
+                        past[2 * r:] += rows_t[:k] @ w[:, nb:]
+    return acc
+
+
 def _loo_cv_regression(x, y, candidates, order):
     """Leave-one-out mean squared error of the local fit at each candidate.
 
-    One pass over the x-sorted data in blocks of _BLOCK rows (one pass
-    per group of candidates, when all 50 accumulators would pass
-    _SCAN_BYTES). Each block's distances are computed once for the
-    group, and each candidate's weights are formed once per unordered
-    pair, against the columns from the block's first row to
-    _scan_reach(n) bandwidths past its last: the block's rows take the
-    row sums, and the later rows in the window take the column sums into
-    per-candidate accumulators, with s1 and t1 negated (d_ji = -d_ij). A
-    block's rows are complete once the block is done, since every earlier
-    column within reach was added by an earlier block. The weights left
-    out of a row sum add up to less than 2^-54. The i-th point sits at
-    distance zero with weight 1, so dropping it only touches the
-    zeroth-order sums. A candidate scores inf when any row's
-    leave-one-out design fails; each block's rows are scored under all
-    live candidates at once.
-
-    For order 1, a (block, candidate) pair whose block half-span is at
-    most h takes the five sums from two products about the block's
-    centre (see the module docstring), each extra rounding then below
-    about eps (h^2 s0 + s2) in s2; other pairs form the per-pair d
-    products of `_moments`. Which path a pair takes depends only on the
-    data and h, never on the candidate groups.
+    The row sums come from `_pair_sums` (in groups of candidates when all
+    50 accumulators would pass _SCAN_BYTES). The i-th point has weight 1,
+    so leaving it out takes s0 - 1 and t0 - y_i. A candidate scores inf
+    when any row's leave-one-out design fails; squared errors are summed
+    per block of _BLOCK rows, in walk order.
     """
-    xs_order = np.argsort(x, kind="stable")
-    xs, ys = x[xs_order], y[xs_order]
-    n = xs.size
-    cols = np.column_stack([np.ones(n), ys])
-    reach = _scan_reach(n) * candidates
-    scale = -0.5 / (candidates * candidates)
-    sse = np.zeros(candidates.size)
-    failed = np.zeros(candidates.size, dtype=bool)
-    buf = np.empty(min(_BLOCK, n) * n)  # each weight tile, laid out contiguously
-    k = 2 if order == 0 else 5
-    group = max(1, int(_SCAN_BYTES // (8 * k * n)))
+    by, cols, _ = _columns(x, y, None)
+    xs, ys, n = x[by], cols[:, 1], x.size
+    group = max(1, int(_SCAN_BYTES // (8 * (2 if order == 0 else 5) * n)))
+    scores = []
     for first in range(0, candidates.size, group):
-        cands = range(first, min(first + group, candidates.size))
-        acc = np.zeros((len(cands), k, n))  # each row's sums over earlier blocks
+        hs = candidates[first:first + group]
+        sums = _pair_sums(xs, cols, hs, order, _scan_reach(n)).transpose(1, 0, 2)
+        if order == 0:
+            s0, t0 = sums
+            num, denom, floor = t0 - ys, s0 - 1.0, 1e-300
+        else:
+            s0, t0, s1, t1, s2 = sums
+            num = s2 * (t0 - ys) - s1 * t1
+            denom, floor = (s0 - 1.0) * s2 - s1 * s1, 1e-300 * np.maximum(1.0, s2)
+        low = denom <= floor
+        err = (ys - num / np.where(low, 1.0, denom)) ** 2
+        sse = np.zeros(hs.size)
         for start in range(0, n, _BLOCK):
-            end = min(start + _BLOCK, n)
-            r, yr, rows_t = xs[start:end], ys[start:end], cols[start:end].T
-            hi = np.searchsorted(xs, r[-1] + reach[first:cands.stop], side="right")
-            stop = hi.max()
-            d = r[:, None] - xs[start:stop]
-            d2 = d * d
-            if order == 1:
-                # the window's columns [1, y, u, u y, u^2] about the block's centre
-                u = xs[start:stop] - 0.5 * (r[0] + r[-1])
-                about = np.column_stack([cols[start:stop], u, u * ys[start:stop], u * u])
-                half = 0.5 * (r[-1] - r[0])
-            for a, c in enumerate(cands):
-                if failed[c]:
-                    continue
-                h, b, past = candidates[c], hi[a] - start, acc[a, :, end:hi[a]]
-                w = buf[:r.size * b].reshape(r.size, b)
-                np.multiply(d2[:, :b], scale[c], out=w)
-                np.exp(w, out=w)
-                sums = acc[a, :, start:end]  # the block's rows
-                if order == 1 and half <= h:
-                    sums += _recentre((w @ about[:b]).T, u[:r.size])
-                    past += _recentre(about[:r.size].T @ w[:, r.size:], u[r.size:b])
-                else:
-                    past[:2] += rows_t @ w[:, r.size:]
-                    sums += _moments(w, d[:, :b], cols[start:hi[a]], order)
-                    if order == 1:
-                        # _moments left w * d in w
-                        past[2:4] -= rows_t @ w[:, r.size:]
-                        past[4] += np.einsum("ij,ij->j", w[:, r.size:], d[:, r.size:b])
-            # score the block's rows under every live candidate at once
-            live = np.flatnonzero(~failed[first:cands.stop])
-            sums = acc[live, :, start:end].transpose(1, 0, 2)
-            if order == 0:
-                s0, t0 = sums
-                num, denom, floor = t0 - yr, s0 - 1.0, 1e-300
-            else:
-                s0, t0, s1, t1, s2 = sums
-                num = s2 * (t0 - yr) - s1 * t1
-                denom, floor = (s0 - 1.0) * s2 - s1 * s1, 1e-300 * np.maximum(1.0, s2)
-            low = denom <= floor
-            bad = np.any(low, axis=1)
-            failed[first + live[bad]] = True
-            err = (yr - num / np.where(low, 1.0, denom)) ** 2
-            sse[first + live[~bad]] += np.sum(err[~bad], axis=1)
-    return np.where(failed, np.inf, sse / n)
+            sse += np.sum(err[:, start:start + _BLOCK], axis=1)
+        scores.append(np.where(np.any(low, axis=1), np.inf, sse / n))
+    return np.concatenate(scores)
 
 
 def _loo_cv_cdf(y, h, grid, indic):
@@ -373,7 +405,8 @@ class LocationScaleFit:
 
     A block fit (y of shape (b, n), or count rows `counts`) has one row of each array, and
     of mu, sigma2 and `at`, per response or count row. A count-weighted fit's residual CDFs
-    are `ecdf_eval(residuals, t, cumw)`."""
+    are `ecdf_eval(residuals, t, cumw)`. A one-response fit keeps its mean and variance
+    at its own x, which mu, sigma2 and `at` return when given that same array."""
 
     x: np.ndarray
     y: np.ndarray
@@ -384,14 +417,18 @@ class LocationScaleFit:
     residuals: np.ndarray  # (y - mu(x)) / sigma(x), sorted ascending
     counts: np.ndarray | None = None  # (b, n) draw counts of a count-weighted block fit
     cumw: np.ndarray | None = None  # cumulative counts / n, aligned with residuals
+    fitted: tuple | None = None  # (mu, unclamped sigma2) at x of a one-response fit
 
     def mu(self, x0):
+        if x0 is self.x and self.fitted is not None:
+            return self.fitted[0]
         return local_poly_regression(self.x, self.y, self.bw_mean, x0, order=self.order,
                                      counts=self.counts)
 
     def sigma2(self, x0):
         """Nadaraya-Watson estimate of the variance function, clamped below."""
-        est = np.asarray(local_poly_regression(self.x, self.sq_resid, self.bw_var, x0, order=0,
+        est = np.asarray(self.fitted[1] if x0 is self.x and self.fitted is not None else
+                         local_poly_regression(self.x, self.sq_resid, self.bw_var, x0, order=0,
                                                counts=self.counts))
         if np.any(est < _VAR_FLOOR):
             warnings.warn("variance estimate clamped at %g" % _VAR_FLOOR, ClampWarning)
@@ -418,15 +455,12 @@ def fit_location_scale(x, y, order: int = 1, bw_mean: Bandwidth | None = None,
     y = np.asarray(y, dtype=float)
     if bw_mean is None:
         bw_mean = lscv_bandwidth(x, y, "regression", order=order)
-    mu_hat = local_poly_regression(x, y, bw_mean, x, order=order, counts=counts)
+    mu_hat = _fit_at_data(x, y, bw_mean, order, counts)
     sq = (y - mu_hat) ** 2
     if bw_var is None:
         bw_var = lscv_bandwidth(x, sq, "variance")
-    var_hat = np.maximum(
-        np.asarray(local_poly_regression(x, sq, bw_var, x, order=0, counts=counts), dtype=float),
-        _VAR_FLOOR,
-    )
-    resid, cumw = (y - mu_hat) / np.sqrt(var_hat), None
+    var_hat = _fit_at_data(x, sq, bw_var, 0, counts)
+    resid, cumw = (y - mu_hat) / np.sqrt(np.maximum(var_hat, _VAR_FLOOR)), None
     if counts is None:
         resid = np.sort(resid)
     else:
@@ -434,7 +468,8 @@ def fit_location_scale(x, y, order: int = 1, bw_mean: Bandwidth | None = None,
         resid = np.take_along_axis(resid, by, axis=-1)
         cumw = np.cumsum(np.take_along_axis(counts, by, axis=-1), axis=-1) / x.size
     return LocationScaleFit(x=x, y=y, bw_mean=bw_mean, bw_var=bw_var, order=order, sq_resid=sq,
-                            residuals=resid, counts=counts, cumw=cumw)
+                            residuals=resid, counts=counts, cumw=cumw,
+                            fitted=(mu_hat, var_hat) if y.ndim == 1 and counts is None else None)
 
 
 def fit_by_rule(x, y, bw: str, group: str) -> LocationScaleFit:

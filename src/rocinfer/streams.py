@@ -140,18 +140,3 @@ def wishart(nu: float, scale: np.ndarray, rng) -> np.ndarray:
     root = lower @ bart
     return root @ root.T
 
-
-def check_shape_rate(shape, rate):
-    """Gamma shape and rate as float arrays, both required positive."""
-    shape = np.asarray(shape, dtype=float)
-    rate = np.asarray(rate, dtype=float)
-    if (np.fmin.reduce(shape, axis=None, initial=np.inf) <= 0
-            or np.fmin.reduce(rate, axis=None, initial=np.inf) <= 0):
-        raise BadAlphaError("gamma needs positive shape and rate")
-    return shape, rate
-
-
-def gamma_shape_rate(shape, rate, rng, size=None) -> np.ndarray | float:
-    """Gamma draws in the shape-rate parameterisation (mean shape/rate)."""
-    shape, rate = check_shape_rate(shape, rate)
-    return _gen(rng).gamma(shape, 1.0 / rate, size=size)

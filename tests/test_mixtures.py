@@ -35,7 +35,7 @@ from rocinfer.mixtures import (
     sample_atoms_prior,
 )
 from rocinfer.sample import split_groups, standardise
-from rocinfer.streams import RngStream, gamma_shape_rate, stick_breaking
+from rocinfer.streams import RngStream, stick_breaking
 from rocinfer.summaries import mixture_auc_closed
 
 
@@ -299,7 +299,7 @@ def _component_loop(Z, y, z, counts, S_inv, m, sigma2, a, b, gen):
         )
         resid = yl - Zl @ beta[l]
         rate = b + 0.5 * float(resid @ resid)
-        s2[l] = 1.0 / float(gamma_shape_rate(a + 0.5 * counts[l], rate, gen))
+        s2[l] = 1.0 / float(gen.gamma(a + 0.5 * counts[l], 1.0 / rate))
     return beta, s2, means, chols
 
 
@@ -409,7 +409,7 @@ def _frozen_update_alpha(v, prior_a, prior_b, gen):
     rate = prior_b - np.sum(np.log1p(-v[:-1]))
     if not rate > 0:
         raise NumericalCollapseError("concentration update produced a nonpositive rate")
-    return float(gamma_shape_rate(prior_a + v.size - 1, rate, gen))
+    return float(gen.gamma(prior_a + v.size - 1, 1.0 / rate))
 
 
 def _frozen_update_components(Z, y, z, counts, ZZ, Zy, S_inv, m, sigma2, a, b, gen):
@@ -472,7 +472,7 @@ def _reference_dpm_sweeps(y, prior, gen):
         ss = np.bincount(z, weights=(y - mu[z]) ** 2, minlength=L)
         shape = prior.a + 0.5 * counts
         rate = prior.b + 0.5 * ss
-        sigma2 = 1.0 / np.asarray(gamma_shape_rate(shape, rate, gen), dtype=float)
+        sigma2 = 1.0 / gen.gamma(shape, 1.0 / rate)
         empty = counts == 0
         if np.any(empty):
             mu_e, s2_e = sample_atoms_prior(prior, int(empty.sum()), gen)
@@ -498,7 +498,7 @@ def _reference_ddp_sweeps(y, Z, prior, gen):
     S_inv = np.linalg.inv(Psi)
     S_chol = np.linalg.cholesky(np.linalg.inv(S_inv))
     beta = m[None, :] + (S_chol @ gen.standard_normal((q, L))).T
-    sigma2 = 1.0 / np.asarray(gamma_shape_rate(prior.a, prior.b, gen, size=L), dtype=float)
+    sigma2 = 1.0 / gen.gamma(prior.a, 1.0 / prior.b, size=L)
     w = stick_breaking(_frozen_update_sticks(np.zeros(L, dtype=int), alpha, gen))
     cum, _ = _frozen_allocation_cdf(_frozen_component_logdens(y, w, beta @ Z.T, sigma2))
     while True:

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import warnings
 
@@ -8,6 +9,9 @@ import pytest
 from scipy.special import ndtr
 
 from rocinfer import smoothing
+from rocinfer.adjusted import aroc_frequentist
+from rocinfer.cli import main
+from rocinfer.conditional import croc_kernel
 from rocinfer.errors import ClampWarning, DegenerateGridWarning
 from rocinfer.generate import simulate_endosyn_like
 from rocinfer.pooled import KernelStack, _kernel_grid
@@ -22,6 +26,8 @@ from rocinfer.smoothing import (
     silverman_bandwidth,
 )
 from rocinfer.summaries import ecdf_eval
+
+from conftest import covariate_sample
 
 
 def kernel_cdf(x, data, h):
@@ -279,6 +285,105 @@ def test_count_row_fits_match_each_case_resample_fit_alone():
         assert np.array_equal(ecdf_eval(block.residuals, np.tile(t, (6, 1)), block.cumw),
                               np.array([ecdf_eval(f.residuals, t) for f in alone]))
     assert local_poly_regression(x, y, 2.5, 30.0, counts=counts).shape == (6,)
+
+
+def _at_data_sample(kind):
+    """(x, y, Y, count rows): tied x on [0, 60] (n = 500), or n = 10 scattered points."""
+    g = np.random.default_rng(12)
+    n = 500 if kind == "ties" else 10
+    x = np.round(g.uniform(0, 60, n), 1 if kind == "ties" else 6)
+    y = np.cos(x / 9.0) + (0.5 + x / 60.0) * g.normal(size=n)
+    Y = np.cos(x / 9.0) + (0.5 + x / 60.0) * g.normal(size=(7, n))
+    counts = np.array([np.bincount(g.integers(0, n, n), minlength=n) for _ in range(6)], float)
+    return x, y, Y, counts
+
+
+@pytest.mark.parametrize("kind", ["ties", "n10"])
+def test_fits_at_the_data_match_the_smoother_at_x(kind):
+    """The pair-once walk's fits at the data equal `local_poly_regression` at x, row by row
+    (1e-12 of the row's largest value), for one response, a (7, n) block and count rows,
+    at the smallest and the largest LSCV candidate."""
+    x, y, Y, counts = _at_data_sample(kind)
+    candidates = _candidate_grid(x)
+    for h in (candidates[0], candidates[-1]):
+        for order in (0, 1):
+            _close_rows(smoothing._fit_at_data(x, y, h, order)[None],
+                        [local_poly_regression(x, y, h, x, order=order)])
+            _close_rows(smoothing._fit_at_data(x, Y, h, order),
+                        local_poly_regression(x, Y, h, x, order=order))
+            _close_rows(smoothing._fit_at_data(x, y, h, order, counts),
+                        local_poly_regression(x, y, h, x, order=order, counts=counts))
+
+
+def test_count_row_fits_at_the_data_reach_past_a_gap():
+    """A point with a zero own count, alone in a gap 15 h from its nearest neighbours (past
+    R(n) h, inside _REACH h), keeps its tiny kernel mass from both sides: count rows take the
+    exact-zero window, so its fit matches `local_poly_regression` at x. The gap point opens
+    a block of the walk, so an R(n) window would drop every point left of it."""
+    g = np.random.default_rng(13)
+    h = 0.1
+    x = np.concatenate([g.uniform(0, 10, 3 * 64), [11.5], g.uniform(13, 23, 200)])
+    y = np.sin(x / 3.0) + g.normal(size=x.size)
+    counts = np.array([np.bincount(g.integers(0, x.size, x.size), minlength=x.size)
+                       for _ in range(5)], float)
+    counts[0, 3 * 64] = 0.0  # the gap point draws no copy of itself in row 0
+    assert 15 * h > _scan_reach(x.size) * h
+    for order in (0, 1):
+        _close_rows(smoothing._fit_at_data(x, y, h, order, counts),
+                    local_poly_regression(x, y, h, x, order=order, counts=counts))
+
+
+@pytest.mark.parametrize("bw", ["srt", "lscv"])
+def test_kernel_runs_walk_the_data_once_per_group_target_and_fit(monkeypatch, bw):
+    """At B = 70 (blocks of 64 and 6 replicates), croc kernel and aroc kernel walk each
+    group's data once per target (mean, variance) for the plug-in fit and for each block,
+    plus one LSCV scan per target under lscv; `_kernel_sums` runs only at points off the
+    data: croc's prediction points and aroc's diseased covariates."""
+    walks, off_data = [], []
+    pair_sums, kernel_sums = smoothing._pair_sums, smoothing._kernel_sums
+
+    def count_walk(xs, cols, hs, *args):
+        walks.append(hs.size)
+        return pair_sums(xs, cols, hs, *args)
+
+    def record_points(x, y, h, x0, *args):
+        off_data.append(np.asarray(x0))
+        return kernel_sums(x, y, h, x0, *args)
+
+    monkeypatch.setattr(smoothing, "_pair_sums", count_walk)
+    monkeypatch.setattr(smoothing, "_kernel_sums", record_points)
+    s = covariate_sample(n_h=150, n_d=120, seed=51)
+    scans = [50] * (2 if bw == "lscv" else 0)
+    x0 = np.array([0.25, 0.5, 0.75])
+    croc_kernel(s, "x", {"x": x0}, bw=bw, B=70, rng=52)
+    assert sorted(walks) == [1] * 12 + scans * 2
+    assert len(off_data) == 12 and all(np.array_equal(p, x0) for p in off_data)
+    walks.clear()
+    off_data.clear()
+    aroc_frequentist(s, covariate="x", variant="kernel", bw=bw, B=70, rng=52)
+    assert sorted(walks) == [1] * 6 + scans
+    x_d = s.covariates["x"].values[150:]
+    assert len(off_data) == 6 and all(np.array_equal(p, x_d) for p in off_data)
+
+
+def test_a_variance_clamped_at_the_data_warns_once(tmp_path):
+    """The healthy marker is exactly linear on a dense cluster of ages far from its noisy
+    ones, so its variance fit clamps at those data points but not at the prediction points:
+    the plug-in scale kept at the data still raises the clamp warning, once in the run."""
+    g = np.random.default_rng(3)
+    xe, xn, xd = g.uniform(0, 1, 250), g.uniform(9, 10, 50), g.uniform(0, 10, 200)
+    rows = [(2.0 + a, 0, a) for a in xe] + [(2.0 + a + g.normal(), 0, a) for a in xn]
+    rows += [(4.0 + a + g.normal(), 1, a) for a in xd]
+    study, newdata, out = tmp_path / "study.csv", tmp_path / "nd.csv", tmp_path / "out.json"
+    study.write_text("y,g,x\n" + "".join("%r,%d,%r\n" % (float(y), t, float(a))
+                                           for y, t, a in rows), encoding="utf-8")
+    newdata.write_text("x\n9.3\n9.7\n", encoding="utf-8")
+    assert main(["croc", "--data", str(study), "--marker", "y", "--group", "g", "--tag", "0",
+                 "--method", "kernel", "--covariate", "x", "--bw", "srt", "--newdata",
+                 str(newdata), "--B", "70", "--out", str(out)]) == 0
+    notes = json.loads(out.read_text(encoding="utf-8"))["warnings"]
+    assert [w for w in notes if w.startswith("variance estimate clamped")] == \
+        ["variance estimate clamped at 1e-10"]
 
 
 def test_local_fits_keep_the_shape_of_x0():

@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 from rocinfer.errors import BadAlphaError, BadStickError, NotSPDError
 from rocinfer.streams import (
     RngStream,
-    check_shape_rate,
     dirichlet,
-    gamma_shape_rate,
     parallel_map,
     stick_breaking,
     wishart,
@@ -107,11 +105,6 @@ def test_wishart_validates_inputs():
         wishart(5.0, np.array([[1.0, 2.0], [0.0, 1.0]]), RngStream(0))
 
 
-def test_gamma_shape_rate_mean():
-    d = gamma_shape_rate(4.0, 2.0, RngStream(2), size=4000)
-    assert abs(d.mean() - 2.0) < 0.1
-
-
 _NAN, _INF = float("nan"), float("inf")
 
 
@@ -154,17 +147,3 @@ def test_wishart_symmetry_check_edge_inputs(scale):
         else:
             raised = False
     assert raised == expected
-
-
-@pytest.mark.parametrize("shape, rate", [
-    (2.0, 1.0), (0.0, 1.0), (2.0, -1.0), (_NAN, 1.0), (2.0, _NAN), (_INF, 1.0), (-_INF, 1.0),
-    ([1.0, _NAN], [1.0, 1.0]), ([_NAN, -1.0], [1.0, 1.0]), ([1.0, 2.0], [_INF, 0.0]),
-    ([], []), ([[1.0, 2.0]], 1e-300),
-])
-def test_check_shape_rate_edge_inputs(shape, rate):
-    s, r = np.asarray(shape, dtype=float), np.asarray(rate, dtype=float)
-    if np.any(s <= 0) or np.any(r <= 0):
-        with pytest.raises(BadAlphaError):
-            check_shape_rate(shape, rate)
-    else:
-        check_shape_rate(shape, rate)
