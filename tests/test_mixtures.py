@@ -63,6 +63,27 @@ def test_prior_and_control_validation():
     McmcControl(nburn=0)  # zero burn-in is allowed
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("field", ["a", "b", "a_alpha", "b_alpha"])
+def test_gamma_shape_and_rate_fields_must_be_positive(field, value):
+    # a, b, a_alpha and b_alpha feed gen.gamma(shape, 1 / rate) directly,
+    # so resolution is the only check that keeps those draws well defined.
+    y = np.arange(10.0)
+    with pytest.raises(ConfigError, match=field):
+        DpmPrior(**{field: value}).resolved(y)
+    with pytest.raises(ConfigError, match=field):
+        DdpPrior(**{field: value}).resolved(y, q=2)
+
+
+def test_sample_atoms_prior_precision_is_shape_rate_gamma():
+    # precision 1/sigma2 ~ Gamma(shape a, rate b): mean a/b, variance a/b^2
+    prior = DpmPrior(m0=0.0, S0=1.0, a=4.0, b=2.0)
+    _, s2 = sample_atoms_prior(prior, 20000, RngStream(2, 0))
+    prec = 1.0 / s2
+    assert prec.mean() == pytest.approx(2.0, abs=0.05)
+    assert prec.var() == pytest.approx(1.0, rel=0.06)
+
+
 def test_ddp_prior_resolves_shapes():
     y = np.arange(10.0)
     p = DdpPrior().resolved(y, q=3)
