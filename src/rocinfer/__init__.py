@@ -39,7 +39,7 @@ from .pooled import (
 )
 from .sample import Column, DiagnosticSample, FpfGrid, PredictionFrame, standardise
 from .streams import RngStream
-from .summaries import Interval, ThresholdResult, YoudenPoint, mw_auc, youden
+from .summaries import Interval, ThresholdResult, mw_auc
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "RocinferError",
     "RocinferWarning",
     "ThresholdResult",
-    "YoudenPoint",
     "aroc_bnp",
     "aroc_frequentist",
     "aroc_threshold",
@@ -94,5 +93,4 @@ __all__ = [
     "read_newdata",
     "simulate_endosyn_like",
     "standardise",
-    "youden",
 ]

@@ -28,11 +28,13 @@ from .mixtures import McmcControl, fit_ddp
 from .pooled import (
     _CHAIN_H,
     _WEIGHTS_STREAM,
+    MemberRows,
     PaucControl,
     PaucSummary,
     _bootstrap_stream,
     _draw_counts,
     _grid_of,
+    _member_blocks,
     _stream_of,
     case_bootstrap,
     mixture_stack,
@@ -45,7 +47,6 @@ from .summaries import (
     ThresholdResult,
     ecdf_eval,
     ecdf_quantile,
-    estimate,
     interval_from,
     pauc_normalise,
     placement_areas,
@@ -76,13 +77,15 @@ class ArocResult:
     internals: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _placement_rows(U, q, grid, ctrl: PaucControl):
-    """Curve, aAUC, pAUC (or None), YI and p* for every row of placements.
+def _placement_rows(U, q, grid, ctrl: PaucControl) -> dict:
+    """Curve, aAUC, pAUC (or None), YI and p* for every row of placements, by those names.
 
     U holds one row of placements per member (plug-in, bootstrap
     replicate or posterior draw) and q the matching weight rows, or None
-    for equal weights 1/n. The curve is the right-continuous
-    AROC(p) = sum q 1[U <= p] with exact 0/1 endpoints, the areas are the
+    for equal weights 1/n; a member's values read its own rows alone, so
+    a block of members gets its rows of the whole stack's. The curve is
+    the right-continuous AROC(p) = sum q 1[U <= p] with exact 0/1
+    endpoints, the areas are the
     placement closed forms, and the Youden index max_p {AROC(p) - p}
     sits at a jump, clamped at 0. Rows sort by `np.sort` (tied placements
     are equal), weighted rows by a stable argsort that fixes their cumsums.
@@ -116,18 +119,19 @@ def _placement_rows(U, q, grid, ctrl: PaucControl):
         X = 1.0 - np.maximum(c, U) - (1.0 - c) * v
         raw = X.mean(axis=1) if q is None else np.einsum("rn,rn->r", q, X)
         pauc = pauc_normalise(raw, "tpf", v)
-    return curves, aauc, pauc, yi, p_star
+    return {"curves": curves, "aauc": aauc, "pauc": pauc, "yi": yi, "p_star": p_star}
 
 
-def _summary_fields(rows, ctrl: PaucControl, plugin: bool) -> dict:
-    """ArocResult curve, aAUC, pAUC, YI and p* fields of `_placement_rows`, by `summarise`.
+def _summary_fields(rows: dict, ctrl: PaucControl, plugin: bool) -> dict:
+    """ArocResult curve, aAUC, pAUC, YI and p* fields of the members' `_placement_rows`, by
+    `summarise`.
 
     With plugin, member 0 is the plug-in fit; otherwise every member is
     a posterior draw.
     """
-    est, lo, hi = summarise(**plugin_first(rows[0], plugin))
-    aauc, pauc, yi, p_star = (v if v is None else interval_from(**plugin_first(v, plugin))
-                              for v in rows[1:])
+    est, lo, hi = summarise(**plugin_first(rows["curves"], plugin))
+    aauc, pauc, yi, p_star = (None if v is None else interval_from(**plugin_first(v, plugin))
+                              for v in map(rows.get, ("aauc", "pauc", "yi", "p_star")))
     return {"aroc_est": est, "aroc_lo": lo, "aroc_hi": hi, "aauc": aauc,
             "pauc": PaucSummary.of(pauc, ctrl) if ctrl.compute else None,
             "yi": yi, "p_star": p_star}
@@ -149,7 +153,8 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
     one fit per block of 64 replicates: the least-squares variants solve
     the block's normal equations together, and the kernel variant weighs
     the original healthy rows by each replicate's draw counts under one
-    set of kernel weights.
+    set of kernel weights. A block's placements are summarised in its
+    block function and dropped.
     """
     variant = variant.lower()
     if variant not in _VARIANTS:
@@ -182,7 +187,7 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
         fit0 = _ols_fit(X_h, y_h)
 
         def block(h_idx, d_idx):  # the block's healthy refits solved together
-            return placements(_ols_fit(X_h, y_h, h_idx), d_idx)
+            return placements(_ols_fit(X_h, y_h, h_idx, variant == "sp_empirical"), d_idx)
     else:
         if covariate is None:
             raise ConfigError("the kernel variant needs a covariate name")
@@ -200,13 +205,19 @@ def aroc_frequentist(sample: DiagnosticSample, formula=None, covariate: str | No
                                                  bw_var=fit0.bw_var, counts=_draw_counts(h_idx)),
                               d_idx)
 
-    # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
+    # member 0 is the plug-in fit, members 1..B the bootstrap replicates
     U0 = placements(fit0, np.arange(y_d.size))
-    U = np.concatenate([U0[None], *case_bootstrap(block, stream, B, (y_h.size, y_d.size), workers)])
+    rows = MemberRows(B, plugin=True)
+    rows.put(None, **_placement_rows(U0[None], None, grid, ctrl))
+
+    def walked(members, h_idx, d_idx):
+        rows.put(members, **_placement_rows(block(h_idx, d_idx), None, grid, ctrl))
+
+    case_bootstrap(walked, stream, B, (y_h.size, y_d.size), workers)
     return ArocResult(
         method="aroc-" + variant.replace("_", "-"),
         p=grid,
-        **_summary_fields(_placement_rows(U, None, grid, ctrl), ctrl, plugin=True),
+        **_summary_fields(rows.arrays, ctrl, plugin=True),
         placements=U0,
         sample_sizes=(split.n_h, split.n_d),
         bandwidths=bandwidths,
@@ -224,7 +235,10 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
     Only the healthy group is modelled; each posterior draw yields
     placement values for the diseased subjects plus a flat Dirichlet
     weight vector over them, giving one weighted step curve per draw.
-    Summaries are ensemble means with 2.5/97.5 percentile bands.
+    Summaries are ensemble means with 2.5/97.5 percentile bands. Each
+    block of draws takes its placements from `cdf_at` and its Dirichlet
+    rows from stream 3 in turn (bitwise one (S, n_d) draw), and is
+    summarised and dropped.
     """
     stream = _stream_of(rng)
     grid = _grid_of(p)
@@ -239,22 +253,25 @@ def aroc_bnp(sample: DiagnosticSample, formula, prior=None,
 
     draws = fit_ddp(split_std.healthy, Zh, prior=prior, mcmc=mcmc,
                     rng=stream.stream(_CHAIN_H))
-    U = 1.0 - draws.cdf_at(split_std.diseased, zd_rows)  # (S, n_d) placements
-    S, n_d = U.shape
-    q = dirichlet(np.ones(n_d), stream.stream(_WEIGHTS_STREAM).generator, size=S)
-
-    members = _placement_rows(U, q, grid, ctrl)
-    crit = raw_scale_criteria(std, draws)
+    S, n_d = draws.nsave, split_std.n_d
+    gen = stream.stream(_WEIGHTS_STREAM).generator
+    rows, total = MemberRows(S, plugin=False), np.zeros(n_d)
+    for block in _member_blocks(S):
+        U = 1.0 - draws.cdf_at(split_std.diseased, zd_rows, block)  # (block, n_d) placements
+        q = dirichlet(np.ones(n_d), gen, size=U.shape[0])
+        rows.put(block, **_placement_rows(U, q, grid, ctrl))
+        # an axis-0 sum adds rows in order, so the running sum is the stacked one bitwise
+        total = np.add.reduce(np.concatenate([total[None], U]), axis=0)
 
     return ArocResult(
         method="aroc-bnp",
         p=grid,
-        **_summary_fields(members, ctrl, plugin=False),
-        placements=estimate(U),
+        **_summary_fields(rows.arrays, ctrl, plugin=False),
+        placements=total / S,
         sample_sizes=(split_std.n_h, split_std.n_d),
-        fit=crit,
+        fit=raw_scale_criteria(std, draws),
         internals={"draws_h": draws, "std": std, "fitted": fitted,
-                   "p_star_draws": members[4], "yi_draws": members[3]},
+                   "p_star_draws": rows.arrays["p_star"], "yi_draws": rows.arrays["yi"]},
     )
 
 

@@ -18,14 +18,14 @@ pairs (see `pooled`): location-scale stacks over a normal or
 residual-step error law whose members end in a prediction-row axis for
 the induced models (all rows in one fit, one pair per bootstrap block),
 one pair of conditional mixture stacks per row for the Bayesian one (one
-fit per row). Curves, areas, reverse curves and thresholds are all read
-off those stacks.
+fit per row). Curves and areas are read off each block as it is fit,
+reverse curves and thresholds off the stacks a query asks for.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -45,13 +45,16 @@ from .mixtures import McmcControl, fit_ddp
 from .pooled import (
     DensityControl,
     LocScaleStack,
+    MemberRows,
     NormalStack,
     PaucControl,
+    Replayed,
     StepStack,
     _bootstrap_stream,
     _draw_counts,
     _fit_groups,
     _grid_of,
+    _pair_rows,
     _reverse_curve,
     _stream_of,
     _summarise_rows,
@@ -118,14 +121,14 @@ class LinearFit:
 
     beta: np.ndarray
     sigma: np.ndarray
-    residuals: np.ndarray  # standardised, ascending
+    residuals: np.ndarray | None  # standardised, ascending; None when not formed
     cumw = None  # each residual weighs 1/n
 
     def at(self, Z):
         return (Z @ self.beta[..., None])[..., 0], self.sigma[..., None]
 
 
-def _ols_fit(Z, y, idx=None) -> LinearFit:
+def _ols_fit(Z, y, idx=None, residuals: bool = True) -> LinearFit:
     """Least-squares fit of y (n,) on the design Z, or one fit per row of a block (b, n).
 
     A block of responses y is one multi-right-hand-side solve on Z. A block of row indices
@@ -133,7 +136,8 @@ def _ols_fit(Z, y, idx=None) -> LinearFit:
     one stacked solve of the normal equations C = sum c_r z_r z_r'. A resample is rank
     deficient when a column of Z[i] is zero (it drew no row of a factor level) or when its C
     scaled to unit diagonal has an eigenvalue at or below n k eps. The residual scale counts
-    as zero at or below n eps max|y|, the rounding noise of an exact fit.
+    as zero at or below n eps max|y|, the rounding noise of an exact fit. Without residuals
+    the fit is beta and sigma alone: its standardised residuals are neither sorted nor held.
     """
     n, k = Z.shape
     if n <= k:
@@ -157,7 +161,7 @@ def _ols_fit(Z, y, idx=None) -> LinearFit:
     sigma = np.sqrt(np.vecdot(resid, resid) / (n - k))
     if np.any(sigma <= n * np.finfo(float).eps * np.abs(y).max(axis=-1)):
         raise ZeroVarianceError("regression residuals have zero scale")
-    return LinearFit(beta, sigma, np.sort(resid / sigma[..., None], axis=-1))
+    return LinearFit(beta, sigma, np.sort(resid / sigma[..., None], axis=-1) if residuals else None)
 
 
 def _coef_table(labels, coef, name, scale, plugin: bool) -> dict:
@@ -182,51 +186,63 @@ def _induced_tables(labels, coef_h, coef_d, sig_h, sig_d, plugin: bool, ind_map=
             "induced_tnf": _coef_table(labels, -ind / brat[:, None], "b", 1.0 / brat, plugin)}
 
 
-def _induced_model(groups, inputs_of, base, B: int, stream, workers: int):
-    """Residual bootstrap and CDF stacks of an induced location-scale model.
+def _induced_model(groups, inputs_of, base, B: int, stream, workers: int, newdata, grid,
+                   ctrl: PaucControl, keep=None, held: bool = False):
+    """Residual bootstrap and CDF stacks of an induced location-scale model, walked once.
 
     groups holds each group's (plug-in fit, training inputs, refit). A fit
     has ascending standardised `residuals` and `at(inputs) -> (mean,
     scale)`; refit(inputs, Y) fits the same model to each row of a block
     of responses Y (b, n), the fitted means plus the fitted scales times
-    resampled residuals, as a block fit (one row per replicate). Returns
-    the block fits (a tuple per block, blocks on `workers` threads) and
-    stacks(frame): the plug-in pair and the ensemble, one stack pair per
-    block (or None), over all prediction rows, whose inputs per group are
-    inputs_of(frame). base(residuals) gives the error-law stack.
+    resampled residuals, as a block fit (one row per replicate).
+    base(residuals) gives the error-law stack, and inputs_of(frame) each
+    group's inputs at a frame's rows.
+
+    Each block is refit, summarised over the newdata rows (`_pair_rows`)
+    and dropped in its `case_bootstrap` block function, keeping keep(fit)
+    per group. Returns the member rows (plug-in first), the kept fits per
+    block, and stacks(frame): the plug-in pair and the ensemble, over the
+    kept fits when they are held (their base reads no residual rows),
+    else `Replayed`.
     """
     fitted = [(X, refit, *fit.at(X), fit.residuals) for fit, X, refit in groups]
+    sizes = [e.size for *_, e in fitted]
 
-    def replicate(*idx):
+    def refit_block(*idx):
         return tuple(refit(X, mu + sd * e[i]) for (X, refit, mu, sd, e), i in zip(fitted, idx))
-
-    boot = case_bootstrap(replicate, stream, B, [e.size for *_, e in fitted], workers)
 
     def pair(fits, inputs):
         """Both groups' stacks over a plug-in or block fit, members first."""
         return tuple(LocScaleStack(*fit.at(x), base(fit.residuals)) for fit, x in zip(fits, inputs))
 
+    plugin, inputs = [fit for fit, _, _ in groups], inputs_of(newdata)
+    rows = MemberRows(B, plugin=True)
+    rows.put(None, **_pair_rows(*pair(plugin, inputs), grid, ctrl, 1))
+
+    def walked(block, *idx):
+        fits = refit_block(*idx)
+        rows.put(block, **_pair_rows(*pair(fits, inputs), grid, ctrl, block.stop - block.start))
+        return keep and tuple(map(keep, fits))
+
+    kept = case_bootstrap(walked, stream, B, sizes, workers)
+
     def stacks(frame):
         inputs = inputs_of(frame)
-        return [(pair([fit for fit, _, _ in groups], inputs),
-                 [pair(block, inputs) for block in boot] or None)]
+        ensemble = [pair(fits, inputs) for fits in kept] if held else Replayed(
+            lambda *idx: pair(refit_block(*idx), inputs), stream, B, sizes)
+        return [(pair(plugin, inputs), ensemble or None)]
 
-    return boot, stacks
+    return rows.arrays, kept, stacks
 
 
-def _conditional_result(method, stacks, newdata, grid, ctrl, split, workers=1, fits=None,
-                        aucs=None, coefficients=None, **extra) -> CRocResult:
+def _conditional_result(method, stacks, newdata, grid, ctrl, split, parts,
+                        coefficients=None, **extra) -> CRocResult:
     """A conditional fit's result on its prediction rows.
 
-    fits, by default stacks(newdata), are (plug-in, ensemble) fits whose
-    rows follow one another. Each is summarised by `_summarise_rows` on
-    `workers` threads, with aucs[i], when given, as fit i's closed-form
-    member AUCs, and the rows are concatenated. split gives the sample
-    sizes and the marker values of the threshold grid.
+    parts holds the `_summarise_rows` fields of its fits, whose rows
+    follow one another, and they are concatenated. split gives the
+    sample sizes and the marker values of the threshold grid.
     """
-    fits = stacks(newdata) if fits is None else fits
-    parts = parallel_map(lambda i: _summarise_rows(*fits[i], grid, ctrl, aucs and aucs[i])[0],
-                         range(len(fits)), workers)
     fields = {key: np.concatenate([f[key] for f in parts])
               for key in ("roc_est", "roc_lo", "roc_hi")}
     fields["auc"] = [iv for f in parts for iv in f["auc"]]
@@ -268,12 +284,16 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
 
     design_rows(newdata)  # reject unusable prediction rows before fitting
     fit_h, fit_d = _ols_fit(Zh, split.healthy), _ols_fit(Zd, split.diseased)
-    base = StepStack if est_cdf == "empirical" else lambda _: NormalStack()
-    boot, stacks = _induced_model(((fit_h, Zh, _ols_fit), (fit_d, Zd, _ols_fit)), design_rows,
-                                  base, B, stream, workers)
+    # normal-error block fits are beta and sigma alone: their stacks read no residual rows
+    normal = est_cdf == "normal"
+    base, refit = (lambda _: NormalStack()) if normal else StepStack, partial(
+        _ols_fit, residuals=not normal)
+    rows, kept, stacks = _induced_model(
+        ((fit_h, Zh, refit), (fit_d, Zd, refit)), design_rows, base, B, stream, workers,
+        newdata, grid, ctrl, keep=lambda fit: replace(fit, residuals=None), held=normal)
 
     # row 0 is the plug-in fit, rows 1..B the bootstrap replicates
-    fits = [(fit_h, fit_d)] + boot
+    fits = [(fit_h, fit_d)] + kept
     bh, bd = (np.concatenate([np.atleast_2d(f[g].beta) for f in fits]) for g in (0, 1))
     sh, sd_ = (np.concatenate([np.atleast_1d(f[g].sigma) for f in fits]) for g in (0, 1))
 
@@ -288,7 +308,7 @@ def croc_sp(formula_h, formula_d, sample: DiagnosticSample, newdata,
         coefficients.update(_induced_tables(labels_h, bh, bd, sh, sd_, plugin=True))
 
     return _conditional_result("sp-" + est_cdf, stacks, newdata, grid, ctrl, split,
-                               coefficients=coefficients)
+                               [_summarise_rows(rows, True, ctrl)], coefficients)
 
 
 # -- kernel induced model ------------------------------------------------------
@@ -335,10 +355,11 @@ def croc_kernel(sample: DiagnosticSample, covariate: str, newdata,
     # each group's own x, at which its plug-in fit returns the mean and scale it kept
     groups = [(fit, fit.x, partial(fit_location_scale, bw_mean=fit.bw_mean, bw_var=fit.bw_var))
               for fit in fits.values()]
-    _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
-                               B, stream, workers)
+    rows, _, stacks = _induced_model(groups, lambda frame: (points(frame),) * 2, StepStack,
+                                     B, stream, workers, newdata, grid, ctrl)
 
     return _conditional_result("kernel", stacks, newdata, grid, ctrl, split,
+                               [_summarise_rows(rows, True, ctrl)],
                                bandwidths=bandwidth_block(fits))
 
 
@@ -456,9 +477,11 @@ def croc_bnp(formula_h, formula_d, sample: DiagnosticSample, newdata,
             and spec_is_linear(spec_h) and spec_is_linear(spec_d)):
         coefficients = _bnp_coefficients(split_raw, std, fitted_h, fitted_d, Zh, Zd, *draws)
 
-    return _conditional_result("bnp", stacks, newdata, grid, ctrl, split_raw, workers, fits=fits,
-                               aucs=aucs, coefficients=coefficients, densities=densities,
-                               fit=raw_scale_criteria(std, draws_h, draws_d))
+    parts = parallel_map(lambda i: _summarise_rows(
+        _pair_rows(*fits[i][1][0], grid, ctrl, draws_h.nsave, closed=True), False, ctrl, aucs[i]),
+        range(len(fits)), workers)
+    return _conditional_result("bnp", stacks, newdata, grid, ctrl, split_raw, parts, coefficients,
+                               densities=densities, fit=raw_scale_criteria(std, draws_h, draws_d))
 
 
 # -- reverse-orientation curves and thresholds ----------------------------------

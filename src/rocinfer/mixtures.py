@@ -230,10 +230,12 @@ class DdpDraws(_SavedDraws):
         z = np.asarray(zrow, dtype=float)
         return self.beta @ z
 
-    def cdf_at(self, y, Z) -> np.ndarray:
-        """(S, n) matrix of F^(s)(y_i | z_i), each point under its own design row."""
-        Z = np.asarray(Z, dtype=float)
-        return mixture_cdf(self.weights, lambda b: _point_means(self.beta[b], Z), self.sigma2, y)
+    def cdf_at(self, y, Z, draws=slice(None)) -> np.ndarray:
+        """(S, n) matrix of F^(s)(y_i | z_i), each point under its own design row, for the
+        draws selected (by default all S)."""
+        Z, beta = np.asarray(Z, dtype=float), self.beta[draws]
+        return mixture_cdf(self.weights[draws], lambda b: _point_means(beta[b], Z),
+                           self.sigma2[draws], y)
 
 
 def _point_means(beta, Z) -> np.ndarray:

@@ -14,12 +14,14 @@ the conditional and adjusted estimators. A step stack, plain or
 weighted, is the two views `ecdf_eval` and `ecdf_quantile` of the one
 rank search over sorted rows in `summaries`.
 
-A fit's ensemble is a list of (healthy, diseased) stack pairs of at
-most _MEMBER_BLOCK members each, walked pair by pair, or None. The
-resampled step CDFs of emp and bb are `WeightBlock`s: the one sorted
-sample under each member's weights, emp's bootstrap draw counts held as
-integers, bb's Dirichlet weights redrawn from a saved generator state at
-every query, so neither holds a resampled copy of the sample.
+A fit walks its ensemble once, in blocks of at most _MEMBER_BLOCK
+members, keeping only the member summaries its result reports
+(`MemberRows`). For queries its ensemble is a list of (healthy,
+diseased) stack pairs, one per block, or None; blocks whose stacks hold
+rows of the sample size are `Replayed`, rebuilt when a query reaches
+them. The resampled step CDFs of emp and bb are `WeightBlock`s: the one
+sorted sample under each member's weights, so neither holds a resampled
+copy of the sample.
 
 The four pooled estimators share one result shape: empirical step curves
 with a within-group bootstrap, kernel-smoothed CDF plug-ins, the
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -75,6 +78,7 @@ from .summaries import (
 
 _BOOT_STREAM_BASE = 100
 _MEMBER_BLOCK = 64  # members per ensemble pair: bootstrap replicates or Dirichlet draws
+_CURVE_ELEMENTS = 1 << 16  # curve values per roc_rows pass of a Simpson curve pass
 _KERNEL_TERMS = 1 << 18  # kernel terms per temporary block of a KernelStack's weighted sums
 _TABLE_POINTS = 8193  # most points of a kernel table grid: h/8 spacing over 1,024 bandwidths
 _CHAIN_H, _CHAIN_D, _WEIGHTS_STREAM = 1, 2, 3
@@ -164,24 +168,71 @@ def _grid_of(p) -> np.ndarray:
     return FpfGrid(np.asarray(p, dtype=float)).p
 
 
-def case_bootstrap(fn, stream: RngStream, B: int, sizes, workers: int = 1) -> list:
-    """fn(*indices) for each block of B bootstrap replicates, in replicate order.
+def _member_blocks(count: int) -> list:
+    """The member blocks [c, c + _MEMBER_BLOCK), c = 0, 64, ..., of count members, as slices."""
+    return [slice(c, min(c + _MEMBER_BLOCK, count)) for c in range(0, count, _MEMBER_BLOCK)]
 
-    Replicate k draws one integers(0, n, n) index vector per n in sizes,
-    in that order, from stream _BOOT_STREAM_BASE + k: this is the one
-    place that builds a replicate's generator. Blocks hold replicates
-    [c, c + _MEMBER_BLOCK) for c = 0, 64, ...; fn gets one (b, n) index
-    array per size, row j being replicate c + j. Blocks run on `workers`
+
+def _replicate_draws(stream: RngStream, sizes, block: slice) -> list:
+    """The index draws of a block of bootstrap replicates, one (b, n) array per n in sizes:
+    replicate k = block.start + j (row j) draws one integers(0, n, n) vector per n, in turn,
+    from stream _BOOT_STREAM_BASE + k; this is the one place that builds its generator."""
+    gens = [stream.stream(_BOOT_STREAM_BASE + k).generator for k in range(block.start, block.stop)]
+    return [np.array([g.integers(0, n, n) for g in gens]) for n in sizes]
+
+
+def case_bootstrap(fn, stream: RngStream, B: int, sizes, workers: int = 1) -> list:
+    """fn(block, *indices) for each block of B bootstrap replicates, in replicate order.
+
+    block is the slice [c, c + _MEMBER_BLOCK) of replicates, c = 0, 64,
+    ..., and indices its `_replicate_draws`. Blocks run on `workers`
     threads, and neither the partition nor any draw depends on them, so
     every frequentist bootstrap gives the same numbers for any worker
     count.
     """
-    def one_block(start: int):
-        gens = [stream.stream(_BOOT_STREAM_BASE + k).generator
-                for k in range(start, min(start + _MEMBER_BLOCK, B))]
-        return fn(*[np.array([g.integers(0, n, n) for g in gens]) for n in sizes])
+    return parallel_map(lambda block: fn(block, *_replicate_draws(stream, sizes, block)),
+                        _member_blocks(B), workers)
 
-    return parallel_map(one_block, range(0, B, _MEMBER_BLOCK), workers)
+
+class Replayed:
+    """An ensemble list of B bootstrap replicates whose blocks are rebuilt when a walk reaches
+    them: build(*indices) on each block's index draws, replayed from the replicates' streams,
+    so a block is bitwise the one the fit summarised and a walk holds one block at a time."""
+
+    def __init__(self, build, stream: RngStream, B: int, sizes):
+        self.build, self.stream, self.sizes, self.blocks = build, stream, sizes, _member_blocks(B)
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def __iter__(self):
+        return (self.build(*_replicate_draws(self.stream, self.sizes, block))
+                for block in self.blocks)
+
+
+class MemberRows:
+    """Per-member summaries of an ensemble, written block by block as a walk produces them.
+
+    `arrays` maps each name to one array of count members (members first),
+    the plug-in member 0 when plugin is set, or to None (an area nobody
+    asked for). Blocks may be written from any thread, in any order.
+    """
+
+    def __init__(self, count: int, plugin: bool):
+        self.count, self.plugin, self.arrays = count + plugin, plugin, {}
+        self._lock = threading.Lock()
+
+    def put(self, block, **rows):
+        """Write each array of rows at the member slice block, or at the plug-in for None."""
+        at = slice(0, 1) if block is None else slice(block.start + self.plugin,
+                                                      block.stop + self.plugin)
+        for name, v in rows.items():
+            with self._lock:
+                if name not in self.arrays:
+                    self.arrays[name] = None if v is None else np.empty(
+                        (self.count,) + np.shape(v)[1:], np.result_type(v))
+            if v is not None:
+                self.arrays[name][at] = v
 
 
 def _draw_counts(idx) -> np.ndarray:
@@ -383,14 +434,15 @@ def mixture_stack(weights, means, sigma2, std) -> MixtureStack | LocScaleStack:
 # -- curves, areas and thresholds over stacks ------------------------------------
 
 def roc_rows(H, D, p) -> np.ndarray:
-    """ROC(p) = 1 - F_D(F_H^{-1}(1-p)) per member, exact 0/1 endpoints."""
+    """ROC(p) = 1 - F_D(F_H^{-1}(1-p)) per member, exact 0/1 endpoints, on an increasing p in
+    [0, 1], whose interior 0 < p < 1 is then one run of points."""
     p = np.asarray(p, dtype=float)
     out = np.empty(H.shape + p.shape)
-    interior = (p > 0.0) & (p < 1.0)
-    if np.any(interior):
-        out[..., interior] = 1.0 - D.cdf(H.quantile(1.0 - p[interior]))
-    out[..., p == 0.0] = 0.0
-    out[..., p == 1.0] = 1.0
+    lo, hi = np.searchsorted(p, 0.0, "right"), np.searchsorted(p, 1.0, "left")
+    if lo < hi:
+        out[..., lo:hi] = 1.0 - D.cdf(H.quantile(1.0 - p[lo:hi]))
+    out[..., :lo] = 0.0
+    out[..., hi:] = 1.0
     return out
 
 
@@ -417,72 +469,64 @@ def simpson_area(H, D, pauc: PaucControl):
     return pauc_normalise(raw, pauc.focus, pauc.value)
 
 
-def _summarise_rows(plugin, ensemble, grid, ctrl: PaucControl, aucs=None, paucs=None,
-                    curves=None):
+def _pair_rows(H, D, grid, ctrl: PaucControl, count: int, closed: bool = False) -> dict:
+    """The member rows of one stack pair: `curves` on grid (count, rows, points), `auc`
+    (count, rows) by Simpson's rule, or None when closed (the fit has its areas in closed
+    form), and `pauc` (count, rows) when ctrl asks, else None.
+
+    count is the pair's member count, 1 for a plug-in pair; the rows are
+    the stacks' trailing member axis, one row without. Without closed
+    areas the curve is evaluated once, on the union of grid and the
+    201-point Simpson grid (at the default 101 points the Simpson grid,
+    integrated as evaluated: bitwise a separate pass's AUC), in runs of
+    about _CURVE_ELEMENTS values.
+    """
+    m, auc = grid.size, None
+    if closed:
+        curves = roc_rows(H, D, grid)
+    else:
+        simp = odd_grid(0.0, 1.0, 201)
+        pts = np.union1d(grid, simp)
+        vals = np.empty(H.shape + pts.shape)
+        step = max(1, _CURVE_ELEMENTS // math.prod(H.shape))
+        for s in range(0, pts.size, step):
+            vals[..., s:s + step] = roc_rows(H, D, pts[s:s + step])
+        on_simp = vals if pts.size == simp.size else np.take(vals, np.searchsorted(pts, simp), -1)
+        auc = np.reshape(simpson(on_simp, simp[1] - simp[0]), (count, -1))
+        curves = np.take(vals, np.searchsorted(pts, grid), -1)
+    pauc = np.reshape(simpson_area(H, D, ctrl), (count, -1)) if ctrl.compute else None
+    return {"curves": curves.reshape(count, -1, m), "auc": auc, "pauc": pauc}
+
+
+def _summarise_rows(rows: dict, plugin: bool, ctrl: PaucControl, aucs=None) -> dict:
     """Curve and area summaries of a fit per prediction row, by `summarise`.
 
-    plugin is one stack pair and ensemble a list of them, either None.
-    The rows are the stacks' last member axis; a stack without one
-    counts as one row. aucs and paucs hold member areas known in closed
-    form, (members[, rows]) with the plug-in at member 0 when there is
-    one; the others are Simpson's on each member's curve, the AUC from
-    the curve's own `roc_rows` pass on the union of grid and the 201-point
-    Simpson grid (at the default 101 points the Simpson grid, integrated
-    as evaluated: bitwise a separate pass's AUC). curves holds the
-    ensemble's curves on grid when the fit has them already (with
-    closed-form aucs). Returns the result fields (roc_est, roc_lo,
-    roc_hi as (rows, points), auc and pauc with one entry per row) and
-    the ensemble curves (members, rows, points), or None.
+    rows holds the fit's member rows (`_pair_rows`' names), member 0
+    the plug-in when plugin is set; aucs, when given, holds the member
+    AUCs in closed form (members[, rows]). Returns the result fields:
+    roc_est, roc_lo, roc_hi as (rows, points), auc and pauc with one
+    entry per row.
     """
-    m, simp = grid.size, odd_grid(0.0, 1.0, 201)
-    pts = grid if aucs is not None else np.union1d(grid, simp)
+    def area(values) -> list:
+        return intervals(**plugin_first(np.reshape(values, (len(values), -1)), plugin))
 
-    def curve_pass(H, D):
-        """A member pair's curves on grid and, when no AUC is closed, its Simpson AUCs."""
-        vals = roc_rows(H, D, pts)
-        if aucs is not None:
-            return vals, None
-        on_simp = vals if pts.size == simp.size else np.take(vals, np.searchsorted(pts, simp), -1)
-        return np.take(vals, np.searchsorted(pts, grid), -1), simpson(on_simp, simp[1] - simp[0])
-
-    point, simpson_aucs = None, []
-    if plugin:
-        point, auc = curve_pass(*plugin)
-        point, simpson_aucs = point.reshape(-1, m), [auc]
-    if ensemble and curves is None:
-        # filled block by block: a list of blocks and its concatenation held the stack twice
-        ends = np.cumsum([0] + [H.shape[0] for H, _ in ensemble])
-        curves = np.empty((ends[-1], math.prod(ensemble[0][0].shape[1:]), m))
-        for (H, D), a, b in zip(ensemble, ends, ends[1:]):
-            block, auc = curve_pass(H, D)
-            curves[a:b] = block.reshape(b - a, -1, m)
-            simpson_aucs.append(auc)
-    curves = None if curves is None else curves.reshape(len(curves), -1, m)
-    rows = (point if curves is None else curves).shape[-2]
-
-    def area(closed, parts) -> list:
-        """One area's intervals per row: closed-form member values, else each pair's part."""
-        v = np.concatenate([np.reshape(a, (-1, rows)) for a in parts]) if closed is None else closed
-        return intervals(**plugin_first(v.reshape(len(v), -1), bool(plugin)))
-
-    est, lo, hi = summarise(curves, point)
-    fields = {"roc_est": est, "roc_lo": lo, "roc_hi": hi, "auc": area(aucs, simpson_aucs),
-              "pauc": None}
+    est, lo, hi = summarise(**plugin_first(rows["curves"], plugin))
+    fields = {"roc_est": est, "roc_lo": lo, "roc_hi": hi,
+              "auc": area(rows["auc"] if aucs is None else aucs), "pauc": None}
     if ctrl.compute:
-        parts = (simpson_area(H, D, ctrl) for H, D in [plugin] * bool(plugin) + (ensemble or []))
-        fields["pauc"] = [PaucSummary.of(iv, ctrl) for iv in area(paucs, parts)]
-    return fields, curves
+        fields["pauc"] = [PaucSummary.of(iv, ctrl) for iv in area(rows["pauc"])]
+    return fields
 
 
-def _pooled_result(method, split, grid, ctrl, plugin, ensemble, y, aucs=None, paucs=None,
-                   curves=None, internals=None, **extra) -> RocResult:
-    """A pooled fit's result: the one row of `_summarise_rows`."""
-    fields, curves = _summarise_rows(plugin, ensemble, grid, ctrl, aucs, paucs, curves)
+def _pooled_result(method, split, grid, ctrl, plugin, ensemble, rows, y, aucs=None,
+                   internals=None, **extra) -> RocResult:
+    """A pooled fit's result: the one row of `_summarise_rows` over its member rows."""
+    fields = _summarise_rows(rows, bool(plugin), ctrl, aucs)
+    members = rows["curves"][bool(plugin):, 0]
     return RocResult(
         method=method, p=grid, **{k: None if v is None else v[0] for k, v in fields.items()},
-        sample_sizes=(split.n_h, split.n_d),
-        ensemble=None if curves is None else curves[:, 0],
-        internals={"plugin": plugin, "ensemble": ensemble, "y": y, **(internals or {})},
+        sample_sizes=(split.n_h, split.n_d), ensemble=members if len(members) else None,
+        internals={"plugin": plugin, "ensemble": ensemble or None, "y": y, **(internals or {})},
         **extra,
     )
 
@@ -552,52 +596,32 @@ def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult
 
 # -- weighted step estimators: empirical and Dirichlet-weight --------------------
 
-def _counted_bootstrap(split, stream: RngStream, B: int, workers: int):
-    """Each group's ascending sample, and its B bootstrap replicates as (healthy, diseased)
-    blocks of int32 draw counts at the sorted positions."""
-    groups = (split.healthy, split.diseased)
-    order = [np.argsort(y, kind="stable") for y in groups]
-    rank, ys = [np.argsort(o) for o in order], [y[o] for y, o in zip(groups, order)]
-
-    def counted(*idx):
-        return [_draw_counts(r[i]) for r, i in zip(rank, idx)]
-
-    return ys, case_bootstrap(counted, stream, B, (split.n_h, split.n_d), workers)
+def _sorted_groups(split):
+    """Each group's ascending sample, and the rank of each of its values in that order."""
+    order = [np.argsort(y, kind="stable") for y in (split.healthy, split.diseased)]
+    return ([y[o] for y, o in zip((split.healthy, split.diseased), order)],
+            [np.argsort(o) for o in order])
 
 
 def _count_weights(counts):
     """Weight rows c / n and cumulative weights cumsum(c) / n of int32 draw counts; the counts
-    are summed as integers, so every step is k/n bitwise."""
-    return counts / counts.shape[1], np.cumsum(counts, axis=1) / counts.shape[1]
+    are summed exactly (as floats, in place of a cast), so every step is k/n bitwise."""
+    cumw = np.cumsum(counts, axis=1, dtype=float)
+    cumw /= counts.shape[1]
+    return counts / counts.shape[1], cumw
 
 
-def _step_result(method, split, grid, ctrl, plugin, pairs, sides) -> RocResult:
-    """A step estimator's result from its `WeightBlock` pairs, walked one pair at a time.
-
-    pairs yields each healthy and diseased block with the weights just
-    drawn for it, ((h, drawn_h), (d, drawn_d)). The members' closed-form
-    areas come from two placements: the diseased values in each healthy
-    member (ties on sides[0]) and the healthy values in each diseased
-    member (sides[1]). A plug-in pair, every value weighing 1/n, is
-    member 0.
-    """
-    tpf = ctrl.compute and ctrl.focus == "tpf"
-    ensemble, curves, rows = [], [], []
-    if plugin:
-        h, d = (s.values for s in plugin)
-        rows.append(placement_areas(placements(h, d, side=sides[0])[None], None, ctrl,
-                                    placements(d, h, side=sides[1])[None] if tpf else None))
-    for (h, drawn_h), (d, drawn_d) in pairs:
-        H, D = h.steps(drawn_h), d.steps(drawn_d)
-        U = placements(h.values, d.values, H.cumw, sides[0])  # (block, n_d)
-        U_rev = placements(d.values, h.values, D.cumw, sides[1]) if tpf else None
-        curves.append(roc_rows(H, D, grid))
-        rows.append(placement_areas(U, drawn_d[0], ctrl, U_rev, drawn_h[0]))
-        ensemble.append((h, d))
-    aucs, paucs = (None if col[0] is None else np.concatenate(col) for col in zip(*rows))
-    return _pooled_result(method, split, grid, ctrl, plugin, ensemble or None,
-                          np.concatenate([s.values for s in plugin or ensemble[0]]), aucs, paucs,
-                          np.concatenate(curves) if curves else None)
+def _step_rows(rows: MemberRows, block, h, drawn_h, d, drawn_d, grid, ctrl, sides):
+    """Write the member rows of one healthy and diseased `WeightBlock` pair under the weights
+    drawn for them: curves on grid and the closed-form areas of two placements, the diseased
+    values in each healthy member (ties on sides[0]) and, for a TPF area, the healthy values
+    in each diseased member (sides[1])."""
+    H, D = h.steps(drawn_h), d.steps(drawn_d)
+    U = placements(h.values, d.values, H.cumw, sides[0])  # (block, n_d)
+    U_rev = (placements(d.values, h.values, D.cumw, sides[1])
+             if ctrl.compute and ctrl.focus == "tpf" else None)
+    auc, pauc = placement_areas(U, drawn_d[0], ctrl, U_rev, drawn_h[0])
+    rows.put(block, curves=roc_rows(H, D, grid)[:, None], auc=auc, pauc=pauc)
 
 
 def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None = None,
@@ -607,20 +631,36 @@ def pooled_empirical(sample: DiagnosticSample, p=None, pauc: PaucControl | None 
     The curve uses right-continuous empirical CDFs and the inf-inverse;
     AUC is the tie-halved Mann-Whitney statistic and partial areas come
     from the matching placement-value closed forms. Each replicate is
-    the sorted sample under its int32 draw counts, walked one member
-    block at a time, so no resampled values and no (B+1, n) placement
-    stack are built.
+    the sorted sample under its int32 draw counts. The replicates are
+    walked once, one member block at a time on `workers` threads, and a
+    block's counts are dropped once its rows are written; a query
+    replays them. No resampled values and no (B+1, n) placement stack
+    are built.
     """
     stream = _bootstrap_stream(B, rng)
     grid = _grid_of(p)
     pauc = pauc or PaucControl()
     split = split_groups(sample)
-    sorted_, counts = _counted_bootstrap(split, stream, B, workers)
-    blocks = ([WeightBlock(y, partial(_count_weights, c), len(c)) for y, c in zip(sorted_, pair)]
-              for pair in counts)
-    pairs = ([(b, b.draw()) for b in pair] for pair in blocks)
-    return _step_result("empirical", split, grid, pauc, tuple(map(StepStack, sorted_)), pairs,
-                        ("half", "half"))
+    sizes, sides = (split.n_h, split.n_d), ("half", "half")
+    ys, ranks = _sorted_groups(split)
+    plugin, rows = tuple(map(StepStack, ys)), MemberRows(B, plugin=True)
+
+    def blocks(*idx):
+        """A block's healthy and diseased `WeightBlock`s under its replicates' draw counts."""
+        return tuple(WeightBlock(y, partial(_count_weights, _draw_counts(r[i])), len(i))
+                     for y, r, i in zip(ys, ranks, idx))
+
+    def walked(block, *idx):
+        h, d = blocks(*idx)
+        _step_rows(rows, block, h, h.draw(), d, d.draw(), grid, pauc, sides)
+
+    (h, d), tpf = ys, pauc.compute and pauc.focus == "tpf"
+    auc, pauc0 = placement_areas(placements(h, d, side=sides[0])[None], None, pauc,
+                                 placements(d, h, side=sides[1])[None] if tpf else None)
+    rows.put(None, curves=roc_rows(*plugin, grid)[None, None], auc=auc, pauc=pauc0)
+    case_bootstrap(walked, stream, B, sizes, workers)
+    return _pooled_result("empirical", split, grid, pauc, plugin, Replayed(blocks, stream, B, sizes),
+                          rows.arrays, np.concatenate(ys))
 
 
 # -- kernel ------------------------------------------------------------------
@@ -684,18 +724,26 @@ def pooled_kernel(sample: DiagnosticSample, p=None, bw: str = "srt",
            for g, y in (("healthy", y_h), ("diseased", y_d))}
     h_h, h_d = (b.value for b in bws.values())
     table = _kernel_grid(y_h, y_d, h_h, h_d)
-    sorted_, blocks = _counted_bootstrap(split, stream, B, workers)
+    ys, ranks = _sorted_groups(split)
+    counted = case_bootstrap(lambda _, *idx: [_draw_counts(r[i]) for r, i in zip(ranks, idx)],
+                             stream, B, (split.n_h, split.n_d), workers)
     # one stack per group: member 0 the plug-in (every count 1), members 1..B the replicates
-    counts = [np.concatenate([np.ones((1, y.size))] + [b[g] for b in blocks])
-              for g, y in enumerate(sorted_)]
-    del blocks  # before the tables are formed
-    H, D = (KernelStack(y, h, table, c) for y, h, c in zip(sorted_, (h_h, h_d), counts))
-    parts = [(H.part(a, a + _MEMBER_BLOCK), D.part(a, a + _MEMBER_BLOCK))
-             for a in range(1, B + 1, _MEMBER_BLOCK)]
-    curves = parallel_map(lambda pair: roc_rows(*pair, grid), parts, workers)
-    return _pooled_result("kernel", split, grid, pauc, (H.part(0), D.part(0)), parts or None,
+    counts = [np.concatenate([np.ones((1, y.size))] + [b[g] for b in counted])
+              for g, y in enumerate(ys)]
+    del counted  # before the tables are formed
+    H, D = (KernelStack(y, h, table, c) for y, h, c in zip(ys, (h_h, h_d), counts))
+    plugin, blocks = (H.part(0), D.part(0)), _member_blocks(B)
+    parts = [(H.part(b.start + 1, b.stop + 1), D.part(b.start + 1, b.stop + 1)) for b in blocks]
+    rows = MemberRows(B, plugin=True)
+    rows.put(None, **_pair_rows(*plugin, grid, pauc, 1, closed=True))
+
+    def walked(j):
+        rows.put(blocks[j], **_pair_rows(*parts[j], grid, pauc, len(parts[j][0].counts),
+                                         closed=True))
+
+    parallel_map(walked, range(len(parts)), workers)
+    return _pooled_result("kernel", split, grid, pauc, plugin, parts, rows.arrays,
                           np.concatenate([y_h, y_d]), _kernel_auc(H, D),
-                          curves=np.concatenate(curves) if parts else None,
                           bandwidths={"rule": bw, **{g: {"marker": b.value} | (
                               {"at_edge": b.at_edge} if bw == "lscv" else {})
                               for g, b in bws.items()}})
@@ -754,10 +802,15 @@ def pooled_bb(sample: DiagnosticSample, p=None, S: int = 1000,
     # first pass only saves the healthy blocks' states and draws past their
     # gammas, the second replays each healthy block beside its diseased block
     H = list(_dirichlet_blocks(split.healthy, gen, S, weights=False))
-    pairs = (((h, h.draw()), d) for h, d in zip(H, _dirichlet_blocks(split.diseased, gen, S)))
-    # placements with ties counted whole, so the AUC is P(H < D); the
-    # reverse V_i = P_D(D > h_i) is strict like it
-    return _step_result("bb", split, grid, pauc, None, pairs, ("left", "right"))
+    rows, ensemble = MemberRows(S, plugin=False), []
+    for block, h, (d, drawn_d) in zip(_member_blocks(S), H,
+                                      _dirichlet_blocks(split.diseased, gen, S)):
+        # placements with ties counted whole, so the AUC is P(H < D); the
+        # reverse V_i = P_D(D > h_i) is strict like it
+        _step_rows(rows, block, h, h.draw(), d, drawn_d, grid, pauc, ("left", "right"))
+        ensemble.append((h, d))
+    return _pooled_result("bb", split, grid, pauc, None, ensemble, rows.arrays,
+                          np.concatenate([s.values for s in ensemble[0]]))
 
 
 # -- normal-mixture posterior --------------------------------------------------
@@ -811,6 +864,7 @@ def pooled_dpm(sample: DiagnosticSample, p=None, prior_h: DpmPrior | None = None
                  zip(("healthy", "diseased"), pair, (split_raw.healthy, split_raw.diseased))
                  } if density.compute else None
     return _pooled_result("dpm", split, grid, pauc, None, [pair],
+                          _pair_rows(*pair, grid, pauc, draws_h.nsave, closed=True),
                           np.concatenate([split_raw.healthy, split_raw.diseased]), aucs,
                           densities=densities, fit=raw_scale_criteria(std, draws_h, draws_d),
                           internals={"draws_h": draws_h, "draws_d": draws_d})

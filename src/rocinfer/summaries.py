@@ -133,15 +133,6 @@ def invert_cdf(cdf, q, lo, hi, pdf=None, start=None):
 _CDF_ROUNDING = 2.0 ** -30
 
 
-@dataclass(frozen=True)
-class YoudenPoint:
-    yi: float
-    threshold: float
-    sign: int
-    fpf: float
-    tpf: float
-
-
 def youden_grid(y_all, n_points: int = 500) -> np.ndarray:
     """Shared threshold grid: marker range padded by one Silverman bandwidth."""
     from .smoothing import silverman_bandwidth
@@ -154,16 +145,9 @@ def youden_grid(y_all, n_points: int = 500) -> np.ndarray:
     return np.linspace(y_all.min() - h, y_all.max() + h, int(n_points))
 
 
-def youden(cdf_h, cdf_d, grid) -> YoudenPoint:
-    """Maximise |F_H(c) - F_D(c)| over the grid; smallest c wins ties."""
-    grid = np.asarray(grid, dtype=float)
-    fh, fd = (np.asarray(cdf(grid), dtype=float)[None, :] for cdf in (cdf_h, cdf_d))
-    yi, threshold, fpf, tpf, sign = (v[0].item() for v in youden_rows(fh, fd, grid))
-    return YoudenPoint(yi, threshold, sign, fpf, tpf)
-
-
 def youden_rows(fh_rows: np.ndarray, fd_rows: np.ndarray, grid: np.ndarray):
-    """Row-wise Youden scan over an ensemble of CDF evaluations.
+    """Row-wise Youden scan over an ensemble of CDF evaluations: |F_H(c) - F_D(c)| maximised
+    over the grid, the smallest c on ties.
 
     fh_rows/fd_rows hold F_H(grid) and F_D(grid) per ensemble member.
     Returns (yi, threshold, fpf, tpf, sign) vectors, yi, fpf and tpf clipped

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,16 +9,19 @@ from scipy.special import ndtr
 from rocinfer import adjusted
 from rocinfer.adjusted import (
     _placement_rows,
+    _summary_fields,
     aroc_bnp,
     aroc_frequentist,
     aroc_threshold,
 )
 from rocinfer.errors import ConfigError, MissingColumnError, MissingDrawsError
+from rocinfer.conditional import _ols_fit
+from rocinfer.design import build_design, parse_formula
 from rocinfer.mixtures import DdpPrior, McmcControl, fit_ddp
-from rocinfer.pooled import PaucControl
-from rocinfer.sample import Column
-from rocinfer.smoothing import fit_location_scale, silverman_bandwidth
-from rocinfer.streams import RngStream
+from rocinfer.pooled import PaucControl, _draw_counts
+from rocinfer.sample import Column, DiagnosticSample, split_groups, standardise
+from rocinfer.smoothing import fit_by_rule, fit_location_scale, silverman_bandwidth
+from rocinfer.streams import RngStream, dirichlet
 from rocinfer.summaries import (
     ecdf_eval,
     ecdf_quantile,
@@ -27,7 +31,7 @@ from rocinfer.summaries import (
     simpson,
 )
 
-from conftest import covariate_sample
+from conftest import covariate_sample, replicate_blocks, study_sample
 
 AUC_SHIFT15 = float(ndtr(1.5 / np.sqrt(2.0)))
 
@@ -111,7 +115,7 @@ def test_youden_hand_case_and_clamp():
     grid = np.linspace(0.0, 1.0, 11)
     _, _, _, yi, p_star = _placement_rows(
         np.array([[0.1, 0.2, 0.9], [0.5, 0.9, 1.0]]), None, grid, PaucControl()
-    )
+    ).values()
     assert yi[0] == pytest.approx(7.0 / 15.0, abs=1e-12)
     assert p_star[0] == pytest.approx(0.2, abs=1e-12)
     assert yi[1] == 0.0 and p_star[1] == 0.0  # useless marker clamps at zero
@@ -151,7 +155,7 @@ def test_placement_rows_match_definitions(U, weighted, seed, pauc):
     q = np.random.default_rng(seed).dirichlet(np.ones(n), size=R) if weighted else None
     qq = q if weighted else np.full((R, n), 1.0 / n)
     ctrl = PaucControl() if pauc is None else PaucControl(True, *pauc)
-    curves, aauc, pauc_v, yi, p_star = _placement_rows(U, q, _GRID, ctrl)
+    curves, aauc, pauc_v, yi, p_star = _placement_rows(U, q, _GRID, ctrl).values()
 
     # right-continuous curve with exact endpoints
     want = _aroc_oracle(U, qq, _GRID)
@@ -352,7 +356,7 @@ def test_equal_weight_placement_rows_sort_like_the_stable_argsort(pauc):
     U = np.concatenate([np.floor(g.uniform(0.0, 17.0, (70, 90))) / 16.0, g.uniform(size=(5, 90))])
     U = np.minimum(U, 1.0)
     ctrl = PaucControl() if pauc is None else PaucControl(True, *pauc)
-    for got, want in zip(_placement_rows(U, None, _GRID, ctrl),
+    for got, want in zip(_placement_rows(U, None, _GRID, ctrl).values(),
                          _placement_rows_by_argsort(U, _GRID, ctrl)):
         assert (got is None and want is None) or np.array_equal(got, want)
 
@@ -389,8 +393,120 @@ def test_sorted_key_placements_equal_the_direct_search_bitwise(variant, monkeypa
     monkeypatch.setattr(adjusted, "np", _KeysAsTheyCome())
     direct = aroc_frequentist(s, **kw)
     assert np.unique(rows[0][0]).size < rows[0].shape[1]  # tied plug-in keys
-    assert np.array_equal(rows[0], rows[1])
+    # the plug-in row and then one call per block of 64 replicates, in each fit
+    assert [len(U) for U in rows] == [1, 64, 6] * 2
+    assert all(np.array_equal(a, b) for a, b in zip(rows[:3], rows[3:]))
     for name in ("aroc_est", "aroc_lo", "aroc_hi", "placements"):
         assert np.array_equal(getattr(sorted_keys, name), getattr(direct, name))
     for name in ("aauc", "pauc", "yi", "p_star"):
         assert getattr(sorted_keys, name) == getattr(direct, name)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("pauc", [PaucControl(), PaucControl(True, "fpf", 0.3),
+                                  PaucControl(True, "tpf", 0.7)], ids=["none", "fpf", "tpf"])
+def test_placement_rows_over_member_blocks_equal_the_whole_stack(weighted, pauc):
+    """Every member's rows read its own placements and weights alone: blocks of 64, a partial
+    block and a single member give their rows of the whole stack's, bitwise. Placements on a
+    coarse grid tie."""
+    g = np.random.default_rng(88)
+    U = np.round(g.uniform(size=(130, 57)), 2)
+    q = g.dirichlet(np.ones(57), size=130) if weighted else None
+    whole = _placement_rows(U, q, _GRID, pauc)
+    for rows in (slice(0, 64), slice(64, 128), slice(128, 130), slice(5, 6)):
+        part = _placement_rows(U[rows], None if q is None else q[rows], _GRID, pauc)
+        for name, v in whole.items():
+            assert part[name] is v is None or np.array_equal(part[name], v[rows]), name
+
+
+def _assert_same_result(res, want: dict):
+    for name, v in want.items():
+        got = getattr(res, name)
+        assert np.array_equal(got, v) if isinstance(v, np.ndarray) else got == v, name
+
+
+@pytest.mark.parametrize("B", [1, 64, 65, 130])
+@pytest.mark.parametrize("variant", ["sp_normal", "sp_empirical", "kernel"])
+def test_block_walk_equals_the_placement_stack_built_whole(variant, B):
+    """The frequentist fit summarises each block's placements in its block function. Its
+    fields equal `_placement_rows` of the whole (B + 1, n_d) stack refit here from streams
+    100 + k, bitwise."""
+    s = covariate_sample(n_h=150, n_d=120, seed=84)
+    ctrl, split = PaucControl(True, "tpf", 0.7), split_groups(s)
+    res = aroc_frequentist(s, formula="y ~ x", covariate="x", variant=variant, bw="srt", B=B,
+                           rng=85, pauc=ctrl)
+    y_h, y_d = split.healthy, split.diseased
+    if variant == "kernel":
+        x_h, X_d = (np.asarray(c["x"].values, dtype=float)
+                    for c in (split.healthy_cov, split.diseased_cov))
+        fit0 = fit_by_rule(x_h, y_h, "srt", "healthy")
+
+        def refit(i):
+            return fit_location_scale(x_h, y_h, bw_mean=fit0.bw_mean, bw_var=fit0.bw_var,
+                                      counts=_draw_counts(i))
+    else:
+        X_h, _, fitted = build_design(split.healthy_cov, parse_formula("y ~ x"))
+        X_d, fit0, refit = fitted.rows(split.diseased_cov), _ols_fit(X_h, y_h), partial(
+            _ols_fit, X_h, y_h)
+
+    def placements(fit):
+        mu, sd = fit.at(X_d)
+        t = (y_d - mu) / sd
+        return 1.0 - (ndtr(t) if variant == "sp_normal" else ecdf_eval(fit.residuals, t, fit.cumw))
+
+    U = np.concatenate([placements(fit0)[None]] + [
+        np.take_along_axis(placements(refit(h_idx)), d_idx, axis=1)
+        for h_idx, d_idx in replicate_blocks(85, B, (y_h.size, y_d.size))])
+    _assert_same_result(res, _summary_fields(_placement_rows(U, None, res.p, ctrl), ctrl, True))
+    assert np.array_equal(res.placements, U[0])
+
+
+def test_bnp_block_walk_equals_the_placement_stack_built_whole():
+    """Aroc bnp walks its 130 draws in blocks of 64: placements from `cdf_at` on each block
+    of draws, Dirichlet rows drawn block by block from stream 3 and a running sum for the mean
+    placement. All of it equals the whole (S, n_d) stacks, bitwise."""
+    s = covariate_sample(n_h=150, n_d=120, seed=86)
+    ctrl = PaucControl(True, "fpf", 0.3)
+    res = aroc_bnp(s, "y ~ x", prior=DdpPrior(L=3), mcmc=McmcControl(nsave=130, nburn=20),
+                   pauc=ctrl, rng=87)
+    ints, (std_sample, _) = res.internals, standardise(s)
+    U = 1.0 - ints["draws_h"].cdf_at(split_groups(std_sample).diseased,
+                                     ints["fitted"].rows(split_groups(s).diseased_cov))
+    q = dirichlet(np.ones(U.shape[1]), RngStream(87, 3).generator, size=U.shape[0])
+    _assert_same_result(res, _summary_fields(_placement_rows(U, q, res.p, ctrl), ctrl, False))
+    assert np.array_equal(res.placements, U.mean(axis=0))
+
+
+def test_sp_memory_holds_no_placement_stack(tmp_path):
+    """Empirical aroc sp at B = 2000 on the benchmark's study: the (B + 1, 691) placement
+    stack alone is 11 MB, and `_placement_rows` on it held several more (a 35 MB peak)."""
+    s = study_sample(tmp_path)
+    tracemalloc.start()
+    try:
+        res = aroc_frequentist(s, formula="bmi ~ gender + age", variant="sp_empirical", B=2000,
+                               rng=2026)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert res.aauc.lo <= res.aauc.est <= res.aauc.hi
+
+
+def test_bnp_memory_stays_below_one_placement_array():
+    """Aroc bnp at S = 2330 draws over 2149 + 691 markers: one (S, n_d) float array is 12.9 MB,
+    and the fit held its placements, Dirichlet weights and sorted rows whole (a 78 MB peak)."""
+    g = np.random.default_rng(34)
+    x = g.uniform(0.0, 1.0, 2840)
+    y = x + g.normal(size=2840) + np.r_[np.zeros(2149), np.full(691, 1.5)]
+    s = DiagnosticSample(marker=y, disease=np.array([0] * 2149 + [1] * 691), nondiseased_tag=0,
+                         covariates={"x": Column(x)})
+    S = 2330
+    tracemalloc.start()
+    try:
+        res = aroc_bnp(s, "y ~ x", prior=DdpPrior(L=2), mcmc=McmcControl(nsave=S, nburn=0),
+                       rng=35)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S * 691 * 8
+    assert res.internals["yi_draws"].shape == (S,)

@@ -1,5 +1,7 @@
 import re
+import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,22 +24,36 @@ from rocinfer.errors import (
     RankDeficientError,
     ZeroVarianceError,
 )
+from rocinfer.design import build_design, parse_formula
 from rocinfer.mixtures import DdpPrior, McmcControl
 from rocinfer.pooled import (
+    LocScaleStack,
+    NormalStack,
     PaucControl,
     PaucSummary,
+    StepStack,
+    _pair_rows,
     _summarise_rows,
     pooled_bb,
     pooled_dpm,
     pooled_threshold,
     roc_rows,
     simpson_area,
+    threshold_result,
+    tnf_rows,
 )
-from rocinfer.sample import Column, DiagnosticSample, FpfGrid
-from rocinfer.smoothing import fit_location_scale
-from rocinfer.summaries import intervals, mixture_auc_closed, odd_grid, simpson, summarise
+from rocinfer.sample import Column, DiagnosticSample, FpfGrid, split_groups
+from rocinfer.smoothing import fit_by_rule, fit_location_scale
+from rocinfer.summaries import (
+    intervals,
+    mixture_auc_closed,
+    odd_grid,
+    simpson,
+    summarise,
+    youden_grid,
+)
 
-from conftest import binormal_sample, covariate_sample
+from conftest import binormal_sample, covariate_sample, replicate_blocks, study_sample
 
 AUC_SHIFT15 = float(ndtr(1.5 / np.sqrt(2.0)))
 NEW = {"x": np.array([0.25, 0.5, 0.75])}
@@ -458,7 +474,79 @@ def test_one_curve_pass_gives_the_separate_curves_and_simpson_aucs_bitwise(fit, 
         assert np.array_equal(got, want)
     assert res.auc == aucs
     assert res.pauc == [PaucSummary.of(iv, ctrl) for iv in paucs]
-    fields, stack = _summarise_rows(plugin, ensemble, grid, PaucControl())
+    parts = [_pair_rows(*plugin, grid, PaucControl(), 1)] + [
+        _pair_rows(H, D, grid, PaucControl(), H.shape[0]) for H, D in ensemble or []]
+    rows = {k: None if v is None else np.concatenate([p[k] for p in parts])
+            for k, v in parts[0].items()}
+    fields = _summarise_rows(rows, True, PaucControl())
     assert fields["auc"] == aucs and fields["pauc"] is None
     # the member curves, block by block in ensemble order
-    assert stack is curves is None or np.array_equal(stack, curves)
+    assert curves is None or np.array_equal(rows["curves"][1:], curves)
+
+
+@pytest.mark.parametrize("B", [1, 64, 65, 130])
+@pytest.mark.parametrize("fit", ["sp-normal", "sp-empirical", "kernel"])
+def test_block_walk_equals_the_ensemble_built_whole(fit, B):
+    """The fit summarises each block of 64 replicates in its block function and keeps no
+    block's residual rows. Against the whole ensemble refit here from streams 100 + k, every
+    pair held at once: curves, bands, AUCs, partial areas and coefficient intervals bitwise,
+    and so are the thresholds and the reverse curve, whose blocks a query on an empirical
+    error law replays."""
+    s = covariate_sample(n_h=150, n_d=120, seed=59)
+    ctrl, split = PaucControl(True, "fpf", 0.3), split_groups(s)
+    groups = []  # per group: training inputs, plug-in fit, block refit, prediction inputs
+    if fit == "kernel":
+        res = croc_kernel(s, "x", NEW, bw="srt", pauc=ctrl, B=B, rng=60)
+        for name, cov, y in (("healthy", split.healthy_cov, split.healthy),
+                             ("diseased", split.diseased_cov, split.diseased)):
+            f = fit_by_rule(np.asarray(cov["x"].values, dtype=float), y, "srt", name)
+            groups.append((f.x, f, partial(fit_location_scale, bw_mean=f.bw_mean,
+                                           bw_var=f.bw_var), NEW["x"]))
+        base = StepStack
+    else:
+        res = croc_sp("y ~ x", "y ~ x", s, NEW, est_cdf=fit[3:], pauc=ctrl, B=B, rng=60)
+        for cov, y in ((split.healthy_cov, split.healthy), (split.diseased_cov, split.diseased)):
+            Z, _, fitted = build_design(cov, parse_formula("y ~ x"))
+            groups.append((Z, _ols_fit(Z, y), _ols_fit, fitted.rows(_frame_of(NEW))))
+        base = StepStack if fit == "sp-empirical" else (lambda _: NormalStack())
+
+    def pair(fits):
+        return tuple(LocScaleStack(*f.at(x0), base(f.residuals))
+                     for f, (_, _, _, x0) in zip(fits, groups))
+
+    block_fits = [[refit(X, f.at(X)[0] + f.at(X)[1] * f.residuals[i])
+                   for (X, f, refit, _), i in zip(groups, idx)]
+                  for idx in replicate_blocks(60, B, [f.residuals.size for _, f, _, _ in groups])]
+    plugin, ensemble = pair([f for _, f, _, _ in groups]), [pair(fits) for fits in block_fits]
+    (est, lo, hi), aucs, paucs, _ = _separate_passes(plugin, ensemble, res.p, ctrl)
+    for got, want in ((res.roc_est, est), (res.roc_lo, lo), (res.roc_hi, hi)):
+        assert np.array_equal(got, want)
+    assert res.auc == aucs and res.pauc == [PaucSummary.of(iv, ctrl) for iv in paucs]
+    if fit != "kernel":
+        fits = [[f for _, f, _, _ in groups]] + block_fits
+        for g, name in enumerate(("healthy", "diseased")):
+            beta = np.concatenate([np.atleast_2d(f[g].beta) for f in fits])
+            assert res.coefficients[name]["values"] == intervals(beta[1:], beta[0])
+    grid = youden_grid(res.internals["y"])
+    for criterion, target in (("yi", None), ("fpf", 0.2)):
+        assert (croc_threshold(res, criterion, target)
+                == threshold_result(grid, criterion, target, [(plugin, ensemble)]))
+    assert np.array_equal(croc_tnf(res), tnf_rows(*plugin, res.p))
+
+
+def test_sp_memory_holds_the_curve_stack_and_one_block(tmp_path):
+    """Empirical croc sp at B = 1000 on the benchmark's study with 24 newdata rows: its
+    (B + 1, 24, 101) curve stack is 19.4 MB, and the walk adds one block's refits and curve
+    pass, not the 1000 replicates' residual rows (a 54 MB peak when every block fit was held)."""
+    s = study_sample(tmp_path)
+    ages = np.linspace(35.0, 65.0, 12)
+    newdata = {"gender": ["Men"] * 12 + ["Women"] * 12, "age": np.concatenate([ages, ages])}
+    tracemalloc.start()
+    try:
+        res = croc_sp("bmi ~ gender*age", "bmi ~ gender*age", s, newdata, est_cdf="empirical",
+                      B=1000, rng=2026)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert res.roc_lo.shape == (24, 101) and np.all(res.roc_lo <= res.roc_hi)

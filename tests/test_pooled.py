@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 from rocinfer import pooled
+from rocinfer.adjusted import aroc_frequentist
+from rocinfer.conditional import croc_sp
 from rocinfer.mixtures import DpmPrior, McmcControl
 from rocinfer.pooled import (
     _WEIGHTS_STREAM,
@@ -45,7 +48,7 @@ from rocinfer.summaries import (
     youden_grid,
 )
 
-from conftest import binormal_sample
+from conftest import binormal_sample, covariate_sample, study_sample
 
 AUC_SHIFT1 = float(ndtr(1.0 / np.sqrt(2.0)))
 AUC_SHIFT2 = float(ndtr(2.0 / np.sqrt(2.0)))
@@ -286,7 +289,10 @@ def test_case_bootstrap_stream_layout(B, workers):
     # replicate k draws integers(0, n, n) per size, in order, from stream 100 + k;
     # block c holds replicates [64 c, 64 c + 64) as one (b, n) index array per size
     sizes = (7, 3, 5)
-    blocks = case_bootstrap(lambda *idx: idx, RngStream(31), B, sizes, workers)
+    blocks = case_bootstrap(lambda members, *idx: (members, idx), RngStream(31), B, sizes, workers)
+    assert [members for members, _ in blocks] == [
+        slice(c, min(c + 64, B)) for c in range(0, B, 64)]
+    blocks = [idx for _, idx in blocks]
     assert [[idx.shape for idx in block] for block in blocks] == [
         [(min(64, B - c), n) for n in sizes] for c in range(0, B, 64)]
     rows = [row for block in blocks for row in zip(*block)]
@@ -427,7 +433,8 @@ def test_bb_blocks_replay_the_one_shot_weights_bitwise(S, focus, monkeypatch):
 def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus, monkeypatch):
     """Emp's count blocks against the sorted value rows of each replicate (replicate k
     drawn from stream 100 + k and sorted): curves and thresholds bitwise, areas to
-    summation order. Each block's areas equal its count rows reduced one at a time."""
+    summation order. Each block's areas equal its count rows reduced one at a time. The
+    fit keeps no counts: a walk of its ensemble replays streams 100 .. 100 + B - 1."""
     s = _sample_with_ties(n=80, seed=23)
     ctrl = PaucControl(compute=True, focus=focus, value=0.3 if focus == "fpf" else 0.8)
     res = pooled_empirical(s, B=B, pauc=ctrl, rng=24)
@@ -438,12 +445,14 @@ def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus, monkeypatc
     ref = tuple(StepStack(np.sort(y[np.array(i)], axis=1)) for y, i in zip((y_h, y_d), zip(*idx)))
 
     pairs = res.internals["ensemble"]
+    drawn, stream = [], RngStream.stream
 
-    def no_redraw(*args):
-        raise AssertionError("a query redrew a bootstrap replicate")
+    def recorded(self, stream_id):
+        drawn.append(stream_id)
+        return stream(self, stream_id)
 
-    # every query below reads the held counts; none draws from a replicate stream
-    monkeypatch.setattr(RngStream, "stream", no_redraw)
+    monkeypatch.setattr(RngStream, "stream", recorded)
+    assert len(list(pairs)) == -(-B // 64) and drawn == list(range(100, 100 + B))
     assert np.array_equal(res.ensemble, roc_rows(*ref, res.p))
     assert np.array_equal(np.concatenate([roc_rows(H, D, res.p) for H, D in pairs]),
                           roc_rows(*ref, res.p))
@@ -455,9 +464,14 @@ def test_emp_block_areas_equal_each_replicate_reduced_alone(B, focus, monkeypatc
         assert (pooled_threshold(res, criterion, target)
                 == threshold_result(grid, criterion, target, [(res.internals["plugin"], [ref])]))
 
-    # the blocks hold their int32 count rows, each summing to n, and draw() gives their
-    # weights c / n and cumulative weights cumsum(c) / n; each member's areas are its count
-    # rows reduced alone
+    # the replayed blocks hold the int32 count rows of the whole bootstrap, drawn here at the
+    # sorted positions, each summing to n, and draw() gives their weights c / n and
+    # cumulative weights cumsum(c) / n; each member's areas are its count rows reduced alone
+    ranks = [np.argsort(np.argsort(y, kind="stable")) for y in (y_h, y_d)]
+    whole = [np.array([np.bincount(r[i], minlength=r.size) for i in col])
+             for r, col in zip(ranks, zip(*idx))]
+    for g, counts in enumerate(whole):
+        assert np.array_equal(np.concatenate([pair[g].draw.args[0] for pair in pairs]), counts)
     one = [placement_areas(placements(h, d)[None], None, ctrl, placements(d, h)[None])]
     n_h, n_d = h.size, d.size
     for H, D in pairs:
@@ -596,3 +610,56 @@ def test_pooled_kernel_aucs_are_the_closed_form_and_workers_do_not_change_result
     for name in ("roc_est", "roc_lo", "roc_hi", "ensemble"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert (a.auc, a.pauc) == (b.auc, b.pauc)
+
+
+def test_emp_memory_does_not_grow_with_the_replicates(tmp_path):
+    """Emp on the benchmark's study: each block's count rows are drawn, summarised and dropped,
+    so B = 2000 peaks within 1.25 times of B = 200; with the counts held (22.7 MB of int32
+    rows at B = 2000) it peaked at 3.4 times."""
+    s = study_sample(tmp_path)
+    peaks = []
+    for B in (200, 2000):
+        tracemalloc.start()
+        try:
+            pooled_empirical(s, B=B, pauc=PaucControl(True, "fpf", 0.2), rng=2026)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def _same(a, b) -> bool:
+    """Equal result fields: arrays bitwise, dataclasses field by field, everything else by ==."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and _same(vars(a), vars(b))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def test_block_walks_on_many_threads_equal_one_thread():
+    """Four workers on two cores, switching threads every microsecond: the blocks write their
+    rows into arrays the walk shares, and every field equals the one-thread fit's."""
+    s = covariate_sample(n_h=150, n_d=120, seed=89)
+    ctrl = PaucControl(True, "tpf", 0.7)
+    fits = [
+        lambda w: croc_sp("y ~ x", "y ~ x", s, {"x": [0.3, 0.6]}, est_cdf="empirical",
+                          pauc=ctrl, B=300, rng=90, workers=w),
+        lambda w: aroc_frequentist(s, formula="y ~ x", variant="sp_empirical", pauc=ctrl, B=300,
+                                   rng=90, workers=w),
+        lambda w: pooled_empirical(s, pauc=ctrl, B=300, rng=90, workers=w),
+    ]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        many = [fit(4) for fit in fits]
+    finally:
+        sys.setswitchinterval(interval)
+    for fit, got in zip(fits, many):
+        want = fit(1)
+        for name, v in vars(want).items():
+            assert name == "internals" or _same(getattr(got, name), v), name

@@ -18,7 +18,6 @@ from rocinfer.summaries import (
     placement_areas,
     placements,
     simpson,
-    youden,
     youden_grid,
     youden_rows,
 )
@@ -103,10 +102,11 @@ def test_tnf_curve_integrates_to_auc():
 
 def test_youden_binormal_shift_two():
     grid = np.linspace(-6.0, 8.0, 20001)
-    pt = youden(lambda t: ndtr(t), lambda t: ndtr(t - 2.0), grid)
-    assert pt.yi == pytest.approx(0.6826894921370859, abs=1e-6)
-    assert pt.threshold == pytest.approx(1.0, abs=grid[1] - grid[0] + 1e-12)
-    assert pt.sign == 1
+    yi, threshold, fpf, tpf, sign = youden_rows(ndtr(grid)[None], ndtr(grid - 2.0)[None], grid)
+    assert yi[0] == pytest.approx(0.6826894921370859, abs=1e-6)
+    assert threshold[0] == pytest.approx(1.0, abs=grid[1] - grid[0] + 1e-12)
+    assert sign[0] == 1
+    assert tpf[0] - fpf[0] == pytest.approx(yi[0], abs=1e-15)
 
 
 def test_youden_counts_rounding_noise_as_no_separation():
