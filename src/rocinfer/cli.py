@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import json
 import math
@@ -633,9 +634,36 @@ class ResultEnvelope:
         return json.dumps(self.as_dict(), indent=2, allow_nan=False)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def _keep_freed_memory():
+    """Fix glibc's malloc thresholds at the values its own rule raises them to at most.
+
+    A resampling walk allocates and frees the same 0.1-3 MB arrays once
+    per 64-member block. glibc maps an allocation above its mmap
+    threshold (128 KB at start) afresh, and returns a free heap top
+    above its trim threshold to the kernel, so each block faults its
+    pages in again: about 40,000 page faults in a `pooled --method emp
+    --B 2000` fit. glibc raises both thresholds only after it frees a
+    larger mapping, so a fit's speed also depended on what ran before it
+    in the process. At 32 MB (the most that rule reaches) and 64 MB
+    (twice that, as the rule sets it), the arrays stay in the heap.
+    Other C libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def run(cfg: RunConfig, echo: bool = True) -> ResultEnvelope:
     """Fit, package, and emit one configured analysis."""
     cfg.validate()
+    _keep_freed_memory()
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

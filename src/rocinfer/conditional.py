@@ -200,8 +200,9 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int, newdat
 
     Each block is refit, summarised over the newdata rows (`_pair_rows`)
     and dropped in its `case_bootstrap` block function, keeping keep(fit)
-    per group. Returns the member rows (plug-in first), the kept fits per
-    block, and stacks(frame): the plug-in pair and the ensemble, over the
+    per group. Returns the member rows (plug-in first; the curves as a
+    `Band` of their tails about the plug-in), the kept fits per block,
+    and stacks(frame): the plug-in pair and the ensemble, over the
     kept fits when they are held (their base reads no residual rows),
     else `Replayed`.
     """
@@ -216,7 +217,7 @@ def _induced_model(groups, inputs_of, base, B: int, stream, workers: int, newdat
         return tuple(LocScaleStack(*fit.at(x), base(fit.residuals)) for fit, x in zip(fits, inputs))
 
     plugin, inputs = [fit for fit, _, _ in groups], inputs_of(newdata)
-    rows = MemberRows(B, plugin=True)
+    rows = MemberRows(B, plugin=True, banded=("curves",))
     rows.put(None, **_pair_rows(*pair(plugin, inputs), grid, ctrl, 1))
 
     def walked(block, *idx):

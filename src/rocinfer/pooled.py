@@ -54,6 +54,7 @@ from .sample import DiagnosticSample, FpfGrid, split_groups, standardise
 from .smoothing import _in_group, lscv_bandwidth, silverman_bandwidth
 from .streams import RngStream, dirichlet, parallel_map
 from .summaries import (
+    Band,
     Interval,
     ThresholdResult,
     _ranks,
@@ -78,7 +79,7 @@ from .summaries import (
 
 _BOOT_STREAM_BASE = 100
 _MEMBER_BLOCK = 64  # members per ensemble pair: bootstrap replicates or Dirichlet draws
-_CURVE_ELEMENTS = 1 << 16  # curve values per roc_rows pass of a Simpson curve pass
+_CURVE_ELEMENTS = 1 << 16  # curve or CDF values per pass over a block's prediction rows
 _KERNEL_TERMS = 1 << 18  # kernel terms per temporary block of a KernelStack's weighted sums
 _TABLE_POINTS = 8193  # most points of a kernel table grid: h/8 spacing over 1,024 bandwidths
 _CHAIN_H, _CHAIN_D, _WEIGHTS_STREAM = 1, 2, 3
@@ -215,11 +216,14 @@ class MemberRows:
 
     `arrays` maps each name to one array of count members (members first),
     the plug-in member 0 when plugin is set, or to None (an area nobody
-    asked for). Blocks may be written from any thread, in any order.
+    asked for). A name in banded maps instead to the `Band` of its
+    bootstrap members, with the plug-in as its point: only the band's
+    tails are kept. Blocks may be written from any thread, in any order.
     """
 
-    def __init__(self, count: int, plugin: bool):
-        self.count, self.plugin, self.arrays = count + plugin, plugin, {}
+    def __init__(self, count: int, plugin: bool, banded=()):
+        self.count, self.plugin = count + plugin, plugin
+        self.arrays = {name: Band(count) for name in banded}
         self._lock = threading.Lock()
 
     def put(self, block, **rows):
@@ -227,6 +231,13 @@ class MemberRows:
         at = slice(0, 1) if block is None else slice(block.start + self.plugin,
                                                       block.stop + self.plugin)
         for name, v in rows.items():
+            kept = self.arrays.get(name)
+            if isinstance(kept, Band):
+                if block is None:
+                    kept.point = v[0]
+                else:
+                    kept.add(v)
+                continue
             with self._lock:
                 if name not in self.arrays:
                     self.arrays[name] = None if v is None else np.empty(
@@ -418,6 +429,11 @@ class LocScaleStack:
     def pdf(self, x):
         return self.base.pdf(self._std(x)) / self.scale[..., None]
 
+    def rows(self, s) -> "LocScaleStack":
+        """The stack at the prediction rows s, the last member axis when there are any."""
+        return LocScaleStack(*(np.broadcast_to(a, self.shape)[..., s]
+                               for a in (self.loc, self.scale)), self.base)
+
     def quantile(self, q):
         bq = self.base.quantile(q)
         if self._row_axes > 0:
@@ -502,7 +518,8 @@ def _summarise_rows(rows: dict, plugin: bool, ctrl: PaucControl, aucs=None) -> d
     """Curve and area summaries of a fit per prediction row, by `summarise`.
 
     rows holds the fit's member rows (`_pair_rows`' names), member 0
-    the plug-in when plugin is set; aucs, when given, holds the member
+    the plug-in when plugin is set, or its curves as a `Band` (see
+    `MemberRows`); aucs, when given, holds the member
     AUCs in closed form (members[, rows]). Returns the result fields:
     roc_est, roc_lo, roc_hi as (rows, points), auc and pauc with one
     entry per row.
@@ -510,7 +527,9 @@ def _summarise_rows(rows: dict, plugin: bool, ctrl: PaucControl, aucs=None) -> d
     def area(values) -> list:
         return intervals(**plugin_first(np.reshape(values, (len(values), -1)), plugin))
 
-    est, lo, hi = summarise(**plugin_first(rows["curves"], plugin))
+    curves = rows["curves"]
+    est, lo, hi = summarise(curves, curves.point) if isinstance(curves, Band) else summarise(
+        **plugin_first(curves, plugin))
     fields = {"roc_est": est, "roc_lo": lo, "roc_hi": hi,
               "auc": area(rows["auc"] if aucs is None else aucs), "pauc": None}
     if ctrl.compute:
@@ -569,15 +588,24 @@ def threshold_result(grid, criterion: str, target_fpf, pairs) -> ThresholdResult
 
     def criterion_rows(ensemble, count=None):
         """Per prediction row, the criterion values of each member of a list of stack pairs,
-        or None."""
+        or None. Location-scale pairs with prediction rows are evaluated in runs of rows of
+        about _CURVE_ELEMENTS values."""
         if not ensemble:
             return None
         parts = []
         for pair in ensemble:
-            # F_H and F_D as (members, rows, grid)
-            fh, fd = (s.cdf(grid).reshape(count or s.shape[0], -1, grid.size) for s in pair)
-            parts.append([_criterion_rows(fh[:, r], fd[:, r], grid, criterion, target_fpf)
-                          for r in range(fh.shape[1])])
+            members, rows = count or pair[0].shape[0], []
+            runs = [pair]
+            if all(isinstance(s, LocScaleStack) and s._row_axes > 0 for s in pair):
+                step = max(1, _CURVE_ELEMENTS // (members * grid.size))
+                runs = [tuple(s.rows(slice(r, r + step)) for s in pair)
+                        for r in range(0, pair[0].shape[-1], step)]
+            for run in runs:
+                # F_H and F_D as (members, rows, grid)
+                fh, fd = (s.cdf(grid).reshape(members, -1, grid.size) for s in run)
+                rows += [_criterion_rows(fh[:, r], fd[:, r], grid, criterion, target_fpf)
+                         for r in range(fh.shape[1])]
+            parts.append(rows)
         return [tuple(np.concatenate(col) for col in zip(*rows)) for rows in zip(*parts)]
 
     for plugin, ensemble in pairs:

@@ -13,6 +13,7 @@ that the estimators rely on:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,20 +188,70 @@ def odd_grid(lo: float, hi: float, n: int = 201) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-_BAND_CHUNK = 2 ** 18  # elements of the member stack sorted at a time
+_BAND_CHUNK = 2 ** 18  # member values sorted at a time
+
+
+class Band:
+    """The 2.5/97.5 percentile band of count members, merged block by block.
+
+    np.percentile's linear method reads, per cell, the two order
+    statistics about the virtual index (count - 1) q and interpolates
+    them (its `_lerp`, t >= 0.5 from the upper one). So of each cell
+    only the k = floor(0.025 (count - 1)) + 2 smallest and k largest
+    member values are kept, merged in by sorting column chunks of about
+    _BAND_CHUNK values. Blocks may be added from any thread, in any
+    order: the kept values are the same. `point`, when set, is the
+    plug-in the band is reported around (see `summarise`).
+    """
+
+    def __init__(self, count: int):
+        self.count, self.point, self.kept, self.at, last = count, None, None, [], count - 1
+        for v in last * np.true_divide((2.5, 97.5), 100):
+            i = -1 if v >= last else int(v)  # numpy's lower index; -1 reads the last member
+            # per end: the lower and upper order statistics and the upper one's weight t
+            self.at.append(((last, last) if i < 0 else (i, i + 1)) + (float(v - i),))
+        # member i is kept when i < keep (lower tail) or i >= count - keep (upper tail)
+        self.keep = min(count, max(self.at[0][1] + 1, count - self.at[1][0])) if count else 0
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return self.count
+
+    def add(self, values) -> "Band":
+        """Merge a block of member values (b, ...) into the kept tails."""
+        flat = np.reshape(values, (len(values), -1))
+        with self._lock:
+            old = flat[:0] if self.kept is None else self.kept
+            n, k = len(old) + len(flat), self.keep
+            if n <= 2 * k:
+                self.kept = np.concatenate([old, flat])
+            else:
+                self.kept = np.empty((2 * k, flat.shape[1]))
+                step = max(1, _BAND_CHUNK // n)
+                for s in range(0, flat.shape[1], step):
+                    pool = np.concatenate([old[:, s:s + step], flat[:, s:s + step]])
+                    pool.sort(axis=0)
+                    self.kept[:k, s:s + step], self.kept[k:, s:s + step] = pool[:k], pool[n - k:]
+            self.shape = np.shape(values)[1:]
+        return self
+
+    def ends(self) -> tuple:
+        """(lo, hi) per cell, bitwise np.percentile(members, (2.5, 97.5), axis=0)."""
+        kept = np.sort(self.kept, axis=0)
+        # member index i is kept row i in the lower tail, kept row i - count + rows in the upper
+        rows = len(kept)
+        ends = []
+        for lo, hi, t in self.at:
+            a, b = (kept[i if i < self.keep else i - self.count + rows] for i in (lo, hi))
+            diff = b - a
+            ends.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+        nan = np.isnan(kept[-1])  # NaN sorts last: np.percentile reports NaN for such cells
+        return tuple(np.where(nan, np.nan, end).reshape(self.shape)[()] for end in ends)
 
 
 def band(values: np.ndarray):
-    """2.5/97.5 percentile band over the leading member axis, bitwise `np.percentile`'s: the
-    same order statistics, read off sorted column chunks of about _BAND_CHUNK elements, with
-    no copy of the whole stack."""
-    flat = values.reshape(len(values), -1)
-    ends = np.empty((2, flat.shape[1]))
-    step = max(1, _BAND_CHUNK // len(flat))
-    for s in range(0, flat.shape[1], step):
-        chunk = np.sort(flat[:, s:s + step], axis=0)
-        ends[:, s:s + step] = np.percentile(chunk, (2.5, 97.5), axis=0, overwrite_input=True)
-    return tuple(end.reshape(values.shape[1:])[()] for end in ends)
+    """2.5/97.5 percentile band over the leading member axis: one block's `Band`."""
+    return Band(len(values)).add(values).ends()
 
 
 # -- the reporting rule --------------------------------------------------------
@@ -216,12 +267,13 @@ def summarise(draws, point=None) -> tuple:
     draws holds one value (or array of values) per member: bootstrap
     replicate or posterior draw. est is the plug-in `point` when one is
     given, else the members' mean; lo and hi are the members' 2.5/97.5
-    percentile band, or est when there are no members (B = 0).
+    percentile band, or est when there are no members (B = 0). draws may
+    be a `Band` of them, and point must then be given.
     """
     est = estimate(draws, point)
     if draws is None or len(draws) == 0:
         return est, est.copy(), est.copy()
-    lo, hi = band(np.asarray(draws, dtype=float))
+    lo, hi = draws.ends() if isinstance(draws, Band) else band(np.asarray(draws, dtype=float))
     return est, lo, hi
 
 
@@ -298,7 +350,8 @@ def ecdf_eval(sorted_y: np.ndarray, x, cumw=None, side: str = "right") -> np.nda
     if cumw is None:
         out = i / sorted_y.shape[-1]
     else:
-        out = _take(np.concatenate([np.zeros(cumw.shape[:-1] + (1,)), cumw], axis=-1), i)
+        # the weight below rank i is cumw at i - 1, and 0 below the first value
+        out = np.where(i > 0, _take(cumw, np.maximum(i - 1, 0)), 0.0)
     return float(out) if np.ndim(out) == 0 else out
 
 

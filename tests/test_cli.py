@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rocinfer import cli
 from rocinfer.cli import (
     ResultEnvelope,
     RunConfig,
@@ -793,3 +794,24 @@ def test_kernel_failure_paths(tmp_path, capsys, kind, subcommand, bw, rc, messag
         {"diseased"} if subcommand == "croc" else set())
     assert all(math.isfinite(bws[g][h]) and bws[g][h] > 0 for g in set(bws) - {"rule"}
                for h in ("mean", "variance"))
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False])
+def test_run_fixes_malloc_thresholds_where_the_c_library_has_mallopt(monkeypatch, tmp_path,
+                                                                     has_mallopt):
+    """Each analysis sets glibc's mmap and trim thresholds to 32 and 64 MB through mallopt
+    (parameters -3 and -1), and runs unchanged under a C library without mallopt."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    path = tmp_path / "d.csv"
+    assert main(["simulate", "--n", "120", "--seed", "1", "--out", str(path)]) == 0
+    lib = type("Lib", (), {"mallopt": staticmethod(mallopt)} if has_mallopt else {})()
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: lib)
+    assert main(["pooled", "--data", str(path), "--marker", "bmi", "--group", "cvd_idf",
+                 "--tag", "0", "--method", "emp", "--B", "5",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == ([(-3, 32 << 20), (-1, 64 << 20)] if has_mallopt else [])

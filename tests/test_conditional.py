@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from rocinfer import conditional
+from rocinfer import conditional, pooled
 from rocinfer.conditional import (
     _frame_of,
     _ols_fit,
@@ -534,13 +534,19 @@ def test_block_walk_equals_the_ensemble_built_whole(fit, B):
     assert np.array_equal(croc_tnf(res), tnf_rows(*plugin, res.p))
 
 
-def test_sp_memory_holds_the_curve_stack_and_one_block(tmp_path):
-    """Empirical croc sp at B = 1000 on the benchmark's study with 24 newdata rows: its
-    (B + 1, 24, 101) curve stack is 19.4 MB, and the walk adds one block's refits and curve
-    pass, not the 1000 replicates' residual rows (a 54 MB peak when every block fit was held)."""
-    s = study_sample(tmp_path)
+def _study_rows(tmp_path):
+    """The benchmark's study and 24 newdata rows: ages 35 to 65 by gender."""
     ages = np.linspace(35.0, 65.0, 12)
-    newdata = {"gender": ["Men"] * 12 + ["Women"] * 12, "age": np.concatenate([ages, ages])}
+    return study_sample(tmp_path), {"gender": ["Men"] * 12 + ["Women"] * 12,
+                                    "age": np.concatenate([ages, ages])}
+
+
+def test_sp_memory_holds_the_curve_stack_and_one_block(tmp_path):
+    """Empirical croc sp at B = 1000 on the benchmark's study with 24 newdata rows: the walk
+    adds one block's refits and curve pass, not the 1000 replicates' residual rows (a 54 MB
+    peak when every block fit was held), nor their (B + 1, 24, 101) curve stack of 19.4 MB
+    (a 28 MB peak when it was held; `Band` keeps its tails)."""
+    s, newdata = _study_rows(tmp_path)
     tracemalloc.start()
     try:
         res = croc_sp("bmi ~ gender*age", "bmi ~ gender*age", s, newdata, est_cdf="empirical",
@@ -550,3 +556,53 @@ def test_sp_memory_holds_the_curve_stack_and_one_block(tmp_path):
         tracemalloc.stop()
     assert peak < 32e6
     assert res.roc_lo.shape == (24, 101) and np.all(res.roc_lo <= res.roc_hi)
+
+
+def test_sp_memory_keeps_band_tails_not_the_curve_stack(tmp_path):
+    """The same fit keeps of its 1000 member curves only the plug-in row and, per (row,
+    point) cell, the 26 smallest and 26 largest values that the band reads (1 MB in place of
+    the 19.4 MB stack): its peak is under 12 MB (28 MB with the stack held)."""
+    s, newdata = _study_rows(tmp_path)
+    tracemalloc.start()
+    try:
+        res = croc_sp("bmi ~ gender*age", "bmi ~ gender*age", s, newdata, est_cdf="empirical",
+                      B=1000, rng=2026)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    assert res.roc_hi.shape == (24, 101) and np.all(res.roc_lo <= res.roc_hi)
+
+
+def test_threshold_memory_reads_prediction_rows_in_runs(tmp_path):
+    """A normal-error croc sp threshold query at B = 400 with 24 newdata rows evaluates each
+    block's F_H and F_D on the 500-point grid two rows at a time, not as two (64, 24, 500)
+    arrays (12.3 MB): each query peaks under 6 MB (31 MB with every row at once)."""
+    s, newdata = _study_rows(tmp_path)
+    fit = croc_sp("bmi ~ gender*age", "bmi ~ gender*age", s, newdata, B=400, rng=2026)
+    for criterion, target in (("yi", None), ("fpf", 0.2)):
+        tracemalloc.start()
+        try:
+            thr = croc_threshold(fit, criterion, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        assert len(thr.threshold) == 24 and all(iv.lo <= iv.hi for iv in thr.threshold)
+
+
+@pytest.mark.parametrize("fit", ["sp-normal", "sp-empirical", "kernel"])
+def test_threshold_row_runs_of_any_size_give_the_same_thresholds(monkeypatch, fit):
+    """`threshold_result` evaluates location-scale pairs in runs of prediction rows of about
+    `_CURVE_ELEMENTS` values. F_H and F_D are elementwise in the rows, so one row per run,
+    the default (two rows of a 64-member block on the 500-point grid) and every row at once
+    give the same thresholds bitwise, under both criteria."""
+    s = covariate_sample(n_h=150, n_d=120, seed=61)
+    rows = {"x": np.linspace(0.2, 0.8, 7)}
+    res = (croc_kernel(s, "x", rows, bw="srt", B=65, rng=62) if fit == "kernel"
+           else croc_sp("y ~ x", "y ~ x", s, rows, est_cdf=fit[3:], B=65, rng=62))
+    runs = []
+    for elements in (1, pooled._CURVE_ELEMENTS, 1 << 40):
+        monkeypatch.setattr(pooled, "_CURVE_ELEMENTS", elements)
+        runs.append([croc_threshold(res, c, t) for c, t in (("yi", None), ("fpf", 0.2))])
+    assert runs[0] == runs[1] == runs[2]

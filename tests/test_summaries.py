@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +9,9 @@ from scipy.special import ndtr, ndtri
 from rocinfer.errors import BadGridError, BracketFailError
 from rocinfer.pooled import LocScaleStack, NormalStack, PaucControl, roc_rows, tnf_rows
 from rocinfer.summaries import (
+    Band,
+    _ranks,
+    _take,
     band,
     ecdf_eval,
     ecdf_quantile,
@@ -157,8 +163,9 @@ def test_band_takes_central_95():
 @pytest.mark.parametrize("shape", [(1000, 24, 101), (1, 7), (3000,), (64, 1, 1)])
 @pytest.mark.parametrize("tied", [False, True])
 def test_band_equals_percentile_bitwise(shape, tied):
-    """The chunk-sorted band reads the same order statistics as np.percentile's partition
-    of the whole stack, so both ends are bitwise its band, in its shapes and types."""
+    """The one-block band reads the same order statistics as np.percentile's partition of
+    the whole stack and interpolates them as it does, so both ends are bitwise its band, in
+    its shapes and types."""
     values = np.random.default_rng(3).normal(size=shape)
     if tied:
         values = np.round(values, 1)
@@ -166,6 +173,68 @@ def test_band_equals_percentile_bitwise(shape, tied):
     for got, ref in zip(band(values), want):
         assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
         assert np.array_equal(got, ref)
+
+
+def _blocks(count, seed):
+    """The member blocks [c, c + 64) of count members, in a shuffled order."""
+    blocks = [slice(c, min(c + 64, count)) for c in range(0, count, 64)]
+    np.random.default_rng(seed).shuffle(blocks)
+    return blocks
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 39, 40, 41, 64, 65, 1000, 1001, 8000])
+@pytest.mark.parametrize("tied", [False, True])
+def test_band_accumulator_equals_percentile_bitwise(count, tied):
+    """Blocks of 64 members merged in a shuffled order keep, per cell, the
+    floor(0.025 (count - 1)) + 2 smallest and largest values (all of them up to twice that),
+    and the band read off them is bitwise np.percentile's over all members. The counts
+    cross the points where the kept tails grow (40 -> 41 members) and where one or two
+    blocks hold every member; rounding to 0.1 ties most values."""
+    values = np.random.default_rng(count).normal(size=(count, 3, 7))
+    if tied:
+        values = np.round(values, 1)
+    acc = Band(count)
+    for block in _blocks(count, count + 1):
+        acc.add(values[block])
+    keep = min(count, int(0.025 * (count - 1)) + 2)
+    assert acc.keep == keep and len(acc.kept) == min(count, 2 * keep)
+    want = np.percentile(values, (2.5, 97.5), axis=0)
+    for got, ref in zip(acc.ends(), want):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_band_accumulator_merges_blocks_from_threads():
+    """Four threads, more than the cores, adding the blocks of 1001 members (tied and untied
+    cells) in a shuffled order under a short switch interval give np.percentile's band
+    bitwise, as `MemberRows` blocks from `--workers` threads do: a lost merge would drop a
+    block's members from the tails."""
+    g = np.random.default_rng(5)
+    values = np.concatenate([g.normal(size=(1001, 50)), np.round(g.normal(size=(1001, 50)))],
+                            axis=1)
+    acc, blocks = Band(1001), _blocks(1001, 6)
+    threads = [threading.Thread(target=lambda part=blocks[t::4]: [acc.add(values[b])
+                                                                   for b in part])
+               for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, ref in zip(acc.ends(), np.percentile(values, (2.5, 97.5), axis=0)):
+        assert np.array_equal(got, ref)
+
+
+def test_band_ends_are_nan_where_a_member_is():
+    """A NaN member sorts last and np.percentile reports the cell as NaN; so does the band."""
+    values = np.random.default_rng(7).normal(size=(200, 4))
+    values[[3, 150], [1, 2]] = np.nan
+    for got, ref in zip(band(values), np.percentile(values, (2.5, 97.5), axis=0)):
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 def test_interval_degenerates_without_draws():
@@ -190,6 +259,27 @@ def test_weighted_ecdf_with_flat_weights_matches_plain():
     np.testing.assert_allclose(ecdf_eval(y, x, cumw, "left"), ecdf_eval(y, x, side="left"))
     q = np.array([0.2, 0.7, 1.0])
     np.testing.assert_allclose(ecdf_quantile(y, q, cumw), ecdf_quantile(y, q))
+
+
+@pytest.mark.parametrize("rows", ["shared", "per_member"])
+@pytest.mark.parametrize("weights", ["shared", "per_member"])
+def test_weighted_ecdf_gathers_the_cumulative_weights_bitwise(rows, weights):
+    """The weighted step CDF reads cumw at rank - 1, and 0 at rank 0, with no padded copy of
+    cumw: bitwise the gather from [0, cumw] it replaces, with points below, between, on and
+    above the values, scalar, shared or one row per member."""
+    g = np.random.default_rng(11)
+    Y = np.sort(np.round(g.normal(size=(4, 9)), 1), axis=1)
+    cumw = np.cumsum(g.dirichlet(np.ones(9), 4 if weights == "per_member" else None), axis=-1)
+    sorted_y = Y if rows == "per_member" else Y[0]
+    padded = np.concatenate([np.zeros(cumw.shape[:-1] + (1,)), cumw], axis=-1)
+    for x in (-5.0, Y[0, 3], np.array([-5.0, Y[0, 0], 0.05, 5.0]),
+              np.concatenate([Y[:, :2] - 1.0, Y[:, 2:5], Y[:, -1:] + 1.0], axis=1)):
+        if np.ndim(x) == 0 and cumw.ndim + sorted_y.ndim > 2:
+            continue
+        for side in ("left", "right"):
+            want = _take(padded, _ranks(sorted_y, x, side))
+            got = ecdf_eval(sorted_y, x, cumw, side)
+            assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
 
 
 @settings(max_examples=150, deadline=None)
